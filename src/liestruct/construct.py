@@ -212,29 +212,10 @@ def quadratic_extension(c) -> CommutativeAlgebra:
 
 def commutative_derivations(a: CommutativeAlgebra):
     """Der(A) as an EndoSpace: D(uv) = D(u)v + uD(v)."""
-    from .endo import EndoSpace
+    from .endo import EndoSpace, leibniz_system
 
     n = a.dim
-    c = a.table
-
-    def rows():
-        for i in range(n):
-            for j in range(i, n):
-                cij = c[i][j]
-                for m in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for l in range(n):
-                        if cij[l]:
-                            row[m * n + l] += cij[l]
-                    for k in range(n):
-                        if c[k][j][m]:
-                            row[k * n + i] -= c[k][j][m]
-                        if c[i][k][m]:
-                            row[k * n + j] -= c[i][k][m]
-                    if any(row):
-                        yield row
-
-    return EndoSpace("derivations", n, kernel_of_rows(rows(), n * n))
+    return EndoSpace("derivations", n, kernel_of_rows(leibniz_system(a.table, n), n * n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Spaces of endomorphisms attached to a Lie algebra.
 
 Derivations, inner derivations, the centroid, the two-sided annihilator
-space J(g), and commutants of matrix families. Each space is computed as the
-exact kernel of an explicitly assembled linear system over the dim^2 matrix
-entries (row-major flattening, columns are images of basis vectors).
+space J(g), and commutants of matrix families. Derivations, the centroid and
+commutants are exact kernels of sparse linear systems over the dim^2 matrix
+entries (row-major flattening, columns are images of basis vectors), all
+assembled by one Leibniz and one commutant row generator; J(g) is built in
+closed form.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ __all__ = [
     "j_space",
     "module_commutant",
     "split_centroid",
+    "leibniz_system",
+    "commutant_system",
 ]
 
 
@@ -75,39 +79,70 @@ class EndoSpace:
         }
 
 
-def _idx(n: int, k: int, l: int) -> int:
-    return k * n + l
+def _nonzeros(vec) -> list[tuple[int, Fraction]]:
+    return [(k, v) for k, v in enumerate(vec) if v]
+
+
+def _subtract(row: dict, entries):
+    """row -= entries (pairs (col, value)) in place; cancelled entries are dropped."""
+    for col, v in entries:
+        w = row.get(col, 0) - v
+        if w:
+            row[col] = w
+        else:
+            del row[col]
+
+
+def leibniz_system(table, n: int):
+    """Rows {col: value} of D(e_i e_j) = D(e_i) e_j + e_i D(e_j) for i <= j.
+
+    ``table[i][j]`` is the coordinate vector of the product e_i e_j; the
+    unknown D is flattened row-major (column j holds D e_j). Serves Lie
+    tables, where the i = j rows cancel to nothing, and commutative ones.
+    Yields one row per pair and output coordinate, without zero entries.
+    """
+    prod = [[_nonzeros(table[i][j]) for j in range(n)] for i in range(n)]
+    # left[j][m]: (k, c_kj^m) != 0; right[i][m]: (k, c_ik^m) != 0
+    left = [[[] for _ in range(n)] for _ in range(n)]
+    right = [[[] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for m, v in prod[i][j]:
+                left[j][m].append((i, v))
+                right[i][m].append((j, v))
+    for i in range(n):
+        for j in range(i, n):
+            cij = prod[i][j]
+            for m in range(n):
+                row = {m * n + l: v for l, v in cij}
+                _subtract(row, ((k * n + i, v) for k, v in left[j][m]))
+                _subtract(row, ((k * n + j, v) for k, v in right[i][m]))
+                if row:
+                    yield row
+
+
+def commutant_system(mats: Sequence[Matrix], n: int):
+    """Rows {col: value} of (A f - f A) = 0 for each n x n matrix A in ``mats``.
+
+    The unknown f is flattened row-major. Yields one row per matrix and
+    entry, without zero entries.
+    """
+    for m in mats:
+        rows = [_nonzeros(r) for r in m.rows]
+        cols = [_nonzeros(c) for c in zip(*m.rows)]
+        for r in range(n):
+            for cc in range(n):
+                row = {k * n + cc: v for k, v in rows[r]}
+                _subtract(row, ((r * n + k, v) for k, v in cols[cc]))
+                if row:
+                    yield row
 
 
 @lru_cache(maxsize=None)
 def derivations(g: LieAlgebra) -> EndoSpace:
-    """Der(g) = {D : D[x,y] = [Dx,y] + [x,Dy]}.
-
-    One constraint row per basis pair i < j and output coordinate m.
-    """
+    """Der(g) = {D : D[x,y] = [Dx,y] + [x,Dy]}."""
     n = g.dim
-    c = g.table
-
-    def rows():
-        for i in range(n):
-            for j in range(i + 1, n):
-                cij = c[i][j]
-                for m in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for l in range(n):
-                        if cij[l]:
-                            row[_idx(n, m, l)] += cij[l]
-                    for k in range(n):
-                        ckj = c[k][j][m]
-                        if ckj:
-                            row[_idx(n, k, i)] -= ckj
-                        cik = c[i][k][m]
-                        if cik:
-                            row[_idx(n, k, j)] -= cik
-                    if any(row):
-                        yield row
-
-    return EndoSpace("derivations", n, kernel_of_rows(rows(), n * n))
+    return EndoSpace("derivations", n, kernel_of_rows(leibniz_system(g.table, n), n * n))
 
 
 @lru_cache(maxsize=None)
@@ -123,53 +158,25 @@ def centroid(g: LieAlgebra) -> EndoSpace:
     """Cent(g) = {f : f ad_x = ad_x f for all x}; contains the identity."""
     n = g.dim
     ads = [g.ad_basis(i) for i in range(n)]
-
-    def rows():
-        for ad in ads:
-            a = ad.rows
-            for r in range(n):
-                for cc in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for k in range(n):
-                        if a[r][k]:
-                            row[_idx(n, k, cc)] += a[r][k]
-                        if a[k][cc]:
-                            row[_idx(n, r, k)] -= a[k][cc]
-                    if any(row):
-                        yield row
-
-    return EndoSpace("centroid", n, kernel_of_rows(rows(), n * n))
+    return EndoSpace("centroid", n, kernel_of_rows(commutant_system(ads, n), n * n))
 
 
 @lru_cache(maxsize=None)
 def j_space(g: LieAlgebra) -> EndoSpace:
-    """J(g) = {phi : ad_x phi = 0 = phi ad_x for all x}.
+    """J(g) = {phi : ad_x phi = 0 = phi ad_x for all x} = Hom(g/[g,g], z(g)).
 
-    Equals Hom(g/[g,g], z(g)) viewed inside End(g); always sits inside the
-    centroid, with which it is intersected for good measure.
+    ad_x phi = 0 for all x puts the image of phi in the center, and
+    phi ad_x = 0 for all x makes phi vanish on [g,g]. So J(g) is spanned by
+    the outer products z w^T, with z in a basis of z(g) and w in a basis of
+    the annihilator of [g,g]; it is zero when the center is.
     """
     n = g.dim
-    ads = [g.ad_basis(i) for i in range(n)]
-
-    def rows():
-        for ad in ads:
-            a = ad.rows
-            for r in range(n):
-                for cc in range(n):
-                    left = [Fraction(0)] * (n * n)
-                    right = [Fraction(0)] * (n * n)
-                    for k in range(n):
-                        if a[r][k]:
-                            left[_idx(n, k, cc)] += a[r][k]
-                        if a[k][cc]:
-                            right[_idx(n, r, k)] += a[k][cc]
-                    if any(left):
-                        yield left
-                    if any(right):
-                        yield right
-
-    ker = kernel_of_rows(rows(), n * n)
-    return EndoSpace("j_space", n, ker.intersect(centroid(g).space))
+    center = g.center().rows
+    if not center:
+        return EndoSpace("j_space", n, Subspace.zero(n * n))
+    ann = kernel_of_rows(g.commutator_algebra().rows, n).rows
+    outer = [[a * b for a in z for b in w] for z in center for w in ann]
+    return EndoSpace("j_space", n, Subspace.span(outer, n * n))
 
 
 def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
@@ -181,22 +188,7 @@ def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
     for m in rep:
         if not m.is_square() or m.nrows != n:
             raise ValueError("representation matrices must be square of one size")
-
-    def rows():
-        for m in rep:
-            a = m.rows
-            for r in range(n):
-                for cc in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for k in range(n):
-                        if a[k][cc]:
-                            row[_idx(n, r, k)] += a[k][cc]
-                        if a[r][k]:
-                            row[_idx(n, k, cc)] -= a[r][k]
-                    if any(row):
-                        yield row
-
-    return EndoSpace("commutant", n, kernel_of_rows(rows(), n * n))
+    return EndoSpace("commutant", n, kernel_of_rows(commutant_system(rep, n), n * n))
 
 
 def check_abelian(space: EndoSpace):

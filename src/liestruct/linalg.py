@@ -1,16 +1,19 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything in this package reduces to rank/kernel/solve computations over Q.
-Scalars are ``fractions.Fraction``; matrices are immutable row-major grids.
-The elimination core clears denominators and works on integer rows (plain
-Python ints are much faster than Fraction arithmetic), then normalizes back
-to monic-pivot reduced row echelon form over Q.
+Scalars are ``fractions.Fraction``; matrices and subspace bases are immutable
+dense row-major grids. The elimination core takes rows either dense or as
+sparse ``{col: value}`` maps, clears denominators and reduces sparse
+``{col: int}`` rows (plain Python ints are much faster than Fraction
+arithmetic, and constraint systems are mostly zeros), then normalizes back to
+monic-pivot reduced row echelon form over Q, building Fractions only for the
+nonzero entries of the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -202,102 +205,103 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Elimination core (integer rows for speed)
+# Elimination core (sparse integer rows for speed)
 # ---------------------------------------------------------------------------
 
-def _int_row(row: Sequence[Fraction]) -> list[int]:
-    """Clear denominators and divide by the content; sign of leading entry > 0."""
-    denom_lcm = 1
-    for x in row:
-        if x:
-            d = x.denominator
-            denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    ints = [int(x * denom_lcm) for x in row]
-    g = 0
-    for v in ints:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                break
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return ints
+_ZERO = Fraction(0)
 
 
-def _leading(row: Sequence[int]) -> int:
-    for j, v in enumerate(row):
-        if v:
-            return j
-    return -1
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide a sparse integer row by its content; sign of leading entry > 0."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    if g != 1:
+        row = {j: v // g for j, v in row.items()}
+    return row
 
 
-def _echelon(rows: Iterable[Sequence[Fraction]], ncols: int):
+def _int_row(row) -> dict[int, int]:
+    """Sparse primitive integer multiple ``{col: int}`` of a rational row.
+
+    ``row`` is a dense sequence or a ``{col: value}`` map; zero entries are
+    dropped before any arithmetic.
+    """
+    items = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
+    if not items:
+        return {}
+    den = lcm(*(x.denominator for _, x in items))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in items})
+
+
+def _reduce(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """Fraction-free elimination of column ``c`` from ``row`` by pivot row ``prow``."""
+    a, b = prow[c], row[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        row = {j: a * v for j, v in row.items()}
+    for j, v in prow.items():
+        w = row.get(j, 0) - b * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+    return row
+
+
+def _echelon(rows: Iterable, ncols: int, pivots: dict[int, dict[int, int]]):
     """Incremental integer echelon form.
 
-    Returns a dict pivot_column -> integer row. Rows are combined with exact
-    cross-multiplication, so no fractions ever appear during elimination.
+    Fills ``pivots`` with pivot_column -> sparse ``{col: int}`` row and
+    returns the same rows dense, as pivot_column -> list of ints. Rows are
+    combined with exact cross-multiplication, so no fractions ever appear
+    during elimination.
     """
-    pivots: dict[int, list[int]] = {}
     for raw in rows:
         row = _int_row(raw)
-        while True:
-            lead = _leading(row)
-            if lead < 0:
-                break
+        while row:
+            lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
-                g = 0
-                for v in row:
-                    if v:
-                        g = gcd(g, v)
-                        if g == 1:
-                            break
-                if g > 1:
-                    row = [v // g for v in row]
-                if row[lead] < 0:
-                    row = [-v for v in row]
-                pivots[lead] = row
+                pivots[lead] = _primitive(row)
                 break
-            a, b = prow[lead], row[lead]
-            row = [a * x - b * y for x, y in zip(row, prow)]
-    return pivots
+            row = _reduce(row, prow, lead)
+    # the dense copy is what perfbench/tracing.py reads for the largest entry size
+    dense = {}
+    for c, prow in pivots.items():
+        out = [0] * ncols
+        for j, v in prow.items():
+            out[j] = v
+        dense[c] = out
+    return dense
 
 
-def _rref(rows: Iterable[Sequence[Fraction]], ncols: int):
+def _rref(rows: Iterable, ncols: int):
     """Reduced row echelon form.
 
-    Returns (rref_rows as lists of Fractions, rank, pivot column list).
+    Returns (rref_rows as lists of Fractions, rank, pivot column list). The
+    back-substitution stays on sparse integer rows; Fractions are made only
+    for the nonzero entries of the result.
     """
-    pivots = _echelon(rows, ncols)
+    pivots: dict[int, dict[int, int]] = {}
+    _echelon(rows, ncols, pivots)
     cols = sorted(pivots)
     # eliminate above pivots, bottom-up, still on integer rows
     for idx in range(len(cols) - 1, -1, -1):
         c = cols[idx]
         prow = pivots[c]
         for c2 in cols[:idx]:
-            target = pivots[c2]
-            if target[c]:
-                a, b = prow[c], target[c]
-                new = [a * x - b * y for x, y in zip(target, prow)]
-                g = 0
-                for v in new:
-                    if v:
-                        g = gcd(g, v)
-                        if g == 1:
-                            break
-                if g > 1:
-                    new = [v // g for v in new]
-                pivots[c2] = new
+            if c in pivots[c2]:
+                pivots[c2] = _primitive(_reduce(pivots[c2], prow, c))
     out = []
     for c in cols:
         row = pivots[c]
-        lead = Fraction(row[c])
-        out.append([Fraction(v) / lead for v in row])
+        lead = row[c]
+        dense = [_ZERO] * ncols
+        for j, v in row.items():
+            dense[j] = Fraction(v, lead)
+        out.append(dense)
     return out, len(cols), cols
 
 
@@ -316,11 +320,13 @@ def kernel_basis(m: Matrix) -> "Subspace":
     return kernel_of_rows(m.rows, m.ncols)
 
 
-def kernel_of_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> "Subspace":
+def kernel_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     """Kernel of the linear map given by an (implicit) stack of rows.
 
-    Streams rows through the integer echelon, so callers can assemble large
-    constraint systems lazily.
+    Each row is a dense sequence of ``ncols`` rationals or a sparse
+    ``{col: value}`` map with no zero entries. Rows are streamed through the
+    sparse integer echelon, so callers can assemble large constraint systems
+    lazily and never materialize their zeros.
     """
     rref_rows, rank, pivots = _rref(rows, ncols)
     pivot_set = set(pivots)
@@ -397,7 +403,7 @@ class Subspace:
 
     @classmethod
     def _from_canonical(cls, rows, ambient):
-        pivots = [_leading([int(bool(x)) for x in r]) for r in rows]
+        pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
         return cls._make([vector(r) for r in rows], ambient, pivots)
 
     @classmethod

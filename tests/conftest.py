@@ -20,6 +20,12 @@ from liestruct import build, classical, example_algebra
 
 
 @pytest.fixture(scope="session")
+def sympy():
+    """sympy, the differential oracle of the exact-kernel tests; skip if absent."""
+    return pytest.importorskip("sympy")
+
+
+@pytest.fixture(scope="session")
 def sl2():
     return classical("sl", 2)
 

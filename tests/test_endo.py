@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from liestruct import endo
+from liestruct import build, classical, direct_sum, endo
 from liestruct.errors import PreconditionError
 from liestruct.linalg import Matrix, vector
 
@@ -147,6 +147,126 @@ def test_j_space_squares_to_zero_and_is_ideal(heisenberg3):
         for f in cent.basis_matrices():
             assert jsp.contains(f @ j)
             assert jsp.contains(j @ f)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: the defining operator identities, assembled as dense
+# Kronecker systems and solved by sympy
+# ---------------------------------------------------------------------------
+
+
+def _rebased(g, p):
+    """g in the basis f_i = sum_k p[k][i] e_k for an integer unimodular p."""
+    n = g.dim
+    pinv = p.inverse()
+    cols = [p.column(i) for i in range(n)]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = pinv.apply(g.bracket(cols[i], cols[j]))
+            value = {k: c for k, c in enumerate(coords) if c}
+            if value:
+                brackets[(i, j)] = value
+    return build(n, brackets)
+
+
+ORACLE_NAMES = ("sl:2", "heisenberg", "gl:3", "u:3", "sl:2+Q rebased")
+
+
+@pytest.fixture(scope="module")
+def oracle_algebras():
+    lower = M([[1, 0, 0, 0], [2, 1, 0, 0], [-1, 3, 1, 0], [0, 1, -2, 1]])
+    upper = M([[1, 1, 0, 2], [0, 1, -1, 0], [0, 0, 1, 3], [0, 0, 0, 1]])
+    sl2_plus_q = direct_sum([classical("sl", 2), build(1, {})])
+    return {
+        "sl:2": classical("sl", 2),
+        "heisenberg": build(3, {(0, 1): {2: F(1)}}),
+        "gl:3": classical("gl", 3),
+        "u:3": classical("u", 3),
+        "sl:2+Q rebased": _rebased(sl2_plus_q, lower @ upper),
+    }
+
+
+def _sympy_solution(sympy, blocks, n):
+    """Canonical basis (row-major flattened n x n matrices) of the common
+    kernel of the stacked blocks, each acting on row-major vec(X)."""
+    null = sympy.Matrix.vstack(*blocks).nullspace()
+    if not null:
+        return ()
+    rref, _ = sympy.Matrix.hstack(*null).T.rref()
+    return tuple(
+        tuple(F(int(x.p), int(x.q)) for x in rref.row(i)) for i in range(len(null))
+    )
+
+
+def _sympy_ads(sympy, g):
+    # ad(e_i)[k][j] = coefficient of e_k in [e_i, e_j]
+    n = g.dim
+    return [
+        sympy.Matrix(n, n, lambda k, j: sympy.Rational(g.table[i][j][k].numerator,
+                                                       g.table[i][j][k].denominator))
+        for i in range(n)
+    ]
+
+
+def _vec_left(sympy, a, n):
+    """vec(A X) = (A kron I) vec(X) for row-major vec."""
+    return sympy.kronecker_product(a, sympy.eye(n))
+
+
+def _vec_right(sympy, a, n):
+    """vec(X A) = (I kron A^T) vec(X) for row-major vec."""
+    return sympy.kronecker_product(sympy.eye(n), a.T)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_derivations_match_sympy_oracle(sympy, oracle_algebras, name):
+    # D ad_x - ad_x D = ad_{Dx} for every basis x, which is D[x,y] = [Dx,y] + [x,Dy]
+    g = oracle_algebras[name]
+    n = g.dim
+    ads = _sympy_ads(sympy, g)
+    blocks = []
+    for i, a in enumerate(ads):
+        # ad_{D e_i} = sum_k D[k][i] ad_k: column k*n + i of the block is vec(ad_k)
+        ad_of_d = sympy.zeros(n * n, n * n)
+        for k in range(n):
+            ad_of_d[:, k * n + i] = ads[k].reshape(n * n, 1)
+        blocks.append(_vec_right(sympy, a, n) - _vec_left(sympy, a, n) - ad_of_d)
+    assert endo.derivations(g).space.rows == _sympy_solution(sympy, blocks, n)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_centroid_matches_sympy_oracle(sympy, oracle_algebras, name):
+    # f ad_x = ad_x f for every basis x
+    g = oracle_algebras[name]
+    n = g.dim
+    blocks = [_vec_right(sympy, a, n) - _vec_left(sympy, a, n) for a in _sympy_ads(sympy, g)]
+    assert endo.centroid(g).space.rows == _sympy_solution(sympy, blocks, n)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_j_space_matches_sympy_oracle_and_lies_in_centroid(sympy, oracle_algebras, name):
+    # ad_x phi = 0 = phi ad_x for every basis x
+    g = oracle_algebras[name]
+    n = g.dim
+    blocks = []
+    for a in _sympy_ads(sympy, g):
+        blocks += [_vec_left(sympy, a, n), _vec_right(sympy, a, n)]
+    jsp = endo.j_space(g)
+    assert jsp.space.rows == _sympy_solution(sympy, blocks, n)
+    assert endo.centroid(g).space.contains_space(jsp.space)
+
+
+def test_oracle_algebras_have_the_expected_shape(oracle_algebras):
+    dims = {name: (g.dim, g.center().dim, g.commutator_algebra().dim)
+            for name, g in oracle_algebras.items()}
+    assert dims == {
+        "sl:2": (3, 0, 3),
+        "heisenberg": (3, 1, 1),
+        "gl:3": (9, 1, 8),
+        "u:3": (9, 1, 8),
+        "sl:2+Q rebased": (4, 1, 3),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -83,6 +84,75 @@ def test_kernel_of_rows_streams_generator():
     ker = kernel_of_rows(rows, 3)
     assert ker.dim == 1
     assert ker.contains(vector([-1, -1, 1]))
+
+
+# ---------------------------------------------------------------------------
+# kernel_of_rows against sympy's nullspace
+# ---------------------------------------------------------------------------
+
+
+def _sympy_kernel(sympy, rows, ncols):
+    """Canonical (RREF, monic pivots) basis of the kernel, computed by sympy."""
+    mat = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]
+        or [[0] * ncols]
+    )
+    null = mat.nullspace()
+    if not null:
+        return ()
+    rref, _ = sympy.Matrix.hstack(*null).T.rref()
+    return tuple(
+        tuple(F(int(x.p), int(x.q)) for x in rref.row(i)) for i in range(len(null))
+    )
+
+
+def _random_sparse_rows(rng, nrows, ncols, big=False):
+    rows = []
+    for _ in range(nrows):
+        row = [F(0)] * ncols
+        for j in range(ncols):
+            if rng.random() < 0.25:
+                if big:
+                    num = rng.randint(2**64, 2**80) * rng.choice((-1, 1))
+                    den = rng.randint(2**64, 2**80)
+                else:
+                    num, den = rng.randint(-5, 5), rng.randint(1, 4)
+                row[j] = F(num, den)
+        rows.append(row)
+    return rows
+
+
+def _assert_kernel_matches_sympy(sympy, rows, ncols):
+    expected = _sympy_kernel(sympy, rows, ncols)
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    assert kernel_of_rows(rows, ncols).rows == expected
+    assert kernel_of_rows(sparse, ncols).rows == expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_of_rows_matches_sympy_on_random_sparse_rows(sympy, seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 12)
+    rows = _random_sparse_rows(rng, rng.randint(1, 14), ncols)
+    _assert_kernel_matches_sympy(sympy, rows, ncols)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_of_rows_matches_sympy_on_large_entries(sympy, seed):
+    rng = random.Random(100 + seed)
+    ncols = rng.randint(3, 8)
+    rows = _random_sparse_rows(rng, ncols - 1, ncols, big=True)
+    # a dependent row forces cancellation of the large entries
+    rows.append([2 * a - F(3, 7) * b for a, b in zip(rows[0], rows[-1])])
+    _assert_kernel_matches_sympy(sympy, rows, ncols)
+
+
+def test_kernel_of_rows_matches_sympy_on_degenerate_inputs(sympy):
+    _assert_kernel_matches_sympy(sympy, [], 4)
+    _assert_kernel_matches_sympy(sympy, [[F(0)] * 4] * 3, 4)
+    full_rank = [[F(1), F(2), F(0)], [F(0), F(1, 3), F(-1)], [F(5), F(0), F(1, 2)]]
+    _assert_kernel_matches_sympy(sympy, full_rank, 3)
+    assert kernel_of_rows(full_rank, 3).is_zero()
 
 
 # ---------------------------------------------------------------------------
