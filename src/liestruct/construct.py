@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import LiestructError
-from .lie import LieAlgebra, build
+from .lie import LieAlgebra, _check_jacobi, _memoized, build
 from .linalg import (
     Matrix,
     Subspace,
@@ -160,7 +159,6 @@ def _monomial_name(alpha: tuple[int, ...], single_var: bool) -> str:
     return "*".join(parts)
 
 
-@lru_cache(maxsize=None)
 def truncated_poly(m: int, order: int) -> CommutativeAlgebra:
     """Q[x_1..x_m] modulo all monomials of total degree >= order.
 
@@ -183,7 +181,6 @@ def truncated_poly(m: int, order: int) -> CommutativeAlgebra:
     return CommutativeAlgebra(names, unit, table, monomials=monos)
 
 
-@lru_cache(maxsize=None)
 def point_functions(k: int) -> CommutativeAlgebra:
     """Functions on k points: Q^k with the pointwise product."""
     if k < 1:
@@ -199,7 +196,6 @@ def point_functions(k: int) -> CommutativeAlgebra:
     return CommutativeAlgebra(names, [1] * k, table)
 
 
-@lru_cache(maxsize=None)
 def quadratic_extension(c) -> CommutativeAlgebra:
     """Q[r]/(r^2 - c); a field when c is not a rational square."""
     c = frac(c)
@@ -411,13 +407,14 @@ def direct_sum(parts: Sequence[LieAlgebra]) -> LieAlgebra:
 # Current algebras k (x) A
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@_memoized
 def current_algebra(k: LieAlgebra, a: CommutativeAlgebra) -> LieAlgebra:
     """k (x) A with [x (x) a, y (x) b] = [x, y] (x) ab.
 
     Tensor basis ordering is Lie-index major: basis vector (i, p) sits at
     position i * dim A + p. The Jacobi identity is re-validated on the
-    result rather than trusted.
+    result rather than trusted. Memoized per k; A compares by value, so an
+    equal coefficient algebra built again gets the same result.
     """
     nk, na = k.dim, a.dim
     n = nk * na
@@ -442,8 +439,6 @@ def current_algebra(k: LieAlgebra, a: CommutativeAlgebra) -> LieAlgebra:
                                 if pr:
                                     row[l * na + r] += cl * pr
     g = LieAlgebra(names, table)
-    from .lie import _check_jacobi
-
     _check_jacobi(g)
     return g
 

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .errors import LiestructError, PreconditionError, SeparatingElementError
 from .endo import EndoSpace, centroid, check_abelian, j_space, split_centroid
-from .lie import LieAlgebra
+from .lie import LieAlgebra, _memoized
 from .linalg import Matrix, Subspace, kernel_basis
 from .poly import (
     _rational_square_root,
@@ -275,7 +274,7 @@ def _primitive_idempotents_any(cent: EndoSpace) -> tuple[IdempotentSet, str]:
 # Full decomposition report
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@_memoized
 def indecompose(g: LieAlgebra) -> DecompositionReport:
     """Decompose g into indecomposable nonzero ideals.
 

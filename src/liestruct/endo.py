@@ -11,11 +11,10 @@ closed form.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import PreconditionError
-from .lie import LieAlgebra
+from .lie import LieAlgebra, _memoized
 from .linalg import Matrix, Subspace, kernel_of_rows
 from .poly import jordan_chevalley
 
@@ -93,30 +92,38 @@ def _subtract(row: dict, entries):
             del row[col]
 
 
-def leibniz_system(table, n: int):
-    """Rows {col: value} of D(e_i e_j) = D(e_i) e_j + e_i D(e_j) for i <= j.
+def leibniz_system(table, n: int, target=None, ev=None):
+    """Rows {col: value} of D(e_i e_j) = D(e_i) ev(e_j) + ev(e_i) D(e_j) for i <= j.
 
-    ``table[i][j]`` is the coordinate vector of the product e_i e_j; the
-    unknown D is flattened row-major (column j holds D e_j). Serves Lie
-    tables, where the i = j rows cancel to nothing, and commutative ones.
-    Yields one row per pair and output coordinate, without zero entries.
+    ``table[i][j]`` is the coordinate vector of the product e_i e_j of an
+    n-dimensional algebra. D maps it into the algebra with product table
+    ``target``, and ev sends e_i to the target's basis element ev[i], or to
+    0 where ev[i] is None. By default target is the algebra itself and ev
+    the identity, which gives the derivations; the i = j rows of a Lie
+    table cancel to nothing. The unknown D is flattened row-major (column j
+    holds D e_j). Serves Lie tables and commutative ones. Yields one row per
+    pair and target coordinate, without zero entries.
     """
-    prod = [[_nonzeros(table[i][j]) for j in range(n)] for i in range(n)]
-    # left[j][m]: (k, c_kj^m) != 0; right[i][m]: (k, c_ik^m) != 0
-    left = [[[] for _ in range(n)] for _ in range(n)]
-    right = [[[] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for m, v in prod[i][j]:
+    if target is None:
+        target, ev = table, range(n)
+    nt = len(target)
+    # left[j][m]: (k, c_kj^m) != 0; right[i][m]: (k, c_ik^m) != 0 in the target
+    left = [[[] for _ in range(nt)] for _ in range(nt)]
+    right = [[[] for _ in range(nt)] for _ in range(nt)]
+    for i in range(nt):
+        for j in range(nt):
+            for m, v in _nonzeros(target[i][j]):
                 left[j][m].append((i, v))
                 right[i][m].append((j, v))
     for i in range(n):
         for j in range(i, n):
-            cij = prod[i][j]
-            for m in range(n):
+            cij = _nonzeros(table[i][j])
+            for m in range(nt):
                 row = {m * n + l: v for l, v in cij}
-                _subtract(row, ((k * n + i, v) for k, v in left[j][m]))
-                _subtract(row, ((k * n + j, v) for k, v in right[i][m]))
+                if ev[j] is not None:
+                    _subtract(row, ((k * n + i, v) for k, v in left[ev[j]][m]))
+                if ev[i] is not None:
+                    _subtract(row, ((k * n + j, v) for k, v in right[ev[i]][m]))
                 if row:
                     yield row
 
@@ -138,14 +145,14 @@ def commutant_system(mats: Sequence[Matrix], n: int):
                     yield row
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def derivations(g: LieAlgebra) -> EndoSpace:
     """Der(g) = {D : D[x,y] = [Dx,y] + [x,Dy]}."""
     n = g.dim
     return EndoSpace("derivations", n, kernel_of_rows(leibniz_system(g.table, n), n * n))
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def inner_derivations(g: LieAlgebra) -> EndoSpace:
     """Span of the adjoint maps; dim = dim g - dim z(g)."""
     n = g.dim
@@ -153,7 +160,7 @@ def inner_derivations(g: LieAlgebra) -> EndoSpace:
     return EndoSpace("inner", n, span)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def centroid(g: LieAlgebra) -> EndoSpace:
     """Cent(g) = {f : f ad_x = ad_x f for all x}; contains the identity."""
     n = g.dim
@@ -161,7 +168,7 @@ def centroid(g: LieAlgebra) -> EndoSpace:
     return EndoSpace("centroid", n, kernel_of_rows(commutant_system(ads, n), n * n))
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def j_space(g: LieAlgebra) -> EndoSpace:
     """J(g) = {phi : ad_x phi = 0 = phi ad_x for all x} = Hom(g/[g,g], z(g)).
 
@@ -203,7 +210,7 @@ def check_abelian(space: EndoSpace):
                 )
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def split_centroid(g: LieAlgebra) -> tuple[EndoSpace, EndoSpace]:
     """Split an abelian centroid into nilpotent and semisimple parts.
 

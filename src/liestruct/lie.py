@@ -8,16 +8,18 @@ code can assume it is working with an actual Lie algebra.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import weakref
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import JacobiError, NotAnIdealError
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    add_vectors,
     frac,
     kernel_of_rows,
     row_reduce,
@@ -28,22 +30,58 @@ from .linalg import (
 
 __all__ = ["LieAlgebra", "build", "from_dict", "to_dict"]
 
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+# algebra -> {(function, remaining args): result}; an entry dies with its algebra
+_memo = weakref.WeakKeyDictionary()
+
+
+def _memoized(fn):
+    """Memoize ``fn(g, *args)`` per Lie algebra ``g``, for as long as g lives.
+
+    The memo is keyed by g's value, so an equal algebra built separately
+    while g is alive gets the stored result; the remaining arguments must be
+    hashable. Results are shared between callers and must not be mutated.
+    ``cache_info()`` reports the hits and misses of ``fn``.
+    """
+    counts = [0, 0]
+
+    @functools.wraps(fn)
+    def memoized(g, *args):
+        entries = _memo.get(g)
+        if entries is None:
+            entries = _memo[g] = {}
+        key = (fn, args)
+        if key in entries:
+            counts[0] += 1
+        else:
+            counts[1] += 1
+            entries[key] = fn(g, *args)
+        return entries[key]
+
+    memoized.cache_info = lambda: CacheInfo(*counts)
+    return memoized
+
 
 class LieAlgebra:
     """Immutable Lie algebra with a fixed ordered basis.
 
     ``table[i][j]`` is the coordinate vector of [e_i, e_j]. Instances are
-    hashable and compare by structure table and basis names, which lets
-    expensive invariants be memoized per algebra.
+    hashable and compare by structure table and basis names. The hash is
+    computed once, on first use. Expensive invariants (here and in ``endo``,
+    ``construct`` and ``decompose``) are memoized per algebra in one
+    weak-keyed memo: the results are freed with the algebra they were
+    computed for, and an equal algebra built while that one lives is served
+    the same results.
     """
 
-    __slots__ = ("dim", "names", "table", "_cache")
+    __slots__ = ("dim", "names", "table", "_hash", "__weakref__")
 
     def __init__(self, names: Sequence[str], table):
         self.names = tuple(names)
         self.dim = len(self.names)
         self.table = tuple(tuple(vector(row_j) for row_j in row_i) for row_i in table)
-        self._cache = {}
+        self._hash = None
         if len(self.table) != self.dim or any(
             len(r) != self.dim or any(len(v) != self.dim for v in r) for r in self.table
         ):
@@ -52,14 +90,21 @@ class LieAlgebra:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, LieAlgebra)
             and self.names == other.names
             and self.table == other.table
         )
 
     def __hash__(self):
-        return hash((self.names, self.table))
+        if self._hash is None:
+            # equal algebras agree on every entry, so the nonzero entries above
+            # the diagonal are enough to hash, and most Fraction hashes are skipped
+            self._hash = hash((self.names, tuple(
+                (i, j, k, c) for i, row in enumerate(self.table)
+                for j in range(i + 1, self.dim) for k, c in enumerate(row[j]) if c
+            )))
+        return self._hash
 
     def __repr__(self):
         return "LieAlgebra(dim %d, basis %s)" % (self.dim, ", ".join(self.names))
@@ -108,33 +153,31 @@ class LieAlgebra:
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
 
+    @_memoized
     def center(self) -> Subspace:
         """z(g) = {x : [x, y] = 0 for all y}, the kernel of x -> ad(x)."""
-        if "center" not in self._cache:
-            n = self.dim
+        n = self.dim
 
-            def rows():
-                # constraint for each (j, k): sum_i x_i c[i][j][k] = 0
-                for j in range(n):
-                    for k in range(n):
-                        row = [self.table[i][j][k] for i in range(n)]
-                        if any(row):
-                            yield row
+        def rows():
+            # constraint for each (j, k): sum_i x_i c[i][j][k] = 0
+            for j in range(n):
+                for k in range(n):
+                    row = [self.table[i][j][k] for i in range(n)]
+                    if any(row):
+                        yield row
 
-            self._cache["center"] = kernel_of_rows(rows(), n)
-        return self._cache["center"]
+        return kernel_of_rows(rows(), n)
 
     def bracket_span(self, s: Subspace, t: Subspace) -> Subspace:
         """Subspace spanned by all [u, v], u in s, v in t."""
         vecs = [self.bracket(u, v) for u in s.rows for v in t.rows]
         return Subspace.span(vecs, self.dim)
 
+    @_memoized
     def commutator_algebra(self) -> Subspace:
-        """[g, g], the derived subalgebra."""
-        if "commutator" not in self._cache:
-            full = self.full_space()
-            self._cache["commutator"] = self.bracket_span(full, full)
-        return self._cache["commutator"]
+        """[g, g], the derived subalgebra: the span of the brackets [e_i, e_j]."""
+        brackets = [v for i, row in enumerate(self.table) for v in row[i + 1 :]]
+        return Subspace.span(brackets, self.dim)
 
     def derived_series(self) -> list[Subspace]:
         """g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ..., stopping when it stabilizes."""
@@ -155,29 +198,27 @@ class LieAlgebra:
                 return series
             series.append(nxt)
 
+    @_memoized
     def killing_form(self) -> Matrix:
-        """kappa(i, j) = tr(ad e_i ad e_j)."""
-        if "killing" not in self._cache:
-            ads = [self.ad_basis(i) for i in range(self.dim)]
-            n = self.dim
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    if j < i:
-                        row.append(rows[j][i])
-                    else:
-                        row.append((ads[i] @ ads[j]).trace())
-                rows.append(row)
-            self._cache["killing"] = Matrix(rows) if n else Matrix([])
-        return self._cache["killing"]
+        """kappa(i, j) = tr(ad e_i ad e_j) = sum of c_il^k c_jk^l over k, l."""
+        n, table = self.dim, self.table
+        nonzero = _nonzero_table(table)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                tj = table[j]
+                terms = (c * tj[k][l] for l in range(n) for k, c in nonzero[i][l] if tj[k][l])
+                rows[i][j] = rows[j][i] = sum(terms, Fraction(0))
+        return Matrix(rows)
 
     # -- structural flags ----------------------------------------------------
 
     def flags(self) -> dict:
-        """Boolean structure flags, all decided by exact rank computations."""
-        if "flags" in self._cache:
-            return dict(self._cache["flags"])
+        """Boolean structure flags from exact rank computations, as a fresh dict."""
+        return dict(self._flags())
+
+    @_memoized
+    def _flags(self) -> dict:
         comm = self.commutator_algebra()
         center = self.center()
         abelian = comm.is_zero()
@@ -199,7 +240,7 @@ class LieAlgebra:
             from .decompose import indecompose
 
             simple = len(indecompose(self).ideals) == 1
-        out = {
+        return {
             "abelian": abelian,
             "nilpotent": nilpotent,
             "solvable": solvable,
@@ -209,8 +250,6 @@ class LieAlgebra:
             "reductive": reductive,
             "simple": simple,
         }
-        self._cache["flags"] = out
-        return dict(out)
 
     # -- derived algebras ------------------------------------------------------
 
@@ -315,13 +354,25 @@ def build(
 
 
 def _check_jacobi(g: LieAlgebra):
-    for i, j, k in itertools.combinations(range(g.dim), 3):
-        ei, ej, ek = (unit_vector(g.dim, t) for t in (i, j, k))
-        defect = g.bracket(g.bracket(ei, ej), ek)
-        defect = add_vectors(defect, g.bracket(g.bracket(ej, ek), ei))
-        defect = add_vectors(defect, g.bracket(g.bracket(ek, ei), ej))
-        if any(defect):
-            raise JacobiError((i, j, k), defect)
+    """Raise JacobiError on the first basis triple i < j < k with a nonzero
+    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]. Coordinate m of
+    [[e_a,e_b],e_c] is the sum of c_ab^l c_lc^m over the nonzero constants.
+    """
+    n = g.dim
+    nonzero = _nonzero_table(g.table)
+    for i, j, k in itertools.combinations(range(n), 3):
+        defect = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in nonzero[a][b]:
+                for m, y in nonzero[l][c]:
+                    defect[m] = defect.get(m, 0) + x * y
+        if any(defect.values()):
+            raise JacobiError((i, j, k), tuple(defect.get(m, Fraction(0)) for m in range(n)))
+
+
+def _nonzero_table(table):
+    """[i][j] -> the (k, c) with c = table[i][j][k] != 0."""
+    return [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in table]
 
 
 # ---------------------------------------------------------------------------

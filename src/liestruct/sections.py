@@ -31,9 +31,9 @@ from .construct import (
     truncated_poly,
 )
 from .decompose import primitive_idempotents
-from .endo import EndoSpace, centroid, derivations, j_space, split_centroid
+from .endo import EndoSpace, centroid, derivations, j_space, leibniz_system, split_centroid
 from .errors import LiestructError, PreconditionError, TruncationError
-from .lie import LieAlgebra
+from .lie import LieAlgebra, _memoized
 from .linalg import (
     Matrix,
     Subspace,
@@ -225,107 +225,51 @@ class XDerivation:
     S: tuple
 
 
-def _point_derivation_blocks(k: LieAlgebra) -> tuple[Subspace, Subspace]:
-    """Solve the point-derivation system on the first-jet current algebra.
-
-    Unknown: a linear map delta from k (x) A to k, A the order-2 truncation
-    in m variables; constraint delta[X, Y] = [delta X, ev Y] + [ev X, delta Y]
-    on all basis pairs. The system splits into one block per coefficient
-    monomial: the constant block is the Leibniz system on D, each degree-one
-    block is the one-sided centroid system on S^u, and pairs with two
-    degree-one legs produce identically zero rows (their bracket and both
-    evaluations vanish). The blocks are assembled from the pair constraints
-    here and solved separately; callers cross-check them against the
-    independently assembled Der(k) and Cent(k) kernels.
-    """
-    n = k.dim
-    c = k.table
-
-    def d_rows():
-        # pairs (x_i (x) 1, x_j (x) 1), i < j: D[x_i,x_j] = [Dx_i,x_j] + [x_i,Dx_j]
-        for i in range(n):
-            for j in range(i + 1, n):
-                cij = c[i][j]
-                for out in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for l in range(n):
-                        if cij[l]:
-                            row[out * n + l] += cij[l]
-                    for t in range(n):
-                        if c[t][j][out]:
-                            row[t * n + i] -= c[t][j][out]
-                        if c[i][t][out]:
-                            row[t * n + j] -= c[i][t][out]
-                    if any(row):
-                        yield row
-
-    def s_rows():
-        # pairs (x_i (x) 1, x_j (x) x_u), all i, j: S[x_i,x_j] = [x_i, S x_j]
-        # (the same system for every u, so it is solved once)
-        for i in range(n):
-            for j in range(n):
-                cij = c[i][j]
-                for out in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for l in range(n):
-                        if cij[l]:
-                            row[out * n + l] += cij[l]
-                    for t in range(n):
-                        if c[i][t][out]:
-                            row[t * n + j] -= c[i][t][out]
-                    if any(row):
-                        yield row
-
-    d_space = kernel_of_rows(d_rows(), n * n)
-    s_space = kernel_of_rows(s_rows(), n * n)
-    return d_space, s_space
-
-
-def x_derivations(k: LieAlgebra, m: int) -> tuple[list[XDerivation], int]:
+@_memoized
+def x_derivations(k: LieAlgebra, m: int) -> tuple[tuple[XDerivation, ...], int]:
     """Derivations of the section algebra into the fiber at a marked point.
 
-    Models the section algebra by k (x) Q[x_1..x_m]/(deg >= 2) and solves
-    delta[X,Y] = [delta X, ev Y] + [ev X, delta Y]. Returns a basis of
-    (D, S^1..S^m) blocks and the solution dimension, which always equals
-    dim Der(k) + m * dim Cent(k).
+    Models the section algebra by g = k (x) Q[x_1..x_m]/(deg >= 2) and
+    solves delta[X,Y] = [delta X, ev Y] + [ev X, delta Y] for delta: g -> k,
+    assembled from the brackets of g and k; ev keeps the leg on the
+    constant monomial. A solution is read as blocks (D, S^1..S^m): D =
+    delta on k (x) 1, S^u = delta on k (x) x_u. Returns the canonical basis
+    of the solution space, as a tuple, and its dimension. Raises
+    LiestructError unless that space is exactly Der(k) (+) Cent(k)^m, the
+    independently assembled kernels.
     """
     _require_perfect_or_centerfree(k)
     if m < 0:
         raise ValueError("number of jet directions must be >= 0")
     n = k.dim
-    d_space, s_space = _point_derivation_blocks(k)
-    # cross-checks against the independently assembled kernels
-    if d_space != derivations(k).space:
+    na = m + 1
+    g = current_algebra(k, truncated_poly(m, 2) if m else point_functions(1))
+    big = g.dim
+    ev = [i if p == 0 else None for i in range(n) for p in range(na)]
+    space = kernel_of_rows(leibniz_system(g.table, big, k.table, ev), n * big)
+    # column i * na + u of delta holds column i of D (u = 0) or of S^u
+    der, cent = derivations(k), centroid(k)
+    vecs = []
+    for u, piece in enumerate([der] + [cent] * m):
+        for row in piece.space.rows:
+            vec = [Fraction(0)] * (n * big)
+            for r in range(n):
+                vec[r * big + u : (r + 1) * big : na] = row[r * n : (r + 1) * n]
+            vecs.append(vec)
+    expected = Subspace.span(vecs, n * big)
+    if space != expected:
         raise LiestructError(
-            "point-derivation constant block differs from Der(k)"
+            "point-derivation solutions (dim %d) differ from Der(k) + %d Cent(k) "
+            "(dim %d + %d x %d)" % (space.dim, m, der.dim, m, cent.dim)
         )
-    if s_space != centroid(k).space:
-        raise LiestructError(
-            "point-derivation first-order block differs from Cent(k)"
-        )
-    # verify, honestly, that mixed first-order pairs impose nothing: both
-    # evaluation legs vanish and the bracket lands in degree 2 = 0
-    if m >= 1:
-        a = truncated_poly(m, 2)
-        for p in range(1, a.dim):
-            for q in range(1, a.dim):
-                if any(a.table[p][q]):
-                    raise LiestructError(
-                        "degree-one coefficients multiply to a nonzero value"
-                    )
-    zero = Matrix.zero(n, n)
     basis = []
-    for row in d_space.rows:
-        basis.append(
-            XDerivation(D=Matrix.unflatten(row, n, n), S=(zero,) * m)
-        )
-    for u in range(m):
-        for row in s_space.rows:
-            s_list = [zero] * m
-            s_list[u] = Matrix.unflatten(row, n, n)
-            basis.append(XDerivation(D=zero, S=tuple(s_list)))
-    dim = d_space.dim + m * s_space.dim
-    return basis, dim
+    for row in space.rows:
+        blocks = [
+            Matrix([row[r * big + u : (r + 1) * big : na] for r in range(n)])
+            for u in range(na)
+        ]
+        basis.append(XDerivation(D=blocks[0], S=tuple(blocks[1:])))
+    return tuple(basis), space.dim
 
 
 def symbol_check(k: LieAlgebra, m: int) -> dict:

@@ -91,6 +91,29 @@ def oscillator6():
 
 
 @pytest.fixture(scope="session")
+def sl2_plus_q_rebased():
+    """sl2 + Q in the basis f_i = sum_k p[k][i] e_k for an integer unimodular p."""
+    from liestruct import direct_sum
+    from liestruct.linalg import Matrix
+
+    lower = Matrix([[1, 0, 0, 0], [2, 1, 0, 0], [-1, 3, 1, 0], [0, 1, -2, 1]])
+    upper = Matrix([[1, 1, 0, 2], [0, 1, -1, 0], [0, 0, 1, 3], [0, 0, 0, 1]])
+    p = lower @ upper
+    g = direct_sum([classical("sl", 2), build(1, {})])
+    n = g.dim
+    pinv = p.inverse()
+    cols = [p.column(i) for i in range(n)]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = pinv.apply(g.bracket(cols[i], cols[j]))
+            value = {k: c for k, c in enumerate(coords) if c}
+            if value:
+                brackets[(i, j)] = value
+    return build(n, brackets)
+
+
+@pytest.fixture(scope="session")
 def sl2_complex_model():
     """sl2 over Q[i] written as a 6-dimensional rational algebra.
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from liestruct import build, classical, direct_sum, endo
+from liestruct import build, classical, endo
 from liestruct.errors import PreconditionError
 from liestruct.linalg import Matrix, vector
 
@@ -155,35 +155,17 @@ def test_j_space_squares_to_zero_and_is_ideal(heisenberg3):
 # ---------------------------------------------------------------------------
 
 
-def _rebased(g, p):
-    """g in the basis f_i = sum_k p[k][i] e_k for an integer unimodular p."""
-    n = g.dim
-    pinv = p.inverse()
-    cols = [p.column(i) for i in range(n)]
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords = pinv.apply(g.bracket(cols[i], cols[j]))
-            value = {k: c for k, c in enumerate(coords) if c}
-            if value:
-                brackets[(i, j)] = value
-    return build(n, brackets)
-
-
 ORACLE_NAMES = ("sl:2", "heisenberg", "gl:3", "u:3", "sl:2+Q rebased")
 
 
 @pytest.fixture(scope="module")
-def oracle_algebras():
-    lower = M([[1, 0, 0, 0], [2, 1, 0, 0], [-1, 3, 1, 0], [0, 1, -2, 1]])
-    upper = M([[1, 1, 0, 2], [0, 1, -1, 0], [0, 0, 1, 3], [0, 0, 0, 1]])
-    sl2_plus_q = direct_sum([classical("sl", 2), build(1, {})])
+def oracle_algebras(sl2_plus_q_rebased):
     return {
         "sl:2": classical("sl", 2),
         "heisenberg": build(3, {(0, 1): {2: F(1)}}),
         "gl:3": classical("gl", 3),
         "u:3": classical("u", 3),
-        "sl:2+Q rebased": _rebased(sl2_plus_q, lower @ upper),
+        "sl:2+Q rebased": sl2_plus_q_rebased,
     }
 
 

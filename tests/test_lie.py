@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liestruct import LieAlgebra, build
+from liestruct import (
+    LieAlgebra,
+    build,
+    centroid,
+    classical,
+    current_algebra,
+    lie,
+    truncated_poly,
+)
+from liestruct.cli import parse_algebra
 from liestruct.errors import JacobiError, NotAnIdealError
 from liestruct.linalg import Matrix, Subspace, unit_vector, vector
 
@@ -165,6 +176,17 @@ def test_killing_invariance_on_basis_triples(sl2, two_dim, heisenberg3):
             assert kappa(g.bracket(x, y), z) == kappa(x, g.bracket(y, z))
 
 
+@pytest.mark.parametrize(
+    "name", ["sl:3", "gl:3", "u:3", "heisenberg", "sl:2+Q rebased", "cur:sl:2,jet:1,3"]
+)
+def test_killing_form_matches_trace_of_ad_products(name, heisenberg3, sl2_plus_q_rebased):
+    special = {"heisenberg": heisenberg3, "sl:2+Q rebased": sl2_plus_q_rebased}
+    g = special.get(name) or parse_algebra(name)
+    ads = [g.ad_basis(i) for i in range(g.dim)]
+    reference = Matrix([[(a @ b).trace() for b in ads] for a in ads])
+    assert g.killing_form() == reference
+
+
 # ---------------------------------------------------------------------------
 # flags
 # ---------------------------------------------------------------------------
@@ -203,6 +225,55 @@ def test_semisimple_implies_perfect_and_centerfree(sl2, sl3, so3):
         flags = g.flags()
         if flags["semisimple"]:
             assert flags["perfect"] and flags["centerfree"]
+
+
+def test_flags_returns_a_copy_the_memo_keeps(two_dim):
+    flags = two_dim.flags()
+    flags["abelian"] = "mutated"
+    del flags["solvable"]
+    assert two_dim.flags()["abelian"] is False
+    assert two_dim.flags()["solvable"] is True
+    assert two_dim.flags() is not two_dim.flags()
+
+
+# ---------------------------------------------------------------------------
+# the per-algebra memo
+# ---------------------------------------------------------------------------
+
+
+def _memo_probe():
+    # basis names no other test uses, so no equal algebra lives elsewhere
+    return build(3, {(0, 1): {2: F(1)}, (0, 2): {1: F(-1)}}, names=["m0", "m1", "m2"])
+
+
+def test_memo_serves_an_equal_separately_built_algebra():
+    g = _memo_probe()
+    cent = centroid(g)
+    hits = centroid.cache_info().hits
+    twin = _memo_probe()
+    assert twin is not g and twin == g
+    assert centroid(twin) is cent
+    assert centroid.cache_info().hits == hits + 1
+    assert twin.center() is g.center()
+
+
+def test_memo_entries_die_with_their_algebra():
+    g = _memo_probe()
+    centroid(g)
+    g.flags()
+    assert g in lie._memo
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+    assert _memo_probe() not in lie._memo
+
+
+def test_current_algebra_is_memoized_on_equal_arguments():
+    k = classical("sl", 2)
+    g = current_algebra(k, truncated_poly(1, 2))
+    assert current_algebra(k, truncated_poly(1, 2)) is g
+    assert current_algebra(classical("sl", 2), truncated_poly(1, 2)) is g
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 point, structure checks for current algebras, the generalized Leibniz rule,
 and reparametrization automorphisms."""
 
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from liestruct import sections
 from liestruct import (
     LiestructError,
     Matrix,
@@ -170,6 +172,37 @@ def test_x_derivations_satisfy_defining_identity(sl2):
                             )
                         )
                         assert lhs == rhs
+
+
+def _reference_point_derivation_rows(table, big, target, ev, right_term=True):
+    """delta[X, Y] = [delta X, ev Y] + [ev X, delta Y] on basis pairs X < Y
+    of g = k (x) A, entry by entry, for delta: g -> k; ``right_term=False``
+    leaves out [ev X, delta Y]."""
+    n = len(target)
+    for x in range(big):
+        for y in range(x + 1, big):
+            for r in range(n):
+                row = {r * big + c: table[x][y][c] for c in range(big)}
+                for s in range(n):
+                    if ev[y] is not None:
+                        row[s * big + x] = row.get(s * big + x, 0) - target[s][ev[y]][r]
+                    if ev[x] is not None and right_term:
+                        row[s * big + y] = row.get(s * big + y, 0) - target[ev[x]][s][r]
+                yield {col: v for col, v in row.items() if v}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_x_derivations_rejects_a_system_missing_an_evaluation_term(sl2, two_dim, monkeypatch, m):
+    solve = x_derivations.__wrapped__  # past the memo, so each call assembles anew
+    for k in (sl2, two_dim):
+        basis, dim = x_derivations(k, m)
+        monkeypatch.setattr(sections, "leibniz_system", _reference_point_derivation_rows)
+        assert solve(k, m) == (basis, dim)
+        faulty = functools.partial(_reference_point_derivation_rows, right_term=False)
+        monkeypatch.setattr(sections, "leibniz_system", faulty)
+        with pytest.raises(LiestructError, match="differ from Der"):
+            solve(k, m)
+        monkeypatch.undo()
 
 
 def test_x_derivations_requires_perfect_or_centerfree(heisenberg3, abelian1):
