@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .errors import LiestructError
-from .lie import LieAlgebra, _check_jacobi, _memoized, build
+from .lie import LieAlgebra, _StructureTable, _check_jacobi, _memoized, build
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
     frac,
     kernel_of_rows,
-    kron,
     unit_vector,
     vector,
     zero_vector,
@@ -47,22 +46,23 @@ __all__ = [
 # Commutative coefficient algebras
 # ---------------------------------------------------------------------------
 
-class CommutativeAlgebra:
+class CommutativeAlgebra(_StructureTable):
     """A finite-dimensional commutative associative unital algebra over Q.
 
-    ``table[i][j]`` is the coordinate vector of e_i e_j. Construction
-    validates commutativity, associativity on all basis triples, and the
-    unit law. ``monomials`` optionally records exponent tuples when the
-    basis consists of monomials (used by the jet machinery).
+    ``table[i][j]`` is the coordinate vector of e_i e_j. The table, its
+    nonzero entries, the product and the multiplication matrices come from
+    the structure-constant core that ``LieAlgebra`` uses too. Construction
+    validates commutativity, the unit law and associativity on all basis
+    triples, from the nonzero structure constants. ``monomials`` optionally
+    records exponent tuples when the basis consists of monomials (used by
+    the jet machinery). Equal algebras hash equal; the hash is computed once.
     """
 
-    __slots__ = ("dim", "names", "unit", "table", "monomials")
+    __slots__ = ("unit", "monomials")
 
     def __init__(self, names, unit, table, monomials=None):
-        self.names = tuple(names)
-        self.dim = len(self.names)
+        super().__init__(names, table)
         self.unit = vector(unit)
-        self.table = tuple(tuple(vector(v) for v in row) for row in table)
         self.monomials = None if monomials is None else tuple(
             tuple(int(x) for x in mono) for mono in monomials
         )
@@ -70,10 +70,8 @@ class CommutativeAlgebra:
 
     def _validate(self):
         n = self.dim
-        if len(self.unit) != n or len(self.table) != n or any(
-            len(r) != n or any(len(v) != n for v in r) for r in self.table
-        ):
-            raise ValueError("table shape does not match dimension")
+        if len(self.unit) != n:
+            raise ValueError("unit length does not match dimension")
         for i in range(n):
             for j in range(i + 1, n):
                 if self.table[i][j] != self.table[j][i]:
@@ -81,49 +79,29 @@ class CommutativeAlgebra:
                         "product is not commutative on basis pair (%d, %d)" % (i, j)
                     )
         for i in range(n):
-            if self.product(self.unit, unit_vector(n, i)) != unit_vector(n, i):
+            if self._product(self.unit, unit_vector(n, i)) != unit_vector(n, i):
                 raise ValueError("unit law fails on basis vector %d" % i)
+        # (e_i e_j) e_k = e_i (e_j e_k) = (e_j e_k) e_i, by commutativity
         for i, j, k in itertools.product(range(n), repeat=3):
-            left = self.product(self.table[i][j], unit_vector(n, k))
-            right = self.product(unit_vector(n, i), self.table[j][k])
-            if left != right:
+            defect = self._compose(i, j, k, {})
+            if any(self._compose(j, k, i, defect, negate=True).values()):
                 raise ValueError(
                     "product is not associative on basis triple (%d, %d, %d)"
                     % (i, j, k)
                 )
 
     def product(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.table[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = ui * vj
-                for k, w in enumerate(row[j]):
-                    if w:
-                        out[k] += c * w
-        return tuple(out)
+        return self._product(u, v)
 
     def mult_matrix(self, a: Sequence[Fraction]) -> Matrix:
         """Multiplication operator L_a; column j holds a * e_j."""
-        n = self.dim
-        cols = [self.product(a, unit_vector(n, j)) for j in range(n)]
-        return Matrix.from_columns(cols)
+        return self._left_matrix(a)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CommutativeAlgebra)
-            and self.names == other.names
-            and self.unit == other.unit
-            and self.table == other.table
-        )
+        return self._same_table(other) and self.unit == other.unit
 
     def __hash__(self):
-        return hash((self.names, self.unit, self.table))
+        return self._table_hash(self.unit)
 
     def __repr__(self):
         return "CommutativeAlgebra(dim %d: %s)" % (self.dim, ", ".join(self.names))
@@ -395,11 +373,10 @@ def direct_sum(parts: Sequence[LieAlgebra]) -> LieAlgebra:
     table = [[list(zero_vector(total)) for _ in range(total)] for _ in range(total)]
     for t, p in enumerate(parts):
         off = offsets[t]
-        for i in range(p.dim):
-            for j in range(p.dim):
-                for k, v in enumerate(p.table[i][j]):
-                    if v:
-                        table[off + i][off + j][off + k] = v
+        for i, row in enumerate(p._nonzero):
+            for j, entries in enumerate(row):
+                for k, v in entries:
+                    table[off + i][off + j][off + k] = v
     return LieAlgebra(names, table)
 
 
@@ -422,22 +399,16 @@ def current_algebra(k: LieAlgebra, a: CommutativeAlgebra) -> LieAlgebra:
         "%s(x)%s" % (k.names[i], a.names[p]) for i in range(nk) for p in range(na)
     ]
     table = [[list(zero_vector(n)) for _ in range(n)] for _ in range(n)]
-    for i in range(nk):
-        for j in range(nk):
-            cij = k.table[i][j]
-            if not any(cij):
+    for i, k_row in enumerate(k._nonzero):
+        for j, cij in enumerate(k_row):
+            if not cij:
                 continue
-            for p in range(na):
-                for q in range(na):
-                    prod = a.table[p][q]
-                    if not any(prod):
-                        continue
+            for p, a_row in enumerate(a._nonzero):
+                for q, prod in enumerate(a_row):
                     row = table[i * na + p][j * na + q]
-                    for l, cl in enumerate(cij):
-                        if cl:
-                            for r, pr in enumerate(prod):
-                                if pr:
-                                    row[l * na + r] += cl * pr
+                    for l, cl in cij:
+                        for r, pr in prod:
+                            row[l * na + r] += cl * pr
     g = LieAlgebra(names, table)
     _check_jacobi(g)
     return g

@@ -10,11 +10,10 @@ closed form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError
-from .lie import LieAlgebra, _memoized
+from .lie import LieAlgebra, _memoized, _sparse
 from .linalg import Matrix, Subspace, kernel_of_rows
 from .poly import jordan_chevalley
 
@@ -78,10 +77,6 @@ class EndoSpace:
         }
 
 
-def _nonzeros(vec) -> list[tuple[int, Fraction]]:
-    return [(k, v) for k, v in enumerate(vec) if v]
-
-
 def _subtract(row: dict, entries):
     """row -= entries (pairs (col, value)) in place; cancelled entries are dropped."""
     for col, v in entries:
@@ -104,20 +99,23 @@ def leibniz_system(table, n: int, target=None, ev=None):
     holds D e_j). Serves Lie tables and commutative ones. Yields one row per
     pair and target coordinate, without zero entries.
     """
+    source = _sparse(table)
     if target is None:
-        target, ev = table, range(n)
+        target, ev = source, range(n)
+    else:
+        target = _sparse(target)
     nt = len(target)
     # left[j][m]: (k, c_kj^m) != 0; right[i][m]: (k, c_ik^m) != 0 in the target
     left = [[[] for _ in range(nt)] for _ in range(nt)]
     right = [[[] for _ in range(nt)] for _ in range(nt)]
     for i in range(nt):
         for j in range(nt):
-            for m, v in _nonzeros(target[i][j]):
+            for m, v in target[i][j]:
                 left[j][m].append((i, v))
                 right[i][m].append((j, v))
     for i in range(n):
         for j in range(i, n):
-            cij = _nonzeros(table[i][j])
+            cij = source[i][j]
             for m in range(nt):
                 row = {m * n + l: v for l, v in cij}
                 if ev[j] is not None:
@@ -135,8 +133,8 @@ def commutant_system(mats: Sequence[Matrix], n: int):
     entry, without zero entries.
     """
     for m in mats:
-        rows = [_nonzeros(r) for r in m.rows]
-        cols = [_nonzeros(c) for c in zip(*m.rows)]
+        # the nonzero entries of each row and of each column of m
+        rows, cols = _sparse([m.rows, tuple(zip(*m.rows))])
         for r in range(n):
             for cc in range(n):
                 row = {k * n + cc: v for k, v in rows[r]}

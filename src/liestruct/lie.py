@@ -3,7 +3,10 @@
 An algebra is a validated, immutable table c[i][j] of bracket coordinate
 vectors. Construction goes through :func:`build`, which checks antisymmetry
 by construction and the Jacobi identity on every basis triple, so downstream
-code can assume it is working with an actual Lie algebra.
+code can assume it is working with an actual Lie algebra. The table, its
+nonzero entries, the product and the left multiplication live in one
+private structure-constant core, which ``construct.CommutativeAlgebra``
+shares.
 """
 
 from __future__ import annotations
@@ -63,10 +66,94 @@ def _memoized(fn):
     return memoized
 
 
-class LieAlgebra:
+def _sparse(table):
+    """[i][j] -> ((k, c), ...) with c = table[i][j][k] != 0, for a dense table."""
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row) for row in table)
+
+
+class _StructureTable:
+    """An algebra on a fixed ordered basis, given by its structure constants.
+
+    The one home of the table for Lie algebras and for commutative
+    coefficient algebras: ``table[i][j]`` is the dense coordinate vector of
+    the product e_i e_j, and ``_nonzero[i][j]`` lists its nonzero entries
+    (k, c), computed once at construction. The product, the left
+    multiplication matrix, the hash and the triple checks all read the
+    nonzero lists.
+    """
+
+    __slots__ = ("dim", "names", "table", "_nonzero", "_hash", "__weakref__")
+
+    def __init__(self, names: Sequence[str], table):
+        self.names = tuple(names)
+        self.dim = n = len(self.names)
+        self.table = tuple(tuple(vector(v) for v in row) for row in table)
+        if len(self.table) != n or any(
+            len(r) != n or any(len(v) != n for v in r) for r in self.table
+        ):
+            raise ValueError("structure table shape does not match dimension")
+        self._nonzero = _sparse(self.table)
+        self._hash = None
+
+    def _same_table(self, other) -> bool:
+        return self is other or (
+            type(other) is type(self) and self.names == other.names and self.table == other.table
+        )
+
+    def _table_hash(self, *extra) -> int:
+        if self._hash is None:
+            # equal tables have equal nonzero lists; the lower triangle follows
+            # from the upper one by (anti)symmetry
+            nz = self._nonzero
+            self._hash = hash((self.names, extra, tuple(
+                nz[i][j] for i in range(self.dim) for j in range(i, self.dim)
+            )))
+        return self._hash
+
+    def _product(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+        """x y for coordinate vectors x, y."""
+        out = [Fraction(0)] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for i, xi in enumerate(x):
+            if xi:
+                row = self._nonzero[i]
+                for j, yj in ys:
+                    c = xi * yj
+                    for k, v in row[j]:
+                        out[k] += c * v
+        return tuple(out)
+
+    def _left_matrix(self, x: Sequence[Fraction]) -> Matrix:
+        """Matrix of y -> x y; column j holds the coordinates of x e_j."""
+        n = self.dim
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i, xi in enumerate(x):
+            if xi:
+                for j, entries in enumerate(self._nonzero[i]):
+                    for k, v in entries:
+                        rows[k][j] += xi * v
+        return Matrix(rows)
+
+    def _compose(self, a: int, b: int, c: int, acc: dict, negate: bool = False) -> dict:
+        """Add (or subtract) the coordinates of (e_a e_b) e_c into acc, {m: value}.
+
+        Coordinate m is the sum of c_ab^l c_lc^m over the nonzero constants.
+        """
+        nz = self._nonzero
+        for l, x in nz[a][b]:
+            if negate:
+                x = -x
+            for m, y in nz[l][c]:
+                acc[m] = acc.get(m, 0) + x * y
+        return acc
+
+
+class LieAlgebra(_StructureTable):
     """Immutable Lie algebra with a fixed ordered basis.
 
-    ``table[i][j]`` is the coordinate vector of [e_i, e_j]. Instances are
+    ``table[i][j]`` is the coordinate vector of [e_i, e_j]; the table, its
+    nonzero entries and the bracket are shared with the commutative
+    coefficient algebras through one structure-constant core. Instances are
     hashable and compare by structure table and basis names. The hash is
     computed once, on first use. Expensive invariants (here and in ``endo``,
     ``construct`` and ``decompose``) are memoized per algebra in one
@@ -75,36 +162,15 @@ class LieAlgebra:
     the same results.
     """
 
-    __slots__ = ("dim", "names", "table", "_hash", "__weakref__")
-
-    def __init__(self, names: Sequence[str], table):
-        self.names = tuple(names)
-        self.dim = len(self.names)
-        self.table = tuple(tuple(vector(row_j) for row_j in row_i) for row_i in table)
-        self._hash = None
-        if len(self.table) != self.dim or any(
-            len(r) != self.dim or any(len(v) != self.dim for v in r) for r in self.table
-        ):
-            raise ValueError("structure table shape does not match dimension")
+    __slots__ = ()
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
-        return self is other or (
-            isinstance(other, LieAlgebra)
-            and self.names == other.names
-            and self.table == other.table
-        )
+        return self._same_table(other)
 
     def __hash__(self):
-        if self._hash is None:
-            # equal algebras agree on every entry, so the nonzero entries above
-            # the diagonal are enough to hash, and most Fraction hashes are skipped
-            self._hash = hash((self.names, tuple(
-                (i, j, k, c) for i, row in enumerate(self.table)
-                for j in range(i + 1, self.dim) for k, c in enumerate(row[j]) if c
-            )))
-        return self._hash
+        return self._table_hash()
 
     def __repr__(self):
         return "LieAlgebra(dim %d, basis %s)" % (self.dim, ", ".join(self.names))
@@ -113,34 +179,11 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """[x, y] for coordinate vectors x, y."""
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, v in enumerate(row[j]):
-                    if v:
-                        out[k] += c * v
-        return tuple(out)
+        return self._product(x, y)
 
     def ad(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of y -> [x, y]; column j holds the coordinates of [x, e_j]."""
-        n = self.dim
-        cols = []
-        for j in range(n):
-            col = [Fraction(0)] * n
-            for i, xi in enumerate(x):
-                if xi:
-                    for k, v in enumerate(self.table[i][j]):
-                        if v:
-                            col[k] += xi * v
-            cols.append(col)
-        return Matrix.from_columns(cols) if n else Matrix([])
+        return self._left_matrix(x)
 
     def ad_basis(self, i: int) -> Matrix:
         return self.ad(unit_vector(self.dim, i))
@@ -161,10 +204,12 @@ class LieAlgebra:
         def rows():
             # constraint for each (j, k): sum_i x_i c[i][j][k] = 0
             for j in range(n):
-                for k in range(n):
-                    row = [self.table[i][j][k] for i in range(n)]
-                    if any(row):
-                        yield row
+                by_k = {}
+                for i in range(n):
+                    for k, c in self._nonzero[i][j]:
+                        by_k.setdefault(k, {})[i] = c
+                for k in sorted(by_k):
+                    yield by_k[k]
 
         return kernel_of_rows(rows(), n)
 
@@ -201,12 +246,11 @@ class LieAlgebra:
     @_memoized
     def killing_form(self) -> Matrix:
         """kappa(i, j) = tr(ad e_i ad e_j) = sum of c_il^k c_jk^l over k, l."""
-        n, table = self.dim, self.table
-        nonzero = _nonzero_table(table)
+        n, nonzero = self.dim, self._nonzero
         rows = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                tj = table[j]
+                tj = self.table[j]
                 terms = (c * tj[k][l] for l in range(n) for k, c in nonzero[i][l] if tj[k][l])
                 rows[i][j] = rows[j][i] = sum(terms, Fraction(0))
         return Matrix(rows)
@@ -274,18 +318,16 @@ class LieAlgebra:
             names = ["s%d" % a for a in range(k)]
         return LieAlgebra(names, table)
 
-    def quotient(self, ideal: Subspace, check: bool = True) -> "LieAlgebra":
+    def quotient(self, ideal: Subspace) -> "LieAlgebra":
         """g / ideal on the images of the basis vectors outside the pivots.
 
         Raises NotAnIdealError naming a basis vector and an ideal generator
         whose bracket escapes the ideal.
         """
-        if check:
-            for i in range(self.dim):
-                for v in ideal.rows:
-                    w = self.bracket(unit_vector(self.dim, i), v)
-                    if not ideal.contains(w):
-                        raise NotAnIdealError(i, v)
+        for i in range(self.dim):
+            for v in ideal.rows:
+                if not ideal.contains(self.bracket(unit_vector(self.dim, i), v)):
+                    raise NotAnIdealError(i, v)
         if ideal.is_zero():
             return self
         pivot_set = set(ideal.pivots)
@@ -355,24 +397,16 @@ def build(
 
 def _check_jacobi(g: LieAlgebra):
     """Raise JacobiError on the first basis triple i < j < k with a nonzero
-    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]. Coordinate m of
-    [[e_a,e_b],e_c] is the sum of c_ab^l c_lc^m over the nonzero constants.
+    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]; the three cyclic
+    terms are summed into one dict.
     """
     n = g.dim
-    nonzero = _nonzero_table(g.table)
     for i, j, k in itertools.combinations(range(n), 3):
         defect = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, x in nonzero[a][b]:
-                for m, y in nonzero[l][c]:
-                    defect[m] = defect.get(m, 0) + x * y
+            g._compose(a, b, c, defect)
         if any(defect.values()):
             raise JacobiError((i, j, k), tuple(defect.get(m, Fraction(0)) for m in range(n)))
-
-
-def _nonzero_table(table):
-    """[i][j] -> the (k, c) with c = table[i][j][k] != 0."""
-    return [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in table]
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +418,7 @@ def to_dict(g: LieAlgebra) -> dict:
     brackets = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            value = {
-                str(k): str(c) for k, c in enumerate(g.table[i][j]) if c
-            }
+            value = {str(k): str(c) for k, c in g._nonzero[i][j]}
             if value:
                 brackets.append({"left": i, "right": j, "value": value})
     return {"dim": g.dim, "basis": list(g.names), "brackets": brackets}

@@ -440,22 +440,8 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self.rows) == self.ambient_dim
 
-    def reduce(self, v: Sequence[Fraction]) -> Vector:
-        """Residue of v after elimination against the canonical basis."""
-        v = list(vector(v))
-        for row, c in zip(self.rows, self.pivots):
-            coeff = v[c]
-            if coeff:
-                for j in range(c, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= coeff * row[j]
-        return tuple(v)
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.reduce(v))
-
-    def coordinates(self, v: Sequence[Fraction]) -> Optional[Vector]:
-        """Coefficients of v in the canonical basis, or None if outside."""
+    def _eliminate(self, v: Sequence[Fraction]) -> tuple[list, list]:
+        """(residue, coefficients) of v after elimination against the canonical basis."""
         v = list(vector(v))
         coeffs = []
         for row, c in zip(self.rows, self.pivots):
@@ -465,9 +451,19 @@ class Subspace:
                 for j in range(c, self.ambient_dim):
                     if row[j]:
                         v[j] -= coeff * row[j]
-        if any(x != 0 for x in v):
-            return None
-        return tuple(coeffs)
+        return v, coeffs
+
+    def reduce(self, v: Sequence[Fraction]) -> Vector:
+        """Residue of v after elimination against the canonical basis."""
+        return tuple(self._eliminate(v)[0])
+
+    def contains(self, v: Sequence[Fraction]) -> bool:
+        return not any(self._eliminate(v)[0])
+
+    def coordinates(self, v: Sequence[Fraction]) -> Optional[Vector]:
+        """Coefficients of v in the canonical basis, or None if outside."""
+        residue, coeffs = self._eliminate(v)
+        return None if any(residue) else tuple(coeffs)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)

@@ -356,18 +356,19 @@ def jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
     """Split m = s + n with s semisimple, n nilpotent, s n = n s.
 
     Both parts are polynomials in m. Newton iteration on the squarefree part
-    f of the characteristic polynomial: a <- a - f(a) f'(a)^{-1} doubles the
-    order of vanishing of f(a) each step, so it stops within
-    ceil(log2(size)) + 1 rounds. f'(a) is invertible because gcd(f, f') = 1
-    and f(a) stays nilpotent; its matrix inverse is the inverse in Q[m], so
-    everything commutes.
+    f of the minimal polynomial, which has the irreducible factors of the
+    characteristic polynomial, so f(m) is nilpotent of index at most size:
+    a <- a - f(a) f'(a)^{-1} doubles the order of vanishing of f(a) each
+    step, so it stops within ceil(log2(size)) + 1 rounds. f'(a) is
+    invertible because gcd(f, f') = 1 and f(a) stays nilpotent; its matrix
+    inverse is the inverse in Q[m], so everything commutes.
     """
     if not m.is_square():
         raise ValueError("Jordan-Chevalley of a non-square matrix")
     n = m.nrows
     if n == 0:
         return m, m
-    f = squarefree_part(char_poly(m))
+    f = squarefree_part(min_poly(m))
     fp = derivative(f)
     a = m
     for _ in range(n.bit_length() + 1):

@@ -1,6 +1,9 @@
 """Builders: classical families, worked examples, coefficient algebras,
 current algebras, and Casimir-style centroid elements."""
 
+import itertools
+import random
+import re
 from fractions import Fraction as F
 from math import comb
 
@@ -238,6 +241,115 @@ def test_commutative_algebra_validation():
                 [vector([1, 0]), vector([0, 0])],
             ],
         )
+
+
+# ---------------------------------------------------------------------------
+# the structure-constant core against dense references
+# ---------------------------------------------------------------------------
+
+
+def _dense_product(table, u, v):
+    """u v = sum of u_a v_b table[a][b] over the a, b with u_a v_b != 0, entry by entry."""
+    n = len(table)
+    pairs = [(a, b) for a in range(n) for b in range(n) if u[a] and v[b]]
+    return tuple(sum((u[a] * v[b] * table[a][b][m] for a, b in pairs), F(0)) for m in range(n))
+
+
+def _first_non_associative_triple(table):
+    """First (i, j, k), in product order, with (e_i e_j) e_k != e_i (e_j e_k)."""
+    n = len(table)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        e_i, e_k = unit_vector(n, i), unit_vector(n, k)
+        if _dense_product(table, table[i][j], e_k) != _dense_product(table, e_i, table[j][k]):
+            return i, j, k
+    return None
+
+
+NON_ASSOCIATIVE = (
+    ["1", "u", "v"],
+    [1, 0, 0],
+    [
+        [vector([1, 0, 0]), vector([0, 1, 0]), vector([0, 0, 1])],
+        [vector([0, 1, 0]), vector([0, 0, 1]), vector([0, 1, 0])],
+        [vector([0, 0, 1]), vector([0, 1, 0]), vector([0, 0, 0])],
+    ],
+)
+
+
+def _perturbed_truncated_poly(seed):
+    """truncated_poly(2, 3) with one symmetric pair of products off the unit
+    changed; the result stays commutative and unital."""
+    rng = random.Random(seed)
+    a = truncated_poly(2, 3)
+    table = [[list(v) for v in row] for row in a.table]
+    i, j = sorted((rng.randrange(1, a.dim), rng.randrange(1, a.dim)))
+    m, delta = rng.randrange(a.dim), F(rng.choice((-2, -1, 1, 2, 3)), rng.choice((1, 2)))
+    table[i][j][m] += delta
+    if i != j:
+        table[j][i][m] += delta
+    return a.names, a.unit, table
+
+
+ASSOCIATIVITY_CASES = [NON_ASSOCIATIVE] + [_perturbed_truncated_poly(seed) for seed in range(16)]
+
+
+@pytest.mark.parametrize("case", range(len(ASSOCIATIVITY_CASES)))
+def test_associativity_check_reports_the_dense_first_failing_triple(case):
+    names, unit, table = ASSOCIATIVITY_CASES[case]
+    triple = _first_non_associative_triple(table)
+    if triple is None:
+        assert CommutativeAlgebra(names, unit, table).dim == len(table)
+    else:
+        message = "product is not associative on basis triple (%d, %d, %d)" % triple
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            CommutativeAlgebra(names, unit, table)
+
+
+def test_associativity_cases_mostly_fail():
+    failing = [c for c in ASSOCIATIVITY_CASES if _first_non_associative_triple(c[2])]
+    assert len(failing) >= 12
+
+
+def _cubic_field():
+    """Q(cbrt 2) on the basis 1, r, r^2 with r^3 = 2."""
+    return CommutativeAlgebra(["1", "r", "r^2"], [1, 0, 0], [
+        [vector([1, 0, 0]), vector([0, 1, 0]), vector([0, 0, 1])],
+        [vector([0, 1, 0]), vector([0, 0, 1]), vector([2, 0, 0])],
+        [vector([0, 0, 1]), vector([2, 0, 0]), vector([0, 2, 0])],
+    ])
+
+
+def _seeded_vectors(rng, n, count=6):
+    return [
+        vector([F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+                for _ in range(n)])
+        for _ in range(count)
+    ] + [zero_vector(n), unit_vector(n, n - 1)]
+
+
+@pytest.mark.parametrize("a", [_cubic_field(), quadratic_extension(-3), truncated_poly(2, 3)])
+def test_product_and_mult_matrix_match_dense_reference(a):
+    rng = random.Random(a.dim)
+    vecs = _seeded_vectors(rng, a.dim)
+    for u in vecs:
+        cols = [_dense_product(a.table, u, unit_vector(a.dim, j)) for j in range(a.dim)]
+        assert a.mult_matrix(u) == Matrix.from_columns(cols)
+        for v in vecs:
+            assert a.product(u, v) == _dense_product(a.table, u, v)
+
+
+def test_equal_commutative_algebras_hash_equal():
+    a, b = truncated_poly(2, 3), truncated_poly(2, 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    by_hand = CommutativeAlgebra(["p1", "p2"], [1, 1], [
+        [unit_vector(2, 0), zero_vector(2)], [zero_vector(2), unit_vector(2, 1)]
+    ])
+    assert by_hand == point_functions(2) and hash(by_hand) == hash(point_functions(2))
+    assert _cubic_field() == _cubic_field() and hash(_cubic_field()) == hash(_cubic_field())
+    renamed = CommutativeAlgebra(["1", "s"], quadratic_extension(2).unit,
+                                 quadratic_extension(2).table)
+    assert renamed != quadratic_extension(2)
+    assert quadratic_extension(2) != quadratic_extension(3)
 
 
 @pytest.mark.parametrize(

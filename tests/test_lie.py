@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import weakref
 from fractions import Fraction as F
 
@@ -84,6 +85,94 @@ def test_ad_two_dim_x1(two_dim):
 def test_ad_abelian_is_zero(abelian2):
     for i in range(2):
         assert abelian2.ad(abelian2.basis_vector(i)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the structure-constant core against dense references
+# ---------------------------------------------------------------------------
+
+
+def _dense_table(dim, brackets):
+    """Antisymmetric dense table of a sparse bracket dict {(i, j): {k: c}}, i < j."""
+    table = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), value in brackets.items():
+        for k, c in value.items():
+            table[i][j][k], table[j][i][k] = F(c), -F(c)
+    return table
+
+
+def _dense_bracket(table, x, y):
+    """Sum of x_a y_b table[a][b] over the a, b with x_a y_b != 0, entry by entry."""
+    n = len(table)
+    pairs = [(a, b) for a in range(n) for b in range(n) if x[a] and y[b]]
+    return tuple(sum((x[a] * y[b] * table[a][b][m] for a, b in pairs), F(0)) for m in range(n))
+
+
+def _first_jacobi_defect(table):
+    """(triple, defect) of the first i < j < k with a nonzero Jacobi sum, or None."""
+    n = len(table)
+    e = [unit_vector(n, i) for i in range(n)]
+    for i, j, k in itertools.combinations(range(n), 3):
+        cyclic = ((i, j, k), (j, k, i), (k, i, j))
+        terms = [_dense_bracket(table, table[a][b], e[c]) for a, b, c in cyclic]
+        defect = tuple(sum(col, F(0)) for col in zip(*terms))
+        if any(defect):
+            return (i, j, k), defect
+    return None
+
+
+FIVE_DIM = {(0, 1): {0: 1}, (0, 2): {1: 1}, (0, 3): {2: 1}, (1, 2): {3: 1}, (1, 3): {4: 1}}
+
+
+def _perturbed_sl3(seed):
+    """The brackets of sl:3 with one coefficient of one pair changed."""
+    rng = random.Random(seed)
+    data = lie.to_dict(classical("sl", 3))
+    brackets = {(b["left"], b["right"]): {int(k): F(v) for k, v in b["value"].items()}
+                for b in data["brackets"]}
+    i, j = sorted(rng.sample(range(8), 2))
+    value = brackets.setdefault((i, j), {})
+    k = rng.randrange(8)
+    value[k] = value.get(k, F(0)) + rng.choice((-2, -1, 1, 2))
+    return 8, brackets
+
+
+JACOBI_CASES = [(5, FIVE_DIM), (3, {(0, 1): {0: 1}, (0, 2): {1: 1}})] + [
+    _perturbed_sl3(seed) for seed in range(10)
+]
+
+
+@pytest.mark.parametrize("case", range(len(JACOBI_CASES)))
+def test_jacobi_check_reports_the_dense_first_failing_triple_and_defect(case):
+    dim, brackets = JACOBI_CASES[case]
+    expected = _first_jacobi_defect(_dense_table(dim, brackets))
+    if expected is None:
+        assert build(dim, brackets).dim == dim
+        return
+    with pytest.raises(JacobiError) as exc:
+        build(dim, brackets)
+    assert (exc.value.triple, exc.value.defect) == expected
+
+
+def test_jacobi_cases_mostly_fail():
+    failing = [c for c in JACOBI_CASES if _first_jacobi_defect(_dense_table(*c))]
+    assert len(failing) >= 9
+
+
+def test_bracket_and_ad_match_dense_reference():
+    for g in (parse_algebra("cur:sl:2,jet:1,3"), classical("sl", 3)):
+        table, n = g.table, g.dim
+        rng = random.Random(n)
+        vecs = [
+            vector([F(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.5 else 0
+                    for _ in range(n)])
+            for _ in range(5)
+        ] + [unit_vector(n, 0)]
+        for x in vecs:
+            cols = [_dense_bracket(table, x, unit_vector(n, j)) for j in range(n)]
+            assert g.ad(x) == Matrix.from_columns(cols)
+            for y in vecs:
+                assert g.bracket(x, y) == _dense_bracket(table, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from liestruct.linalg import Matrix, vector
 from liestruct.poly import (
     char_poly,
+    derivative,
     factor_small,
     is_nilpotent_matrix,
     jordan_chevalley,
@@ -227,3 +229,169 @@ def test_property_squarefree_has_no_repeated_factor(m):
 
     g = poly_gcd(sf, derivative(sf))
     assert g == P(1)
+
+
+# ---------------------------------------------------------------------------
+# sympy oracles on seeded matrices, some with entries of 2^64 and more
+# ---------------------------------------------------------------------------
+
+
+def _unitriangular(rng, n, lower, big):
+    lo, hi = (2**32, 2**34) if big else (-3, 3)
+    return M([
+        [1 if r == c else (rng.randint(lo, hi) if (r > c) == lower else 0) for c in range(n)]
+        for r in range(n)
+    ])
+
+
+def _jordan_form(rng, n):
+    """Block diagonal: Jordan blocks on repeated rational eigenvalues and on
+    the rotation [[0, -1], [1, 0]], so min_poly != char_poly is common."""
+    rows = [[0] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        size = min(rng.choice((1, 2, 2, 3)), n - i)
+        if size == 2 and rng.random() < 0.4:
+            rows[i][i + 1], rows[i + 1][i] = -1, 1  # eigenvalues +-i
+        else:
+            ev = F(rng.choice((-2, -1, 0, 1, 3)), rng.choice((1, 2)))
+            for d in range(size):
+                rows[i + d][i + d] = ev
+                if d + 1 < size:
+                    rows[i + d][i + d + 1] = 1
+        i += size
+    return M(rows)
+
+
+def _seeded_matrices():
+    rng = random.Random(2024)
+    mats = [M([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]) for n in (2, 3, 4, 5)]
+    for n, big in ((3, False), (4, False), (5, False), (3, True), (4, True), (5, True)):
+        p = _unitriangular(rng, n, True, big) @ _unitriangular(rng, n, False, big)
+        mats.append(p @ _jordan_form(rng, n) @ p.inverse())
+    # a repeated rotation block with a nilpotent part: s = diag(R, R), n = [[0, I], [0, 0]]
+    mats.append(M([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]]))
+    return mats
+
+
+SEEDED = _seeded_matrices()
+
+
+def test_seeded_matrices_include_huge_entries_and_derogatory_ones():
+    huge = [m for m in SEEDED if max(abs(x) for r in m.rows for x in r) >= 2**64]
+    assert len(huge) >= 3
+    assert sum(len(min_poly(m)) <= m.nrows for m in SEEDED) >= 3  # min_poly != char_poly
+
+
+def _to_sympy(sympy, m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in m.rows])
+
+
+def _fractions(coeffs):
+    return [F(int(c.p), int(c.q)) for c in coeffs]
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED)))
+def test_char_poly_matches_sympy(sympy, idx):
+    m = SEEDED[idx]
+    expected = _fractions(_to_sympy(sympy, m).charpoly().all_coeffs())[::-1]
+    assert char_poly(m) == expected
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED)))
+def test_min_poly_matches_sympy_smallest_dependent_power(sympy, idx):
+    m = SEEDED[idx]
+    sm, n = _to_sympy(sympy, m), m.nrows
+    powers = [(sm**k).reshape(n * n, 1) for k in range(n + 1)]
+    for d in range(1, n + 1):
+        null = sympy.Matrix.hstack(*powers[: d + 1]).nullspace()
+        if null:
+            assert len(null) == 1
+            assert min_poly(m) == _fractions(list(null[0] / null[0][d]))
+            return
+    pytest.fail("no dependent power up to the size")
+
+
+def _factor_oracle(sympy, p):
+    """factor_small's answer, from sympy's complete factorization of p."""
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(p))
+    _, factors = sympy.factor_list(expr, t)
+    linear, rest = [], []
+    for f, e in factors:
+        coeffs = _fractions(sympy.Poly(f, t).monic().all_coeffs())[::-1]
+        if len(coeffs) == 2:
+            linear.append((-coeffs[0], e))
+        else:
+            rest.append((coeffs, e))
+    rest_deg = sum((len(c) - 1) * e for c, e in rest)
+    if rest_deg == 2 or (rest_deg == 4 and all(len(c) == 3 for c, _ in rest)):
+        return sorted(linear), sorted(rest), P(1)
+    remainder = P(1)
+    for c, e in rest:
+        for _ in range(e):
+            remainder = poly_mul(remainder, c)
+    return sorted(linear), [], remainder
+
+
+def _seeded_polys():
+    rng = random.Random(77)
+    pool = [P(3, 1), P(1, 1), P(0, 1), P(F(-1, 2), 1), P(-5, 1), P(1, 0, 1), P(-2, 0, 1),
+            P(1, 1, 1), P(1, -3, 1), P(-2, 0, 0, 1), P(1, 1, 0, 0, 1)]
+    polys = [char_poly(m) for m in SEEDED]
+    for _ in range(16):
+        p = P(1)
+        for f in rng.sample(pool, rng.randint(1, 3)):
+            for _ in range(rng.randint(1, 2)):
+                p = poly_mul(p, f)
+        polys.append(p)
+    return polys
+
+
+SEEDED_POLYS = _seeded_polys()
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED_POLYS)))
+def test_factor_small_matches_sympy_factor_list(sympy, idx):
+    p = SEEDED_POLYS[idx]
+    linear, quads, rem = factor_small(p)
+    assert (linear, sorted(quads), rem) == _factor_oracle(sympy, p)
+
+
+# ---------------------------------------------------------------------------
+# jordan_chevalley against a characteristic-polynomial Newton reference
+# ---------------------------------------------------------------------------
+
+
+def _jordan_chevalley_reference(m):
+    """Newton iteration on the squarefree part of the characteristic polynomial."""
+    f = squarefree_part(char_poly(m))
+    fp = derivative(f)
+    a = m
+    for _ in range(m.nrows.bit_length() + 1):
+        fa = poly_eval_matrix(f, a)
+        if fa.is_zero():
+            return a, m - a
+        a = a - fa @ poly_eval_matrix(fp, a).inverse()
+    raise AssertionError("reference Newton iteration did not converge")
+
+
+def _centroid_bases():
+    from liestruct import centroid
+    from liestruct.cli import parse_algebra
+
+    specs = ("cur:sl:2,jet:1,3", "cur:sl:2,points:3", "gl:2", "cur:sl:2,jet:2,2")
+    return [m for s in specs for m in centroid(parse_algebra(s)).basis_matrices()]
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED)))
+def test_jordan_chevalley_matches_char_poly_reference_on_seeded(idx):
+    m = SEEDED[idx]
+    assert jordan_chevalley(m) == _jordan_chevalley_reference(m)
+
+
+def test_jordan_chevalley_matches_char_poly_reference_on_centroids():
+    mats = _centroid_bases()
+    assert any(not jordan_chevalley(m)[1].is_zero() for m in mats)  # some nilpotent parts
+    for m in mats:
+        assert jordan_chevalley(m) == _jordan_chevalley_reference(m)
