@@ -3,6 +3,11 @@
 Parses compact algebra descriptions (sl:2, cur:sl:2,jet:1,3, sum:sl:2+sl:2,
 @file.json), runs selected analyses, and emits JSON or text reports.
 
+The dimension of every algebra a description asks for is computed before
+any table is allocated; past a limit (64 by default, ``--max-dim``) the
+description is refused as a usage error. ``@file`` inputs are not gated:
+their table is already in memory.
+
 Exit codes: 0 when every requested analysis ran and passed its internal
 checks, 1 when an analysis or a validation failed (including a Jacobi
 failure while building the algebra), 2 on usage or parse errors.
@@ -53,6 +58,18 @@ ANALYSES = (
     "sections:jetauto",
 )
 
+DEFAULT_MAX_DIM = 64
+
+# dim classical(kind, n), known before the algebra is built
+_CLASSICAL_DIM = {
+    "sl": lambda n: n * n - 1,
+    "gl": lambda n: n * n,
+    "so": lambda n: n * (n - 1) // 2,
+    "sp": lambda n: n * (n + 1) // 2,
+    "su": lambda n: n * n - 1,
+    "u": lambda n: n * n,
+}
+
 SECTION_CHECKS = (
     "center",
     "commutator",
@@ -72,9 +89,10 @@ SECTION_CHECKS = (
 # ---------------------------------------------------------------------------
 
 class _Cursor:
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_dim: int = DEFAULT_MAX_DIM):
         self.text = text
         self.pos = 0
+        self.max_dim = max_dim
 
     def error(self, message: str) -> SpecParseError:
         return SpecParseError(message, self.pos)
@@ -100,18 +118,44 @@ class _Cursor:
     def done(self) -> bool:
         return self.pos >= len(self.text)
 
+    def check_size(self, what: str, dim: int):
+        """Refuse, before it is built, an algebra of dimension above the limit."""
+        if dim > self.max_dim:
+            size = "%d" % dim if dim <= 2**64 else "above 2^64"
+            raise self.error(
+                "%s would have dimension %s, above the limit %d (see --max-dim)"
+                % (what, size, self.max_dim)
+            )
+
+
+def _jet_dim(m: int, order: int) -> int:
+    """dim truncated_poly(m, order) = C(m + order - 1, m); once past 2^64, a lower bound.
+
+    Arguments that truncated_poly rejects give 1, so its own error is raised.
+    """
+    r = min(m, order - 1)
+    dim = 1
+    # after step i, dim = C(max(m, order - 1) + i, i), at least twice the last value
+    for i in range(1, r + 1):
+        dim = dim * (max(m, order - 1) + i) // i
+        if dim > 2**64:
+            break
+    return dim
+
 
 def _parse_coefficient(cur: _Cursor) -> CommutativeAlgebra:
     if cur.eat("jet:"):
         m = cur.integer()
         cur.expect(",")
         order = cur.integer()
+        cur.check_size("jet:%d,%d" % (m, order), _jet_dim(m, order))
         try:
             return truncated_poly(m, order)
         except ValueError as exc:
             raise cur.error(str(exc)) from None
     if cur.eat("points:"):
         k = cur.integer()
+        cur.check_size("points:%d" % k, k)
         try:
             return point_functions(k)
         except ValueError as exc:
@@ -123,6 +167,7 @@ def _parse_lie(cur: _Cursor) -> LieAlgebra:
     for kind in ("sl", "gl", "so", "sp", "su", "u"):
         if cur.eat(kind + ":"):
             n = cur.integer()
+            cur.check_size("%s:%d" % (kind, n), _CLASSICAL_DIM[kind](n))
             try:
                 return classical(kind, n)
             except ValueError as exc:
@@ -137,6 +182,7 @@ def _parse_lie(cur: _Cursor) -> LieAlgebra:
         k = _parse_lie(cur)
         cur.expect(",")
         a = _parse_coefficient(cur)
+        cur.check_size("the current algebra", k.dim * a.dim)
         return current_algebra(k, a)
     if cur.eat("sum:"):
         parts = [_parse_lie(cur)]
@@ -144,6 +190,7 @@ def _parse_lie(cur: _Cursor) -> LieAlgebra:
             parts.append(_parse_lie(cur))
         if len(parts) < 2:
             raise cur.error("sum needs at least two parts joined by '+'")
+        cur.check_size("the direct sum", sum(p.dim for p in parts))
         return direct_sum(parts)
     if cur.eat("@"):
         path = cur.text[cur.pos :]
@@ -163,19 +210,20 @@ def _parse_lie(cur: _Cursor) -> LieAlgebra:
     )
 
 
-def parse_algebra(spec: str) -> LieAlgebra:
+def parse_algebra(spec: str, max_dim: int = DEFAULT_MAX_DIM) -> LieAlgebra:
     """Parse the compact algebra grammar; raises SpecParseError with the
-    offending position, or JacobiError when the description builds an
-    invalid table."""
-    cur = _Cursor(spec.strip())
+    offending position (also when an algebra it asks for would have
+    dimension above ``max_dim``), or JacobiError when the description
+    builds an invalid table."""
+    cur = _Cursor(spec.strip(), max_dim)
     algebra = _parse_lie(cur)
     if not cur.done():
         raise cur.error("trailing characters after a complete description")
     return algebra
 
 
-def parse_coefficient_algebra(spec: str) -> CommutativeAlgebra:
-    cur = _Cursor(spec.strip())
+def parse_coefficient_algebra(spec: str, max_dim: int = DEFAULT_MAX_DIM) -> CommutativeAlgebra:
+    cur = _Cursor(spec.strip(), max_dim)
     algebra = _parse_coefficient(cur)
     if not cur.done():
         raise cur.error("trailing characters after a complete description")
@@ -309,7 +357,8 @@ def _jet_order(a: CommutativeAlgebra) -> int:
 
 
 def run(algebra_spec: str, analyses: Sequence[str],
-        coeff_spec: Optional[str] = None, m: int = 1) -> dict:
+        coeff_spec: Optional[str] = None, m: int = 1,
+        max_dim: int = DEFAULT_MAX_DIM) -> dict:
     """Build the algebra, run the requested analyses, return the report."""
     for name in analyses:
         if name not in ANALYSES:
@@ -318,8 +367,8 @@ def run(algebra_spec: str, analyses: Sequence[str],
                 0,
             )
     started = time.monotonic()
-    g = parse_algebra(algebra_spec)
-    a = parse_coefficient_algebra(coeff_spec) if coeff_spec else None
+    g = parse_algebra(algebra_spec, max_dim)
+    a = parse_coefficient_algebra(coeff_spec, max_dim) if coeff_spec else None
     results = []
     for name in analyses:
         try:
@@ -391,6 +440,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="coefficient algebra for sections:* analyses")
     parser.add_argument("--m", type=int, default=1,
                         help="jet directions for sections:xder / sections:symbol")
+    parser.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+                        help="largest algebra dimension a description may ask for "
+                        "(default %(default)s)")
 
     sec = sub.add_parser("sections", help="run a single section-model check")
     sec.add_argument("--check", required=True, choices=SECTION_CHECKS)
@@ -398,6 +450,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sec.add_argument("--A", dest="coeff",
                      help="coefficient algebra (jet:m,N or points:k)")
     sec.add_argument("--m", type=int, default=1)
+    sec.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     sec.add_argument("--format", choices=("json", "text"), default="json")
     sec.add_argument("--out", help="write the report to this path")
 
@@ -413,6 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ["sections:" + args.check],
                 coeff_spec=args.coeff,
                 m=args.m,
+                max_dim=args.max_dim,
             )
         else:
             if not args.algebra:
@@ -420,7 +474,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print("error: --algebra is required", file=sys.stderr)
                 return 2
             analyses = [s for s in args.analyze.split(",") if s]
-            report = run(args.algebra, analyses, coeff_spec=args.coeff, m=args.m)
+            report = run(args.algebra, analyses, coeff_spec=args.coeff, m=args.m,
+                         max_dim=args.max_dim)
     except SpecParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

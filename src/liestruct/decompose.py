@@ -15,7 +15,10 @@ but the search never relies on commutativity: each branch works inside the
 commutative subalgebra generated by one element, corner nesting makes
 idempotents from different branches orthogonal, and the trace-form kernel
 equals the radical for any faithfully represented algebra in characteristic
-zero. A corner p Cent(g) p is canonically the centroid of the ideal im(p)
+zero. So the search runs in the smaller faithful representation: the regular
+one (the d x d matrices L_b, d = dim Cent) when d < dim g, else the basis
+matrices; its idempotents are checked in End(g). A corner p Cent(g) p is
+canonically the centroid of the ideal im(p)
 (extend an endomorphism of the ideal by zero on the complement), so the
 recursion stops exactly when each piece is indecomposable.
 
@@ -30,7 +33,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import LiestructError, PreconditionError, SeparatingElementError
-from .endo import EndoSpace, centroid, check_abelian, j_space, split_centroid
+from .endo import (EndoSpace, _algebra_table, _centroid_table, _from_regular, _regular,
+                   centroid, check_abelian, j_space, split_centroid)
 from .lie import LieAlgebra, _memoized
 from .linalg import Matrix, Subspace, kernel_basis
 from .poly import (
@@ -112,13 +116,13 @@ class ComplexStructure:
 def centroid_radical(cent: EndoSpace) -> Subspace:
     """Coordinates (in cent's basis) of the nilpotent part of the centroid.
 
-    The kernel of the trace form (f, g) -> tr(fg) on a commutative matrix
-    algebra containing 1 is exactly the set of nilpotent elements in
-    characteristic zero (all power traces of a kernel element vanish).
+    The kernel of the trace form (f, g) -> tr(fg) of a faithful (here the
+    regular) representation of a commutative algebra with 1 is exactly its
+    nilpotent elements in characteristic zero (all power traces vanish).
     """
-    check_abelian(cent)
-    mats = cent.basis_matrices()
-    return _trace_form_kernel(mats)
+    table = _algebra_table(cent)
+    check_abelian(cent, table)
+    return _trace_form_kernel(_regular(table))
 
 
 def _trace_form_kernel(mats: list[Matrix]) -> Subspace:
@@ -240,22 +244,26 @@ def primitive_idempotents(cent: EndoSpace) -> tuple[IdempotentSet, str]:
     roots), "nonsplit_real" (an imaginary-quadratic residue field appeared:
     decomposition is final over R too), or "nonsplit_unknown" (evidence of
     real irrationalities: the rational decomposition may be coarser than the
-    real one).
+    real one). It searches the smaller faithful representation (module docs).
     """
-    check_abelian(cent)
-    return _primitive_idempotents_any(cent)
+    table = _algebra_table(cent)
+    check_abelian(cent, table)
+    return _primitive_idempotents_any(cent, table)
 
 
-def _primitive_idempotents_any(cent: EndoSpace) -> tuple[IdempotentSet, str]:
-    """Idempotent search without the commutativity gate (see module docs)."""
-    basis = cent.basis_matrices()
-    if not basis:
+def _primitive_idempotents_any(cent: EndoSpace, table) -> tuple[IdempotentSet, str]:
+    """Idempotent search without the commutativity gate, given cent's table (module docs)."""
+    if not cent.dim:
         raise PreconditionError("centroid is zero-dimensional")
     unit = Matrix.identity(cent.n)
     if not cent.contains(unit):
         raise PreconditionError("centroid does not contain the identity")
     bound = cent.dim * cent.dim + 1
-    idems, status = _split_local(unit, basis, bound)
+    if cent.dim < cent.n:
+        idems, status = _split_local(Matrix.identity(cent.dim), _regular(table), bound)
+        idems = [Matrix.unflatten(_from_regular(cent, p), cent.n, cent.n) for p in idems]
+    else:
+        idems, status = _split_local(unit, cent.basis_matrices(), bound)
     # exactness checks: mutual orthogonality and completeness
     total = Matrix.zero(cent.n, cent.n)
     for i, p in enumerate(idems):
@@ -295,22 +303,22 @@ def indecompose(g: LieAlgebra) -> DecompositionReport:
                 "(%s) lies outside [g, g]" % ", ".join(str(x) for x in v)
             )
     cent = centroid(g)
-    idems, status = _primitive_idempotents_any(cent)
+    table = _centroid_table(g)
+    idems, status = _primitive_idempotents_any(cent, table)
     n = g.dim
     ideals = [
         Subspace.span([p.column(j) for j in range(n)], n) for p in idems
     ]
     if sum(s.dim for s in ideals) != n:
         raise LiestructError("ideal dimensions do not sum to dim g")
-    cent_basis = cent.basis_matrices()
-    k = len(idems.projections)
-    blocks = [[0] * k for _ in range(k)]
-    for i, pi in enumerate(idems):
-        for j, pj in enumerate(idems):
-            span = Subspace.span(
-                [(pi @ b @ pj).flatten() for b in cent_basis], n * n
-            )
-            blocks[i][j] = span.dim
+    # p_i b p_j in coordinates: L_{p_i} L_b c(p_j)
+    coords = [cent.coordinates(p) for p in idems]
+    regular = _regular(table)
+    blocks = [
+        [Subspace.span([table._left_matrix(ci).apply(b.apply(cj)) for b in regular],
+                       cent.dim).dim for cj in coords]
+        for ci in coords
+    ]
     if sum(sum(row) for row in blocks) != cent.dim:
         raise LiestructError("Peirce block dimensions do not sum to dim Cent")
     restricted = [g.restrict_to(s) for s in ideals]
@@ -372,7 +380,8 @@ def complex_structure(g: LieAlgebra) -> Optional[ComplexStructure]:
             break
     if f is None:
         raise LiestructError("semisimple part of dim 2 collapsed to scalars")
-    p = squarefree_part(min_poly(f))
+    # f has the minimal polynomial of L_f in the regular representation
+    p = squarefree_part(min_poly(_centroid_table(g)._left_matrix(centroid(g).coordinates(f))))
     if degree(p) != 2:
         raise LiestructError(
             "expected a quadratic minimal polynomial on S, got degree %d"

@@ -10,11 +10,12 @@ closed form.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError
-from .lie import LieAlgebra, _memoized, _sparse
-from .linalg import Matrix, Subspace, kernel_of_rows
+from .lie import LieAlgebra, _memoized, _sparse, _StructureTable
+from .linalg import Matrix, Subspace, Vector, kernel_of_rows, unit_vector
 from .poly import jordan_chevalley
 
 __all__ = [
@@ -196,12 +197,43 @@ def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
     return EndoSpace("commutant", n, kernel_of_rows(commutant_system(rep, n), n * n))
 
 
-def check_abelian(space: EndoSpace):
-    """Raise PreconditionError naming the first noncommuting basis pair."""
+def _algebra_table(space: EndoSpace) -> _StructureTable:
+    """Multiplication table of a matrix algebra: ``[i][j]`` holds the coordinates of
+    b_i b_j, its entries at the pivots of the echelon basis (the only ones computed)."""
+    spots = [divmod(p, space.n) for p in space.space.pivots]
     mats = space.basis_matrices()
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mats[i] @ mats[j] != mats[j] @ mats[i]:
+    cols = [tuple(zip(*b.rows)) for b in mats]
+    return _StructureTable(["b%d" % i for i in range(len(mats))], [
+        [[sum((x * y for x, y in zip(a.rows[r], bc[c]) if x), Fraction(0)) for r, c in spots]
+         for bc in cols] for a in mats])
+
+
+@_memoized
+def _centroid_table(g: LieAlgebra) -> _StructureTable:
+    return _algebra_table(centroid(g))
+
+
+def _regular(table: _StructureTable) -> list[Matrix]:
+    """L_b for the basis: the regular representation, faithful on a unital algebra."""
+    return [table._left_matrix(unit_vector(table.dim, i)) for i in range(table.dim)]
+
+
+def _from_regular(space: EndoSpace, m: Matrix) -> Vector:
+    """The flattened x = sum c_k b_k in ``space`` with L_x = m: c = L_x 1, 1 at the pivots."""
+    c = m.apply([Fraction(p % (space.n + 1) == 0) for p in space.space.pivots])
+    out = [Fraction(0)] * (space.n * space.n)
+    for ck, row in zip(c, space.space.rows):
+        for j, v in enumerate(row):
+            if ck and v:
+                out[j] += ck * v
+    return tuple(out)
+
+
+def check_abelian(space: EndoSpace, table: _StructureTable):
+    """Raise PreconditionError naming the first noncommuting pair in ``space``'s table."""
+    for i in range(space.dim):
+        for j in range(i + 1, space.dim):
+            if table.table[i][j] != table.table[j][i]:
                 raise PreconditionError(
                     "%s is not commutative: basis elements %d and %d do not commute"
                     % (space.kind, i, j)
@@ -213,19 +245,21 @@ def split_centroid(g: LieAlgebra) -> tuple[EndoSpace, EndoSpace]:
     """Split an abelian centroid into nilpotent and semisimple parts.
 
     Applies the Jordan-Chevalley decomposition to each centroid basis
-    element; N = span of the nilpotent parts, S = span of the semisimple
-    parts. For an abelian centroid these are subalgebras with N + S = Cent
-    as a direct sum.
+    element b, as the matrix L_b of Cent(g)'s regular representation (the
+    parts come back to End(g)); N = span of the nilpotent parts, S = span of
+    the semisimple parts. For an abelian centroid these are subalgebras with
+    N + S = Cent as a direct sum, which is checked in End(g).
     """
     cent = centroid(g)
-    check_abelian(cent)
+    table = _centroid_table(g)
+    check_abelian(cent, table)
     n = g.dim
     nil_parts = []
     semi_parts = []
-    for m in cent.basis_matrices():
+    for m in _regular(table):
         s, nil = jordan_chevalley(m)
-        semi_parts.append(s.flatten())
-        nil_parts.append(nil.flatten())
+        semi_parts.append(_from_regular(cent, s))
+        nil_parts.append(_from_regular(cent, nil))
     nspace = EndoSpace("nilpotent_part", n, Subspace.span(nil_parts, n * n))
     sspace = EndoSpace("semisimple_part", n, Subspace.span(semi_parts, n * n))
     total = nspace.space.sum(sspace.space)

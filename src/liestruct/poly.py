@@ -139,15 +139,21 @@ def poly_eval_matrix(p: Poly, m: Matrix, unit: Optional[Matrix] = None) -> Matri
     """Evaluate p at a square matrix by Horner's rule.
 
     ``unit`` replaces the identity as m^0; pass the unit element when m lives
-    in a unital subalgebra smaller than the full matrix algebra.
+    in a unital subalgebra smaller than the full matrix algebra. Each step
+    adds c * unit on the nonzero entries of the unit only (the diagonal, for
+    the identity).
     """
     if unit is None:
         unit = Matrix.identity(m.nrows)
+    spots = [(i, j, v) for i, row in enumerate(unit.rows) for j, v in enumerate(row) if v]
     acc = Matrix.zero(m.nrows, m.ncols)
     for c in reversed(p):
         acc = acc @ m
         if c:
-            acc = acc + unit.scale(c)
+            rows = [list(r) for r in acc.rows]
+            for i, j, v in spots:
+                rows[i][j] += c * v
+            acc = Matrix(rows)
     return acc
 
 

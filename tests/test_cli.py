@@ -100,6 +100,69 @@ def test_parse_algebra_bad_json(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# size limit: dimensions are estimated before anything is allocated
+# ---------------------------------------------------------------------------
+
+def test_size_estimates_match_built_dimensions():
+    from liestruct import classical, truncated_poly
+    from liestruct.cli import _CLASSICAL_DIM, _jet_dim
+
+    for kind, sizes in (("sl", (2, 3, 4)), ("gl", (1, 2, 3)), ("so", (2, 3, 5)),
+                        ("sp", (2, 4)), ("su", (2, 3)), ("u", (1, 2, 3))):
+        for n in sizes:
+            assert _CLASSICAL_DIM[kind](n) == classical(kind, n).dim
+    for m in (1, 2, 3):
+        for order in (1, 2, 3, 4, 5):
+            assert _jet_dim(m, order) == truncated_poly(m, order).dim
+    assert _jet_dim(10, 10) == 92378
+    assert _jet_dim(10**6, 10**6) > 2**64  # stops early instead of computing C(2e6 - 1, 1e6)
+
+
+@pytest.mark.parametrize(
+    "spec, what, dim",
+    [
+        ("cur:sl:2,jet:10,10", "jet:10,10", "92378"),
+        ("sl:9", "sl:9", "80"),
+        ("u:100000000", "u:100000000", "10000000000000000"),
+        ("cur:sl:3,points:9", "the current algebra", "72"),
+        ("sum:sl:2+cur:sl:3,points:9", "the current algebra", "72"),
+        ("sum:sl:2+cur:sl:2,jet:3,4+sl:2", "the direct sum", "66"),
+        ("sum:cur:sl:2,jet:3,4+sl:3", "the direct sum", "68"),
+        ("cur:sl:2,jet:1000000,1000000", "jet:1000000,1000000", "above 2^64"),
+    ],
+)
+def test_oversize_description_is_refused(spec, what, dim):
+    with pytest.raises(SpecParseError) as exc:
+        parse_algebra(spec)
+    assert "%s would have dimension %s, above the limit 64" % (what, dim) in str(exc.value)
+
+
+def test_max_dim_overrides_the_limit(tmp_path, heisenberg3):
+    assert parse_algebra("cur:sl:2,points:3", max_dim=9).dim == 9
+    with pytest.raises(SpecParseError, match="dimension 9, above the limit 8"):
+        parse_algebra("cur:sl:2,points:3", max_dim=8)
+    with pytest.raises(SpecParseError, match="jet:3,5 would have dimension 35"):
+        parse_coefficient_algebra("jet:3,5", max_dim=10)
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(to_dict(heisenberg3)))
+    assert parse_algebra("@" + str(path), max_dim=1) == heisenberg3  # files are not gated
+
+
+def test_main_oversize_exits_2_quickly(capsys):
+    import time
+
+    started = time.perf_counter()
+    code = main(["--algebra", "cur:sl:2,jet:10,10", "--analyze", "flags"])
+    assert code == 2
+    assert time.perf_counter() - started < 0.5
+    assert "dimension 92378" in capsys.readouterr().err
+    assert main(["--max-dim", "9", "--algebra", "cur:sl:2,points:3", "--analyze", "cent"]) == 0
+    assert main(["--max-dim", "8", "--algebra", "cur:sl:2,points:3"]) == 2
+    assert main(["sections", "--check", "centroid", "--k", "sl:2", "--A", "jet:3,5",
+                 "--max-dim", "10"]) == 2
+
+
+# ---------------------------------------------------------------------------
 # run(): the report structure
 # ---------------------------------------------------------------------------
 

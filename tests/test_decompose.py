@@ -13,6 +13,7 @@ from liestruct import (
     current_algebra,
     direct_sum,
     endo,
+    example_algebra,
     point_functions,
     quadratic_extension,
     truncated_poly,
@@ -224,3 +225,167 @@ def test_complex_structure_of_decomposable_current(sl2):
     g = current_algebra(sl2, point_functions(2))
     with pytest.raises(LiestructError):
         complex_structure(g)
+
+
+# ---------------------------------------------------------------------------
+# centroid arithmetic in the regular representation, against End(g)
+# ---------------------------------------------------------------------------
+#
+# The library runs Jordan-Chevalley, the idempotent search, the Peirce blocks
+# and the minimal polynomial of complex_structure on the d x d matrices L_b of
+# Cent(g)'s regular representation. The references below do the same work on
+# the dim g x dim g centroid basis matrices, as the search did before it had a
+# multiplication table of the centroid.
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except LiestructError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _split_reference(g):
+    from liestruct.poly import jordan_chevalley
+
+    cent = endo.centroid(g)
+    mats = cent.basis_matrices()
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if mats[i] @ mats[j] != mats[j] @ mats[i]:
+                return (
+                    "PreconditionError: centroid is not commutative: basis "
+                    "elements %d and %d do not commute" % (i, j)
+                )
+    nn = g.dim * g.dim
+    parts = [jordan_chevalley(m) for m in mats]
+    semi = Subspace.span([s.flatten() for s, _ in parts], nn)
+    nil = Subspace.span([n.flatten() for _, n in parts], nn)
+    return nil.rows, semi.rows
+
+
+def _decompose_reference(g):
+    """(idempotents, status, blocks) from the dim g x dim g search and Peirce loop."""
+    from liestruct.decompose import _split_local
+
+    cent = endo.centroid(g)
+    basis = cent.basis_matrices()
+    n = g.dim
+    idems, status = _split_local(Matrix.identity(n), basis, cent.dim * cent.dim + 1)
+    blocks = tuple(
+        tuple(Subspace.span([(p @ b @ q).flatten() for b in basis], n * n).dim for q in idems)
+        for p in idems
+    )
+    return tuple(idems), status, blocks
+
+
+def _complex_reference(g):
+    """J from the minimal polynomial of a dim g x dim g element of S, or None."""
+    from liestruct.poly import _rational_square_root, min_poly, squarefree_part
+
+    n = g.dim
+    ident = Matrix.identity(n)
+    semi = _split_reference(g)[1]
+    if len(semi) == 1:
+        return None
+    line = Subspace.span([ident.flatten()], n * n)
+    f = next(Matrix.unflatten(r, n, n) for r in semi if not line.contains(r))
+    p = squarefree_part(min_poly(f))
+    a = -p[1] / 2
+    b = _rational_square_root(p[0] - a * a)
+    if p[1] * p[1] - 4 * p[0] >= 0 or b is None:
+        return "no rational J"
+    return (f - ident.scale(a)).scale(1 / b)
+
+
+REGULAR_CASES = ("sl:3", "cur:sl:2,jet:2,3", "cur:sl:2,points:4", "sum:sl:2+sl:2+sl:2",
+                 "sl2_plus_q_rebased", "sl2 x Q(i)", "sl2 x Q(sqrt 2)", "two_dim + h3", "h3 + h3")
+
+
+@pytest.fixture(scope="module")
+def regular_cases(sl2_plus_q_rebased):
+    from liestruct.cli import parse_algebra
+
+    two_dim = example_algebra("two_dim")
+    h3 = build(3, {(0, 1): {2: F(1)}}, names=["x", "y", "z"])
+    sl2 = classical("sl", 2)
+    cases = {s: parse_algebra(s) for s in (
+        "sl:3", "cur:sl:2,jet:2,3", "cur:sl:2,points:4", "sum:sl:2+sl:2+sl:2")}
+    cases["sl2_plus_q_rebased"] = sl2_plus_q_rebased
+    cases["sl2 x Q(i)"] = current_algebra(sl2, quadratic_extension(-1))
+    cases["sl2 x Q(sqrt 2)"] = current_algebra(sl2, quadratic_extension(2))
+    cases["two_dim + h3"] = direct_sum([two_dim, h3])
+    cases["h3 + h3"] = direct_sum([h3, h3])
+    return cases
+
+
+def test_regular_cases_cover_both_representations(regular_cases):
+    smaller = {k for k, g in regular_cases.items() if endo.centroid(g).dim < g.dim}
+    # Cent(two_dim + h3) has dim 5 = dim g, Cent(h3 + h3) dim 10 > 6
+    assert smaller == set(REGULAR_CASES) - {"two_dim + h3", "h3 + h3"}
+
+
+@pytest.mark.parametrize("name", REGULAR_CASES)
+def test_split_centroid_matches_end_reference(regular_cases, name):
+    g = regular_cases[name]
+    got = _outcome(lambda: tuple(s.space.rows for s in endo.split_centroid(g)))
+    assert got == _split_reference(g)
+
+
+@pytest.mark.parametrize("name", REGULAR_CASES)
+def test_idempotents_and_blocks_match_end_reference(regular_cases, name):
+    g = regular_cases[name]
+    if name == "sl2_plus_q_rebased":  # center outside [g, g]: indecompose refuses
+        idems, status = primitive_idempotents(endo.centroid(g))
+        assert (idems.projections, status) == _decompose_reference(g)[:2]
+        return
+    report = indecompose(g)
+    assert (report.idempotents.projections, report.status, report.blocks) == \
+        _decompose_reference(g)
+    if endo.centroid(g).dim < g.dim:  # a commutative centroid in each such case
+        assert primitive_idempotents(endo.centroid(g)) == (report.idempotents, report.status)
+
+
+@pytest.mark.parametrize("name", ["sl:3", "cur:sl:2,jet:2,3", "sl2 x Q(i)", "sl2 x Q(sqrt 2)"])
+def test_complex_structure_matches_end_reference(regular_cases, name):
+    g = regular_cases[name]
+    expected = _complex_reference(g)
+    got = _outcome(lambda: complex_structure(g))
+    if expected is None:
+        assert got is None
+    elif isinstance(expected, Matrix):
+        assert got.J == expected
+    else:
+        assert "splits over the reals" in got
+
+
+def test_centroid_radical_matches_end_trace_form(regular_cases):
+    from liestruct.linalg import kernel_basis
+
+    for name in ("cur:sl:2,jet:2,3", "cur:sl:2,points:4", "sl2 x Q(sqrt 2)", "sl:3"):
+        cent = endo.centroid(regular_cases[name])
+        mats = cent.basis_matrices()
+        gram = Matrix([[(a @ b).trace() for b in mats] for a in mats])
+        assert centroid_radical(cent) == kernel_basis(gram)
+
+
+def test_split_centroid_refuses_noncommutative_centroid_with_first_pair():
+    from liestruct.cli import parse_algebra
+
+    g = parse_algebra("cur:u:3,jet:1,2")
+    expected = _split_reference(g)
+    assert isinstance(expected, str)
+    assert _outcome(lambda: endo.split_centroid(g)) == expected
+
+
+def test_centroid_table_dies_with_its_algebra():
+    import gc
+    import weakref
+
+    g = direct_sum([classical("sl", 2), build(1, {}, names=["c"])])
+    table = endo._centroid_table(g)
+    assert endo._centroid_table(g) is table
+    ref = weakref.ref(table)
+    del g, table
+    gc.collect()
+    assert ref() is None

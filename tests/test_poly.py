@@ -395,3 +395,37 @@ def test_jordan_chevalley_matches_char_poly_reference_on_centroids():
     assert any(not jordan_chevalley(m)[1].is_zero() for m in mats)  # some nilpotent parts
     for m in mats:
         assert jordan_chevalley(m) == _jordan_chevalley_reference(m)
+
+
+# ---------------------------------------------------------------------------
+# poly_eval_matrix against plain Horner
+# ---------------------------------------------------------------------------
+
+
+def _horner_reference(p, m, unit):
+    acc = Matrix.zero(m.nrows, m.ncols)
+    for c in reversed(p):
+        acc = acc @ m + unit.scale(c)
+    return acc
+
+
+def _corner(m, seed):
+    """(e, e m e) for a rank-(n-1) idempotent e = q diag(1, .., 1, 0) q^-1, q unimodular."""
+    rng = random.Random(seed)
+    n = m.nrows
+    q = _unitriangular(rng, n, True, False) @ _unitriangular(rng, n, False, False)
+    e = q @ M([[int(r == c < n - 1) for c in range(n)] for r in range(n)]) @ q.inverse()
+    return e, e @ m @ e
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED)))
+def test_poly_eval_matrix_matches_horner_reference(idx):
+    m = SEEDED[idx]
+    p = P(F(-3, 2), 0, 5, F(1, 7), -1)
+    ident = Matrix.identity(m.nrows)
+    assert poly_eval_matrix(p, m) == _horner_reference(p, m, ident)
+    assert poly_eval_matrix(min_poly(m), m).is_zero()
+    e, corner = _corner(m, idx)
+    assert e @ e == e and e != ident and any(e[r, c] for r in range(m.nrows) for c in range(r))
+    assert poly_eval_matrix(p, corner, unit=e) == _horner_reference(p, corner, e)
+    assert poly_eval_matrix([], m).is_zero()
