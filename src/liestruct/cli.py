@@ -3,10 +3,11 @@
 Parses compact algebra descriptions (sl:2, cur:sl:2,jet:1,3, sum:sl:2+sl:2,
 @file.json), runs selected analyses, and emits JSON or text reports.
 
-The dimension of every algebra a description asks for is computed before
-any table is allocated; past a limit (64 by default, ``--max-dim``) the
-description is refused as a usage error. ``@file`` inputs are not gated:
-their table is already in memory.
+The dimension of every algebra a description asks for, and of the current
+algebra a sections check builds from it (k (x) A, or k (x) Q[x_1..x_m]/(deg
+>= 2) for ``--m``), is computed before any table is allocated; past a limit
+(64 by default, ``--max-dim``) the request is refused as a usage error.
+``@file`` inputs are not gated: their table is already in memory.
 
 Exit codes: 0 when every requested analysis ran and passed its internal
 checks, 1 when an analysis or a validation failed (including a Jacobi
@@ -118,28 +119,33 @@ class _Cursor:
     def done(self) -> bool:
         return self.pos >= len(self.text)
 
-    def check_size(self, what: str, dim: int):
-        """Refuse, before it is built, an algebra of dimension above the limit."""
-        if dim > self.max_dim:
-            size = "%d" % dim if dim <= 2**64 else "above 2^64"
-            raise self.error(
-                "%s would have dimension %s, above the limit %d (see --max-dim)"
-                % (what, size, self.max_dim)
-            )
+    def check_size(self, what: str, dim: Optional[int]):
+        _check_size(what, dim, self.max_dim, self.pos)
 
 
-def _jet_dim(m: int, order: int) -> int:
-    """dim truncated_poly(m, order) = C(m + order - 1, m); once past 2^64, a lower bound.
+def _check_size(what: str, dim: Optional[int], max_dim: int, pos: int = 0):
+    """Refuse, before it is built, an algebra of dimension ``dim`` above
+    ``max_dim``; None stands for a dimension known to be above it."""
+    if dim is None or dim > max_dim:
+        size = "" if dim is None else "%d, " % dim
+        raise SpecParseError(
+            "%s would have dimension %sabove the limit %d (see --max-dim)"
+            % (what, size, max_dim), pos
+        )
+
+
+def _jet_dim(m: int, order: int, limit: int) -> Optional[int]:
+    """dim truncated_poly(m, order) = C(m + order - 1, m), or None once it
+    is known to exceed ``limit``.
 
     Arguments that truncated_poly rejects give 1, so its own error is raised.
     """
-    r = min(m, order - 1)
     dim = 1
-    # after step i, dim = C(max(m, order - 1) + i, i), at least twice the last value
-    for i in range(1, r + 1):
+    # after step i, dim = C(max(m, order - 1) + i, i), which never decreases
+    for i in range(1, min(m, order - 1) + 1):
         dim = dim * (max(m, order - 1) + i) // i
-        if dim > 2**64:
-            break
+        if dim > limit:
+            return None
     return dim
 
 
@@ -148,7 +154,7 @@ def _parse_coefficient(cur: _Cursor) -> CommutativeAlgebra:
         m = cur.integer()
         cur.expect(",")
         order = cur.integer()
-        cur.check_size("jet:%d,%d" % (m, order), _jet_dim(m, order))
+        cur.check_size("jet:%d,%d" % (m, order), _jet_dim(m, order, cur.max_dim))
         try:
             return truncated_poly(m, order)
         except ValueError as exc:
@@ -356,6 +362,20 @@ def _jet_order(a: CommutativeAlgebra) -> int:
     return 1 + max(sum(mono) for mono in a.monomials)
 
 
+def _section_model_dim(check: str, k: LieAlgebra, a: Optional[CommutativeAlgebra],
+                       m: int) -> int:
+    """dim of the current algebra a sections check builds (0 if it builds none)."""
+    if check in ("xder", "symbol"):
+        if m < 0:
+            raise SpecParseError("--m must be >= 0, got %d" % m, 0)
+        return k.dim * (m + 1)  # k (x) Q[x_1..x_m]/(deg >= 2)
+    if a is None or check == "multinom":
+        return 0
+    if check == "jetauto":
+        return k.dim * _jet_order(a) if a.monomials is not None else 0
+    return k.dim * a.dim
+
+
 def run(algebra_spec: str, analyses: Sequence[str],
         coeff_spec: Optional[str] = None, m: int = 1,
         max_dim: int = DEFAULT_MAX_DIM) -> dict:
@@ -369,6 +389,10 @@ def run(algebra_spec: str, analyses: Sequence[str],
     started = time.monotonic()
     g = parse_algebra(algebra_spec, max_dim)
     a = parse_coefficient_algebra(coeff_spec, max_dim) if coeff_spec else None
+    for name in analyses:
+        if name.startswith("sections:"):
+            _check_size("the algebra of %s" % name,
+                        _section_model_dim(name.split(":", 1)[1], g, a, m), max_dim)
     results = []
     for name in analyses:
         try:

@@ -15,12 +15,12 @@ but the search never relies on commutativity: each branch works inside the
 commutative subalgebra generated by one element, corner nesting makes
 idempotents from different branches orthogonal, and the trace-form kernel
 equals the radical for any faithfully represented algebra in characteristic
-zero. So the search runs in the smaller faithful representation: the regular
-one (the d x d matrices L_b, d = dim Cent) when d < dim g, else the basis
-matrices; its idempotents are checked in End(g). A corner p Cent(g) p is
-canonically the centroid of the ideal im(p)
-(extend an endomorphism of the ideal by zero on the complement), so the
-recursion stops exactly when each piece is indecomposable.
+zero. So the search runs in the regular representation (the d x d matrices
+L_b, d = dim Cent), which is faithful because Cent contains 1; its
+idempotents are mapped back to End(g) and checked there. A corner
+p Cent(g) p is canonically the centroid of the ideal im(p) (extend an
+endomorphism of the ideal by zero on the complement), so the recursion
+stops exactly when each piece is indecomposable.
 
 All arithmetic is exact, so every claimed identity (p^2 = p, orthogonality,
 completeness) holds on the nose, not up to tolerance.
@@ -244,7 +244,7 @@ def primitive_idempotents(cent: EndoSpace) -> tuple[IdempotentSet, str]:
     roots), "nonsplit_real" (an imaginary-quadratic residue field appeared:
     decomposition is final over R too), or "nonsplit_unknown" (evidence of
     real irrationalities: the rational decomposition may be coarser than the
-    real one). It searches the smaller faithful representation (module docs).
+    real one). The search runs in cent's regular representation (module docs).
     """
     table = _algebra_table(cent)
     check_abelian(cent, table)
@@ -259,11 +259,8 @@ def _primitive_idempotents_any(cent: EndoSpace, table) -> tuple[IdempotentSet, s
     if not cent.contains(unit):
         raise PreconditionError("centroid does not contain the identity")
     bound = cent.dim * cent.dim + 1
-    if cent.dim < cent.n:
-        idems, status = _split_local(Matrix.identity(cent.dim), _regular(table), bound)
-        idems = [Matrix.unflatten(_from_regular(cent, p), cent.n, cent.n) for p in idems]
-    else:
-        idems, status = _split_local(unit, cent.basis_matrices(), bound)
+    idems, status = _split_local(Matrix.identity(cent.dim), _regular(table), bound)
+    idems = [Matrix.unflatten(_from_regular(cent, p), cent.n, cent.n) for p in idems]
     # exactness checks: mutual orthogonality and completeness
     total = Matrix.zero(cent.n, cent.n)
     for i, p in enumerate(idems):

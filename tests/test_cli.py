@@ -113,36 +113,39 @@ def test_size_estimates_match_built_dimensions():
             assert _CLASSICAL_DIM[kind](n) == classical(kind, n).dim
     for m in (1, 2, 3):
         for order in (1, 2, 3, 4, 5):
-            assert _jet_dim(m, order) == truncated_poly(m, order).dim
-    assert _jet_dim(10, 10) == 92378
-    assert _jet_dim(10**6, 10**6) > 2**64  # stops early instead of computing C(2e6 - 1, 1e6)
+            assert _jet_dim(m, order, 64) == truncated_poly(m, order).dim
+    assert _jet_dim(10, 10, 10**5) == 92378
+    assert _jet_dim(10, 10, 92377) is None
+    assert _jet_dim(10**6, 10**6, 64) is None  # stops early instead of computing C(2e6 - 1, 1e6)
 
 
 @pytest.mark.parametrize(
     "spec, what, dim",
     [
-        ("cur:sl:2,jet:10,10", "jet:10,10", "92378"),
-        ("sl:9", "sl:9", "80"),
-        ("u:100000000", "u:100000000", "10000000000000000"),
-        ("cur:sl:3,points:9", "the current algebra", "72"),
-        ("sum:sl:2+cur:sl:3,points:9", "the current algebra", "72"),
-        ("sum:sl:2+cur:sl:2,jet:3,4+sl:2", "the direct sum", "66"),
-        ("sum:cur:sl:2,jet:3,4+sl:3", "the direct sum", "68"),
-        ("cur:sl:2,jet:1000000,1000000", "jet:1000000,1000000", "above 2^64"),
+        ("cur:sl:2,jet:10,10", "jet:10,10", ""),
+        ("sl:9", "sl:9", "80, "),
+        ("u:100000000", "u:100000000", "10000000000000000, "),
+        ("cur:sl:3,points:9", "the current algebra", "72, "),
+        ("sum:sl:2+cur:sl:3,points:9", "the current algebra", "72, "),
+        ("sum:sl:2+cur:sl:2,jet:3,4+sl:2", "the direct sum", "66, "),
+        ("sum:cur:sl:2,jet:3,4+sl:3", "the direct sum", "68, "),
+        ("cur:sl:2,jet:1000000,1000000", "jet:1000000,1000000", ""),
+        ("cur:sl:2,points:65", "points:65", "65, "),
     ],
 )
 def test_oversize_description_is_refused(spec, what, dim):
     with pytest.raises(SpecParseError) as exc:
         parse_algebra(spec)
-    assert "%s would have dimension %s, above the limit 64" % (what, dim) in str(exc.value)
+    assert "%s would have dimension %sabove the limit 64" % (what, dim) in str(exc.value)
 
 
 def test_max_dim_overrides_the_limit(tmp_path, heisenberg3):
     assert parse_algebra("cur:sl:2,points:3", max_dim=9).dim == 9
     with pytest.raises(SpecParseError, match="dimension 9, above the limit 8"):
         parse_algebra("cur:sl:2,points:3", max_dim=8)
-    with pytest.raises(SpecParseError, match="jet:3,5 would have dimension 35"):
+    with pytest.raises(SpecParseError, match="jet:3,5 would have dimension above the limit 10"):
         parse_coefficient_algebra("jet:3,5", max_dim=10)
+    assert parse_coefficient_algebra("jet:3,5", max_dim=35).dim == 35
     path = tmp_path / "h3.json"
     path.write_text(json.dumps(to_dict(heisenberg3)))
     assert parse_algebra("@" + str(path), max_dim=1) == heisenberg3  # files are not gated
@@ -155,11 +158,45 @@ def test_main_oversize_exits_2_quickly(capsys):
     code = main(["--algebra", "cur:sl:2,jet:10,10", "--analyze", "flags"])
     assert code == 2
     assert time.perf_counter() - started < 0.5
-    assert "dimension 92378" in capsys.readouterr().err
+    assert "jet:10,10 would have dimension above the limit 64" in capsys.readouterr().err
     assert main(["--max-dim", "9", "--algebra", "cur:sl:2,points:3", "--analyze", "cent"]) == 0
     assert main(["--max-dim", "8", "--algebra", "cur:sl:2,points:3"]) == 2
     assert main(["sections", "--check", "centroid", "--k", "sl:2", "--A", "jet:3,5",
                  "--max-dim", "10"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sections", "--check", "xder", "--k", "sl:2", "--m", "100000"],
+         "sections:xder would have dimension 300003, above the limit 64"),
+        (["sections", "--check", "symbol", "--k", "sl:3", "--m", "7", "--max-dim", "63"],
+         "sections:symbol would have dimension 64, above the limit 63"),
+        (["--algebra", "sl:2", "--analyze", "flags,sections:xder", "--m", "21"],
+         "sections:xder would have dimension 66, above the limit 64"),
+        (["sections", "--check", "xder", "--k", "sl:2", "--m", "-1"],
+         "--m must be >= 0, got -1"),
+        (["sections", "--check", "centroid", "--k", "sl:3", "--A", "points:9"],
+         "sections:centroid would have dimension 72, above the limit 64"),
+        (["sections", "--check", "jetauto", "--k", "sl:3", "--A", "jet:1,9"],
+         "sections:jetauto would have dimension 72, above the limit 64"),
+    ],
+)
+def test_oversize_section_model_exits_2_before_it_is_built(capsys, argv, message):
+    import time
+
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 0.5
+    assert message in capsys.readouterr().err
+
+
+def test_section_model_within_the_limit_runs():
+    report = run("sl:2", ["sections:xder", "sections:multinom"], m=3, max_dim=12)
+    assert [a["ok"] for a in report["analyses"]] == [True, True]
+    # multinom builds no algebra, so a large --A does not matter to it
+    report = run("sl:2", ["sections:multinom"], coeff_spec="points:40")
+    assert report["analyses"][0]["ok"]
 
 
 # ---------------------------------------------------------------------------

@@ -299,7 +299,8 @@ def _complex_reference(g):
 
 
 REGULAR_CASES = ("sl:3", "cur:sl:2,jet:2,3", "cur:sl:2,points:4", "sum:sl:2+sl:2+sl:2",
-                 "sl2_plus_q_rebased", "sl2 x Q(i)", "sl2 x Q(sqrt 2)", "two_dim + h3", "h3 + h3")
+                 "sl2_plus_q_rebased", "sl2 x Q(i)", "sl2 x Q(sqrt 2)", "two_dim + h3", "h3 + h3",
+                 "two_dim + h3 + sl3")
 
 
 @pytest.fixture(scope="module")
@@ -316,13 +317,30 @@ def regular_cases(sl2_plus_q_rebased):
     cases["sl2 x Q(sqrt 2)"] = current_algebra(sl2, quadratic_extension(2))
     cases["two_dim + h3"] = direct_sum([two_dim, h3])
     cases["h3 + h3"] = direct_sum([h3, h3])
+    cases["two_dim + h3 + sl3"] = direct_sum([two_dim, h3, classical("sl", 3)])
     return cases
 
 
-def test_regular_cases_cover_both_representations(regular_cases):
-    smaller = {k for k, g in regular_cases.items() if endo.centroid(g).dim < g.dim}
-    # Cent(two_dim + h3) has dim 5 = dim g, Cent(h3 + h3) dim 10 > 6
-    assert smaller == set(REGULAR_CASES) - {"two_dim + h3", "h3 + h3"}
+def _is_commutative(cent):
+    mats = cent.basis_matrices()
+    return all(a @ b == b @ a for a in mats for b in mats)
+
+
+def test_regular_cases_cover_every_shape_of_centroid(regular_cases):
+    shapes = {}
+    for name, g in regular_cases.items():
+        cent = endo.centroid(g)
+        key = ((cent.dim > g.dim) - (cent.dim < g.dim), _is_commutative(cent))
+        shapes.setdefault(key, set()).add(name)
+    # (sign of dim Cent - dim g, commutative): the regular representation is
+    # smaller, as large as or larger than End(g), on commutative and
+    # noncommutative centroids, where the idempotents are not unique
+    assert shapes == {
+        (-1, True): set(REGULAR_CASES[:7]),
+        (-1, False): {"two_dim + h3 + sl3"},  # dim Cent 6, dim g 13
+        (0, False): {"two_dim + h3"},  # 5 and 5
+        (1, False): {"h3 + h3"},  # 10 and 6
+    }
 
 
 @pytest.mark.parametrize("name", REGULAR_CASES)
@@ -342,7 +360,7 @@ def test_idempotents_and_blocks_match_end_reference(regular_cases, name):
     report = indecompose(g)
     assert (report.idempotents.projections, report.status, report.blocks) == \
         _decompose_reference(g)
-    if endo.centroid(g).dim < g.dim:  # a commutative centroid in each such case
+    if _is_commutative(endo.centroid(g)):
         assert primitive_idempotents(endo.centroid(g)) == (report.idempotents, report.status)
 
 
