@@ -197,30 +197,26 @@ def commutative_derivations(a: CommutativeAlgebra):
 # ---------------------------------------------------------------------------
 
 def _from_matrix_basis(mats: list[Matrix], names: list[str]) -> LieAlgebra:
-    """Structure constants from commutators of a basis of matrices."""
-    span = Subspace.span([m.flatten() for m in mats], mats[0].nrows * mats[0].ncols)
+    """Structure constants from commutators of a basis of matrices.
+
+    The flattened basis is reduced once. With P the basis restricted to the
+    pivot columns of that echelon (row i: basis matrix i), the vector with
+    coordinates x has pivot entries P^T x; so the coordinates of each
+    commutator are (P^-1)^T times its pivot entries.
+    """
+    flat = [m.flatten() for m in mats]
+    span = Subspace.span(flat, len(flat[0]))
     if span.dim != len(mats):
         raise ValueError("matrix basis is linearly dependent")
-    dim = len(mats)
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).flatten()
-            # coordinates w.r.t. the (possibly non-canonical) matrix basis:
-            # solve against the stacked flattened basis
-            coords = _coords_in(mats, comm)
-            table[i][j] = coords
-    return LieAlgebra(names, table)
+    to_coords = Matrix([[v[p] for p in span.pivots] for v in flat]).inverse().transpose()
 
+    def coords(a: Matrix, b: Matrix) -> Vector:
+        comm = a.commutator(b).flatten()
+        if not span.contains(comm):
+            raise ValueError("commutator escapes the span of the basis")
+        return to_coords.apply([comm[p] for p in span.pivots])
 
-def _coords_in(mats: list[Matrix], target) -> Vector:
-    from .linalg import solve
-
-    cols = Matrix.from_columns([m.flatten() for m in mats])
-    x = solve(cols, target)
-    if x is None:
-        raise ValueError("commutator escapes the span of the basis")
-    return x
+    return LieAlgebra(names, [[coords(a, b) for b in mats] for a in mats])
 
 
 def _eij(n: int, i: int, j: int) -> Matrix:

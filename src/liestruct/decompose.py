@@ -34,7 +34,7 @@ from typing import Optional
 
 from .errors import LiestructError, PreconditionError, SeparatingElementError
 from .endo import (EndoSpace, _algebra_table, _centroid_table, _from_regular, _regular,
-                   centroid, check_abelian, j_space, split_centroid)
+                   centroid, check_abelian, split_centroid)
 from .lie import LieAlgebra, _memoized
 from .linalg import Matrix, Subspace, kernel_basis
 from .poly import (
@@ -290,6 +290,10 @@ def indecompose(g: LieAlgebra) -> DecompositionReport:
     search handles that (see the module docstring), and the off-diagonal
     Peirce blocks it reports measure the remaining non-uniqueness: the
     decomposition is unique exactly when they all vanish (`is_unique`).
+    Each block p_i Cent p_j (i != j) is checked against the dimension of
+    Hom(g_j/[g_j,g_j], z(g_i)), and j_dims[i] = dim J(g_i) is the same closed
+    form for j = i; z(g_i) and [g_i,g_i] are the images of z(g) and [g,g]
+    under p_i, so no ideal is rebuilt as an algebra of its own.
     """
     z = g.center()
     comm = g.commutator_algebra()
@@ -318,19 +322,17 @@ def indecompose(g: LieAlgebra) -> DecompositionReport:
     ]
     if sum(sum(row) for row in blocks) != cent.dim:
         raise LiestructError("Peirce block dimensions do not sum to dim Cent")
-    restricted = [g.restrict_to(s) for s in ideals]
-    j_dims = []
-    for i, gi in enumerate(restricted):
-        zi = gi.center().dim
-        j_dims.append(j_space(gi).dim)
-        for j, gj in enumerate(restricted):
-            if i == j:
-                continue
-            hom_dim = (gj.dim - gj.commutator_algebra().dim) * zi
-            if blocks[i][j] != hom_dim:
+    # g is the direct sum of the g_i = im(p_i): p_i z(g) = z(g_i), p_i [g,g] = [g_i,g_i]
+    zdims = [Subspace.span([p.apply(v) for v in z.rows], n).dim for p in idems]
+    abel = [s.dim - Subspace.span([p.apply(v) for v in comm.rows], n).dim
+            for p, s in zip(idems, ideals)]
+    j_dims = [a * zi for a, zi in zip(abel, zdims)]  # dim Hom(g_i/[g_i,g_i], z(g_i))
+    for i, zi in enumerate(zdims):
+        for j, aj in enumerate(abel):
+            if i != j and blocks[i][j] != aj * zi:
                 raise LiestructError(
                     "block (%d, %d) has dim %d but Hom(g_j/[g_j,g_j], z(g_i)) "
-                    "has dim %d" % (i, j, blocks[i][j], hom_dim)
+                    "has dim %d" % (i, j, blocks[i][j], aj * zi)
                 )
     return DecompositionReport(
         ideals=tuple(ideals),

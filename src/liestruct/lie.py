@@ -227,21 +227,21 @@ class LieAlgebra(_StructureTable):
     def derived_series(self) -> list[Subspace]:
         """g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ..., stopping when it stabilizes."""
         series = [self.full_space()]
-        while True:
-            nxt = self.bracket_span(series[-1], series[-1])
-            if nxt == series[-1]:
-                return series
+        nxt = self.commutator_algebra()
+        while nxt != series[-1]:
             series.append(nxt)
+            nxt = self.bracket_span(nxt, nxt)
+        return series
 
     def lower_central_series(self) -> list[Subspace]:
         """g ⊇ [g,g] ⊇ [g,[g,g]] ⊇ ..., stopping when it stabilizes."""
-        series = [self.full_space()]
         full = self.full_space()
-        while True:
-            nxt = self.bracket_span(full, series[-1])
-            if nxt == series[-1]:
-                return series
+        series = [full]
+        nxt = self.commutator_algebra()
+        while nxt != series[-1]:
             series.append(nxt)
+            nxt = self.bracket_span(full, nxt)
+        return series
 
     @_memoized
     def killing_form(self) -> Matrix:
@@ -263,6 +263,9 @@ class LieAlgebra(_StructureTable):
 
     @_memoized
     def _flags(self) -> dict:
+        """The flags from g's own invariants. If g = z(g) + [g,g], then for x, y
+        in [g,g] ad_x ad_y kills z(g) and maps into [g,g]; so g is reductive iff
+        g's Killing form restricted to [g,g], B kappa B^T, is nondegenerate."""
         comm = self.commutator_algebra()
         center = self.center()
         abelian = comm.is_zero()
@@ -276,9 +279,9 @@ class LieAlgebra(_StructureTable):
         if semisimple or abelian:
             reductive = True
         elif center.dim + comm.dim == self.dim and center.sum(comm).is_full():
-            comm_alg = self.restrict_to(comm)
-            _, r, _ = row_reduce(comm_alg.killing_form())
-            reductive = r == comm_alg.dim
+            basis = comm.basis_matrix()
+            _, r, _ = row_reduce(basis @ self.killing_form() @ basis.transpose())
+            reductive = r == comm.dim
         simple = False
         if semisimple and not abelian:
             from .decompose import indecompose

@@ -40,10 +40,6 @@ def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def scale_vector(c: Fraction, v: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in v)
-
-
 class Matrix:
     """An immutable rows x cols matrix of Fractions."""
 
@@ -250,13 +246,13 @@ def _reduce(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]
     return row
 
 
-def _echelon(rows: Iterable, ncols: int, pivots: dict[int, dict[int, int]]):
+def _echelon(rows: Iterable, pivots: dict[int, dict[int, int]]):
     """Incremental integer echelon form.
 
     Fills ``pivots`` with pivot_column -> sparse ``{col: int}`` row and
-    returns the same rows dense, as pivot_column -> list of ints. Rows are
-    combined with exact cross-multiplication, so no fractions ever appear
-    during elimination.
+    returns views of the pivot rows' entries, as pivot_column -> values.
+    Rows are combined with exact cross-multiplication, so no fractions ever
+    appear during elimination.
     """
     for raw in rows:
         row = _int_row(raw)
@@ -267,14 +263,8 @@ def _echelon(rows: Iterable, ncols: int, pivots: dict[int, dict[int, int]]):
                 pivots[lead] = _primitive(row)
                 break
             row = _reduce(row, prow, lead)
-    # the dense copy is what perfbench/tracing.py reads for the largest entry size
-    dense = {}
-    for c, prow in pivots.items():
-        out = [0] * ncols
-        for j, v in prow.items():
-            out[j] = v
-        dense[c] = out
-    return dense
+    # the views are what perfbench/tracing.py reads for the largest entry size
+    return {c: prow.values() for c, prow in pivots.items()}
 
 
 def _rref(rows: Iterable, ncols: int):
@@ -285,7 +275,7 @@ def _rref(rows: Iterable, ncols: int):
     for the nonzero entries of the result.
     """
     pivots: dict[int, dict[int, int]] = {}
-    _echelon(rows, ncols, pivots)
+    _echelon(rows, pivots)
     cols = sorted(pivots)
     # eliminate above pivots, bottom-up, still on integer rows
     for idx in range(len(cols) - 1, -1, -1):

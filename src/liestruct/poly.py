@@ -34,10 +34,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def is_zero(p: Poly) -> bool:
-    return not normalize(p)
-
-
 def poly_add(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
     return normalize(
@@ -46,15 +42,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
             for i in range(n)
         ]
     )
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, [-c for c in q])
-
-
-def poly_scale(c: Fraction, p: Poly) -> Poly:
-    c = frac(c)
-    return normalize([c * a for a in p])
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -155,28 +142,6 @@ def poly_eval_matrix(p: Poly, m: Matrix, unit: Optional[Matrix] = None) -> Matri
                 rows[i][j] += c * v
             acc = Matrix(rows)
     return acc
-
-
-def poly_str(p: Poly, var: str = "t") -> str:
-    p = normalize(p)
-    if not p:
-        return "0"
-    parts = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if not c:
-            continue
-        if i == 0:
-            term = str(c)
-        else:
-            mag = "" if abs(c) == 1 else "%s*" % abs(c)
-            term = "%s%s" % (mag, var if i == 1 else "%s^%d" % (var, i))
-            if c < 0:
-                term = "-" + term
-        if parts and not term.startswith("-"):
-            parts.append("+")
-        parts.append(term)
-    return " ".join(parts).replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from liestruct import (
     CommutativeAlgebra,
     JacobiError,
+    LieAlgebra,
     LiestructError,
     Matrix,
     build,
@@ -20,6 +21,7 @@ from liestruct import (
     centroid,
     classical,
     commutative_derivations,
+    construct,
     current_algebra,
     direct_sum,
     example_algebra,
@@ -28,7 +30,7 @@ from liestruct import (
     tensor_vector,
     truncated_poly,
 )
-from liestruct.linalg import kron, unit_vector, vector, zero_vector
+from liestruct.linalg import kron, solve, unit_vector, vector, zero_vector
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +104,45 @@ def test_classical_rejects_bad_input():
         classical("e8", 8)
     with pytest.raises(ValueError):
         classical("gl", 0)
+
+
+def _solve_per_pair(mats, names):
+    """Structure constants by one `solve` per ordered pair of basis matrices,
+    against the stacked flattened basis: the reference for the one-echelon
+    builder."""
+    cols = Matrix.from_columns([m.flatten() for m in mats])
+    table = [[solve(cols, a.commutator(b).flatten()) for b in mats] for a in mats]
+    return LieAlgebra(names, table)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("sl", n) for n in range(2, 6)]
+    + [("gl", n) for n in range(1, 5)]
+    + [("so", n) for n in range(2, 7)]
+    + [("sp", n) for n in (2, 4, 6)]
+    + [("u", n) for n in range(1, 5)]
+    + [("su", n) for n in range(2, 5)],
+)
+def test_classical_matches_per_pair_solve(monkeypatch, kind, n):
+    g = classical(kind, n)
+    monkeypatch.setattr(construct, "_from_matrix_basis", _solve_per_pair)
+    ref = classical(kind, n)
+    assert g.names == ref.names
+    assert g.table == ref.table
+
+
+def test_matrix_basis_must_be_independent():
+    e12 = Matrix([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        construct._from_matrix_basis([e12, e12.scale(2)], ["a", "b"])
+
+
+def test_matrix_basis_must_be_closed_under_commutators():
+    # [E12, E21] = E11 - E22 is not in span{E12, E21}
+    e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
+    with pytest.raises(ValueError, match="commutator escapes the span of the basis"):
+        construct._from_matrix_basis([e12, e21], ["E12", "E21"])
 
 
 # ---------------------------------------------------------------------------

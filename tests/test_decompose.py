@@ -183,6 +183,22 @@ def test_indecompose_permutation_stability(sl2, heisenberg3):
     assert base_set == other_set
 
 
+@pytest.mark.parametrize("parts", ["h3+h3", "two_dim+h3", "two_dim+h3+sl3", "h3+sl2"])
+def test_indecompose_invariants_match_restricted_ideals(parts, two_dim, heisenberg3, sl2, sl3):
+    # reference: each ideal rebuilt as an algebra of its own
+    pieces = {"h3": heisenberg3, "two_dim": two_dim, "sl2": sl2, "sl3": sl3}
+    g = direct_sum([pieces[p] for p in parts.split("+")])
+    report = indecompose(g)
+    restricted = [g.restrict_to(s) for s in report.ideals]
+    assert report.j_dims == tuple(endo.j_space(gi).dim for gi in restricted)
+    assert any(report.j_dims)
+    for i, gi in enumerate(restricted):
+        for j, gj in enumerate(restricted):
+            hom = (gj.dim - gj.commutator_algebra().dim) * gi.center().dim
+            expected = endo.centroid(gi).dim if i == j else hom
+            assert report.blocks[i][j] == expected
+
+
 # ---------------------------------------------------------------------------
 # complex_structure
 # ---------------------------------------------------------------------------

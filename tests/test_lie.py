@@ -23,7 +23,7 @@ from liestruct import (
 )
 from liestruct.cli import parse_algebra
 from liestruct.errors import JacobiError, NotAnIdealError
-from liestruct.linalg import Matrix, Subspace, unit_vector, vector
+from liestruct.linalg import Matrix, Subspace, row_reduce, unit_vector, vector
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,37 @@ def test_series_two_dim(two_dim):
     assert two_dim.flags()["solvable"]
 
 
+def _filiform(n):
+    """The standard filiform algebra: [e0, e_i] = e_{i+1} for 1 <= i < n - 1."""
+    return build(n, {(0, i): {i + 1: F(1)} for i in range(1, n - 1)})
+
+
+def _series_by_bracket_span(g, step):
+    """Apply ``step`` from g until the term repeats: the series without the memo."""
+    series = [g.full_space()]
+    while True:
+        nxt = step(series[-1])
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
+
+
+@pytest.mark.parametrize("spec", ["ex:2dim", "cur:sl:2,jet:2,3", "filiform"])
+def test_series_match_bracket_span_loop(spec):
+    g = _filiform(6) if spec == "filiform" else parse_algebra(spec)
+    full = g.full_space()
+    derived = _series_by_bracket_span(g, lambda s: g.bracket_span(s, s))
+    lower = _series_by_bracket_span(g, lambda s: g.bracket_span(full, s))
+    assert g.derived_series() == derived
+    assert g.lower_central_series() == lower
+
+
+def test_filiform_series_lengths():
+    g = _filiform(6)
+    assert [s.dim for s in g.derived_series()] == [6, 4, 0]
+    assert [s.dim for s in g.lower_central_series()] == [6, 4, 3, 2, 1, 0]
+
+
 def test_derived_contained_in_lower_central(two_dim, heisenberg3, oscillator6):
     for g in (two_dim, heisenberg3, oscillator6):
         derived = g.derived_series()
@@ -314,6 +345,39 @@ def test_semisimple_implies_perfect_and_centerfree(sl2, sl3, so3):
         flags = g.flags()
         if flags["semisimple"]:
             assert flags["perfect"] and flags["centerfree"]
+
+
+def _reductive_by_restriction(g):
+    """Reductive, with the Killing form of [g,g] taken as an algebra of its own."""
+    flags = g.flags()
+    if flags["semisimple"] or flags["abelian"]:
+        return True
+    z, comm = g.center(), g.commutator_algebra()
+    if z.dim + comm.dim != g.dim or not z.sum(comm).is_full():
+        return False
+    h = g.restrict_to(comm)
+    return row_reduce(h.killing_form())[1] == h.dim
+
+
+@pytest.mark.parametrize(
+    "spec, reductive",
+    [
+        ("gl:2", True),
+        ("gl:3", True),
+        ("u:3", True),
+        ("cur:gl:2,points:2", True),
+        ("sum:gl:2+sl:2", True),
+        ("cur:gl:2,jet:1,2", False),
+        ("cur:u:3,jet:1,2", False),
+    ],
+)
+def test_reductive_matches_restricted_killing_form(spec, reductive):
+    g = parse_algebra(spec)
+    flags = g.flags()
+    # every case reaches the z(g) + [g,g] test with a proper nonzero center
+    assert not flags["semisimple"] and not flags["abelian"]
+    assert g.center().dim + g.commutator_algebra().dim == g.dim
+    assert flags["reductive"] == _reductive_by_restriction(g) == reductive
 
 
 def test_flags_returns_a_copy_the_memo_keeps(two_dim):
