@@ -114,7 +114,12 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # a non-ASCII digit, or more digits than int() reads
+            raise SpecParseError(
+                "cannot read this integer (%d characters)" % (self.pos - start), start
+            ) from None
 
     def done(self) -> bool:
         return self.pos >= len(self.text)
@@ -208,9 +213,14 @@ def _parse_lie(cur: _Cursor) -> LieAlgebra:
                 data = json.load(fh)
         except OSError as exc:
             raise cur.error("cannot read %s: %s" % (path, exc)) from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
             raise cur.error("invalid JSON in %s: %s" % (path, exc)) from None
-        return from_dict(data)
+        try:
+            return from_dict(data)
+        except KeyError as exc:
+            raise cur.error("invalid algebra in %s: missing key %s" % (path, exc)) from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise cur.error("invalid algebra in %s: %s" % (path, exc)) from None
     raise cur.error(
         "expected an algebra (sl:|gl:|so:|sp:|u:|su:|ex:|cur:|sum:|@file)"
     )

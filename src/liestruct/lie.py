@@ -389,9 +389,15 @@ def build(
                 "bracket key (%r, %r) must satisfy 0 <= left < right < dim" % (i, j)
             )
         for k, coeff in value.items():
+            k = int(k)
+            if not 0 <= k < dim:
+                raise ValueError(
+                    "bracket (%d, %d) has coefficient index %d outside 0..%d"
+                    % (i, j, k, dim - 1)
+                )
             c = frac(coeff)
-            table[i][j][int(k)] = c
-            table[j][i][int(k)] = -c
+            table[i][j][k] = c
+            table[j][i][k] = -c
     algebra = LieAlgebra(names, table)
     if validate:
         _check_jacobi(algebra)

@@ -189,13 +189,13 @@ class Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; row/column index (i, p) maps to i*b.nrows + p."""
+    zeros = (_ZERO,) * b.ncols
     out = []
-    for i in range(a.nrows):
-        for p in range(b.nrows):
+    for arow in a.rows:
+        for brow in b.rows:
             row = []
-            for j in range(a.ncols):
-                aij = a.rows[i][j]
-                row.extend(aij * x for x in b.rows[p])
+            for aij in arow:
+                row.extend([aij * x for x in brow] if aij else zeros)
             out.append(row)
     return Matrix(out)
 
@@ -267,6 +267,19 @@ def _echelon(rows: Iterable, pivots: dict[int, dict[int, int]]):
     return {c: prow.values() for c, prow in pivots.items()}
 
 
+def _back_substitute(pivots: dict[int, dict[int, int]]) -> list[int]:
+    """Clear each pivot column from the integer pivot rows above it, bottom-up,
+    in place; returns the sorted pivot columns."""
+    cols = sorted(pivots)
+    for idx in range(len(cols) - 1, -1, -1):
+        c = cols[idx]
+        prow = pivots[c]
+        for c2 in cols[:idx]:
+            if c in pivots[c2]:
+                pivots[c2] = _primitive(_reduce(pivots[c2], prow, c))
+    return cols
+
+
 def _rref(rows: Iterable, ncols: int):
     """Reduced row echelon form.
 
@@ -276,14 +289,7 @@ def _rref(rows: Iterable, ncols: int):
     """
     pivots: dict[int, dict[int, int]] = {}
     _echelon(rows, pivots)
-    cols = sorted(pivots)
-    # eliminate above pivots, bottom-up, still on integer rows
-    for idx in range(len(cols) - 1, -1, -1):
-        c = cols[idx]
-        prow = pivots[c]
-        for c2 in cols[:idx]:
-            if c in pivots[c2]:
-                pivots[c2] = _primitive(_reduce(pivots[c2], prow, c))
+    cols = _back_substitute(pivots)
     out = []
     for c in cols:
         row = pivots[c]
@@ -317,40 +323,28 @@ def kernel_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     ``{col: value}`` map with no zero entries. Rows are streamed through the
     sparse integer echelon, so callers can assemble large constraint systems
     lazily and never materialize their zeros.
+
+    Column j is eliminated as ncols-1-j, so each reduced pivot row reads
+    x_c + sum a_cj x_j = 0 over free columns j < c. The vector of free column
+    j has its 1 at j and -a_cj at pivot columns c > j only, where the other
+    kernel vectors are zero: the canonical RREF basis, read off directly.
     """
-    rref_rows, rank, pivots = _rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rref_rows[r][j]
-        basis.append(v)
-    return Subspace._from_canonical(basis, ncols) if _is_canonical(basis, ncols) else Subspace.span(basis, ncols)
-
-
-def _is_canonical(rows, ncols) -> bool:
-    """Check rows are already in RREF with monic pivots (cheap test)."""
-    last = -1
-    pivcols = []
-    for r in rows:
-        lead = -1
-        for j, v in enumerate(r):
-            if v:
-                lead = j
-                break
-        if lead < 0 or lead <= last or r[lead] != 1:
-            return False
-        last = lead
-        pivcols.append(lead)
-    for c in pivcols:
-        count = sum(1 for r in rows if r[c])
-        if count != 1:
-            return False
-    return True
+    last = ncols - 1
+    pivots: dict[int, dict[int, int]] = {}
+    _echelon(
+        ({last - j: x for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
+         for r in rows),
+        pivots,
+    )
+    _back_substitute(pivots)
+    free = [j for j in range(ncols) if last - j not in pivots]
+    basis = {j: [_ZERO] * j + [Fraction(1)] + [_ZERO] * (last - j) for j in free}
+    for p, row in pivots.items():
+        lead, c = row[p], last - p
+        for k, v in row.items():
+            if k != p:
+                basis[last - k][c] = Fraction(-v, lead)
+    return Subspace._make(basis.values(), ncols, free)
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
@@ -390,11 +384,6 @@ class Subspace:
         self.rows = tuple(tuple(r) for r in rows)
         self.pivots = tuple(pivots)
         return self
-
-    @classmethod
-    def _from_canonical(cls, rows, ambient):
-        pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
-        return cls._make([vector(r) for r in rows], ambient, pivots)
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .linalg import Matrix, frac, solve
+from .linalg import Matrix, _echelon, frac
 
 Poly = list
 
@@ -171,23 +171,28 @@ def min_poly(m: Matrix, unit: Optional[Matrix] = None) -> Poly:
     With ``unit`` given, m^0 is taken to be that unit, which computes the
     minimal polynomial of m as an element of the unital algebra generated by
     m and unit (used when recursing into corner subalgebras eCe).
+
+    m^0, m^1, ... go into one integer echelon, m^k flattened and tagged with
+    a 1 in column n^2 + k. The first row that reduces to tag columns alone is
+    the first dependent power; its tags over the tag of m^k are the result.
     """
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
-    n = m.nrows
-    if unit is None:
-        unit = Matrix.identity(n)
-    powers = [unit.flatten()]
-    current = unit
-    for k in range(1, n * n + 2):
-        current = current @ m
-        target = current.flatten()
-        coeff_matrix = Matrix.from_columns(powers)
-        x = solve(coeff_matrix, target)
-        if x is not None:
-            return normalize([-c for c in x] + [Fraction(1)])
-        powers.append(target)
-    raise RuntimeError("minimal polynomial not found (unreachable)")
+    size = m.nrows ** 2
+    pivots: dict[int, dict[int, int]] = {}
+
+    def tagged_powers():
+        current = Matrix.identity(m.nrows) if unit is None else unit
+        for k in range(size + 1):
+            yield list(current.flatten()) + [0] * k + [1]
+            if next(reversed(pivots)) >= size:
+                return  # the row of m^k is all tags
+            current = current @ m
+
+    _echelon(tagged_powers(), pivots)
+    dependency = pivots[next(reversed(pivots))]
+    top = max(dependency)
+    return [Fraction(dependency.get(j, 0), dependency[top]) for j in range(size, top + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 codes, and the sections subcommand."""
 
 import json
+import sys
 
 import pytest
 
@@ -97,6 +98,74 @@ def test_parse_algebra_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SpecParseError, match="invalid JSON"):
         parse_algebra("@" + str(path))
+
+
+def _pair(value, left=0, right=1):
+    return {"dim": 3, "brackets": [{"left": left, "right": right, "value": value}]}
+
+
+MALFORMED_IDS = ["index-minus-1", "index-dim", "no-dim", "pair-0-5", "value-x", "top-level-list",
+                 "value-list", "short-basis"]
+MALFORMED_FILES = [
+    (_pair({"-1": "1"}), "coefficient index -1 outside 0..2"),
+    (_pair({"3": "1"}), "coefficient index 3 outside 0..2"),
+    ({"brackets": []}, "missing key 'dim'"),
+    (_pair({"0": "1"}, right=5), r"bracket key \(0, 5\)"),
+    (_pair({"2": "x"}), "Invalid literal for Fraction"),
+    ([{"dim": 3}], "invalid algebra"),
+    (_pair(["1"]), "invalid algebra"),
+    ({"dim": 3, "basis": ["a"]}, "expected 3 basis names"),
+]
+
+
+@pytest.mark.parametrize("data, message", MALFORMED_FILES, ids=MALFORMED_IDS)
+def test_parse_algebra_malformed_file_names_the_file(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SpecParseError, match=message) as exc:
+        parse_algebra("@" + str(path))
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("data, message", MALFORMED_FILES, ids=MALFORMED_IDS)
+def test_main_malformed_file_exits_2(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["--algebra", "@" + str(path), "--analyze", "flags"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid algebra in %s" % path)
+    assert "Traceback" not in err
+
+
+def test_main_file_failing_jacobi_still_exits_1(tmp_path, capsys):
+    path = tmp_path / "five.json"
+    # [e0, e1] = e0, [e0, e2] = e1: Jacobi defect e1 on the only triple
+    data = {"dim": 3, "brackets": [{"left": 0, "right": 1, "value": {"0": "1"}},
+                                   {"left": 0, "right": 2, "value": {"1": "1"}}]}
+    path.write_text(json.dumps(data))
+    assert main(["--algebra", "@" + str(path), "--analyze", "flags"]) == 1
+    assert "Jacobi identity fails on basis triple (0, 1, 2)" in capsys.readouterr().err
+
+
+def test_parse_algebra_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(SpecParseError, match="invalid JSON"):
+        parse_algebra("@" + str(path))
+
+
+@pytest.mark.parametrize("digits", ["9" * 5000, "\u00b2"], ids=["5000-digits", "superscript-two"])
+def test_parse_algebra_unreadable_integer(capsys, digits):
+    # 5 000 digits exceed the 4 300-digit limit of int() on Python >= 3.11;
+    # a superscript two passes str.isdigit but not int()
+    if len(digits) > 1 and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python reads integers of any length")
+    spec = "sl:" + digits
+    with pytest.raises(SpecParseError, match="cannot read this integer") as exc:
+        parse_algebra(spec)
+    assert exc.value.position == 3
+    assert main(["--algebra", spec, "--analyze", "flags"]) == 2
+    assert "cannot read this integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

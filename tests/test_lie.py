@@ -62,6 +62,18 @@ def test_build_rejects_bad_keys():
         build(2, {(0, 2): {0: F(1)}})  # out of range
 
 
+@pytest.mark.parametrize("k", [-1, -3, 3, 10])
+def test_build_rejects_coefficient_index_out_of_range(k):
+    # -1 used to land on the last basis vector, building [e0, e1] = e2
+    with pytest.raises(ValueError, match=r"bracket \(0, 1\) has coefficient index %d outside 0\.\.2" % k):
+        build(3, {(0, 1): {k: F(1)}})
+
+
+def test_build_accepts_every_coefficient_index_in_range():
+    g = build(3, {(0, 1): {0: F(0), 2: F(1)}})
+    assert g.bracket(g.basis_vector(0), g.basis_vector(1)) == vector([0, 0, 1])
+
+
 def test_algebra_is_hashable_and_equal_by_table(two_dim):
     again = build(2, {(0, 1): {0: F(1)}}, names=["x1", "x2"])
     assert again == two_dim

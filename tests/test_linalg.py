@@ -156,6 +156,128 @@ def test_kernel_of_rows_matches_sympy_on_degenerate_inputs(sympy):
 
 
 # ---------------------------------------------------------------------------
+# kernel_of_rows against the standard-order construction
+# ---------------------------------------------------------------------------
+
+
+def _dense(row, ncols):
+    if not isinstance(row, dict):
+        return list(row)
+    out = [F(0)] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _standard_kernel_vectors(rows, ncols):
+    """One vector per free column of the standard-order RREF: 1 at the free
+    column j, minus the RREF entries of column j at the pivot columns."""
+    dense = [_dense(r, ncols) for r in rows]
+    rref, _, pivots = row_reduce(M(dense)) if dense else (None, 0, ())
+    basis = []
+    for j in range(ncols):
+        if j not in pivots:
+            v = [F(0)] * ncols
+            v[j] = F(1)
+            for r, c in enumerate(pivots):
+                v[c] = -rref.rows[r][j]
+            basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _reference_kernel(rows, ncols):
+    """The kernel by the standard-order construction, reduced once more."""
+    return Subspace.span(_standard_kernel_vectors(rows, ncols), ncols)
+
+
+def _random_rows(rng, nrows, ncols, density, big=False):
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            if rng.random() < density:
+                if big:
+                    x = F(rng.randint(2**64, 2**90) * rng.choice((-1, 1)), rng.randint(1, 2**70))
+                else:
+                    x = F(rng.randint(-7, 7), rng.randint(1, 5))
+                if x:
+                    row[j] = x
+        rows.append(row)
+    return rows
+
+
+def _assert_kernel_matches_reference(rows, ncols):
+    expected = _reference_kernel(rows, ncols)
+    for form in ([_dense(r, ncols) for r in rows], rows, (r for r in rows)):
+        ker = kernel_of_rows(form, ncols)
+        assert ker.rows == expected.rows
+        assert ker.pivots == expected.pivots
+        assert ker.ambient_dim == ncols
+    return expected
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_kernel_of_rows_matches_reference(seed):
+    rng = random.Random(7000 + seed)
+    ncols = rng.randint(1, 14)
+    rows = _random_rows(rng, rng.randint(0, ncols + 2), ncols, rng.choice((0.15, 0.35, 0.7)),
+                        big=seed % 4 == 3)
+    _assert_kernel_matches_reference(rows, ncols)
+
+
+def test_kernel_reference_cases_include_noncanonical_standard_bases():
+    """The standard-order vectors need the second reduction on most seeds,
+    so the comparison above is not vacuous."""
+    noncanonical = 0
+    for seed in range(24):
+        rng = random.Random(7000 + seed)
+        ncols = rng.randint(1, 14)
+        rows = _random_rows(rng, rng.randint(0, ncols + 2), ncols,
+                            rng.choice((0.15, 0.35, 0.7)), big=seed % 4 == 3)
+        noncanonical += _standard_kernel_vectors(rows, ncols) != _reference_kernel(rows, ncols).rows
+    assert noncanonical >= 6
+
+
+def test_kernel_of_one_equation_is_canonical_without_a_second_reduction():
+    # x0 + x1 + x2 = 0: the standard-order vectors (-1, 1, 0), (-1, 0, 1)
+    # both lead at column 0; the canonical basis is (1, 0, -1), (0, 1, -1)
+    rows = [[F(1), F(1), F(1)]]
+    assert _standard_kernel_vectors(rows, 3) == ((-1, 1, 0), (-1, 0, 1))
+    ker = _assert_kernel_matches_reference(rows, 3)
+    assert ker.rows == ((1, 0, -1), (0, 1, -1)) and ker.pivots == (0, 1)
+
+
+def test_kernel_of_rows_huge_entries_cancel():
+    rng = random.Random(99)
+    for ncols in (3, 6, 9):
+        rows = _random_rows(rng, ncols - 2, ncols, 0.6, big=True)
+        # dependent rows force the 2^64-sized entries to cancel
+        rows.append({j: 3 * rows[0].get(j, 0) - F(5, 11) * rows[-1].get(j, 0)
+                     for j in range(ncols) if 3 * rows[0].get(j, 0) != F(5, 11) * rows[-1].get(j, 0)})
+        rows.append({})
+        ker = _assert_kernel_matches_reference(rows, ncols)
+        assert any(abs(x.numerator) >= 2**64 for r in ker.rows for x in r)
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, dim",
+    [
+        ([], 5, 5),  # no rows: everything is free
+        ([{}, {}, {}], 4, 4),  # zero rows
+        ([[F(0)] * 3, [F(0)] * 3], 3, 3),
+        ([[F(2), F(1)], [F(1), F(3)]], 2, 0),  # full rank
+        ([{0: F(1)}, {1: F(-2)}, {2: F(3, 4)}], 3, 0),
+        ([[F(5)]], 1, 0),  # single column
+        ([[F(0)]], 1, 1),
+        ([], 1, 1),
+        ([[F(1), F(0), F(0), F(-1)], [F(0), F(0), F(1), F(1)]], 4, 2),
+    ],
+)
+def test_kernel_of_rows_degenerate_systems(rows, ncols, dim):
+    assert _assert_kernel_matches_reference(rows, ncols).dim == dim
+
+
+# ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 

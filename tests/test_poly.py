@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liestruct.linalg import Matrix, vector
+from liestruct.linalg import Matrix, solve, vector
 from liestruct.poly import (
     char_poly,
     derivative,
@@ -17,6 +17,7 @@ from liestruct.poly import (
     is_nilpotent_matrix,
     jordan_chevalley,
     min_poly,
+    normalize,
     poly,
     poly_eval_matrix,
     poly_gcd,
@@ -310,6 +311,51 @@ def test_min_poly_matches_sympy_smallest_dependent_power(sympy, idx):
             assert min_poly(m) == _fractions(list(null[0] / null[0][d]))
             return
     pytest.fail("no dependent power up to the size")
+
+
+def _reference_min_poly(m, unit=None):
+    """One ``solve`` per power: the first m^k in the span of the lower powers."""
+    current = Matrix.identity(m.nrows) if unit is None else unit
+    powers = [current.flatten()]
+    for _ in range(m.nrows * m.nrows + 1):
+        current = current @ m
+        x = solve(Matrix.from_columns(powers), current.flatten())
+        if x is not None:
+            return normalize([-c for c in x] + [F(1)])
+        powers.append(current.flatten())
+    raise AssertionError("no dependent power")
+
+
+def _corner_unit(rng, n):
+    """q diag(1, ..., 1, 0) q^-1 for a seeded unimodular q."""
+    q = _unitriangular(rng, n, True, False) @ _unitriangular(rng, n, False, False)
+    return q @ M([[1 if r == c < n - 1 else 0 for c in range(n)] for r in range(n)]) @ q.inverse()
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED)))
+def test_min_poly_matches_one_solve_per_power(idx):
+    m = SEEDED[idx]
+    expected = _reference_min_poly(m)
+    assert min_poly(m) == expected
+    assert min_poly(m, unit=Matrix.identity(m.nrows)) == expected
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED)))
+def test_min_poly_with_a_corner_unit_matches_one_solve_per_power(idx):
+    m = SEEDED[idx]
+    e = _corner_unit(random.Random(500 + idx), m.nrows)
+    assert e @ e == e and e != Matrix.identity(m.nrows)
+    corner = e @ m @ e  # an element of the unital algebra e M e
+    expected = _reference_min_poly(corner, e)
+    assert min_poly(corner, unit=e) == expected
+    assert poly_eval_matrix(expected, corner, unit=e).is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_min_poly_of_scalars_and_zero(n):
+    assert min_poly(Matrix.zero(n, n)) == _reference_min_poly(Matrix.zero(n, n)) == P(0, 1)
+    three = Matrix.identity(n).scale(3)
+    assert min_poly(three) == _reference_min_poly(three) == P(-3, 1)
 
 
 def _factor_oracle(sympy, p):
