@@ -7,7 +7,7 @@ The dimension of every algebra a description asks for, and of the current
 algebra a sections check builds from it (k (x) A, or k (x) Q[x_1..x_m]/(deg
 >= 2) for ``--m``), is computed before any table is allocated; past a limit
 (64 by default, ``--max-dim``) the request is refused as a usage error.
-``@file`` inputs are not gated: their table is already in memory.
+An ``@file`` input is judged by its ``"dim"`` before its table is built.
 
 Exit codes: 0 when every requested analysis ran and passed its internal
 checks, 1 when an analysis or a validation failed (including a Jacobi
@@ -216,6 +216,8 @@ def _parse_lie(cur: _Cursor) -> LieAlgebra:
         except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
             raise cur.error("invalid JSON in %s: %s" % (path, exc)) from None
         try:
+            # judged before lie.build allocates its dim^3 table
+            cur.check_size("the algebra in %s" % path, int(data["dim"]))
             return from_dict(data)
         except KeyError as exc:
             raise cur.error("invalid algebra in %s: missing key %s" % (path, exc)) from None

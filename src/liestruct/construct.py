@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import LiestructError
-from .lie import LieAlgebra, _StructureTable, _check_jacobi, _memoized, build
+from .lie import LieAlgebra, _StructureTable, _check_jacobi, _compose, _integral, _memoized, build
 from .linalg import (
     Matrix,
     Subspace,
@@ -81,10 +81,12 @@ class CommutativeAlgebra(_StructureTable):
         for i in range(n):
             if self._product(self.unit, unit_vector(n, i)) != unit_vector(n, i):
                 raise ValueError("unit law fails on basis vector %d" % i)
-        # (e_i e_j) e_k = e_i (e_j e_k) = (e_j e_k) e_i, by commutativity
+        # (e_i e_j) e_k = e_i (e_j e_k) = (e_j e_k) e_i, by commutativity;
+        # over integer constants, since only a zero defect matters
+        _, nz = _integral(self._nonzero)
         for i, j, k in itertools.product(range(n), repeat=3):
-            defect = self._compose(i, j, k, {})
-            if any(self._compose(j, k, i, defect, negate=True).values()):
+            defect = _compose(nz, i, j, k, {})
+            if any(_compose(nz, j, k, i, defect, negate=True).values()):
                 raise ValueError(
                     "product is not associative on basis triple (%d, %d, %d)"
                     % (i, j, k)

@@ -5,7 +5,9 @@ space J(g), and commutants of matrix families. Derivations, the centroid and
 commutants are exact kernels of sparse linear systems over the dim^2 matrix
 entries (row-major flattening, columns are images of basis vectors), all
 assembled by one Leibniz and one commutant row generator; J(g) is built in
-closed form.
+closed form. The generators scale the rational constants they read to
+integers over one common denominator, once per call, so every row they
+yield is a ``{col: int}`` map that the integer echelon takes as it is.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError
-from .lie import LieAlgebra, _memoized, _sparse, _StructureTable
+from .lie import LieAlgebra, _integral, _memoized, _sparse, _StructureTable
 from .linalg import Matrix, Subspace, Vector, kernel_of_rows, unit_vector
 from .poly import jordan_chevalley
 
@@ -89,7 +91,7 @@ def _subtract(row: dict, entries):
 
 
 def leibniz_system(table, n: int, target=None, ev=None):
-    """Rows {col: value} of D(e_i e_j) = D(e_i) ev(e_j) + ev(e_i) D(e_j) for i <= j.
+    """Rows {col: int} of D(e_i e_j) = D(e_i) ev(e_j) + ev(e_i) D(e_j) for i <= j.
 
     ``table[i][j]`` is the coordinate vector of the product e_i e_j of an
     n-dimensional algebra. D maps it into the algebra with product table
@@ -98,13 +100,14 @@ def leibniz_system(table, n: int, target=None, ev=None):
     the identity, which gives the derivations; the i = j rows of a Lie
     table cancel to nothing. The unknown D is flattened row-major (column j
     holds D e_j). Serves Lie tables and commutative ones. Yields one row per
-    pair and target coordinate, without zero entries.
+    pair and target coordinate, as a map of nonzero ints: the constants of
+    both tables are scaled over one common denominator first.
     """
-    source = _sparse(table)
     if target is None:
+        _, source = _integral(_sparse(table))
         target, ev = source, range(n)
     else:
-        target = _sparse(target)
+        _, source, target = _integral(_sparse(table), _sparse(target))
     nt = len(target)
     # left[j][m]: (k, c_kj^m) != 0; right[i][m]: (k, c_ik^m) != 0 in the target
     left = [[[] for _ in range(nt)] for _ in range(nt)]
@@ -128,14 +131,15 @@ def leibniz_system(table, n: int, target=None, ev=None):
 
 
 def commutant_system(mats: Sequence[Matrix], n: int):
-    """Rows {col: value} of (A f - f A) = 0 for each n x n matrix A in ``mats``.
+    """Rows {col: int} of (A f - f A) = 0 for each n x n matrix A in ``mats``.
 
     The unknown f is flattened row-major. Yields one row per matrix and
-    entry, without zero entries.
+    entry, as a map of nonzero ints: the entries of all the matrices are
+    scaled over one common denominator first.
     """
-    for m in mats:
-        # the nonzero entries of each row and of each column of m
-        rows, cols = _sparse([m.rows, tuple(zip(*m.rows))])
+    # the nonzero entries of each row and of each column of each matrix
+    _, *sparse = _integral(*(_sparse([m.rows, tuple(zip(*m.rows))]) for m in mats))
+    for rows, cols in sparse:
         for r in range(n):
             for cc in range(n):
                 row = {k * n + cc: v for k, v in rows[r]}

@@ -14,8 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import JacobiError, NotAnIdealError
@@ -71,6 +72,22 @@ def _sparse(table):
     return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row) for row in table)
 
 
+def _integral(*tables):
+    """(den, *tables) with every constant of the sparse ``tables`` times den.
+
+    ``tables`` are nested like :func:`_sparse`'s output, [i][j] -> ((k, c),
+    ...) with c rational; den is the least common denominator of all of
+    them, so the scaled constants are ints. Rows and defects built from them
+    are den (or den^2, for products of two constants) times the rational ones.
+    """
+    den = lcm(*(c.denominator for t in tables for row in t for v in row for _, c in v))
+    return (den,) + tuple(
+        tuple(tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in v) for v in row)
+              for row in t)
+        for t in tables
+    )
+
+
 class _StructureTable:
     """An algebra on a fixed ordered basis, given by its structure constants.
 
@@ -78,8 +95,8 @@ class _StructureTable:
     coefficient algebras: ``table[i][j]`` is the dense coordinate vector of
     the product e_i e_j, and ``_nonzero[i][j]`` lists its nonzero entries
     (k, c), computed once at construction. The product, the left
-    multiplication matrix, the hash and the triple checks all read the
-    nonzero lists.
+    multiplication matrix and the hash read the nonzero lists; the triple
+    checks read them scaled to integers by :func:`_integral`.
     """
 
     __slots__ = ("dim", "names", "table", "_nonzero", "_hash", "__weakref__")
@@ -133,19 +150,6 @@ class _StructureTable:
                     for k, v in entries:
                         rows[k][j] += xi * v
         return Matrix(rows)
-
-    def _compose(self, a: int, b: int, c: int, acc: dict, negate: bool = False) -> dict:
-        """Add (or subtract) the coordinates of (e_a e_b) e_c into acc, {m: value}.
-
-        Coordinate m is the sum of c_ab^l c_lc^m over the nonzero constants.
-        """
-        nz = self._nonzero
-        for l, x in nz[a][b]:
-            if negate:
-                x = -x
-            for m, y in nz[l][c]:
-                acc[m] = acc.get(m, 0) + x * y
-        return acc
 
 
 class LieAlgebra(_StructureTable):
@@ -404,18 +408,36 @@ def build(
     return algebra
 
 
+def _compose(nz, a: int, b: int, c: int, acc: dict, negate: bool = False) -> dict:
+    """Add (or subtract) the coordinates of (e_a e_b) e_c into acc, {m: value}.
+
+    Coordinate m is the sum of c_ab^l c_lc^m over the nonzero constants
+    ``nz`` (a table of nonzero lists, as in ``_StructureTable._nonzero``).
+    """
+    for l, x in nz[a][b]:
+        if negate:
+            x = -x
+        for m, y in nz[l][c]:
+            acc[m] = acc.get(m, 0) + x * y
+    return acc
+
+
 def _check_jacobi(g: LieAlgebra):
     """Raise JacobiError on the first basis triple i < j < k with a nonzero
     [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]; the three cyclic
-    terms are summed into one dict.
+    terms are summed into one dict over the constants scaled to integers,
+    and the defect carried is divided back by den^2.
     """
     n = g.dim
+    den, nz = _integral(g._nonzero)
     for i, j, k in itertools.combinations(range(n), 3):
         defect = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            g._compose(a, b, c, defect)
+            _compose(nz, a, b, c, defect)
         if any(defect.values()):
-            raise JacobiError((i, j, k), tuple(defect.get(m, Fraction(0)) for m in range(n)))
+            raise JacobiError(
+                (i, j, k), tuple(Fraction(defect.get(m, 0), den * den) for m in range(n))
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +456,21 @@ def to_dict(g: LieAlgebra) -> dict:
 
 
 def from_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
-    """Inverse of :func:`to_dict`; validates Jacobi unless told otherwise."""
+    """Inverse of :func:`to_dict`; validates Jacobi unless told otherwise.
+
+    ``"basis"``, when given, must be a list of ``dim`` distinct strings;
+    ValueError otherwise.
+    """
     dim = int(data["dim"])
-    names = data.get("basis") or ["e%d" % i for i in range(dim)]
+    names = data.get("basis")
+    if names is None:
+        names = ["e%d" % i for i in range(dim)]
+    elif not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise ValueError('"basis" must be a list of %d strings' % dim)
+    else:
+        repeated = [x for x, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise ValueError('"basis" names %r more than once' % repeated[0])
     brackets = {}
     for entry in data.get("brackets", []):
         i, j = int(entry["left"]), int(entry["right"])

@@ -5,9 +5,12 @@ Scalars are ``fractions.Fraction``; matrices and subspace bases are immutable
 dense row-major grids. The elimination core takes rows either dense or as
 sparse ``{col: value}`` maps, clears denominators and reduces sparse
 ``{col: int}`` rows (plain Python ints are much faster than Fraction
-arithmetic, and constraint systems are mostly zeros), then normalizes back to
-monic-pivot reduced row echelon form over Q, building Fractions only for the
-nonzero entries of the result.
+arithmetic, and constraint systems are mostly zeros); rows that are already
+``{col: int}`` maps, as the constraint generators in ``endo`` yield, pass
+through with no Fraction work. The echelon keeps every pivot row reduced,
+zero in every other pivot column, so a redundant row is cleared by each
+pivot once, with no fill-in, and the rows are the reduced row echelon form
+up to scale; Fractions are built only for the nonzero entries of results.
 """
 
 from __future__ import annotations
@@ -221,9 +224,15 @@ def _int_row(row) -> dict[int, int]:
     """Sparse primitive integer multiple ``{col: int}`` of a rational row.
 
     ``row`` is a dense sequence or a ``{col: value}`` map; zero entries are
-    dropped before any arithmetic.
+    dropped before any arithmetic. A map whose values are all nonzero ints
+    is made primitive as it is, with no denominators to clear.
     """
-    items = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
+    if isinstance(row, dict):
+        if all(type(x) is int and x for x in row.values()):
+            return _primitive(row) if row else row
+        items = [(j, x) for j, x in row.items() if x]
+    else:
+        items = [(j, x) for j, x in enumerate(row) if x]
     if not items:
         return {}
     den = lcm(*(x.denominator for _, x in items))
@@ -247,49 +256,53 @@ def _reduce(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]
 
 
 def _echelon(rows: Iterable, pivots: dict[int, dict[int, int]]):
-    """Incremental integer echelon form.
+    """Incremental reduced integer echelon form.
 
-    Fills ``pivots`` with pivot_column -> sparse ``{col: int}`` row and
-    returns views of the pivot rows' entries, as pivot_column -> values.
-    Rows are combined with exact cross-multiplication, so no fractions ever
-    appear during elimination.
+    Fills ``pivots`` with pivot_column -> sparse primitive ``{col: int}`` row
+    and returns views of the pivot rows' entries, as pivot_column -> values.
+    Every pivot row starts at its pivot column and is zero in every other
+    pivot column, so the rows are the reduced row echelon form up to the
+    scale of each row. An incoming row is reduced once against the pivots
+    whose columns it holds; those pivots carry no other pivot column, so it
+    gets no fill-in there, and a redundant row reaches zero in as many steps
+    as it has pivot columns. A new pivot is cleared from the rows that hold
+    its column. Rows are combined with exact cross-multiplication, so no
+    fractions ever appear during elimination. Integer dict rows may be
+    reduced in place.
     """
+    # column -> pivot columns whose rows may hold it (a superset, checked on use)
+    holders: dict[int, set[int]] = {}
+    for c, prow in pivots.items():
+        for j in prow:
+            holders.setdefault(j, set()).add(c)
     for raw in rows:
         row = _int_row(raw)
-        while row:
+        for c in [c for c in row if c in pivots]:
+            row = _reduce(row, pivots[c], c)
+        if row:
             lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                pivots[lead] = _primitive(row)
-                break
-            row = _reduce(row, prow, lead)
+            row = pivots[lead] = _primitive(row)
+            for c in holders.pop(lead, ()):
+                if lead in pivots[c]:
+                    pivots[c] = _primitive(_reduce(pivots[c], row, lead))
+                    for j in row:
+                        holders.setdefault(j, set()).add(c)
+            for j in row:
+                holders.setdefault(j, set()).add(lead)
     # the views are what perfbench/tracing.py reads for the largest entry size
     return {c: prow.values() for c, prow in pivots.items()}
-
-
-def _back_substitute(pivots: dict[int, dict[int, int]]) -> list[int]:
-    """Clear each pivot column from the integer pivot rows above it, bottom-up,
-    in place; returns the sorted pivot columns."""
-    cols = sorted(pivots)
-    for idx in range(len(cols) - 1, -1, -1):
-        c = cols[idx]
-        prow = pivots[c]
-        for c2 in cols[:idx]:
-            if c in pivots[c2]:
-                pivots[c2] = _primitive(_reduce(pivots[c2], prow, c))
-    return cols
 
 
 def _rref(rows: Iterable, ncols: int):
     """Reduced row echelon form.
 
     Returns (rref_rows as lists of Fractions, rank, pivot column list). The
-    back-substitution stays on sparse integer rows; Fractions are made only
-    for the nonzero entries of the result.
+    elimination stays on sparse integer rows; Fractions are made only for
+    the nonzero entries of the result.
     """
     pivots: dict[int, dict[int, int]] = {}
     _echelon(rows, pivots)
-    cols = _back_substitute(pivots)
+    cols = sorted(pivots)
     out = []
     for c in cols:
         row = pivots[c]
@@ -324,10 +337,11 @@ def kernel_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     sparse integer echelon, so callers can assemble large constraint systems
     lazily and never materialize their zeros.
 
-    Column j is eliminated as ncols-1-j, so each reduced pivot row reads
-    x_c + sum a_cj x_j = 0 over free columns j < c. The vector of free column
-    j has its 1 at j and -a_cj at pivot columns c > j only, where the other
-    kernel vectors are zero: the canonical RREF basis, read off directly.
+    Column j is eliminated as ncols-1-j, so each pivot row of the reduced
+    echelon reads x_c + sum a_cj x_j = 0 over free columns j < c. The vector
+    of free column j has its 1 at j and -a_cj at pivot columns c > j only,
+    where the other kernel vectors are zero: the canonical RREF basis, read
+    off directly.
     """
     last = ncols - 1
     pivots: dict[int, dict[int, int]] = {}
@@ -336,7 +350,6 @@ def kernel_of_rows(rows: Iterable, ncols: int) -> "Subspace":
          for r in rows),
         pivots,
     )
-    _back_substitute(pivots)
     free = [j for j in range(ncols) if last - j not in pivots]
     basis = {j: [_ZERO] * j + [Fraction(1)] + [_ZERO] * (last - j) for j in free}
     for p, row in pivots.items():

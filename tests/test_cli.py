@@ -2,6 +2,7 @@
 codes, and the sections subcommand."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -105,7 +106,7 @@ def _pair(value, left=0, right=1):
 
 
 MALFORMED_IDS = ["index-minus-1", "index-dim", "no-dim", "pair-0-5", "value-x", "top-level-list",
-                 "value-list", "short-basis"]
+                 "value-list", "short-basis", "basis-string", "basis-repeated", "basis-numbers"]
 MALFORMED_FILES = [
     (_pair({"-1": "1"}), "coefficient index -1 outside 0..2"),
     (_pair({"3": "1"}), "coefficient index 3 outside 0..2"),
@@ -115,7 +116,16 @@ MALFORMED_FILES = [
     ([{"dim": 3}], "invalid algebra"),
     (_pair(["1"]), "invalid algebra"),
     ({"dim": 3, "basis": ["a"]}, "expected 3 basis names"),
+    ({"dim": 3, "basis": "xyz"}, '"basis" must be a list of 3 strings'),
+    ({"dim": 2, "basis": ["a", "a"]}, "\"basis\" names 'a' more than once"),
+    ({"dim": 2, "basis": [1, 2]}, '"basis" must be a list of 2 strings'),
 ]
+
+
+@pytest.mark.parametrize("basis", ["xyz", ["a", "a"], ["a", "b", "a"], [1, 2, 3], {"a": 1}])
+def test_from_dict_refuses_a_basis_that_is_not_distinct_names(basis):
+    with pytest.raises(ValueError, match='"basis"'):
+        from_dict({"dim": len(basis), "basis": basis, "brackets": []})
 
 
 @pytest.mark.parametrize("data, message", MALFORMED_FILES, ids=MALFORMED_IDS)
@@ -217,7 +227,26 @@ def test_max_dim_overrides_the_limit(tmp_path, heisenberg3):
     assert parse_coefficient_algebra("jet:3,5", max_dim=35).dim == 35
     path = tmp_path / "h3.json"
     path.write_text(json.dumps(to_dict(heisenberg3)))
-    assert parse_algebra("@" + str(path), max_dim=1) == heisenberg3  # files are not gated
+    assert parse_algebra("@" + str(path), max_dim=3) == heisenberg3
+    with pytest.raises(SpecParseError, match="would have dimension 3, above the limit 2"):
+        parse_algebra("@" + str(path), max_dim=2)
+
+
+@pytest.mark.parametrize("dim", [65, 10**6])
+def test_oversize_file_is_refused_before_it_is_built(tmp_path, capsys, dim):
+    import time
+
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": dim, "brackets": []}))
+    message = "the algebra in %s would have dimension %d, above the limit 64" % (path, dim)
+    with pytest.raises(SpecParseError, match=re.escape(message)):
+        parse_algebra("@" + str(path))
+    started = time.perf_counter()
+    assert main(["--algebra", "@" + str(path), "--analyze", "flags"]) == 2
+    assert time.perf_counter() - started < 0.5
+    assert message in capsys.readouterr().err
+    if dim == 65:
+        assert parse_algebra("@" + str(path), max_dim=65).dim == 65
 
 
 def test_main_oversize_exits_2_quickly(capsys):

@@ -331,7 +331,23 @@ def _perturbed_truncated_poly(seed):
     return a.names, a.unit, table
 
 
-ASSOCIATIVITY_CASES = [NON_ASSOCIATIVE] + [_perturbed_truncated_poly(seed) for seed in range(16)]
+def _rational_cubic_table(delta):
+    """Q(cbrt 2) on the basis 1, r/2, r^2/3 (constants 1/2, 2/3, 3/4, 4/3, ...),
+    with delta added to the coefficient of the unit in (r/2)(r^2/3)."""
+    r, r2 = F(1, 2), F(1, 3)
+    table = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, r * r / r2], [r * r2 * 2, 0, 0]],
+        [[0, 0, 1], [r * r2 * 2, 0, 0], [0, r2 * r2 * 2 / r, 0]],
+    ]
+    table[1][2][0] += delta
+    table[2][1][0] += delta
+    return ["1", "s", "s^2"], [1, 0, 0], [[vector(v) for v in row] for row in table]
+
+
+ASSOCIATIVITY_CASES = [NON_ASSOCIATIVE] + [_perturbed_truncated_poly(seed) for seed in range(16)] + [
+    _rational_cubic_table(delta) for delta in (F(0), F(1, 3), F(-1, 2))
+]
 
 
 @pytest.mark.parametrize("case", range(len(ASSOCIATIVITY_CASES)))
@@ -344,6 +360,13 @@ def test_associativity_check_reports_the_dense_first_failing_triple(case):
         message = "product is not associative on basis triple (%d, %d, %d)" % triple
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             CommutativeAlgebra(names, unit, table)
+
+
+def test_rational_cubic_cases_fail_exactly_when_perturbed():
+    cases = [_rational_cubic_table(delta) for delta in (F(0), F(1, 3), F(-1, 2))]
+    for _, _, table in cases:
+        assert any(x.denominator > 1 for row in table for v in row for x in v)
+    assert [_first_non_associative_triple(t) is None for _, _, t in cases] == [True, False, False]
 
 
 def test_associativity_cases_mostly_fail():

@@ -339,3 +339,98 @@ def test_centroid_bracket_kills_commutator(sl2, two_dim, heisenberg3, oscillator
             # image of [f,h] lies in the center
             for col in range(g.dim):
                 assert center.contains(lie_fh.column(col))
+
+
+# ---------------------------------------------------------------------------
+# the integer assembly against Fraction reference rows, on tables whose
+# structure constants are not integers
+# ---------------------------------------------------------------------------
+
+
+def _rescaled(g, scales):
+    """g in the basis s_i e_i: [s_i e_i, s_j e_j] = sum_k s_i s_j c_ij^k / s_k (s_k e_k)."""
+    brackets = {}
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            value = {k: scales[i] * scales[j] * c / scales[k] for k, c in g._nonzero[i][j]}
+            if value:
+                brackets[(i, j)] = value
+    return build(g.dim, brackets)
+
+
+RATIONAL_NAMES = ("sl:2", "heisenberg", "cur:sl:2,jet:1,2", "sl:2+Q rebased")
+SCALES = (F(1, 2), F(1, 3), F(2, 3), F(3), F(5, 2), F(1, 7))
+
+
+@pytest.fixture(scope="module")
+def rational_algebras(sl2_plus_q_rebased):
+    from liestruct import parse_algebra
+
+    plain = {
+        "sl:2": classical("sl", 2),
+        "heisenberg": build(3, {(0, 1): {2: F(1)}}),
+        "cur:sl:2,jet:1,2": parse_algebra("cur:sl:2,jet:1,2"),
+        "sl:2+Q rebased": sl2_plus_q_rebased,
+    }
+    return {name: _rescaled(g, SCALES[: g.dim]) for name, g in plain.items()}
+
+
+def _fraction_leibniz_rows(g):
+    """D(c_ij) = [D e_i, e_j] + [e_i, D e_j] entry by entry, as dense Fraction rows."""
+    n, t = g.dim, g.table
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                row = [F(0)] * (n * n)
+                for l in range(n):
+                    row[m * n + l] += t[i][j][l]
+                for k in range(n):
+                    row[k * n + i] -= t[k][j][m]
+                    row[k * n + j] -= t[i][k][m]
+                yield row
+
+
+def _fraction_commutant_rows(mats, n):
+    """(f A - A f)[r][c] = 0 entry by entry, as dense Fraction rows."""
+    for a in mats:
+        for r in range(n):
+            for c in range(n):
+                row = [F(0)] * (n * n)
+                for k in range(n):
+                    row[r * n + k] += a[k, c]
+                    row[k * n + c] -= a[r, k]
+                yield row
+
+
+def test_rational_algebras_have_non_integer_constants(rational_algebras):
+    for g in rational_algebras.values():
+        assert any(c.denominator > 1 for row in g._nonzero for v in row for _, c in v)
+
+
+@pytest.mark.parametrize("name", RATIONAL_NAMES)
+def test_integer_rows_give_the_fraction_reference_kernels(rational_algebras, name):
+    from liestruct.linalg import kernel_of_rows
+
+    g = rational_algebras[name]
+    n = g.dim
+    ads = [g.ad_basis(i) for i in range(n)]
+    der = kernel_of_rows(list(_fraction_leibniz_rows(g)), n * n)
+    cent = kernel_of_rows(list(_fraction_commutant_rows(ads, n)), n * n)
+    assert endo.derivations(g).space == der
+    assert endo.centroid(g).space == cent
+    assert endo.module_commutant(ads).space == cent
+    rows = list(endo.leibniz_system(g.table, n)) + list(endo.commutant_system(ads, n))
+    assert rows and all(type(v) is int and v for row in rows for v in row.values())
+
+
+def test_commutant_of_a_rational_representation_matches_fraction_rows():
+    from liestruct.linalg import kernel_of_rows
+
+    # a block-diagonal pair with 1/2 and 1/3 entries: the commutant is 2 + 1 + 1 dimensional
+    a = M([[F(1, 2), 0, 0, 0], [0, F(1, 2), 0, 0], [0, 0, F(1, 3), 0], [0, 0, 0, F(-2, 3)]])
+    b = M([[0, F(1, 3), 0, 0], [F(-1, 2), 0, 0, 0], [0, 0, F(5, 7), 0], [0, 0, 0, 0]])
+    expected = kernel_of_rows(list(_fraction_commutant_rows([a, b], 4)), 16)
+    got = endo.module_commutant([a, b])
+    assert got.space == expected and got.dim == 4
+    for t in got.basis_matrices():
+        assert t @ a == a @ t and t @ b == b @ t

@@ -149,9 +149,28 @@ def _perturbed_sl3(seed):
     return 8, brackets
 
 
+def _rescaled_brackets(g, scales):
+    """The brackets of g in the basis s_i e_i: [s_i e_i, s_j e_j] = sum_k s_i s_j c_ij^k / s_k (s_k e_k)."""
+    return {(i, j): {k: scales[i] * scales[j] * c / scales[k] for k, c in g._nonzero[i][j]}
+            for i in range(g.dim) for j in range(i + 1, g.dim) if g._nonzero[i][j]}
+
+
+def _rational_jacobi_case(seed):
+    """sl:3 in the basis s_i e_i, s_i in {1/2, 1/3, 2/3, 3/2}, with one
+    coefficient of one pair moved by 1/2 or 1/3."""
+    rng = random.Random(seed)
+    scales = [rng.choice((F(1, 2), F(1, 3), F(2, 3), F(3, 2))) for _ in range(8)]
+    brackets = _rescaled_brackets(classical("sl", 3), scales)
+    i, j = sorted(rng.sample(range(8), 2))
+    value = brackets.setdefault((i, j), {})
+    k = rng.randrange(8)
+    value[k] = value.get(k, F(0)) + rng.choice((F(1, 2), F(-1, 3)))
+    return 8, brackets
+
+
 JACOBI_CASES = [(5, FIVE_DIM), (3, {(0, 1): {0: 1}, (0, 2): {1: 1}})] + [
     _perturbed_sl3(seed) for seed in range(10)
-]
+] + [_rational_jacobi_case(seed) for seed in range(6)]
 
 
 @pytest.mark.parametrize("case", range(len(JACOBI_CASES)))
@@ -164,6 +183,19 @@ def test_jacobi_check_reports_the_dense_first_failing_triple_and_defect(case):
     with pytest.raises(JacobiError) as exc:
         build(dim, brackets)
     assert (exc.value.triple, exc.value.defect) == expected
+    assert all(type(x) is F for x in exc.value.defect)
+
+
+def test_rational_jacobi_defects_are_not_integers():
+    defects = [_first_jacobi_defect(_dense_table(*_rational_jacobi_case(seed)))[1]
+               for seed in range(6)]
+    assert sum(any(x.denominator > 1 for x in d) for d in defects) >= 4
+
+
+def test_jacobi_passes_on_a_rational_basis():
+    h = build(8, _rescaled_brackets(classical("sl", 3), [F(1, 2), F(1, 3)] * 4))
+    assert any(c.denominator > 1 for row in h._nonzero for v in row for _, c in v)
+    assert h.flags()["simple"]
 
 
 def test_jacobi_cases_mostly_fail():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from liestruct.linalg import (
     Matrix,
     Subspace,
+    _echelon,
     kernel_basis,
     kernel_of_rows,
     kron,
@@ -145,6 +146,81 @@ def test_kernel_of_rows_matches_sympy_on_large_entries(sympy, seed):
     # a dependent row forces cancellation of the large entries
     rows.append([2 * a - F(3, 7) * b for a, b in zip(rows[0], rows[-1])])
     _assert_kernel_matches_sympy(sympy, rows, ncols)
+
+
+def _late_pivot_system(rng, ncols, rank):
+    """rank - 1 dense rows with large entries, many integer combinations of
+    them, then one dense row outside their span (checked by the rank)."""
+    base = [[F(rng.randint(2**64, 2**80) * rng.choice((-1, 1)), rng.randint(1, 2**40))
+             for _ in range(ncols)] for _ in range(rank - 1)]
+    rows = list(base)
+    for _ in range(3 * ncols):
+        coeffs = [rng.randint(-9, 9) for _ in base]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), F(0)) for j in range(ncols)])
+    rows.append([F(rng.randint(1, 2**70), rng.randint(1, 2**20)) for _ in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_of_rows_matches_sympy_after_many_dependent_rows(sympy, seed):
+    # the last row brings the last pivot, held by every earlier pivot row
+    rng = random.Random(300 + seed)
+    ncols = rng.randint(4, 9)
+    rank = rng.randint(2, ncols)
+    rows = _late_pivot_system(rng, ncols, rank)
+    _assert_kernel_matches_sympy(sympy, rows, ncols)
+    assert kernel_of_rows(rows, ncols).dim == ncols - rank
+
+
+def _assert_pivots_reduced(pivots):
+    for c, row in pivots.items():
+        assert row and min(row) == c
+        assert not [k for k in row if k != c and k in pivots]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+def test_echelon_keeps_every_pivot_row_reduced(seed, form):
+    rng = random.Random(400 + seed)
+    ncols = rng.randint(4, 9)
+    rank = rng.randint(2, ncols)
+    dense = rows = _late_pivot_system(rng, ncols, rank)
+    if form == "sparse":
+        rows = [{j: x for j, x in enumerate(r) if x} for r in dense]
+    pivots = {}
+
+    def checked(rows):
+        for row in rows:
+            _assert_pivots_reduced(pivots)  # after the row before
+            yield row
+
+    _echelon(checked(rows[:-1]), pivots)
+    assert len(pivots) == rank - 1
+    before = [set(row) for row in pivots.values()]
+    views = _echelon([rows[-1]], pivots)
+    lead = next(reversed(pivots))
+    # every earlier pivot row held the late pivot's column, and now none
+    # holds it, or any other pivot's column
+    assert all(lead in cols for cols in before)
+    _assert_pivots_reduced(pivots)
+    assert sorted(pivots) == sorted(views) and len(pivots) == rank
+    assert {c: list(v) for c, v in views.items()} == {c: list(r.values()) for c, r in pivots.items()}
+    # the rows are the RREF up to the scale of each row
+    rref, _, cols = row_reduce(M(dense))
+    assert cols == tuple(sorted(pivots))
+    for r, c in zip(rref.rows, cols):
+        row = pivots[c]
+        assert tuple(F(row.get(j, 0), row[c]) for j in range(ncols)) == r
+
+
+def test_echelon_rows_that_end_at_zero_leave_the_pivots_unchanged():
+    rng = random.Random(5)
+    rows = _late_pivot_system(rng, 6, 4)
+    pivots = {}
+    _echelon(rows[:3], pivots)
+    before = {c: dict(r) for c, r in pivots.items()}
+    _echelon(rows[3:-1], pivots)
+    assert pivots == before
 
 
 def test_kernel_of_rows_matches_sympy_on_degenerate_inputs(sympy):
