@@ -221,7 +221,7 @@ def _parse_lie(cur: _Cursor) -> LieAlgebra:
             return from_dict(data)
         except KeyError as exc:
             raise cur.error("invalid algebra in %s: missing key %s" % (path, exc)) from None
-        except (ValueError, TypeError, AttributeError) as exc:
+        except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise cur.error("invalid algebra in %s: %s" % (path, exc)) from None
     raise cur.error(
         "expected an algebra (sl:|gl:|so:|sp:|u:|su:|ex:|cur:|sum:|@file)"

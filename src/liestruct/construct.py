@@ -24,7 +24,6 @@ from .linalg import (
     kernel_of_rows,
     unit_vector,
     vector,
-    zero_vector,
 )
 
 __all__ = [
@@ -49,9 +48,9 @@ __all__ = [
 class CommutativeAlgebra(_StructureTable):
     """A finite-dimensional commutative associative unital algebra over Q.
 
-    ``table[i][j]`` is the coordinate vector of e_i e_j. The table, its
-    nonzero entries, the product and the multiplication matrices come from
-    the structure-constant core that ``LieAlgebra`` uses too. Construction
+    ``table`` is dense, ``table[i][j]`` the coordinate vector of e_i e_j, or
+    sparse, ``{(i, j): {k: c}}``; the structure-constant core that
+    ``LieAlgebra`` uses too keeps only the nonzero constants. Construction
     validates commutativity, the unit law and associativity on all basis
     triples, from the nonzero structure constants. ``monomials`` optionally
     records exponent tuples when the basis consists of monomials (used by
@@ -72,12 +71,9 @@ class CommutativeAlgebra(_StructureTable):
         n = self.dim
         if len(self.unit) != n:
             raise ValueError("unit length does not match dimension")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.table[i][j] != self.table[j][i]:
-                    raise ValueError(
-                        "product is not commutative on basis pair (%d, %d)" % (i, j)
-                    )
+        pair = self._noncommuting_pair()
+        if pair:
+            raise ValueError("product is not commutative on basis pair (%d, %d)" % pair)
         for i in range(n):
             if self._product(self.unit, unit_vector(n, i)) != unit_vector(n, i):
                 raise ValueError("unit law fails on basis vector %d" % i)
@@ -149,41 +145,28 @@ def truncated_poly(m: int, order: int) -> CommutativeAlgebra:
         raise ValueError("need at least one variable and order >= 1")
     monos = _monomials_below(m, order)
     index = {alpha: i for i, alpha in enumerate(monos)}
-    n = len(monos)
-    table = [[list(zero_vector(n)) for _ in range(n)] for _ in range(n)]
+    products = {}
     for i, a in enumerate(monos):
         for j, b in enumerate(monos):
             total = tuple(x + y for x, y in zip(a, b))
             if sum(total) < order:
-                table[i][j][index[total]] = Fraction(1)
+                products[(i, j)] = {index[total]: 1}
     names = [_monomial_name(a, m == 1) for a in monos]
-    unit = unit_vector(n, 0)
-    return CommutativeAlgebra(names, unit, table, monomials=monos)
+    return CommutativeAlgebra(names, unit_vector(len(monos), 0), products, monomials=monos)
 
 
 def point_functions(k: int) -> CommutativeAlgebra:
     """Functions on k points: Q^k with the pointwise product."""
     if k < 1:
         raise ValueError("need at least one point")
-    table = [
-        [
-            unit_vector(k, i) if i == j else zero_vector(k)
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
     names = ["p%d" % (i + 1) for i in range(k)]
-    return CommutativeAlgebra(names, [1] * k, table)
+    return CommutativeAlgebra(names, [1] * k, {(i, i): {i: 1} for i in range(k)})
 
 
 def quadratic_extension(c) -> CommutativeAlgebra:
     """Q[r]/(r^2 - c); a field when c is not a rational square."""
-    c = frac(c)
-    table = [
-        [vector([1, 0]), vector([0, 1])],
-        [vector([0, 1]), vector([c, 0])],
-    ]
-    return CommutativeAlgebra(["1", "r"], [1, 0], table)
+    products = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: frac(c)}}
+    return CommutativeAlgebra(["1", "r"], [1, 0], products)
 
 
 def commutative_derivations(a: CommutativeAlgebra):
@@ -191,7 +174,7 @@ def commutative_derivations(a: CommutativeAlgebra):
     from .endo import EndoSpace, leibniz_system
 
     n = a.dim
-    return EndoSpace("derivations", n, kernel_of_rows(leibniz_system(a.table, n), n * n))
+    return EndoSpace("derivations", n, kernel_of_rows(leibniz_system(a), n * n))
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +195,14 @@ def _from_matrix_basis(mats: list[Matrix], names: list[str]) -> LieAlgebra:
         raise ValueError("matrix basis is linearly dependent")
     to_coords = Matrix([[v[p] for p in span.pivots] for v in flat]).inverse().transpose()
 
-    def coords(a: Matrix, b: Matrix) -> Vector:
+    def coords(a: Matrix, b: Matrix) -> dict:
         comm = a.commutator(b).flatten()
         if not span.contains(comm):
             raise ValueError("commutator escapes the span of the basis")
-        return to_coords.apply([comm[p] for p in span.pivots])
+        return {k: c for k, c in enumerate(to_coords.apply([comm[p] for p in span.pivots])) if c}
 
-    return LieAlgebra(names, [[coords(a, b) for b in mats] for a in mats])
+    return LieAlgebra(names, {(i, j): coords(a, b)
+                              for i, a in enumerate(mats) for j, b in enumerate(mats)})
 
 
 def _eij(n: int, i: int, j: int) -> Matrix:
@@ -359,23 +343,14 @@ def direct_sum(parts: Sequence[LieAlgebra]) -> LieAlgebra:
         raise ValueError("direct sum of an empty list")
     if len(parts) == 1:
         return parts[0]
-    total = sum(p.dim for p in parts)
-    offsets = []
-    acc = 0
-    for p in parts:
-        offsets.append(acc)
-        acc += p.dim
-    names = []
+    names, products, off = [], {}, 0
     for t, p in enumerate(parts):
         names.extend("%s.%d" % (nm, t + 1) for nm in p.names)
-    table = [[list(zero_vector(total)) for _ in range(total)] for _ in range(total)]
-    for t, p in enumerate(parts):
-        off = offsets[t]
         for i, row in enumerate(p._nonzero):
             for j, entries in enumerate(row):
-                for k, v in entries:
-                    table[off + i][off + j][off + k] = v
-    return LieAlgebra(names, table)
+                products[(off + i, off + j)] = {off + k: v for k, v in entries}
+        off += p.dim
+    return LieAlgebra(names, products)
 
 
 # ---------------------------------------------------------------------------
@@ -391,23 +366,22 @@ def current_algebra(k: LieAlgebra, a: CommutativeAlgebra) -> LieAlgebra:
     result rather than trusted. Memoized per k; A compares by value, so an
     equal coefficient algebra built again gets the same result.
     """
-    nk, na = k.dim, a.dim
-    n = nk * na
+    na = a.dim
     names = [
-        "%s(x)%s" % (k.names[i], a.names[p]) for i in range(nk) for p in range(na)
+        "%s(x)%s" % (k.names[i], a.names[p]) for i in range(k.dim) for p in range(na)
     ]
-    table = [[list(zero_vector(n)) for _ in range(n)] for _ in range(n)]
+    products = {}
     for i, k_row in enumerate(k._nonzero):
         for j, cij in enumerate(k_row):
             if not cij:
                 continue
             for p, a_row in enumerate(a._nonzero):
                 for q, prod in enumerate(a_row):
-                    row = table[i * na + p][j * na + q]
-                    for l, cl in cij:
-                        for r, pr in prod:
-                            row[l * na + r] += cl * pr
-    g = LieAlgebra(names, table)
+                    # (l, r) -> l * na + r is one-to-one, so no coordinate is hit twice
+                    products[(i * na + p, j * na + q)] = {
+                        l * na + r: cl * pr for l, cl in cij for r, pr in prod
+                    }
+    g = LieAlgebra(names, products)
     _check_jacobi(g)
     return g
 

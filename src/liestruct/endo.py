@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError
-from .lie import LieAlgebra, _integral, _memoized, _sparse, _StructureTable
+from .lie import LieAlgebra, _integral, _memoized, _StructureTable
 from .linalg import Matrix, Subspace, Vector, kernel_of_rows, unit_vector
 from .poly import jordan_chevalley
 
@@ -90,24 +90,25 @@ def _subtract(row: dict, entries):
             del row[col]
 
 
-def leibniz_system(table, n: int, target=None, ev=None):
+def leibniz_system(source: _StructureTable, target: _StructureTable = None, ev=None):
     """Rows {col: int} of D(e_i e_j) = D(e_i) ev(e_j) + ev(e_i) D(e_j) for i <= j.
 
-    ``table[i][j]`` is the coordinate vector of the product e_i e_j of an
-    n-dimensional algebra. D maps it into the algebra with product table
-    ``target``, and ev sends e_i to the target's basis element ev[i], or to
-    0 where ev[i] is None. By default target is the algebra itself and ev
-    the identity, which gives the derivations; the i = j rows of a Lie
-    table cancel to nothing. The unknown D is flattened row-major (column j
-    holds D e_j). Serves Lie tables and commutative ones. Yields one row per
-    pair and target coordinate, as a map of nonzero ints: the constants of
-    both tables are scaled over one common denominator first.
+    e_i e_j is the product of the n-dimensional algebra ``source``. D maps
+    it into the algebra ``target``, and ev sends e_i to the target's basis
+    element ev[i], or to 0 where ev[i] is None. By default target is the
+    algebra itself and ev the identity, which gives the derivations; the
+    i = j rows of a Lie table cancel to nothing. The unknown D is flattened
+    row-major (column j holds D e_j). Serves Lie tables and commutative
+    ones. Yields one row per pair and target coordinate, as a map of
+    nonzero ints: the nonzero constants of both tables are scaled over one
+    common denominator first.
     """
+    n = source.dim
     if target is None:
-        _, source = _integral(_sparse(table))
+        _, source = _integral(source._nonzero)
         target, ev = source, range(n)
     else:
-        _, source, target = _integral(_sparse(table), _sparse(target))
+        _, source, target = _integral(source._nonzero, target._nonzero)
     nt = len(target)
     # left[j][m]: (k, c_kj^m) != 0; right[i][m]: (k, c_ik^m) != 0 in the target
     left = [[[] for _ in range(nt)] for _ in range(nt)]
@@ -130,16 +131,21 @@ def leibniz_system(table, n: int, target=None, ev=None):
                     yield row
 
 
-def commutant_system(mats: Sequence[Matrix], n: int):
-    """Rows {col: int} of (A f - f A) = 0 for each n x n matrix A in ``mats``.
+def commutant_system(ops, n: int):
+    """Rows {col: int} of (A f - f A) = 0 for each n x n operator A in ``ops``.
 
-    The unknown f is flattened row-major. Yields one row per matrix and
-    entry, as a map of nonzero ints: the entries of all the matrices are
+    ``A[j]`` lists the nonzero entries (k, A_kj) of column j, sorted by k, so
+    the left multiplications of a structure table are its ``_nonzero`` rows.
+    The unknown f is flattened row-major. Yields one row per operator and
+    entry, as a map of nonzero ints: the entries of all the operators are
     scaled over one common denominator first.
     """
-    # the nonzero entries of each row and of each column of each matrix
-    _, *sparse = _integral(*(_sparse([m.rows, tuple(zip(*m.rows))]) for m in mats))
-    for rows, cols in sparse:
+    _, ops = _integral(ops)
+    for cols in ops:
+        rows = [[] for _ in range(n)]
+        for k, col in enumerate(cols):
+            for r, v in col:
+                rows[r].append((k, v))
         for r in range(n):
             for cc in range(n):
                 row = {k * n + cc: v for k, v in rows[r]}
@@ -152,7 +158,7 @@ def commutant_system(mats: Sequence[Matrix], n: int):
 def derivations(g: LieAlgebra) -> EndoSpace:
     """Der(g) = {D : D[x,y] = [Dx,y] + [x,Dy]}."""
     n = g.dim
-    return EndoSpace("derivations", n, kernel_of_rows(leibniz_system(g.table, n), n * n))
+    return EndoSpace("derivations", n, kernel_of_rows(leibniz_system(g), n * n))
 
 
 @_memoized
@@ -167,8 +173,8 @@ def inner_derivations(g: LieAlgebra) -> EndoSpace:
 def centroid(g: LieAlgebra) -> EndoSpace:
     """Cent(g) = {f : f ad_x = ad_x f for all x}; contains the identity."""
     n = g.dim
-    ads = [g.ad_basis(i) for i in range(n)]
-    return EndoSpace("centroid", n, kernel_of_rows(commutant_system(ads, n), n * n))
+    # column j of ad e_i is [e_i, e_j]: the ad e_i are g's nonzero lists as they stand
+    return EndoSpace("centroid", n, kernel_of_rows(commutant_system(g._nonzero, n), n * n))
 
 
 @_memoized
@@ -198,7 +204,8 @@ def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
     for m in rep:
         if not m.is_square() or m.nrows != n:
             raise ValueError("representation matrices must be square of one size")
-    return EndoSpace("commutant", n, kernel_of_rows(commutant_system(rep, n), n * n))
+    ops = [[[(k, x) for k, x in enumerate(col) if x] for col in zip(*m.rows)] for m in rep]
+    return EndoSpace("commutant", n, kernel_of_rows(commutant_system(ops, n), n * n))
 
 
 def _algebra_table(space: EndoSpace) -> _StructureTable:
@@ -207,9 +214,10 @@ def _algebra_table(space: EndoSpace) -> _StructureTable:
     spots = [divmod(p, space.n) for p in space.space.pivots]
     mats = space.basis_matrices()
     cols = [tuple(zip(*b.rows)) for b in mats]
-    return _StructureTable(["b%d" % i for i in range(len(mats))], [
-        [[sum((x * y for x, y in zip(a.rows[r], bc[c]) if x), Fraction(0)) for r, c in spots]
-         for bc in cols] for a in mats])
+    return _StructureTable(["b%d" % i for i in range(len(mats))], {
+        (i, j): {k: sum((x * y for x, y in zip(a.rows[r], bc[c]) if x), Fraction(0))
+                 for k, (r, c) in enumerate(spots)}
+        for i, a in enumerate(mats) for j, bc in enumerate(cols)})
 
 
 @_memoized
@@ -235,13 +243,10 @@ def _from_regular(space: EndoSpace, m: Matrix) -> Vector:
 
 def check_abelian(space: EndoSpace, table: _StructureTable):
     """Raise PreconditionError naming the first noncommuting pair in ``space``'s table."""
-    for i in range(space.dim):
-        for j in range(i + 1, space.dim):
-            if table.table[i][j] != table.table[j][i]:
-                raise PreconditionError(
-                    "%s is not commutative: basis elements %d and %d do not commute"
-                    % (space.kind, i, j)
-                )
+    pair = table._noncommuting_pair()
+    if pair:
+        raise PreconditionError("%s is not commutative: basis elements %d and %d do not "
+                                "commute" % (space.kind, *pair))
 
 
 @_memoized

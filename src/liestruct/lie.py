@@ -3,10 +3,10 @@
 An algebra is a validated, immutable table c[i][j] of bracket coordinate
 vectors. Construction goes through :func:`build`, which checks antisymmetry
 by construction and the Jacobi identity on every basis triple, so downstream
-code can assume it is working with an actual Lie algebra. The table, its
-nonzero entries, the product and the left multiplication live in one
-private structure-constant core, which ``construct.CommutativeAlgebra``
-shares.
+code can assume it is working with an actual Lie algebra. The structure
+constants, held only as nonzero lists, the product and the left
+multiplication live in one private structure-constant core, which
+``construct.CommutativeAlgebra`` shares.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .linalg import (
     kernel_of_rows,
     row_reduce,
     unit_vector,
-    vector,
     zero_vector,
 )
 
@@ -67,16 +66,11 @@ def _memoized(fn):
     return memoized
 
 
-def _sparse(table):
-    """[i][j] -> ((k, c), ...) with c = table[i][j][k] != 0, for a dense table."""
-    return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row) for row in table)
-
-
 def _integral(*tables):
     """(den, *tables) with every constant of the sparse ``tables`` times den.
 
-    ``tables`` are nested like :func:`_sparse`'s output, [i][j] -> ((k, c),
-    ...) with c rational; den is the least common denominator of all of
+    ``tables`` are nested like ``_StructureTable._nonzero``, [i][j] -> ((k,
+    c), ...) with c rational; den is the least common denominator of all of
     them, so the scaled constants are ints. Rows and defects built from them
     are den (or den^2, for products of two constants) times the rational ones.
     """
@@ -91,31 +85,67 @@ def _integral(*tables):
 class _StructureTable:
     """An algebra on a fixed ordered basis, given by its structure constants.
 
-    The one home of the table for Lie algebras and for commutative
-    coefficient algebras: ``table[i][j]`` is the dense coordinate vector of
-    the product e_i e_j, and ``_nonzero[i][j]`` lists its nonzero entries
-    (k, c), computed once at construction. The product, the left
-    multiplication matrix and the hash read the nonzero lists; the triple
-    checks read them scaled to integers by :func:`_integral`.
+    The one home of the constants for Lie algebras and for commutative
+    coefficient algebras, held only as ``_nonzero[i][j]``, the nonzero
+    entries (k, c) of e_i e_j sorted by k. ``products`` maps any ordered pair
+    (i, j) to ``{k: c}``, zero coefficients and omitted pairs allowed; a
+    dense table, ``table[i][j]`` the coordinate vector of e_i e_j, is
+    converted once on the way in. The product, the left multiplication
+    matrix and the hash read the nonzero lists; the triple checks read them
+    scaled to integers by :func:`_integral`.
     """
 
-    __slots__ = ("dim", "names", "table", "_nonzero", "_hash", "__weakref__")
+    __slots__ = ("dim", "names", "_nonzero", "_hash", "__weakref__")
+    _product_word = "product"  # in error messages
 
-    def __init__(self, names: Sequence[str], table):
+    def __init__(self, names: Sequence[str], products):
         self.names = tuple(names)
         self.dim = n = len(self.names)
-        self.table = tuple(tuple(vector(v) for v in row) for row in table)
-        if len(self.table) != n or any(
-            len(r) != n or any(len(v) != n for v in r) for r in self.table
-        ):
-            raise ValueError("structure table shape does not match dimension")
-        self._nonzero = _sparse(self.table)
+        if not isinstance(products, Mapping):  # a dense table, from the public constructors
+            rows = [[tuple(v) for v in row] for row in products]
+            if len(rows) != n or any(len(r) != n or any(len(v) != n for v in r) for r in rows):
+                raise ValueError("structure table shape does not match dimension")
+            products = {(i, j): {k: c for k, c in enumerate(v) if c}
+                        for i, row in enumerate(rows) for j, v in enumerate(row)}
+        nonzero = [[()] * n for _ in range(n)]
+        for (i, j), value in products.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError("%s (%r, %r) outside 0..%d" % (self._product_word, i, j, n - 1))
+            entries = []
+            for k, c in value.items():
+                if not 0 <= k < n:
+                    raise ValueError("%s (%d, %d) has coefficient index %d outside 0..%d"
+                                     % (self._product_word, i, j, k, n - 1))
+                c = frac(c)
+                if c:
+                    entries.append((k, c))
+            nonzero[i][j] = tuple(sorted(entries))
+        self._nonzero = tuple(map(tuple, nonzero))
         self._hash = None
+
+    @property
+    def table(self):
+        """The dense table, rebuilt on every read: [i][j] is the vector of e_i e_j."""
+        return tuple(tuple(self._vector(v) for v in row) for row in self._nonzero)
+
+    def _vector(self, entries) -> Vector:
+        """The dense coordinate vector with the nonzero ``entries`` (k, c)."""
+        out = list(zero_vector(self.dim))
+        for k, c in entries:
+            out[k] = c
+        return tuple(out)
 
     def _same_table(self, other) -> bool:
         return self is other or (
-            type(other) is type(self) and self.names == other.names and self.table == other.table
+            type(other) is type(self) and self.names == other.names
+            and self._nonzero == other._nonzero
         )
+
+    def _noncommuting_pair(self):
+        """The first basis pair i < j with e_i e_j != e_j e_i, or None."""
+        nz = self._nonzero
+        pairs = itertools.combinations(range(self.dim), 2)
+        return next(((i, j) for i, j in pairs if nz[i][j] != nz[j][i]), None)
 
     def _table_hash(self, *extra) -> int:
         if self._hash is None:
@@ -155,9 +185,10 @@ class _StructureTable:
 class LieAlgebra(_StructureTable):
     """Immutable Lie algebra with a fixed ordered basis.
 
-    ``table[i][j]`` is the coordinate vector of [e_i, e_j]; the table, its
-    nonzero entries and the bracket are shared with the commutative
-    coefficient algebras through one structure-constant core. Instances are
+    ``table`` is dense, ``table[i][j]`` the coordinate vector of [e_i, e_j],
+    or sparse, ``{(i, j): {k: c}}``; the structure-constant core that keeps
+    only the nonzero constants and brackets with them is shared with the
+    commutative coefficient algebras. Instances are
     hashable and compare by structure table and basis names. The hash is
     computed once, on first use. Expensive invariants (here and in ``endo``,
     ``construct`` and ``decompose``) are memoized per algebra in one
@@ -167,6 +198,7 @@ class LieAlgebra(_StructureTable):
     """
 
     __slots__ = ()
+    _product_word = "bracket"
 
     # -- identity ----------------------------------------------------------
 
@@ -225,7 +257,8 @@ class LieAlgebra(_StructureTable):
     @_memoized
     def commutator_algebra(self) -> Subspace:
         """[g, g], the derived subalgebra: the span of the brackets [e_i, e_j]."""
-        brackets = [v for i, row in enumerate(self.table) for v in row[i + 1 :]]
+        nz = self._nonzero
+        brackets = [self._vector(v) for i, row in enumerate(nz) for v in row[i + 1 :] if v]
         return Subspace.span(brackets, self.dim)
 
     def derived_series(self) -> list[Subspace]:
@@ -251,11 +284,12 @@ class LieAlgebra(_StructureTable):
     def killing_form(self) -> Matrix:
         """kappa(i, j) = tr(ad e_i ad e_j) = sum of c_il^k c_jk^l over k, l."""
         n, nonzero = self.dim, self._nonzero
+        lookup = [[dict(v) for v in row] for row in nonzero]
         rows = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                tj = self.table[j]
-                terms = (c * tj[k][l] for l in range(n) for k, c in nonzero[i][l] if tj[k][l])
+                tj = lookup[j]
+                terms = (c * tj[k][l] for l in range(n) for k, c in nonzero[i][l] if l in tj[k])
                 rows[i][j] = rows[j][i] = sum(terms, Fraction(0))
         return Matrix(rows)
 
@@ -310,7 +344,7 @@ class LieAlgebra(_StructureTable):
         Raises ValueError when s is not closed under the bracket.
         """
         k = s.dim
-        table = [[None] * k for _ in range(k)]
+        products = {}
         for a in range(k):
             for b in range(k):
                 w = self.bracket(s.rows[a], s.rows[b])
@@ -320,10 +354,10 @@ class LieAlgebra(_StructureTable):
                         "subspace is not closed under the bracket "
                         "(product of basis vectors %d and %d escapes)" % (a, b)
                     )
-                table[a][b] = coords
+                products[(a, b)] = {c: x for c, x in enumerate(coords) if x}
         if names is None:
             names = ["s%d" % a for a in range(k)]
-        return LieAlgebra(names, table)
+        return LieAlgebra(names, products)
 
     def quotient(self, ideal: Subspace) -> "LieAlgebra":
         """g / ideal on the images of the basis vectors outside the pivots.
@@ -339,16 +373,15 @@ class LieAlgebra(_StructureTable):
             return self
         pivot_set = set(ideal.pivots)
         complement = [j for j in range(self.dim) if j not in pivot_set]
-        k = len(complement)
         # residues after reduction vanish on pivot columns, so the surviving
         # coordinates are exactly the complement coordinates
-        table = [[None] * k for _ in range(k)]
+        products = {}
         for a, ia in enumerate(complement):
             for b, ib in enumerate(complement):
-                w = ideal.reduce(self.table[ia][ib])
-                table[a][b] = [w[j] for j in complement]
+                w = ideal.reduce(self._vector(self._nonzero[ia][ib]))
+                products[(a, b)] = {c: w[j] for c, j in enumerate(complement) if w[j]}
         names = [self.names[j] + "~" for j in complement]
-        return LieAlgebra(names, table)
+        return LieAlgebra(names, products)
 
     def permuted(self, perm: Sequence[int]) -> "LieAlgebra":
         """Relabel the basis: new basis vector a is old basis vector perm[a]."""
@@ -357,15 +390,12 @@ class LieAlgebra(_StructureTable):
         inv = [0] * self.dim
         for a, p in enumerate(perm):
             inv[p] = a
-        table = [
-            [
-                [self.table[perm[a]][perm[b]][k] for k in perm]
-                for b in range(self.dim)
-            ]
-            for a in range(self.dim)
-        ]
+        products = {
+            (a, b): {inv[k]: c for k, c in self._nonzero[pa][pb]}
+            for a, pa in enumerate(perm) for b, pb in enumerate(perm)
+        }
         names = [self.names[p] for p in perm]
-        return LieAlgebra(names, table)
+        return LieAlgebra(names, products)
 
 
 def build(
@@ -386,23 +416,15 @@ def build(
         names = ["e%d" % i for i in range(dim)]
     if len(names) != dim:
         raise ValueError("expected %d basis names, got %d" % (dim, len(names)))
-    table = [[list(zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
+    products = {}
     for (i, j), value in brackets.items():
         if not (0 <= i < j < dim):
             raise ValueError(
                 "bracket key (%r, %r) must satisfy 0 <= left < right < dim" % (i, j)
             )
-        for k, coeff in value.items():
-            k = int(k)
-            if not 0 <= k < dim:
-                raise ValueError(
-                    "bracket (%d, %d) has coefficient index %d outside 0..%d"
-                    % (i, j, k, dim - 1)
-                )
-            c = frac(coeff)
-            table[i][j][k] = c
-            table[j][i][k] = -c
-    algebra = LieAlgebra(names, table)
+        value = products[(i, j)] = {int(k): frac(c) for k, c in value.items()}
+        products[(j, i)] = {k: -c for k, c in value.items()}
+    algebra = LieAlgebra(names, products)
     if validate:
         _check_jacobi(algebra)
     return algebra
@@ -458,7 +480,9 @@ def to_dict(g: LieAlgebra) -> dict:
 def from_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
     """Inverse of :func:`to_dict`; validates Jacobi unless told otherwise.
 
-    ``"basis"``, when given, must be a list of ``dim`` distinct strings;
+    ``"basis"``, when given, must be a list of ``dim`` distinct strings; each
+    bracket pair and each coefficient index within a pair must be given
+    once; coefficients are ints or strings such as ``"1/10"``, never floats.
     ValueError otherwise.
     """
     dim = int(data["dim"])
@@ -474,5 +498,13 @@ def from_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
     brackets = {}
     for entry in data.get("brackets", []):
         i, j = int(entry["left"]), int(entry["right"])
-        brackets[(i, j)] = {int(k): frac(v) for k, v in entry["value"].items()}
+        value = {int(k): c for k, c in entry["value"].items()}
+        if (i, j) in brackets:
+            raise ValueError("bracket (%d, %d) is given more than once" % (i, j))
+        if len(value) < len(entry["value"]):
+            raise ValueError("bracket (%d, %d) names a coefficient index more than once" % (i, j))
+        if any(isinstance(c, float) for c in value.values()):
+            raise ValueError('bracket (%d, %d) has a float coefficient; write exact values as '
+                             'strings such as "1/10"' % (i, j))
+        brackets[(i, j)] = value
     return build(dim, brackets, names=names, validate=validate)

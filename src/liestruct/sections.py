@@ -38,6 +38,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    add_vectors,
     kernel_of_rows,
     kron,
     unit_vector,
@@ -102,16 +103,9 @@ class JetAlgebra:
                 for q in range(a.dim):
                     if sum(monos[p]) + sum(monos[q]) >= self.order:
                         continue
-                    lhs = d.apply(a.table[p][q])
-                    rhs = tuple(
-                        x + y
-                        for x, y in zip(
-                            a.product(d.apply(unit_vector(a.dim, p)),
-                                      unit_vector(a.dim, q)),
-                            a.product(unit_vector(a.dim, p),
-                                      d.apply(unit_vector(a.dim, q))),
-                        )
-                    )
+                    ep, eq = unit_vector(a.dim, p), unit_vector(a.dim, q)
+                    lhs = d.apply(a.product(ep, eq))
+                    rhs = add_vectors(a.product(d.apply(ep), eq), a.product(ep, d.apply(eq)))
                     if lhs != rhs:
                         raise ValueError(
                             "partial %d fails the Leibniz rule below the "
@@ -246,7 +240,7 @@ def x_derivations(k: LieAlgebra, m: int) -> tuple[tuple[XDerivation, ...], int]:
     g = current_algebra(k, truncated_poly(m, 2) if m else point_functions(1))
     big = g.dim
     ev = [i if p == 0 else None for i in range(n) for p in range(na)]
-    space = kernel_of_rows(leibniz_system(g.table, big, k.table, ev), n * big)
+    space = kernel_of_rows(leibniz_system(g, k, ev), n * big)
     # column i * na + u of delta holds column i of D (u = 0) or of S^u
     der, cent = derivations(k), centroid(k)
     vecs = []
@@ -592,10 +586,9 @@ def jet_reparametrization_automorphism(
     # multiplicativity of mu on A
     for p in range(a.dim):
         for q in range(p, a.dim):
-            lhs = mu.apply(a.table[p][q])
-            rhs = a.product(
-                mu.apply(unit_vector(a.dim, p)), mu.apply(unit_vector(a.dim, q))
-            )
+            ep, eq = unit_vector(a.dim, p), unit_vector(a.dim, q)
+            lhs = mu.apply(a.product(ep, eq))
+            rhs = a.product(mu.apply(ep), mu.apply(eq))
             if lhs != rhs:
                 raise LiestructError(
                     "coefficient substitution is not multiplicative on basis "
@@ -605,16 +598,11 @@ def jet_reparametrization_automorphism(
         raise LiestructError("coefficient substitution moves the unit")
     full = kron(Matrix.identity(k.dim), mu)
     g = current_algebra(k, a)
-    auto_ok = True
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = full.apply(g.table[i][j])
-            rhs = g.bracket(full.column(i), full.column(j))
-            if lhs != rhs:
-                auto_ok = False
-                break
-        if not auto_ok:
-            break
+    auto_ok = all(
+        full.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
+        == g.bracket(full.column(i), full.column(j))
+        for i, j in itertools.combinations(range(g.dim), 2)
+    )
     try:
         full.inverse()
         invertible = True

@@ -106,7 +106,8 @@ def _pair(value, left=0, right=1):
 
 
 MALFORMED_IDS = ["index-minus-1", "index-dim", "no-dim", "pair-0-5", "value-x", "top-level-list",
-                 "value-list", "short-basis", "basis-string", "basis-repeated", "basis-numbers"]
+                 "value-list", "short-basis", "basis-string", "basis-repeated", "basis-numbers",
+                 "pair-repeated", "index-repeated", "zero-denominator", "float-value"]
 MALFORMED_FILES = [
     (_pair({"-1": "1"}), "coefficient index -1 outside 0..2"),
     (_pair({"3": "1"}), "coefficient index 3 outside 0..2"),
@@ -119,6 +120,14 @@ MALFORMED_FILES = [
     ({"dim": 3, "basis": "xyz"}, '"basis" must be a list of 3 strings'),
     ({"dim": 2, "basis": ["a", "a"]}, "\"basis\" names 'a' more than once"),
     ({"dim": 2, "basis": [1, 2]}, '"basis" must be a list of 2 strings'),
+    # [e0, e1] = e0, then [e0, e1] = e1: the later entry used to win silently
+    ({"dim": 3, "brackets": [{"left": 0, "right": 1, "value": {"0": "1"}},
+                             {"left": 0, "right": 1, "value": {"1": "1"}}]},
+     r"bracket \(0, 1\) is given more than once"),
+    (_pair({"0": "1", "00": "2"}), r"bracket \(0, 1\) names a coefficient index more than once"),
+    (_pair({"2": "1/0"}), r"Fraction\(1, 0\)"),
+    (_pair({"2": 0.1}), r'bracket \(0, 1\) has a float coefficient; write exact values as '
+                        r'strings such as "1/10"'),
 ]
 
 

@@ -132,6 +132,26 @@ def test_classical_matches_per_pair_solve(monkeypatch, kind, n):
     assert g.table == ref.table
 
 
+def test_current_algebra_retains_only_its_nonzero_constants():
+    import gc
+    import tracemalloc
+
+    k, a = classical("sl", 4), truncated_poly(1, 4)
+    build_current = current_algebra.__wrapped__  # past the memo
+    build_current(k, a)  # once first, so first-call allocations are not counted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build_current(k, a)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a dense 60^3 table of Fractions alone would take more than 2 MB
+    assert g.dim == 60 and retained < 0.6e6
+
+
 def test_matrix_basis_must_be_independent():
     e12 = Matrix([[0, 1], [0, 0]])
     with pytest.raises(ValueError, match="linearly dependent"):
@@ -410,6 +430,8 @@ def test_equal_commutative_algebras_hash_equal():
     ])
     assert by_hand == point_functions(2) and hash(by_hand) == hash(point_functions(2))
     assert _cubic_field() == _cubic_field() and hash(_cubic_field()) == hash(_cubic_field())
+    dense = CommutativeAlgebra(a.names, a.unit, a.table, a.monomials)
+    assert dense == a and hash(dense) == hash(a) and dense._nonzero == a._nonzero
     renamed = CommutativeAlgebra(["1", "s"], quadratic_extension(2).unit,
                                  quadratic_extension(2).table)
     assert renamed != quadratic_extension(2)

@@ -183,10 +183,10 @@ def _sympy_solution(sympy, blocks, n):
 
 def _sympy_ads(sympy, g):
     # ad(e_i)[k][j] = coefficient of e_k in [e_i, e_j]
-    n = g.dim
+    n, t = g.dim, g.table
     return [
-        sympy.Matrix(n, n, lambda k, j: sympy.Rational(g.table[i][j][k].numerator,
-                                                       g.table[i][j][k].denominator))
+        sympy.Matrix(n, n, lambda k, j: sympy.Rational(t[i][j][k].numerator,
+                                                       t[i][j][k].denominator))
         for i in range(n)
     ]
 
@@ -419,7 +419,7 @@ def test_integer_rows_give_the_fraction_reference_kernels(rational_algebras, nam
     assert endo.derivations(g).space == der
     assert endo.centroid(g).space == cent
     assert endo.module_commutant(ads).space == cent
-    rows = list(endo.leibniz_system(g.table, n)) + list(endo.commutant_system(ads, n))
+    rows = list(endo.leibniz_system(g)) + list(endo.commutant_system(g._nonzero, n))
     assert rows and all(type(v) is int and v for row in rows for v in row.values())
 
 

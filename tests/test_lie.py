@@ -520,6 +520,64 @@ def test_permuted_preserves_structure(sl2):
             assert moved == vector(orig[perm[t]] for t in range(3))
 
 
+def _sparse_path_algebras(sl2, two_dim, heisenberg3, rebased):
+    """Algebras from each internal constructor that hands its constants over sparsely;
+    ``rebased`` has brackets with several terms, which a permutation reorders."""
+    from liestruct import direct_sum
+
+    jets = current_algebra(sl2, truncated_poly(1, 3))
+    return [
+        sl2, heisenberg3, classical("so", 4), classical("su", 2), rebased,
+        direct_sum([sl2, two_dim]), jets, sl2.permuted((2, 0, 1)), rebased.permuted((3, 2, 1, 0)),
+        heisenberg3.quotient(heisenberg3.center()), jets.restrict_to(jets.commutator_algebra()),
+    ]
+
+
+def test_dense_public_table_and_sparse_path_give_equal_algebras(sl2, two_dim, heisenberg3,
+                                                                 sl2_plus_q_rebased):
+    for g in _sparse_path_algebras(sl2, two_dim, heisenberg3, sl2_plus_q_rebased):
+        dense = LieAlgebra(g.names, g.table)
+        assert dense == g and hash(dense) == hash(g)
+        assert dense._nonzero == g._nonzero
+        assert all(list(v) == sorted(v) and all(c for _, c in v) for row in g._nonzero for v in row)
+
+
+def test_explicit_zero_coefficients_are_dropped(heisenberg3):
+    plain = build(3, {(0, 1): {2: 1}}, names=heisenberg3.names)
+    with_zeros = build(3, {(0, 1): {0: F(0), 2: 1}, (0, 2): {1: 0}}, names=heisenberg3.names)
+    sparse = LieAlgebra(heisenberg3.names, {(0, 1): {0: 0, 2: F(1)}, (1, 0): {2: -1, 1: F(0)},
+                                            (2, 2): {0: 0}})
+    for g in (with_zeros, sparse, LieAlgebra(heisenberg3.names, heisenberg3.table)):
+        assert g == plain and hash(g) == hash(plain)
+        assert g._nonzero[0][2] == () and g._nonzero[0][1] == ((2, F(1)),)
+        assert g.table == plain.table
+
+
+@pytest.mark.parametrize("table, message", [
+    ({(0, 2): {0: 1}}, r"bracket \(0, 2\) outside 0\.\.1"),
+    ({(-1, 0): {0: 1}}, r"bracket \(-1, 0\) outside 0\.\.1"),
+    ({(0, 1): {-1: 1}}, r"bracket \(0, 1\) has coefficient index -1 outside 0\.\.1"),
+    ([[(0, 0), (0, 0)], [(0, 0), (0,)]], "shape does not match"),
+    ([[(0, 0), (0, 0)]], "shape does not match"),
+])
+def test_structure_table_refuses_indices_outside_the_basis(table, message):
+    with pytest.raises(ValueError, match=message):
+        LieAlgebra(["a", "b"], table)
+
+
+def test_no_library_module_reads_the_dense_table():
+    import ast
+    import pathlib
+
+    readers = [
+        (path.name, node.lineno)
+        for path in sorted(pathlib.Path(lie.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "table"
+    ]
+    assert readers == []
+
+
 def test_json_roundtrip(sl2, two_dim, heisenberg3):
     from liestruct.lie import from_dict, to_dict
 

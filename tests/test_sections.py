@@ -174,10 +174,11 @@ def test_x_derivations_satisfy_defining_identity(sl2):
                         assert lhs == rhs
 
 
-def _reference_point_derivation_rows(table, big, target, ev, right_term=True):
+def _reference_point_derivation_rows(g, k, ev, right_term=True):
     """delta[X, Y] = [delta X, ev Y] + [ev X, delta Y] on basis pairs X < Y
     of g = k (x) A, entry by entry, for delta: g -> k; ``right_term=False``
     leaves out [ev X, delta Y]."""
+    table, big, target = g.table, g.dim, k.table
     n = len(target)
     for x in range(big):
         for y in range(x + 1, big):
