@@ -35,7 +35,7 @@ from .construct import (
 from .decompose import complex_structure, indecompose
 from .endo import centroid, derivations, inner_derivations, j_space, split_centroid
 from .errors import JacobiError, LiestructError, SpecParseError
-from .lie import LieAlgebra, from_dict, to_dict
+from .lie import LieAlgebra, _json_int, from_dict, to_dict
 from .linalg import Matrix
 
 ANALYSES = (
@@ -217,7 +217,7 @@ def _parse_lie(cur: _Cursor) -> LieAlgebra:
             raise cur.error("invalid JSON in %s: %s" % (path, exc)) from None
         try:
             # judged before lie.build allocates its dim^3 table
-            cur.check_size("the algebra in %s" % path, int(data["dim"]))
+            cur.check_size("the algebra in %s" % path, _json_int(data, "dim"))
             return from_dict(data)
         except KeyError as exc:
             raise cur.error("invalid algebra in %s: missing key %s" % (path, exc)) from None

@@ -164,7 +164,7 @@ def _corner_basis(e: Matrix, basis: list[Matrix]) -> list[Matrix]:
     """Basis of the corner algebra e A e from a spanning set of A."""
     n = e.nrows
     span = Subspace.span([(e @ b @ e).flatten() for b in basis], n * n)
-    return [Matrix.unflatten(r, n, n) for r in span.rows]
+    return [Matrix.unflatten(r, n, n) for r in span.sparse_rows()]
 
 
 def _split_local(unit: Matrix, basis: list[Matrix], search_bound: int):

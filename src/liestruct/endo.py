@@ -50,7 +50,7 @@ class EndoSpace:
         return self.space.dim
 
     def basis_matrices(self) -> list[Matrix]:
-        return [Matrix.unflatten(r, self.n, self.n) for r in self.space.rows]
+        return [Matrix.unflatten(r, self.n, self.n) for r in self.space.sparse_rows()]
 
     def contains(self, m: Matrix) -> bool:
         return self.space.contains(m.flatten())
@@ -165,8 +165,9 @@ def derivations(g: LieAlgebra) -> EndoSpace:
 def inner_derivations(g: LieAlgebra) -> EndoSpace:
     """Span of the adjoint maps; dim = dim g - dim z(g)."""
     n = g.dim
-    span = Subspace.span([g.ad_basis(i).flatten() for i in range(n)], n * n)
-    return EndoSpace("inner", n, span)
+    # entry (k, j) of ad e_i is the coefficient of e_k in [e_i, e_j]
+    ads = [{k * n + j: c for j, v in enumerate(row) for k, c in v} for row in g._nonzero]
+    return EndoSpace("inner", n, Subspace.span(ads, n * n))
 
 
 @_memoized
@@ -187,11 +188,12 @@ def j_space(g: LieAlgebra) -> EndoSpace:
     the annihilator of [g,g]; it is zero when the center is.
     """
     n = g.dim
-    center = g.center().rows
+    center = g.center().sparse_rows()
     if not center:
         return EndoSpace("j_space", n, Subspace.zero(n * n))
-    ann = kernel_of_rows(g.commutator_algebra().rows, n).rows
-    outer = [[a * b for a in z for b in w] for z in center for w in ann]
+    ann = kernel_of_rows(g.commutator_algebra().sparse_rows(), n).sparse_rows()
+    outer = [{i * n + j: a * b for i, a in z.items() for j, b in w.items()}
+             for z in center for w in ann]
     return EndoSpace("j_space", n, Subspace.span(outer, n * n))
 
 
@@ -211,13 +213,18 @@ def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
 def _algebra_table(space: EndoSpace) -> _StructureTable:
     """Multiplication table of a matrix algebra: ``[i][j]`` holds the coordinates of
     b_i b_j, its entries at the pivots of the echelon basis (the only ones computed)."""
-    spots = [divmod(p, space.n) for p in space.space.pivots]
-    mats = space.basis_matrices()
-    cols = [tuple(zip(*b.rows)) for b in mats]
-    return _StructureTable(["b%d" % i for i in range(len(mats))], {
-        (i, j): {k: sum((x * y for x, y in zip(a.rows[r], bc[c]) if x), Fraction(0))
+    n = space.n
+    spots = [divmod(p, n) for p in space.space.pivots]
+    basis = space.space.sparse_rows()
+    by_row = [{} for _ in basis]  # by_row[i][r]: the nonzero (t, entry (r, t)) of b_i
+    for rows, b in zip(by_row, basis):
+        for p, x in b.items():
+            rows.setdefault(p // n, []).append((p % n, x))
+    return _StructureTable(["b%d" % i for i in range(len(basis))], {
+        (i, j): {k: sum((x * b[t * n + c] for t, x in rows.get(r, ()) if t * n + c in b),
+                        Fraction(0))
                  for k, (r, c) in enumerate(spots)}
-        for i, a in enumerate(mats) for j, bc in enumerate(cols)})
+        for i, rows in enumerate(by_row) for j, b in enumerate(basis)})
 
 
 @_memoized
@@ -232,13 +239,8 @@ def _regular(table: _StructureTable) -> list[Matrix]:
 
 def _from_regular(space: EndoSpace, m: Matrix) -> Vector:
     """The flattened x = sum c_k b_k in ``space`` with L_x = m: c = L_x 1, 1 at the pivots."""
-    c = m.apply([Fraction(p % (space.n + 1) == 0) for p in space.space.pivots])
-    out = [Fraction(0)] * (space.n * space.n)
-    for ck, row in zip(c, space.space.rows):
-        for j, v in enumerate(row):
-            if ck and v:
-                out[j] += ck * v
-    return tuple(out)
+    return space.space.combine(m.apply([Fraction(p % (space.n + 1) == 0)
+                                        for p in space.space.pivots]))
 
 
 def check_abelian(space: EndoSpace, table: _StructureTable):

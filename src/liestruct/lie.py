@@ -24,11 +24,11 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _dense,
     frac,
     kernel_of_rows,
     row_reduce,
     unit_vector,
-    zero_vector,
 )
 
 __all__ = ["LieAlgebra", "build", "from_dict", "to_dict"]
@@ -126,14 +126,7 @@ class _StructureTable:
     @property
     def table(self):
         """The dense table, rebuilt on every read: [i][j] is the vector of e_i e_j."""
-        return tuple(tuple(self._vector(v) for v in row) for row in self._nonzero)
-
-    def _vector(self, entries) -> Vector:
-        """The dense coordinate vector with the nonzero ``entries`` (k, c)."""
-        out = list(zero_vector(self.dim))
-        for k, c in entries:
-            out[k] = c
-        return tuple(out)
+        return tuple(tuple(tuple(_dense(v, self.dim)) for v in row) for row in self._nonzero)
 
     def _same_table(self, other) -> bool:
         return self is other or (
@@ -179,7 +172,7 @@ class _StructureTable:
                 for j, entries in enumerate(self._nonzero[i]):
                     for k, v in entries:
                         rows[k][j] += xi * v
-        return Matrix(rows)
+        return Matrix._trusted(map(tuple, rows))
 
 
 class LieAlgebra(_StructureTable):
@@ -251,14 +244,15 @@ class LieAlgebra(_StructureTable):
 
     def bracket_span(self, s: Subspace, t: Subspace) -> Subspace:
         """Subspace spanned by all [u, v], u in s, v in t."""
-        vecs = [self.bracket(u, v) for u in s.rows for v in t.rows]
+        trows = t.rows
+        vecs = [self.bracket(u, v) for u in s.rows for v in trows]
         return Subspace.span(vecs, self.dim)
 
     @_memoized
     def commutator_algebra(self) -> Subspace:
         """[g, g], the derived subalgebra: the span of the brackets [e_i, e_j]."""
         nz = self._nonzero
-        brackets = [self._vector(v) for i, row in enumerate(nz) for v in row[i + 1 :] if v]
+        brackets = [dict(v) for i, row in enumerate(nz) for v in row[i + 1 :] if v]
         return Subspace.span(brackets, self.dim)
 
     def derived_series(self) -> list[Subspace]:
@@ -343,12 +337,11 @@ class LieAlgebra(_StructureTable):
 
         Raises ValueError when s is not closed under the bracket.
         """
-        k = s.dim
+        rows = s.rows
         products = {}
-        for a in range(k):
-            for b in range(k):
-                w = self.bracket(s.rows[a], s.rows[b])
-                coords = s.coordinates(w)
+        for a, u in enumerate(rows):
+            for b, v in enumerate(rows):
+                coords = s.coordinates(self.bracket(u, v))
                 if coords is None:
                     raise ValueError(
                         "subspace is not closed under the bracket "
@@ -356,7 +349,7 @@ class LieAlgebra(_StructureTable):
                     )
                 products[(a, b)] = {c: x for c, x in enumerate(coords) if x}
         if names is None:
-            names = ["s%d" % a for a in range(k)]
+            names = ["s%d" % a for a in range(s.dim)]
         return LieAlgebra(names, products)
 
     def quotient(self, ideal: Subspace) -> "LieAlgebra":
@@ -365,8 +358,9 @@ class LieAlgebra(_StructureTable):
         Raises NotAnIdealError naming a basis vector and an ideal generator
         whose bracket escapes the ideal.
         """
+        rows = ideal.rows
         for i in range(self.dim):
-            for v in ideal.rows:
+            for v in rows:
                 if not ideal.contains(self.bracket(unit_vector(self.dim, i), v)):
                     raise NotAnIdealError(i, v)
         if ideal.is_zero():
@@ -378,7 +372,7 @@ class LieAlgebra(_StructureTable):
         products = {}
         for a, ia in enumerate(complement):
             for b, ib in enumerate(complement):
-                w = ideal.reduce(self._vector(self._nonzero[ia][ib]))
+                w = ideal.reduce(dict(self._nonzero[ia][ib]))
                 products[(a, b)] = {c: w[j] for c, j in enumerate(complement) if w[j]}
         names = [self.names[j] + "~" for j in complement]
         return LieAlgebra(names, products)
@@ -480,12 +474,13 @@ def to_dict(g: LieAlgebra) -> dict:
 def from_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
     """Inverse of :func:`to_dict`; validates Jacobi unless told otherwise.
 
+    ``"dim"``, ``"left"`` and ``"right"`` must be JSON integers;
     ``"basis"``, when given, must be a list of ``dim`` distinct strings; each
     bracket pair and each coefficient index within a pair must be given
     once; coefficients are ints or strings such as ``"1/10"``, never floats.
     ValueError otherwise.
     """
-    dim = int(data["dim"])
+    dim = _json_int(data, "dim")
     names = data.get("basis")
     if names is None:
         names = ["e%d" % i for i in range(dim)]
@@ -497,7 +492,7 @@ def from_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
             raise ValueError('"basis" names %r more than once' % repeated[0])
     brackets = {}
     for entry in data.get("brackets", []):
-        i, j = int(entry["left"]), int(entry["right"])
+        i, j = _json_int(entry, "left"), _json_int(entry, "right")
         value = {int(k): c for k, c in entry["value"].items()}
         if (i, j) in brackets:
             raise ValueError("bracket (%d, %d) is given more than once" % (i, j))
@@ -508,3 +503,11 @@ def from_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
                              'strings such as "1/10"' % (i, j))
         brackets[(i, j)] = value
     return build(dim, brackets, names=names, validate=validate)
+
+
+def _json_int(data: Mapping, field: str) -> int:
+    """``data[field]``; ValueError unless it is an int (not a float, bool or string)."""
+    value = data[field]
+    if type(value) is not int:
+        raise ValueError('"%s" must be an integer, got %r' % (field, value))
+    return value

@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package reduces to rank/kernel/solve computations over Q.
-Scalars are ``fractions.Fraction``; matrices and subspace bases are immutable
-dense row-major grids. The elimination core takes rows either dense or as
-sparse ``{col: value}`` maps, clears denominators and reduces sparse
-``{col: int}`` rows (plain Python ints are much faster than Fraction
-arithmetic, and constraint systems are mostly zeros); rows that are already
-``{col: int}`` maps, as the constraint generators in ``endo`` yield, pass
-through with no Fraction work. The echelon keeps every pivot row reduced,
-zero in every other pivot column, so a redundant row is cleared by each
-pivot once, with no fill-in, and the rows are the reduced row echelon form
-up to scale; Fractions are built only for the nonzero entries of results.
+Scalars are ``fractions.Fraction``; matrices are immutable dense row-major
+grids, and a subspace keeps only the nonzero entries of its canonical basis.
+The elimination core takes rows either dense or as sparse ``{col: value}``
+maps, clears denominators and reduces sparse ``{col: int}`` rows (plain
+Python ints are much faster than Fraction arithmetic, and constraint systems
+are mostly zeros); rows that are already ``{col: int}`` maps, as the
+constraint generators in ``endo`` yield, pass through with no Fraction
+work. The echelon keeps every pivot row reduced, zero in every other pivot
+column, so a redundant row is cleared by each pivot once, with no fill-in,
+and the rows are the reduced row echelon form up to scale; Fractions are
+built only for the nonzero entries of results, in :func:`_span` alone.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -43,6 +47,14 @@ def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
+def _dense(entries, n: int) -> list:
+    """The length-n list with the (index, value) ``entries`` and zeros elsewhere."""
+    out = [_ZERO] * n
+    for j, x in entries:
+        out[j] = x
+    return out
+
+
 class Matrix:
     """An immutable rows x cols matrix of Fractions."""
 
@@ -55,19 +67,26 @@ class Matrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
 
+    @classmethod
+    def _trusted(cls, rows: Iterable[Vector]) -> "Matrix":
+        """A matrix on ``rows``, equal-length tuples of Fractions, taken as they are."""
+        self = object.__new__(cls)
+        self.rows = tuple(rows)
+        self.nrows = len(self.rows)
+        self.ncols = len(self.rows[0]) if self.rows else 0
+        return self
+
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([unit_vector(n, i) for i in range(n)])
+        return Matrix._trusted(unit_vector(n, i) for i in range(n))
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([zero_vector(ncols) for _ in range(nrows)])
+        return Matrix._trusted((zero_vector(ncols),) * nrows)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[Fraction]]) -> "Matrix":
-        if not cols:
-            return Matrix([])
-        return Matrix([[col[i] for col in cols] for i in range(len(cols[0]))])
+        return Matrix(cols).transpose()
 
     def __getitem__(self, ij):
         i, j = ij
@@ -94,22 +113,20 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            [add_vectors(r, s) for r, s in zip(self.rows, other.rows)]
-        )
+        return Matrix._trusted(add_vectors(r, s) for r, s in zip(self.rows, other.rows))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
+        return Matrix._trusted(
+            tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self.rows])
+        return Matrix._trusted(tuple(-a for a in r) for r in self.rows)
 
     def scale(self, c) -> "Matrix":
-        c = frac(c)
-        return Matrix([[c * a for a in r] for r in self.rows])
+        c = Fraction(c)
+        return Matrix._trusted(tuple(c * a for a in r) for r in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -120,15 +137,15 @@ class Matrix:
         ocols = other.ncols
         out = []
         for r in self.rows:
-            acc = [Fraction(0)] * ocols
+            acc = [_ZERO] * ocols
             for k, a in enumerate(r):
                 if a:
                     orow = other.rows[k]
                     for j in range(ocols):
                         if orow[j]:
                             acc[j] += a * orow[j]
-            out.append(acc)
-        return Matrix(out)
+            out.append(tuple(acc))
+        return Matrix._trusted(out)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix-vector product (v as a column)."""
@@ -139,9 +156,7 @@ class Matrix:
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        return Matrix._trusted(zip(*self.rows))
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -167,10 +182,13 @@ class Matrix:
         return tuple(x for r in self.rows for x in r)
 
     @staticmethod
-    def unflatten(v: Sequence[Fraction], nrows: int, ncols: int) -> "Matrix":
-        if len(v) != nrows * ncols:
+    def unflatten(v, nrows: int, ncols: int) -> "Matrix":
+        """Row-major entries ``v``, dense or as ``{index: Fraction}``, reshaped."""
+        if isinstance(v, dict):
+            v = _dense(v.items(), nrows * ncols)
+        elif len(v) != nrows * ncols:
             raise ValueError("cannot reshape %d entries to %dx%d" % (len(v), nrows, ncols))
-        return Matrix([v[i * ncols : (i + 1) * ncols] for i in range(nrows)])
+        return Matrix._trusted(tuple(v[i * ncols : (i + 1) * ncols]) for i in range(nrows))
 
     def commutator(self, other: "Matrix") -> "Matrix":
         return self @ other - other @ self
@@ -179,11 +197,10 @@ class Matrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = [list(r) + list(unit_vector(n, i)) for i, r in enumerate(self.rows)]
-        rref, rank, pivots = _rref(aug, 2 * n)
-        if rank < n or pivots != list(range(n)):
+        rref = _span([r + unit_vector(n, i) for i, r in enumerate(self.rows)], 2 * n)
+        if rref.pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in rref])
+        return Matrix._trusted(row[n:] for row in rref.rows)
 
     def _same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -199,16 +216,13 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
             row = []
             for aij in arow:
                 row.extend([aij * x for x in brow] if aij else zeros)
-            out.append(row)
-    return Matrix(out)
+            out.append(tuple(row))
+    return Matrix._trusted(out)
 
 
 # ---------------------------------------------------------------------------
 # Elimination core (sparse integer rows for speed)
 # ---------------------------------------------------------------------------
-
-_ZERO = Fraction(0)
-
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     """Divide a sparse integer row by its content; sign of leading entry > 0."""
@@ -293,25 +307,27 @@ def _echelon(rows: Iterable, pivots: dict[int, dict[int, int]]):
     return {c: prow.values() for c, prow in pivots.items()}
 
 
-def _rref(rows: Iterable, ncols: int):
-    """Reduced row echelon form.
-
-    Returns (rref_rows as lists of Fractions, rank, pivot column list). The
-    elimination stays on sparse integer rows; Fractions are made only for
-    the nonzero entries of the result.
-    """
+def _span(rows: Iterable, ambient_dim: int) -> "Subspace":
+    """The span of ``rows``, already valid for :func:`_echelon`: its pivot rows
+    scaled to 1 at their pivots, the one place where echelon rows become
+    Fractions (for their nonzero entries only)."""
     pivots: dict[int, dict[int, int]] = {}
     _echelon(rows, pivots)
-    cols = sorted(pivots)
-    out = []
-    for c in cols:
-        row = pivots[c]
-        lead = row[c]
-        dense = [_ZERO] * ncols
-        for j, v in row.items():
-            dense[j] = Fraction(v, lead)
-        out.append(dense)
-    return out, len(cols), cols
+    return Subspace._make(ambient_dim, {c: {j: Fraction(v, row[c]) for j, v in row.items()}
+                                        for c, row in pivots.items()})
+
+
+def _checked(v, n: int):
+    """A public vector, dense or ``{col: value}``, coerced to Fractions and
+    checked against the ambient dimension n."""
+    if isinstance(v, dict):
+        if not all(isinstance(j, int) and 0 <= j < n for j in v):
+            raise ValueError("vector column outside 0..%d" % (n - 1))
+        return {j: frac(x) for j, x in v.items()}
+    v = vector(v)
+    if len(v) != n:
+        raise ValueError("vector length != ambient dimension")
+    return v
 
 
 def row_reduce(m: Matrix):
@@ -319,9 +335,9 @@ def row_reduce(m: Matrix):
 
     Returns (rref: Matrix, rank: int, pivots: tuple of column indices).
     """
-    rref_rows, rank, pivots = _rref(m.rows, m.ncols)
-    padded = rref_rows + [list(zero_vector(m.ncols)) for _ in range(m.nrows - rank)]
-    return Matrix(padded), rank, tuple(pivots)
+    rref = _span(m.rows, m.ncols)
+    padded = rref.rows + (zero_vector(m.ncols),) * (m.nrows - rref.dim)
+    return Matrix._trusted(padded), rref.dim, rref.pivots
 
 
 def kernel_basis(m: Matrix) -> "Subspace":
@@ -341,23 +357,20 @@ def kernel_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     echelon reads x_c + sum a_cj x_j = 0 over free columns j < c. The vector
     of free column j has its 1 at j and -a_cj at pivot columns c > j only,
     where the other kernel vectors are zero: the canonical RREF basis, read
-    off directly.
+    off directly as sparse rows.
     """
     last = ncols - 1
-    pivots: dict[int, dict[int, int]] = {}
-    _echelon(
+    echelon = _span(
         ({last - j: x for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
          for r in rows),
-        pivots,
+        ncols,
     )
-    free = [j for j in range(ncols) if last - j not in pivots]
-    basis = {j: [_ZERO] * j + [Fraction(1)] + [_ZERO] * (last - j) for j in free}
-    for p, row in pivots.items():
-        lead, c = row[p], last - p
-        for k, v in row.items():
-            if k != p:
-                basis[last - k][c] = Fraction(-v, lead)
-    return Subspace._make(basis.values(), ncols, free)
+    pivots = set(echelon.pivots)
+    basis = {j: {j: _ONE} for j in range(ncols) if last - j not in pivots}
+    for p, row in zip(echelon.pivots, echelon._rows):
+        for k, x in row[1:]:  # the entries after the pivot's 1
+            basis[last - k][last - p] = -x
+    return Subspace._make(ncols, basis)
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
@@ -367,82 +380,93 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
     """
     if len(b) != m.nrows:
         raise ValueError("right-hand side length %d != %d rows" % (len(b), m.nrows))
-    b = vector(b)
-    aug = [list(r) + [bv] for r, bv in zip(m.rows, b)]
-    rref_rows, rank, pivots = _rref(aug, m.ncols + 1)
-    if m.ncols in pivots:
+    n = m.ncols
+    rref = _span([r + (bv,) for r, bv in zip(m.rows, vector(b))], n + 1)
+    if n in rref.pivots:
         return None
-    x = [Fraction(0)] * m.ncols
-    for r, c in enumerate(pivots):
-        x[c] = rref_rows[r][m.ncols]
-    return tuple(x)
+    return tuple(_dense(((c, row[n]) for c, row in zip(rref.pivots, rref.rows)), n))
 
 
 class Subspace:
     """A subspace of Q^n held in canonical (RREF) form.
 
-    Two subspaces are equal iff they have the same row set, so equality of
-    the canonical form is equality of subspaces.
+    The canonical basis is stored sparse: row i is the sorted tuple of its
+    nonzero (col, value) pairs, led by (pivots[i], 1). ``rows`` is the dense
+    view, rebuilt on every read. Two subspaces are equal iff they have the
+    same canonical rows, so equality of the canonical form is equality of
+    subspaces, and equal subspaces hash equal.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    __slots__ = ("ambient_dim", "pivots", "_rows")
 
     def __init__(self, *_):
         raise TypeError("use Subspace.span / Subspace.zero / Subspace.full")
 
     @classmethod
-    def _make(cls, rows, ambient, pivots):
+    def _make(cls, ambient: int, rows: dict[int, dict[int, Fraction]]) -> "Subspace":
+        """From canonical rows, pivot -> {col: value} with 1 at the pivot."""
         self = object.__new__(cls)
         self.ambient_dim = ambient
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
+        self.pivots = tuple(sorted(rows))
+        self._rows = tuple(tuple(sorted(rows[c].items())) for c in self.pivots)
         return self
 
     @classmethod
-    def span(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        vecs = [vector(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
-        rref_rows, rank, pivots = _rref(vecs, ambient_dim)
-        return cls._make(rref_rows, ambient_dim, pivots)
+    def span(cls, vectors: Iterable, ambient_dim: int) -> "Subspace":
+        """Span of ``vectors``, each a dense sequence of ``ambient_dim``
+        rationals or a sparse ``{col: value}`` map."""
+        return _span((_checked(v, ambient_dim) for v in vectors), ambient_dim)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls._make([], ambient_dim, [])
+        return cls._make(ambient_dim, {})
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls._make(
-            [unit_vector(ambient_dim, i) for i in range(ambient_dim)],
-            ambient_dim,
-            list(range(ambient_dim)),
-        )
+        return cls._make(ambient_dim, {i: {i: _ONE} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The canonical basis as dense vectors, rebuilt on every read."""
+        return tuple(tuple(_dense(row, self.ambient_dim)) for row in self._rows)
+
+    def sparse_rows(self) -> list[dict[int, Fraction]]:
+        """The canonical basis as ``{col: value}`` maps of the nonzero entries."""
+        return [dict(row) for row in self._rows]
+
+    def combine(self, coeffs: Sequence[Fraction]) -> Vector:
+        """The vector sum c_i b_i with coordinates ``coeffs`` in the canonical basis."""
+        out = [_ZERO] * self.ambient_dim
+        for c, row in zip(coeffs, self._rows):
+            if c:
+                for j, x in row:
+                    out[j] += c * x
+        return tuple(out)
 
     def basis_matrix(self) -> Matrix:
-        return Matrix(self.rows)
+        return Matrix._trusted(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self._rows
 
     def is_full(self) -> bool:
-        return len(self.rows) == self.ambient_dim
+        return len(self._rows) == self.ambient_dim
 
-    def _eliminate(self, v: Sequence[Fraction]) -> tuple[list, list]:
-        """(residue, coefficients) of v after elimination against the canonical basis."""
-        v = list(vector(v))
-        coeffs = []
-        for row, c in zip(self.rows, self.pivots):
-            coeff = v[c]
-            coeffs.append(coeff)
+    def _eliminate(self, v) -> tuple[list, list]:
+        """(residue, coefficients) of v, dense or ``{col: value}``, after
+        elimination against the canonical basis. The rows are zero at each
+        other's pivots, so the coefficients are v's entries at the pivots."""
+        v = _checked(v, self.ambient_dim)
+        v = _dense(v.items(), self.ambient_dim) if isinstance(v, dict) else list(v)
+        coeffs = [v[c] for c in self.pivots]
+        for coeff, row in zip(coeffs, self._rows):
             if coeff:
-                for j in range(c, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= coeff * row[j]
+                for j, x in row:
+                    v[j] -= coeff * x
         return v, coeffs
 
     def reduce(self, v: Sequence[Fraction]) -> Vector:
@@ -458,47 +482,34 @@ class Subspace:
         return None if any(residue) else tuple(coeffs)
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(self.contains(row) for row in other.sparse_rows())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(list(self.rows) + list(other.rows), self.ambient_dim)
+        return _span([dict(row) for row in self._rows + other._rows], self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked coefficient system."""
         self._check_ambient(other)
-        if self.is_full():
-            return other
-        if other.is_full():
-            return self
-        # x in both spans: x = sum u_i a_i = sum v_j b_j;
-        # solve [A^T | -B^T] (u; v) = 0 and map the u-part through A.
-        a, b = self.rows, other.rows
-        if not a or not b:
-            return Subspace.zero(self.ambient_dim)
-        stacked = [
-            [ (a[i][r] if i < len(a) else -b[i - len(a)][r]) for i in range(len(a) + len(b)) ]
-            for r in range(self.ambient_dim)
-        ]
-        ker = kernel_of_rows(stacked, len(a) + len(b))
-        vecs = []
-        for k in ker.rows:
-            u = k[: len(a)]
-            vecs.append([
-                sum((u[i] * a[i][r] for i in range(len(a)) if u[i]), Fraction(0))
-                for r in range(self.ambient_dim)
-            ])
-        return Subspace.span(vecs, self.ambient_dim)
+        # [A^T | B^T] (u; v) = 0 says sum u_i a_i = -sum v_j b_j, a vector in
+        # both spans; map the u-part of each kernel vector through A.
+        na = len(self._rows)
+        stacked: dict[int, dict[int, Fraction]] = {}  # coordinate -> {i: entry of row i}
+        for i, row in enumerate(self._rows + other._rows):
+            for j, x in row:
+                stacked.setdefault(j, {})[i] = x
+        ker = kernel_of_rows(stacked.values(), na + len(other._rows))
+        return _span([self.combine(u[:na]) for u in ker.rows], self.ambient_dim)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.rows))
+        return hash((self.ambient_dim, self._rows))
 
     def __repr__(self):
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)

@@ -34,16 +34,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return normalize(
-        [
-            (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-            for i in range(n)
-        ]
-    )
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []
@@ -140,7 +130,7 @@ def poly_eval_matrix(p: Poly, m: Matrix, unit: Optional[Matrix] = None) -> Matri
             rows = [list(r) for r in acc.rows]
             for i, j, v in spots:
                 rows[i][j] += c * v
-            acc = Matrix(rows)
+            acc = Matrix._trusted(map(tuple, rows))
     return acc
 
 

@@ -20,14 +20,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .construct import (
     CommutativeAlgebra,
     commutative_derivations,
     current_algebra,
     point_functions,
-    tensor_vector,
     truncated_poly,
 )
 from .decompose import primitive_idempotents
@@ -166,13 +165,10 @@ def jet_algebra(m: int, order: int) -> JetAlgebra:
 
 def _tensor_subspace(k: LieAlgebra, a: CommutativeAlgebra, sub: Subspace) -> Subspace:
     """sub (x) A inside the tensor coordinate space of k (x) A."""
-    n = k.dim * a.dim
-    vecs = [
-        tensor_vector(k, a, row, unit_vector(a.dim, p))
-        for row in sub.rows
-        for p in range(a.dim)
-    ]
-    return Subspace.span(vecs, n)
+    na = a.dim
+    # x (x) e_p has coordinate x_i at i * na + p
+    vecs = [{i * na + p: x for i, x in row.items()} for row in sub.sparse_rows() for p in range(na)]
+    return Subspace.span(vecs, k.dim * na)
 
 
 def section_center_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
@@ -243,13 +239,9 @@ def x_derivations(k: LieAlgebra, m: int) -> tuple[tuple[XDerivation, ...], int]:
     space = kernel_of_rows(leibniz_system(g, k, ev), n * big)
     # column i * na + u of delta holds column i of D (u = 0) or of S^u
     der, cent = derivations(k), centroid(k)
-    vecs = []
-    for u, piece in enumerate([der] + [cent] * m):
-        for row in piece.space.rows:
-            vec = [Fraction(0)] * (n * big)
-            for r in range(n):
-                vec[r * big + u : (r + 1) * big : na] = row[r * n : (r + 1) * n]
-            vecs.append(vec)
+    # entry p = r * n + i of a piece goes to column i * na + u of row r
+    vecs = [{p // n * big + p % n * na + u: x for p, x in row.items()}
+            for u, piece in enumerate([der] + [cent] * m) for row in piece.space.sparse_rows()]
     expected = Subspace.span(vecs, n * big)
     if space != expected:
         raise LiestructError(
@@ -257,14 +249,14 @@ def x_derivations(k: LieAlgebra, m: int) -> tuple[tuple[XDerivation, ...], int]:
             "(dim %d + %d x %d)" % (space.dim, m, der.dim, m, cent.dim)
         )
     basis = []
-    for row in space.rows:
-        blocks = [
-            Matrix([row[r * big + u : (r + 1) * big : na] for r in range(n)])
-            for u in range(na)
-        ]
+    for row in space.sparse_rows():
+        blocks = [{} for _ in range(na)]
+        for p, x in row.items():
+            i, u = divmod(p % big, na)
+            blocks[u][p // big * n + i] = x
+        blocks = [Matrix.unflatten(b, n, n) for b in blocks]
         basis.append(XDerivation(D=blocks[0], S=tuple(blocks[1:])))
     return tuple(basis), space.dim
-
 
 def symbol_check(k: LieAlgebra, m: int) -> dict:
     """Exactness of 0 -> Der(k) -> point-derivations -> Cent(k)^m -> 0.

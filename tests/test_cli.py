@@ -107,7 +107,8 @@ def _pair(value, left=0, right=1):
 
 MALFORMED_IDS = ["index-minus-1", "index-dim", "no-dim", "pair-0-5", "value-x", "top-level-list",
                  "value-list", "short-basis", "basis-string", "basis-repeated", "basis-numbers",
-                 "pair-repeated", "index-repeated", "zero-denominator", "float-value"]
+                 "pair-repeated", "index-repeated", "zero-denominator", "float-value",
+                 "float-dim", "integral-float-dim", "float-index", "bool-index", "string-dim"]
 MALFORMED_FILES = [
     (_pair({"-1": "1"}), "coefficient index -1 outside 0..2"),
     (_pair({"3": "1"}), "coefficient index 3 outside 0..2"),
@@ -128,6 +129,13 @@ MALFORMED_FILES = [
     (_pair({"2": "1/0"}), r"Fraction\(1, 0\)"),
     (_pair({"2": 0.1}), r'bracket \(0, 1\) has a float coefficient; write exact values as '
                         r'strings such as "1/10"'),
+    # int() used to truncate these to a 3-dim algebra with [e0, e1] = e2
+    ({"dim": 3.7, "brackets": []}, '"dim" must be an integer, got 3.7'),
+    ({"dim": 3.0, "brackets": []}, '"dim" must be an integer, got 3.0'),
+    ({"dim": 3, "brackets": [{"left": 0.9, "right": 1.2, "value": {"2": "1"}}]},
+     '"left" must be an integer, got 0.9'),
+    (_pair({"2": "1"}, left=True, right=2), '"left" must be an integer, got True'),
+    ({"dim": "3", "brackets": []}, '"dim" must be an integer, got \'3\''),
 ]
 
 

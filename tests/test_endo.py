@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from liestruct import build, classical, endo
+from liestruct import (build, classical, current_algebra, endo, from_dict, to_dict,
+                       truncated_poly)
 from liestruct.errors import PreconditionError
-from liestruct.linalg import Matrix, vector
+from liestruct.linalg import Matrix, Subspace, vector
 
 
 def M(rows):
@@ -46,6 +49,25 @@ def test_derivations_two_dim(two_dim):
 
 def test_inner_derivations_abelian_zero(abelian2):
     assert endo.inner_derivations(abelian2).dim == 0
+
+
+def test_inner_derivations_retain_only_sparse_rows():
+    # n = 32: the dense basis held 32 vectors of 1 024 Fractions (277 KB)
+    g = current_algebra(classical("sl", 3), truncated_poly(1, 4))
+    data = to_dict(g)
+    data["basis"] = ["fresh%d" % i for i in range(g.dim)]  # no memo entry to hit
+    g = from_dict(data)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        inner = endo.inner_derivations(g)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 100_000
+    ads = [g.ad_basis(i).flatten() for i in range(g.dim)]
+    assert inner.dim == 32 and inner.space == Subspace.span(ads, g.dim * g.dim)
 
 
 def test_inner_derivations_heisenberg(heisenberg3):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liestruct import linalg
 from liestruct.linalg import (
     Matrix,
     Subspace,
@@ -416,6 +417,90 @@ def test_subspace_direct_construction_rejected():
         Subspace((vector([1, 0]),), 2)
 
 
+def test_subspace_span_checks_public_input():
+    with pytest.raises(ValueError, match="length"):
+        Subspace.span([[1, 2]], 3)
+    with pytest.raises(ValueError, match="outside 0..2"):
+        Subspace.span([{3: 1}], 3)
+    assert Subspace.span([{0: "1/2", 2: 3}], 3) == Subspace.span([["1/2", 0, 3]], 3)
+
+
+def _sympy_matrix(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def _fractions(entries):
+    return tuple(F(int(x.p), int(x.q)) for x in entries)
+
+
+def _sympy_rows(sympy, vecs):
+    """The nonzero rows of sympy's RREF of ``vecs``, as Fraction tuples."""
+    if not vecs:
+        return ()
+    rref, pivots = _sympy_matrix(sympy, vecs).rref()
+    return tuple(_fractions(rref.row(i)) for i in range(len(pivots)))
+
+
+def _random_vectors(rng, count, n):
+    """Sparse random vectors, some with entries of 2^64 and more."""
+    vecs = []
+    for _ in range(count):
+        big = rng.random() < 0.3
+        v = [F(0)] * n
+        for j in range(n):
+            if rng.random() < 0.3:
+                if big:
+                    v[j] = F(rng.randint(2**64, 2**80) * rng.choice((-1, 1)), rng.randint(1, 2**66))
+                else:
+                    v[j] = F(rng.randint(-5, 5), rng.randint(1, 4))
+        vecs.append(tuple(v))
+    if count > 1:  # a dependent vector makes the large entries cancel
+        vecs.append(tuple(3 * a - F(2, 5) * b for a, b in zip(vecs[0], vecs[-1])))
+    return vecs
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_subspace_operations_match_sympy(sympy, seed):
+    rng = random.Random(800 + seed)
+    n = rng.randint(2, 9)
+    avecs = _random_vectors(rng, rng.randint(0, n), n)
+    bvecs = _random_vectors(rng, rng.randint(1, n), n)
+    a, b = Subspace.span(avecs, n), Subspace.span(bvecs, n)
+    # span: the canonical rows, also from sparse {col: value} input
+    assert a.rows == _sympy_rows(sympy, avecs)
+    assert a.pivots == tuple(next(j for j, x in enumerate(r) if x) for r in a.rows)
+    assert Subspace.span([{j: x for j, x in enumerate(v) if x} for v in avecs], n) == a
+    assert a.sum(b).rows == _sympy_rows(sympy, avecs + bvecs)
+    # intersection from sympy's nullspace of [A^T | -B^T]
+    if a.dim and b.dim:
+        amat, bmat = _sympy_matrix(sympy, a.rows), _sympy_matrix(sympy, b.rows)
+        null = sympy.Matrix.hstack(amat.T, -bmat.T).nullspace()
+        meet = [_fractions(amat.T * u[: a.dim, :]) for u in null]
+        assert a.intersect(b).rows == _sympy_rows(sympy, meet)
+    else:
+        assert a.intersect(b).is_zero()
+    assert a.intersect(b) == b.intersect(a)
+    # reduce, contains and coordinates of vectors inside and outside a
+    rref = _sympy_matrix(sympy, a.rows or [[F(0)] * n])
+    for v in _random_vectors(rng, 3, n) + avecs[:2]:
+        sv = _sympy_matrix(sympy, [v]).T
+        inside = sympy.Matrix.hstack(rref.T, sv).rank() == a.dim
+        assert a.contains(v) == inside
+        assert a.contains({j: x for j, x in enumerate(v) if x}) == inside
+        residue = a.reduce(v)
+        assert all(residue[c] == 0 for c in a.pivots)
+        assert a.sum(Subspace.span([residue], n)) == a.sum(Subspace.span([v], n))
+        coords = a.coordinates(v)
+        if not inside:
+            assert coords is None and any(residue)
+            continue
+        assert a.combine(coords) == v and not any(residue)
+        if a.dim:
+            sol, params = rref.T.gauss_jordan_solve(sv)
+            assert not params
+            assert coords == _fractions(sol)
+
+
 # ---------------------------------------------------------------------------
 # Matrix arithmetic
 # ---------------------------------------------------------------------------
@@ -438,6 +523,28 @@ def test_matrix_inverse_singular_raises():
 def test_matrix_flatten_unflatten_roundtrip():
     m = M([[1, 2], [3, 4]])
     assert Matrix.unflatten(m.flatten(), 2, 2) == m
+    assert Matrix.unflatten({0: F(1), 1: F(2), 2: F(3), 3: F(4)}, 2, 2) == m
+    assert Matrix.unflatten({3: F(4)}, 2, 2) == M([[0, 0], [0, 4]])
+
+
+def test_matrix_arithmetic_does_not_coerce_its_results(monkeypatch):
+    a = M([[1, F(2, 3)], [0, -5]])
+    b = M([[F(7, 2), 1], [2, 2**70]])
+    expected = {
+        "@": M([[F(29, 6), F(2, 3) * 2**70 + 1], [-10, -5 * 2**70]]),
+        "+": M([[F(9, 2), F(5, 3)], [2, 2**70 - 5]]),
+        "-": M([[F(-5, 2), F(-1, 3)], [-2, -5 - 2**70]]),
+        "scale": M([[F(3, 4), F(1, 2)], [0, F(-15, 4)]]),
+    }
+
+    def refuse(*_):
+        raise AssertionError("a Matrix result was coerced again")
+
+    monkeypatch.setattr(linalg, "vector", refuse)
+    monkeypatch.setattr(linalg, "frac", refuse)
+    got = {"@": a @ b, "+": a + b, "-": a - b, "scale": a.scale(F(3, 4))}
+    assert got == expected
+    assert all(type(x) is F for m in got.values() for r in m.rows for x in r)
 
 
 def test_kron_block_structure():

@@ -1,0 +1,121 @@
+"""CLI reports stay byte-identical: sha256 digests of ``cli.emit`` output.
+
+Refactors of the exact core must not change a single byte of what the CLI
+prints. Each case runs ``cli.run`` and hashes ``cli.emit(report, fmt)`` for
+both formats, with ``timing_seconds`` removed; for the ``@file`` cases the
+file path in ``request.algebra`` is blanked too. The stored digests were
+computed before the subspace bases became sparse and the Matrix arithmetic
+stopped re-coercing its results; a digest that changes on purpose is
+recomputed with ``_digests`` and replaced here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from liestruct import cli, classical, current_algebra, quadratic_extension, to_dict
+
+ALL = ["flags", "der", "cent", "jspace", "split", "decompose", "complex", "casimir"]
+SECTIONS = ["sections:" + c for c in (
+    "center", "commutator", "xder", "symbol", "derdecomp", "centroid", "indec",
+    "spart", "multinom", "jetauto")]
+
+# case id -> (algebra spec or field constant c of sl:2 (x) Q[r]/(r^2 - c), analyses, --A)
+CASES = {
+    "sl:3": ("sl:3", ALL, None),
+    "su:3": ("su:3", ALL, None),
+    "gl:3": ("gl:3", ALL, None),
+    "u:3": ("u:3", ALL, None),
+    "so:5": ("so:5", ALL, None),
+    "sp:4": ("sp:4", ALL, None),
+    "cur:sl:2,jet:1,3": ("cur:sl:2,jet:1,3", ALL, None),
+    "cur:sl:2,jet:2,2": ("cur:sl:2,jet:2,2", ALL, None),
+    "cur:sl:2,points:3": ("cur:sl:2,points:3", ALL, None),
+    "sum:sl:2+sl:3": ("sum:sl:2+sl:3", ALL, None),
+    "ex:2dim": ("ex:2dim", ALL, None),
+    "sl:2 sections jet:1,3": ("sl:2", SECTIONS, "jet:1,3"),
+    "sl:2 (x) Q(i) file": (-1, ALL, None),
+    "sl:2 (x) Q(sqrt2) file": (2, ALL, None),
+}
+
+DIGESTS = {
+    "sl:3": {
+        "json": "57833ba14ac4774530140641c6be9488ccd8354665b9e7e65ddaa79125f3280c",
+        "text": "4233703c133d496da466180a781af85e7e3dc0dd18396de69aebc954fe731bb5",
+    },
+    "su:3": {
+        "json": "b03e0e057f3534bb6e1143654309e5f6709858ee540902691108acbab6e40802",
+        "text": "5e7aa25463babb6bff40693c01cdc84371aa311c1dac260e82ec0f80bafd683e",
+    },
+    "gl:3": {
+        "json": "3e46b209bfb72f7cb9015ceb9d7472a490fd62d9ff95237f2c4040bb1e0eb6a4",
+        "text": "90649abec1a30b360a6048282312861b19d7f0ba5117c25720f04a59122789a1",
+    },
+    "u:3": {
+        "json": "ace035bcf02392a0c71e7a20811d392d0df0632b369f565fd638e12e16a43f3b",
+        "text": "ca82d717b7cd11a0d8a7cc9bfbe9a6a631bab034b3f522c62917d37b6f0ac4ca",
+    },
+    "so:5": {
+        "json": "b17d748638dc44e7bbe48e40690c039858e38127d1e3844dbe461b8da13be759",
+        "text": "7acef952277facc98eff49d4db70419dd23318219509fed2c95d444c0c3520d4",
+    },
+    "sp:4": {
+        "json": "ed37e13d5ecb84da4d0e1e386aeedff5a937bde813890ca2a639bcb5ed011952",
+        "text": "c4b187c41b4e38cdb85400504d0f5a6cdc08b779aecab9b0f60330491da3538e",
+    },
+    "cur:sl:2,jet:1,3": {
+        "json": "e47dd6f1f583e519c397d3af5635321177a59e2daf84d37f5f0f652329304883",
+        "text": "81abe9eb3dbf7d7782897d6610df98db438b32b63a49024fd8eae73530cc8c07",
+    },
+    "cur:sl:2,jet:2,2": {
+        "json": "4f598bfe3747b42fc469b95000688dd6d9232773f9bb68cc1281e439f7d07592",
+        "text": "80c357e7c69861182bdc29e5d81d5c37a076bfb1c415d76fb054492f4aaeb8be",
+    },
+    "cur:sl:2,points:3": {
+        "json": "e559a183dc279256e895eaba2b8fba4f5c02ab93ebc6a2664a6bd52ceb45575e",
+        "text": "518801a70e6eb1e98125bbe002dd8f67ac29c7ff8c9435bc4995e7c4763b364c",
+    },
+    "sum:sl:2+sl:3": {
+        "json": "9ac011c1688f75688bc80c53bc58fc9a3d2bcf9c09f80afa93c1075eccfbc736",
+        "text": "d52491c603b388a3206de73c3dabf3a4d9932c17fc6fe06c88b018e02fa64915",
+    },
+    "ex:2dim": {
+        "json": "8592a34b94116b803995d1beed21951e654fda61a72fc99ad9afcbfda0907e16",
+        "text": "f404adce065ae9238cc493d5522c49aa8c0f1181fe6cd3e230054e70fe30c5c6",
+    },
+    "sl:2 sections jet:1,3": {
+        "json": "6171b288aa62c5e682a12240b5106c0137d3aa9bcfa163faf2a8afa93b50e063",
+        "text": "83a8f0917ae3dc1d2fd583eb6827e9b7df9098ee220a9894fedbd426ba018b8d",
+    },
+    "sl:2 (x) Q(i) file": {
+        "json": "1524da30f83af8847a6271ff0e63f1085503a434badfe71adaa6e9be7eeb34d3",
+        "text": "526321eb9da098b8bde2802edff85e6ca9c0b55bd22affb44e4ca8efba161576",
+    },
+    "sl:2 (x) Q(sqrt2) file": {
+        "json": "e2e4bc60a2fcab69a3dd2f7efafce8418233b011da36d442847ae450b71617d0",
+        "text": "3dbf0360bdd833f00681e015de6db1c42d4f55781b8312ba3e5b4b3bb3e58965",
+    },
+}
+
+
+def _digests(case_id, tmp_path) -> dict:
+    spec, analyses, coeff = CASES[case_id]
+    if not isinstance(spec, str):
+        path = tmp_path / "field.json"
+        g = current_algebra(classical("sl", 2), quadratic_extension(spec))
+        path.write_text(json.dumps(to_dict(g)))
+        spec = "@" + str(path)
+    report = cli.run(spec, analyses, coeff)
+    del report["timing_seconds"]
+    if spec.startswith("@"):
+        report["request"]["algebra"] = ""
+    return {fmt: hashlib.sha256(cli.emit(report, fmt).encode()).hexdigest()
+            for fmt in ("json", "text")}
+
+
+@pytest.mark.parametrize("case_id", CASES)
+def test_report_is_byte_identical(case_id, tmp_path):
+    assert _digests(case_id, tmp_path) == DIGESTS[case_id]
