@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import LiestructError
@@ -20,6 +21,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _echelon,
     frac,
     kernel_of_rows,
     unit_vector,
@@ -403,16 +405,44 @@ def tensor_vector(k: LieAlgebra, a: CommutativeAlgebra, x, coeff) -> Vector:
 # Casimir-style centroid elements
 # ---------------------------------------------------------------------------
 
-def _killing_dual_basis(k: LieAlgebra) -> list[Vector]:
-    kappa = k.killing_form()
-    try:
-        inv = kappa.inverse()
-    except ValueError:
-        raise LiestructError(
-            "Killing form is degenerate; no dual basis exists"
-        ) from None
-    # dual vector x^j has coordinates given by column j of kappa^{-1}
-    return [inv.column(j) for j in range(k.dim)]
+def _ad_columns(nz, x) -> dict:
+    """ad(x) over the int constants ``nz``, {col: {row: entry}}, for x as (index, int) pairs."""
+    cols = {}
+    for p, xp in x:
+        for t, entries in enumerate(nz[p]):
+            if entries:
+                col = cols.setdefault(t, {})
+                for r, c in entries:
+                    col[r] = col.get(r, 0) + xp * c
+    return cols
+
+
+def _casimir(k: LieAlgebra, g: LieAlgebra, left, right) -> Matrix:
+    """sum_i ad(left[i]) ad(x^i) on g, x^i = sum_j w_ji right[j] for w the
+    inverse of k's Killing form; ``left`` and ``right`` hold a vector of g,
+    as (index, value) pairs, per basis vector of k. The sums run in ints: w
+    is d^-1 times ints read off one integer echelon of [kappa | I] (pivot row
+    c is p_c (e_c | row c of kappa^-1), d the lcm of the p_c), and g's
+    constants and the vectors are scaled to one denominator den by
+    :func:`_integral`, so each entry is one Fraction over den^4 d."""
+    n = k.dim
+    pivots = {}
+    _echelon(({**{j: x for j, x in enumerate(row) if x}, n + i: 1}
+              for i, row in enumerate(k.killing_form().rows)), pivots)
+    if any(c >= n for c in pivots):
+        raise LiestructError("Killing form is degenerate; no dual basis exists")
+    d = lcm(*(r[c] for c, r in pivots.items()))
+    w = {(c, j - n): v * (d // r[c]) for c, r in pivots.items() for j, v in r.items() if j != c}
+    den, nz, (ls,), (rs,) = _integral(g._nonzero, (left,), (right,))
+    acc = [[0] * g.dim for _ in range(g.dim)]
+    for i, u in enumerate(ls):
+        a = _ad_columns(nz, u)
+        dual = [(p, w[j, i] * x) for j, v in enumerate(rs) if (j, i) in w for p, x in v]
+        for s, col in _ad_columns(nz, dual).items():
+            for t, b in col.items():
+                for r, x in a.get(t, {}).items():
+                    acc[r][s] += x * b
+    return Matrix._trusted(tuple(Fraction(x, den ** 4 * d) for x in row) for row in acc)
 
 
 def casimir_adjoint(k: LieAlgebra) -> Matrix:
@@ -421,12 +451,8 @@ def casimir_adjoint(k: LieAlgebra) -> Matrix:
     For a semisimple algebra this acts as the identity on the adjoint
     module; in general it is a centroid element.
     """
-    duals = _killing_dual_basis(k)
-    n = k.dim
-    acc = Matrix.zero(n, n)
-    for i in range(n):
-        acc = acc + k.ad_basis(i) @ k.ad(duals[i])
-    return acc
+    basis = [((i, 1),) for i in range(k.dim)]
+    return _casimir(k, k, basis, basis)
 
 
 def casimir_coefficient_action(k: LieAlgebra, a: CommutativeAlgebra, coeff) -> Matrix:
@@ -437,12 +463,8 @@ def casimir_coefficient_action(k: LieAlgebra, a: CommutativeAlgebra, coeff) -> M
     A — putting ``coeff`` on both legs would scale quadratically in ``coeff``
     and fail the multiplication law.
     """
-    g = current_algebra(k, a)
-    duals = _killing_dual_basis(k)
-    n = g.dim
-    acc = Matrix.zero(n, n)
-    for i in range(k.dim):
-        left = g.ad(tensor_vector(k, a, unit_vector(k.dim, i), coeff))
-        right = g.ad(tensor_vector(k, a, duals[i], a.unit))
-        acc = acc + left @ right
-    return acc
+    g, na = current_algebra(k, a), a.dim
+    # x_i (x) c for each basis vector x_i of k, c = coeff and c = 1
+    left, right = ([[(i * na + p, x) for p, x in enumerate(vector(c)) if x] for i in range(k.dim)]
+                   for c in (coeff, a.unit))
+    return _casimir(k, g, left, right)

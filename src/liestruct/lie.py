@@ -276,16 +276,18 @@ class LieAlgebra(_StructureTable):
 
     @_memoized
     def killing_form(self) -> Matrix:
-        """kappa(i, j) = tr(ad e_i ad e_j) = sum of c_il^k c_jk^l over k, l."""
-        n, nonzero = self.dim, self._nonzero
-        lookup = [[dict(v) for v in row] for row in nonzero]
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
+        """kappa(i, j) = tr(ad e_i ad e_j) = sum of c_il^k c_jk^l over k, l, in
+        ints over the constants scaled by :func:`_integral`, then over den^2."""
+        n = self.dim
+        den, nz = _integral(self._nonzero)
+        ads = [{(k, l): c for l, v in enumerate(row) for k, c in v} for row in nz]  # ad e_i
+        rows = [[None] * n for _ in range(n)]
+        for i, a in enumerate(ads):
             for j in range(i, n):
-                tj = lookup[j]
-                terms = (c * tj[k][l] for l in range(n) for k, c in nonzero[i][l] if l in tj[k])
-                rows[i][j] = rows[j][i] = sum(terms, Fraction(0))
-        return Matrix(rows)
+                b = ads[j]
+                s = sum(c * b[l, k] for (k, l), c in a.items() if (l, k) in b)
+                rows[i][j] = rows[j][i] = Fraction(s, den * den)
+        return Matrix._trusted(map(tuple, rows))
 
     # -- structural flags ----------------------------------------------------
 

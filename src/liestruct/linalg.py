@@ -24,6 +24,7 @@ Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_FRACTION, _EXACT = frozenset((Fraction,)), frozenset((int, Fraction))  # kept by _checked
 
 
 def frac(x) -> Fraction:
@@ -318,13 +319,17 @@ def _span(rows: Iterable, ambient_dim: int) -> "Subspace":
 
 
 def _checked(v, n: int):
-    """A public vector, dense or ``{col: value}``, coerced to Fractions and
-    checked against the ambient dimension n."""
+    """A public vector, dense or ``{col: value}``, checked against the ambient
+    dimension n. Copied only if an entry is not an int or a Fraction (then coerced),
+    or if it is a map holding an int: the echelon may reduce all-int maps in place."""
     if isinstance(v, dict):
         if not all(isinstance(j, int) and 0 <= j < n for j in v):
             raise ValueError("vector column outside 0..%d" % (n - 1))
-        return {j: frac(x) for j, x in v.items()}
-    v = vector(v)
+        if _FRACTION.issuperset(map(type, v.values())):
+            return v
+        return {j: x if type(x) is int else frac(x) for j, x in v.items()}
+    if not (isinstance(v, (tuple, list)) and _EXACT.issuperset(map(type, v))):
+        v = vector(v)
     if len(v) != n:
         raise ValueError("vector length != ambient dimension")
     return v
@@ -461,7 +466,8 @@ class Subspace:
         elimination against the canonical basis. The rows are zero at each
         other's pivots, so the coefficients are v's entries at the pivots."""
         v = _checked(v, self.ambient_dim)
-        v = _dense(v.items(), self.ambient_dim) if isinstance(v, dict) else list(v)
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        v = _dense(((j, frac(x)) for j, x in items), self.ambient_dim)
         coeffs = [v[c] for c in self.pivots]
         for coeff, row in zip(coeffs, self._rows):
             if coeff:

@@ -594,3 +594,140 @@ def test_casimir_coefficient_action_composes(sl2):
     ft2 = casimir_coefficient_action(sl2, a, a.product(t, t))
     assert ft @ ft == ft2
     assert (ft @ ft @ ft).is_zero()  # t^3 = 0
+
+
+# ---------------------------------------------------------------------------
+# Killing form and both Casimirs against Fraction oracles on dense bases
+# ---------------------------------------------------------------------------
+
+def _rebased(g, seed, big=False, scale=1):
+    """g in the basis f_i = sum_k p[k][i] e_k, p = scale * lower @ upper for
+    a seeded dense integer matrix of determinant 1; with ``big``, one entry
+    of lower is 2^64 + 1, so the constants run far past 64 bits, and a
+    ``scale`` other than 1 multiplies every constant by it."""
+    n, rng = g.dim, random.Random(seed)
+    lower = [[1 if r == c else rng.randint(-2, 2) if r > c else 0 for c in range(n)]
+             for r in range(n)]
+    upper = [[1 if r == c else rng.randint(-2, 2) if r < c else 0 for c in range(n)]
+             for r in range(n)]
+    if big:
+        lower[n - 1][0] = 2**64 + 1
+    p = (Matrix(lower) @ Matrix(upper)).scale(scale)
+    pinv = p.inverse()
+    cols = [p.column(i) for i in range(n)]
+    brackets = {}
+    for i, j in itertools.combinations(range(n), 2):
+        coords = pinv.apply(g.bracket(cols[i], cols[j]))
+        brackets[(i, j)] = {k: c for k, c in enumerate(coords) if c}
+    return build(n, brackets)
+
+
+REBASED = {
+    "sl:3": lambda: _rebased(classical("sl", 3), 1),
+    "so:5": lambda: _rebased(classical("so", 5), 2),
+    "sum:sl:2+sl:3": lambda: _rebased(direct_sum([classical("sl", 2), classical("sl", 3)]), 3),
+    "sl:2 (x) Q(i)": lambda: _rebased(
+        current_algebra(classical("sl", 2), quadratic_extension(-1)), 4),
+    "sl:2 (x) Q(sqrt2)": lambda: _rebased(
+        current_algebra(classical("sl", 2), quadratic_extension(2)), 5),
+    "sl:3, entries >= 2^64": lambda: _rebased(classical("sl", 3), 6, big=True),
+    "so:5 (x) 2/3": lambda: _rebased(classical("so", 5), 7, scale=F(2, 3)),
+}
+
+
+@pytest.fixture(scope="module")
+def rebased():
+    return {name: make() for name, make in REBASED.items()}
+
+
+def _traced_form(g):
+    """tr(ad e_i ad e_j) from dense ad matrices."""
+    ads = [g.ad_basis(i) for i in range(g.dim)]
+    return Matrix([[(a @ b).trace() for b in ads] for a in ads])
+
+
+def _inverse(m):
+    """m^-1 through sympy where it is installed, Matrix.inverse otherwise."""
+    try:
+        import sympy
+    except ImportError:
+        return m.inverse()
+    inv = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                        for r in m.rows]).inv()
+    return Matrix([[F(int(inv[i, j].p), int(inv[i, j].q)) for j in range(m.ncols)]
+                   for i in range(m.nrows)])
+
+
+def _naive_casimir(k, left, right):
+    """sum_i left(e_i) right(x^i), x^i column i of the inverse traced Killing form."""
+    inv = _inverse(_traced_form(k))
+    terms = [left(unit_vector(k.dim, i)) @ right(inv.column(i)) for i in range(k.dim)]
+    return sum(terms[1:], terms[0])
+
+
+def test_rebased_bases_are_dense_and_large(rebased):
+    def constants(g):
+        return [c for row in g._nonzero for v in row for _, c in v]
+
+    for g in rebased.values():
+        assert sum(1 for row in g._nonzero for v in row if v) > g.dim * (g.dim - 1) // 2
+    assert max(abs(c.numerator) for c in constants(rebased["sl:3, entries >= 2^64"])) >= 2**64
+    assert {c.denominator for c in constants(rebased["so:5 (x) 2/3"])} == {1, 3}
+
+
+@pytest.mark.parametrize("name", REBASED)
+def test_killing_form_matches_traced_ad_products(rebased, name):
+    g = rebased[name]
+    assert g.killing_form() == _traced_form(g)
+
+
+@pytest.mark.parametrize("name", REBASED)
+def test_casimir_adjoint_matches_killing_dual_sum(rebased, name):
+    g = rebased[name]
+    assert casimir_adjoint(g) == _naive_casimir(g, g.ad, g.ad)
+
+
+@pytest.mark.parametrize("lie", ["sl:2", "sl:3"])
+@pytest.mark.parametrize("coeff_spec", ["jet:1,3", "points:3"])
+def test_casimir_coefficient_action_matches_killing_dual_sum(lie, coeff_spec):
+    from liestruct.cli import parse_algebra, parse_coefficient_algebra
+
+    k, a = parse_algebra(lie), parse_coefficient_algebra(coeff_spec)
+    g = current_algebra(k, a)
+    coeffs = [unit_vector(a.dim, p) for p in range(a.dim)] + [
+        a.unit, vector([F(1, 2), -3, F(2, 5)]), ["2/7", 0, "-1"]]
+    for coeff in coeffs:
+        expected = _naive_casimir(k, lambda x: g.ad(tensor_vector(k, a, x, coeff)),
+                                  lambda x: g.ad(tensor_vector(k, a, x, a.unit)))
+        assert casimir_coefficient_action(k, a, coeff) == expected
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "two_dim", "gl:3"])
+def test_casimirs_refuse_a_degenerate_killing_form(name, heisenberg3, two_dim):
+    k = {"heisenberg": heisenberg3, "two_dim": two_dim, "gl:3": classical("gl", 3)}[name]
+    message = "^Killing form is degenerate; no dual basis exists$"
+    for call in (lambda: casimir_adjoint(k),
+                 lambda: casimir_coefficient_action(k, point_functions(2), [1, 1])):
+        with pytest.raises(LiestructError, match=message) as info:
+            call()
+        assert type(info.value) is LiestructError
+
+
+def test_killing_form_and_casimirs_build_no_ad_matrix_and_no_matrix_sum(monkeypatch):
+    # freshly rebased, so no memo entry of an equal algebra holds a Killing form
+    g, k = _rebased(classical("so", 5), 101), _rebased(classical("sl", 2), 102)
+    a, coeff = truncated_poly(1, 2), vector([F(3, 2), -1])
+    current = current_algebra(k, a)
+    expected = (_traced_form(g), _naive_casimir(g, g.ad, g.ad), _naive_casimir(
+        k, lambda x: current.ad(tensor_vector(k, a, x, coeff)),
+        lambda x: current.ad(tensor_vector(k, a, x, a.unit))))
+
+    def refuse(*_):
+        raise AssertionError("a dense ad matrix or Matrix product or sum was built")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(Matrix, "__add__", refuse)
+    monkeypatch.setattr(LieAlgebra, "ad", refuse)
+    got = (LieAlgebra.killing_form.__wrapped__(g), casimir_adjoint(g),
+           casimir_coefficient_action(k, a, coeff))
+    assert got == expected

@@ -425,6 +425,24 @@ def test_subspace_span_checks_public_input():
     assert Subspace.span([{0: "1/2", 2: 3}], 3) == Subspace.span([["1/2", 0, 3]], 3)
 
 
+def test_span_copies_a_vector_only_when_it_must():
+    exact = [(F(1, 2), 0, 3), [0, F(-7), 2**70], {0: F(1, 2), 2: F(3)}]
+    for v in exact:
+        assert linalg._checked(v, 3) is v
+    assert linalg._checked(("1/2", 0, 3), 3) == (F(1, 2), 0, 3)
+    assert linalg._checked({0: "1/2", 2: True}, 3) == {0: F(1, 2), 2: F(1)}
+    # a map of ints keeps its ints but is copied: the echelon reduces all-int maps in place
+    ints = {0: 1, 2: 3}
+    checked = linalg._checked(ints, 3)
+    assert checked == ints and checked is not ints and type(checked[2]) is int
+    caller = [{0: 1, 1: 3}, {0: 1, 2: 5}]
+    s = Subspace.span(caller, 3)
+    assert caller == [{0: 1, 1: 3}, {0: 1, 2: 5}]
+    assert s == Subspace.span([[1, 3, 0], [1, 0, 5]], 3)
+    # residues and coordinates stay Fractions for int input
+    assert all(type(x) is F for x in s.reduce((1, 1, 1)) + s.coordinates({0: 2, 1: 6, 2: 0}))
+
+
 def _sympy_matrix(sympy, rows):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
 

@@ -1,18 +1,25 @@
-"""CLI reports stay byte-identical: sha256 digests of ``cli.emit`` output.
+"""CLI reports and demo output stay byte-identical: sha256 digests.
 
 Refactors of the exact core must not change a single byte of what the CLI
-prints. Each case runs ``cli.run`` and hashes ``cli.emit(report, fmt)`` for
-both formats, with ``timing_seconds`` removed; for the ``@file`` cases the
-file path in ``request.algebra`` is blanked too. The stored digests were
-computed before the subspace bases became sparse and the Matrix arithmetic
-stopped re-coercing its results; a digest that changes on purpose is
-recomputed with ``_digests`` and replaced here.
+or the demos print. Each CLI case runs ``cli.run`` and hashes
+``cli.emit(report, fmt)`` for both formats, with ``timing_seconds`` removed;
+for the ``@file`` cases the file path in ``request.algebra`` is blanked too.
+Each demo runs as a script and its stdout is hashed. The stored report
+digests were computed before the subspace bases became sparse and the
+Matrix arithmetic stopped re-coercing its results, the demo digests before
+the Killing form and the Casimirs moved to integer sums; a digest that
+changes on purpose is recomputed with ``_digests`` (or ``sha256sum`` of the
+demo's output) and replaced here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +126,19 @@ def _digests(case_id, tmp_path) -> dict:
 @pytest.mark.parametrize("case_id", CASES)
 def test_report_is_byte_identical(case_id, tmp_path):
     assert _digests(case_id, tmp_path) == DIGESTS[case_id]
+
+
+DEMO_DIGESTS = {
+    "structure_tour.py": "46e4c7b3894f488ddb10e6538af75a1dbca6b8dcc20096551862e73c1a5c3db6",
+    "decompose_demo.py": "9296272b3285503a866119ce87c4a16128ccfb9fb66c3e6b62f9b922d6540c7c",
+    "sections_demo.py": "d80a7bddf3bd62ce4f24539cb5966e2afb70c2d5582b57d5ccdc8d267f30c4d5",
+}
+
+
+@pytest.mark.parametrize("demo", DEMO_DIGESTS)
+def test_demo_output_is_byte_identical(demo):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, str(root / "demos" / demo)], capture_output=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert hashlib.sha256(out).hexdigest() == DEMO_DIGESTS[demo]
