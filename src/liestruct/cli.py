@@ -460,6 +460,17 @@ def _report_ok(report: dict) -> bool:
     return all(item.get("ok", False) for item in report["analyses"])
 
 
+def _max_dim(text: str) -> int:
+    """``--max-dim``: an integer of at least 1; argparse makes anything else exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="liestruct",
@@ -476,7 +487,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="coefficient algebra for sections:* analyses")
     parser.add_argument("--m", type=int, default=1,
                         help="jet directions for sections:xder / sections:symbol")
-    parser.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+    parser.add_argument("--max-dim", type=_max_dim, default=DEFAULT_MAX_DIM,
                         help="largest algebra dimension a description may ask for "
                         "(default %(default)s)")
 
@@ -486,7 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sec.add_argument("--A", dest="coeff",
                      help="coefficient algebra (jet:m,N or points:k)")
     sec.add_argument("--m", type=int, default=1)
-    sec.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    sec.add_argument("--max-dim", type=_max_dim, default=DEFAULT_MAX_DIM)
     sec.add_argument("--format", choices=("json", "text"), default="json")
     sec.add_argument("--out", help="write the report to this path")
 

@@ -16,7 +16,17 @@ from math import lcm
 from typing import Sequence
 
 from .errors import LiestructError
-from .lie import LieAlgebra, _StructureTable, _check_jacobi, _compose, _integral, _memoized, build
+from .lie import (
+    LieAlgebra,
+    _StructureTable,
+    _check_jacobi,
+    _compose,
+    _inherit_jacobi,
+    _integral,
+    _jacobi_known,
+    _memoized,
+    build,
+)
 from .linalg import (
     Matrix,
     Subspace,
@@ -189,7 +199,9 @@ def _from_matrix_basis(mats: list[Matrix], names: list[str]) -> LieAlgebra:
     The flattened basis is reduced once. With P the basis restricted to the
     pivot columns of that echelon (row i: basis matrix i), the vector with
     coordinates x has pivot entries P^T x; so the coordinates of each
-    commutator are (P^-1)^T times its pivot entries.
+    commutator are (P^-1)^T times its pivot entries. Once every commutator is
+    found in the span, the table is that of a Lie algebra of matrices, which
+    satisfies the Jacobi identity; it is recorded as such, not checked.
     """
     flat = [m.flatten() for m in mats]
     span = Subspace.span(flat, len(flat[0]))
@@ -203,8 +215,9 @@ def _from_matrix_basis(mats: list[Matrix], names: list[str]) -> LieAlgebra:
             raise ValueError("commutator escapes the span of the basis")
         return {k: c for k, c in enumerate(to_coords.apply([comm[p] for p in span.pivots])) if c}
 
-    return LieAlgebra(names, {(i, j): coords(a, b)
-                              for i, a in enumerate(mats) for j, b in enumerate(mats)})
+    return _inherit_jacobi(LieAlgebra(names, {(i, j): coords(a, b)
+                                              for i, a in enumerate(mats)
+                                              for j, b in enumerate(mats)}))
 
 
 def _eij(n: int, i: int, j: int) -> Matrix:
@@ -265,6 +278,8 @@ def classical(kind: str, n: int) -> LieAlgebra:
                 names.append("C%d%d" % (i + 1, j + 1))
         return _from_matrix_basis(mats, names)
     if kind in ("u", "su"):
+        if kind == "su" and n < 2:
+            raise ValueError("su needs size >= 2")
         return _unitary(kind, n)
     raise ValueError("unknown classical family %r" % kind)
 
@@ -352,7 +367,7 @@ def direct_sum(parts: Sequence[LieAlgebra]) -> LieAlgebra:
             for j, entries in enumerate(row):
                 products[(off + i, off + j)] = {off + k: v for k, v in entries}
         off += p.dim
-    return LieAlgebra(names, products)
+    return _inherit_jacobi(LieAlgebra(names, products), *parts)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +379,11 @@ def current_algebra(k: LieAlgebra, a: CommutativeAlgebra) -> LieAlgebra:
     """k (x) A with [x (x) a, y (x) b] = [x, y] (x) ab.
 
     Tensor basis ordering is Lie-index major: basis vector (i, p) sits at
-    position i * dim A + p. The Jacobi identity is re-validated on the
-    result rather than trusted. Memoized per k; A compares by value, so an
-    equal coefficient algebra built again gets the same result.
+    position i * dim A + p. The result satisfies the Jacobi identity when k
+    does, since A's constructor checked that A is commutative and
+    associative; so it inherits k's Jacobi verdict, and is checked only when
+    k has none. Memoized per k; A compares by value, so an equal coefficient
+    algebra built again gets the same result.
     """
     na = a.dim
     names = [
@@ -384,6 +401,8 @@ def current_algebra(k: LieAlgebra, a: CommutativeAlgebra) -> LieAlgebra:
                         l * na + r: cl * pr for l, cl in cij for r, pr in prod
                     }
     g = LieAlgebra(names, products)
+    if _jacobi_known(k):
+        return _inherit_jacobi(g, k)
     _check_jacobi(g)
     return g
 

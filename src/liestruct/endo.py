@@ -8,16 +8,32 @@ assembled by one Leibniz and one commutant row generator; J(g) is built in
 closed form. The generators scale the rational constants they read to
 integers over one common denominator, once per call, so every row they
 yield is a ``{col: int}`` map that the integer echelon takes as it is.
+
+Where Der and Cent come from. When g is known to satisfy the Jacobi identity
+(see ``lie._jacobi_known``), two exact facts cut the rows:
+
+- If the Killing form is nondegenerate, g is semisimple (Cartan's
+  criterion) and every derivation is inner, so Der(g) is read off the span
+  of the ad e_i with no Leibniz rows at all.
+- Otherwise {x : D[x,y] = [Dx,y] + [x,Dy] for all y} and {x : f ad_x =
+  ad_x f} are subalgebras, so the rows of a set S of basis vectors that
+  generates g give the same kernels: Leibniz rows for the pairs that meet S,
+  commutant rows for the ad e_s, s in S. S comes from one greedy pass, and
+  is used only once the span of its iterated brackets is checked to be all
+  of g; Cent always takes this path.
+
+A table with no Jacobi verdict, or no generating set smaller than its basis,
+takes every row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .lie import LieAlgebra, _integral, _memoized, _StructureTable
-from .linalg import Matrix, Subspace, Vector, kernel_of_rows, unit_vector
+from .lie import LieAlgebra, _integral, _jacobi_known, _memoized, _StructureTable
+from .linalg import Matrix, Subspace, Vector, _primitive, _reduce, kernel_of_rows, unit_vector
 from .poly import jordan_chevalley
 
 __all__ = [
@@ -103,6 +119,12 @@ def leibniz_system(source: _StructureTable, target: _StructureTable = None, ev=N
     nonzero ints: the nonzero constants of both tables are scaled over one
     common denominator first.
     """
+    return _leibniz_rows(source, target, ev, None)
+
+
+def _leibniz_rows(source: _StructureTable, target: Optional[_StructureTable], ev, keep):
+    """The rows of :func:`leibniz_system`, only for the pairs (i, j) with i or
+    j in the set ``keep`` of basis indices when it is not None."""
     n = source.dim
     if target is None:
         _, source = _integral(source._nonzero)
@@ -120,6 +142,8 @@ def leibniz_system(source: _StructureTable, target: _StructureTable = None, ev=N
                 right[i][m].append((j, v))
     for i in range(n):
         for j in range(i, n):
+            if keep is not None and i not in keep and j not in keep:
+                continue
             cij = source[i][j]
             for m in range(nt):
                 row = {m * n + l: v for l, v in cij}
@@ -154,11 +178,105 @@ def commutant_system(ops, n: int):
                     yield row
 
 
+class _Closure:
+    """The subalgebra generated by a growing set of basis vectors, over the
+    integer structure constants ``nz``: the span of the generators closed
+    under ad of each generator, which is the span of the brackets
+    [s_1, [s_2, ... [s_k-1, s_k]]] with every s_i a generator.
+
+    The span is an echelon of primitive integer rows keyed by their leading
+    column; ``found`` keeps the new part of each vector that grew it, a basis
+    of the span whose ad images are all pushed, so the span stays closed
+    under ad of every generator added so far.
+    """
+
+    def __init__(self, nz):
+        self.nz = nz
+        self.gens = []
+        self.pivots = {}
+        self.found = []
+
+    def _residue(self, v: dict) -> dict:
+        while v:
+            c = min(v)
+            if c not in self.pivots:
+                break
+            v = _reduce(v, self.pivots[c], c)
+        return v
+
+    def _ad(self, s: int, v: dict) -> dict:
+        out = {}
+        row = self.nz[s]
+        for j, x in v.items():
+            for k, c in row[j]:
+                out[k] = out.get(k, 0) + x * c
+        return {k: x for k, x in out.items() if x}
+
+    def contains(self, i: int) -> bool:
+        return not self._residue({i: 1})
+
+    def add(self, s: int):
+        self.gens.append(s)
+        # the old span is closed under the old generators; ad e_s of it is not known to be
+        work = [{s: 1}] + [self._ad(s, b) for b in self.found]
+        while work:
+            v = self._residue(work.pop())
+            if v:
+                v = _primitive(v)
+                self.pivots[min(v)] = v
+                self.found.append(v)
+                work.extend(self._ad(t, v) for t in self.gens)
+
+
+def _greedy_generators(nz) -> list[int]:
+    """Basis indices that generate the algebra of the structure constants ``nz``,
+    in one pass over the basis, taken by descending count of nonzero brackets
+    (ties by index): an index joins when it is not in what the earlier ones generate."""
+    n = len(nz)
+    closure = _Closure(nz)
+    for i in sorted(range(n), key=lambda i: (-sum(1 for v in nz[i] if v), i)):
+        if len(closure.found) == n:
+            break
+        if not closure.contains(i):
+            closure.add(i)
+    return closure.gens
+
+
+def _generates(nz, gens) -> bool:
+    """The certificate: the iterated brackets of the basis vectors ``gens`` span everything."""
+    closure = _Closure(nz)
+    for s in gens:
+        closure.add(s)
+    return len(closure.found) == len(nz)
+
+
+@_memoized
+def _generators(g: LieAlgebra) -> Optional[frozenset]:
+    """A set S of basis indices that generates g, checked by :func:`_generates`,
+    when g is known to satisfy the Jacobi identity and S is smaller than the
+    basis; None otherwise, and then every basis index contributes rows."""
+    if not _jacobi_known(g):
+        return None
+    _, nz = _integral(g._nonzero)
+    gens = _greedy_generators(nz)
+    if len(gens) == g.dim or not _generates(nz, gens):
+        return None
+    return frozenset(gens)
+
+
 @_memoized
 def derivations(g: LieAlgebra) -> EndoSpace:
-    """Der(g) = {D : D[x,y] = [Dx,y] + [x,Dy]}."""
+    """Der(g) = {D : D[x,y] = [Dx,y] + [x,Dy]}.
+
+    Read off the inner derivations when g satisfies the Jacobi identity and
+    its Killing form is nondegenerate; otherwise the kernel of the Leibniz
+    rows, for the pairs that meet the generating set of :func:`_generators`.
+    """
     n = g.dim
-    return EndoSpace("derivations", n, kernel_of_rows(leibniz_system(g), n * n))
+    if _jacobi_known(g) and g._killing_rank() == n:
+        return EndoSpace("derivations", n, inner_derivations(g).space)
+    rows = _leibniz_rows(g, None, None, _generators(g))
+    return EndoSpace("derivations", n, kernel_of_rows(rows, n * n))
 
 
 @_memoized
@@ -172,10 +290,16 @@ def inner_derivations(g: LieAlgebra) -> EndoSpace:
 
 @_memoized
 def centroid(g: LieAlgebra) -> EndoSpace:
-    """Cent(g) = {f : f ad_x = ad_x f for all x}; contains the identity."""
+    """Cent(g) = {f : f ad_x = ad_x f for all x}; contains the identity.
+
+    x ranges over the generating set of :func:`_generators`, or over the
+    basis when there is none.
+    """
     n = g.dim
+    gens = _generators(g)
     # column j of ad e_i is [e_i, e_j]: the ad e_i are g's nonzero lists as they stand
-    return EndoSpace("centroid", n, kernel_of_rows(commutant_system(g._nonzero, n), n * n))
+    ads = g._nonzero if gens is None else [g._nonzero[s] for s in sorted(gens)]
+    return EndoSpace("centroid", n, kernel_of_rows(commutant_system(ads, n), n * n))
 
 
 @_memoized

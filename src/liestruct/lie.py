@@ -3,7 +3,10 @@
 An algebra is a validated, immutable table c[i][j] of bracket coordinate
 vectors. Construction goes through :func:`build`, which checks antisymmetry
 by construction and the Jacobi identity on every basis triple, so downstream
-code can assume it is working with an actual Lie algebra. The structure
+code can assume it is working with an actual Lie algebra. A passed check is
+kept as the table's Jacobi verdict in the memo, and the constructions that
+keep the identity pass it on; ``endo`` reads it before it trusts the
+identity to cut a constraint system. The structure
 constants, held only as nonzero lists, the product and the left
 multiplication live in one private structure-constant core, which
 ``construct.CommutativeAlgebra`` shares.
@@ -289,6 +292,12 @@ class LieAlgebra(_StructureTable):
                 rows[i][j] = rows[j][i] = Fraction(s, den * den)
         return Matrix._trusted(map(tuple, rows))
 
+    @_memoized
+    def _killing_rank(self) -> int:
+        """Rank of the Killing form; it is dim g exactly when g is semisimple
+        (Cartan's criterion), provided g satisfies the Jacobi identity."""
+        return row_reduce(self.killing_form())[1]
+
     # -- structural flags ----------------------------------------------------
 
     def flags(self) -> dict:
@@ -307,8 +316,7 @@ class LieAlgebra(_StructureTable):
         nilpotent = self.lower_central_series()[-1].is_zero()
         perfect = comm.is_full()
         centerfree = center.is_zero()
-        _, killing_rank, _ = row_reduce(self.killing_form())
-        semisimple = killing_rank == self.dim
+        semisimple = self._killing_rank() == self.dim
         reductive = False
         if semisimple or abelian:
             reductive = True
@@ -352,7 +360,7 @@ class LieAlgebra(_StructureTable):
                 products[(a, b)] = {c: x for c, x in enumerate(coords) if x}
         if names is None:
             names = ["s%d" % a for a in range(s.dim)]
-        return LieAlgebra(names, products)
+        return _inherit_jacobi(LieAlgebra(names, products), self)
 
     def quotient(self, ideal: Subspace) -> "LieAlgebra":
         """g / ideal on the images of the basis vectors outside the pivots.
@@ -377,7 +385,7 @@ class LieAlgebra(_StructureTable):
                 w = ideal.reduce(dict(self._nonzero[ia][ib]))
                 products[(a, b)] = {c: w[j] for c, j in enumerate(complement) if w[j]}
         names = [self.names[j] + "~" for j in complement]
-        return LieAlgebra(names, products)
+        return _inherit_jacobi(LieAlgebra(names, products), self)
 
     def permuted(self, perm: Sequence[int]) -> "LieAlgebra":
         """Relabel the basis: new basis vector a is old basis vector perm[a]."""
@@ -391,7 +399,7 @@ class LieAlgebra(_StructureTable):
             for a, pa in enumerate(perm) for b, pb in enumerate(perm)
         }
         names = [self.names[p] for p in perm]
-        return LieAlgebra(names, products)
+        return _inherit_jacobi(LieAlgebra(names, products), self)
 
 
 def build(
@@ -444,8 +452,11 @@ def _check_jacobi(g: LieAlgebra):
     """Raise JacobiError on the first basis triple i < j < k with a nonzero
     [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]; the three cyclic
     terms are summed into one dict over the constants scaled to integers,
-    and the defect carried is divided back by den^2.
+    and the defect carried is divided back by den^2. A pass is recorded as
+    g's Jacobi verdict, and a table that already has one is not checked again.
     """
+    if _jacobi_known(g):
+        return
     n = g.dim
     den, nz = _integral(g._nonzero)
     for i, j, k in itertools.combinations(range(n), 3):
@@ -456,6 +467,27 @@ def _check_jacobi(g: LieAlgebra):
             raise JacobiError(
                 (i, j, k), tuple(Fraction(defect.get(m, 0), den * den) for m in range(n))
             )
+    _inherit_jacobi(g)
+
+
+def _jacobi_known(g: LieAlgebra) -> bool:
+    """Whether g's table is known to satisfy the Jacobi identity: it passed
+    :func:`_check_jacobi`, or it was built by a construction that keeps the
+    identity from inputs known to satisfy it. The verdict is an entry of the
+    memo, so it is shared by equal tables and dies with them. A table from
+    ``LieAlgebra(...)`` or ``build(validate=False)`` has none, unless an
+    equal table that has one is alive."""
+    entries = _memo.get(g)
+    return entries is not None and (_check_jacobi, ()) in entries
+
+
+def _inherit_jacobi(g: LieAlgebra, *sources: LieAlgebra) -> LieAlgebra:
+    """Record the Jacobi verdict for g when every one of ``sources`` has it
+    (at once when there are none), and return g. For constructions whose
+    result satisfies the identity whenever their inputs do."""
+    if all(map(_jacobi_known, sources)):
+        _memo.setdefault(g, {})[_check_jacobi, ()] = True
+    return g
 
 
 # ---------------------------------------------------------------------------

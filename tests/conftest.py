@@ -7,12 +7,15 @@ the assertion site.
 
 from __future__ import annotations
 
+import itertools
+import random
 import re
 from fractions import Fraction as F
 
 import pytest
 
 from liestruct import build, classical, example_algebra
+from liestruct.linalg import Matrix
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -94,7 +97,6 @@ def oscillator6():
 def sl2_plus_q_rebased():
     """sl2 + Q in the basis f_i = sum_k p[k][i] e_k for an integer unimodular p."""
     from liestruct import direct_sum
-    from liestruct.linalg import Matrix
 
     lower = Matrix([[1, 0, 0, 0], [2, 1, 0, 0], [-1, 3, 1, 0], [0, 1, -2, 1]])
     upper = Matrix([[1, 1, 0, 2], [0, 1, -1, 0], [0, 0, 1, 3], [0, 0, 0, 1]])
@@ -111,6 +113,34 @@ def sl2_plus_q_rebased():
             if value:
                 brackets[(i, j)] = value
     return build(n, brackets)
+
+
+@pytest.fixture(scope="session")
+def rebase():
+    """A function giving g in a seeded dense integer basis of determinant 1."""
+
+    def rebased(g, seed, big=False, scale=1):
+        """g in the basis f_i = sum_k p[k][i] e_k, p = scale * lower @ upper for
+        a seeded dense integer matrix of determinant 1; with ``big``, one entry
+        of lower is 2^64 + 1, so the constants run far past 64 bits, and a
+        ``scale`` other than 1 multiplies every constant by it."""
+        n, rng = g.dim, random.Random(seed)
+        lower = [[1 if r == c else rng.randint(-2, 2) if r > c else 0 for c in range(n)]
+                 for r in range(n)]
+        upper = [[1 if r == c else rng.randint(-2, 2) if r < c else 0 for c in range(n)]
+                 for r in range(n)]
+        if big:
+            lower[n - 1][0] = 2**64 + 1
+        p = (Matrix(lower) @ Matrix(upper)).scale(scale)
+        pinv = p.inverse()
+        cols = [p.column(i) for i in range(n)]
+        brackets = {}
+        for i, j in itertools.combinations(range(n), 2):
+            coords = pinv.apply(g.bracket(cols[i], cols[j]))
+            brackets[(i, j)] = {k: c for k, c in enumerate(coords) if c}
+        return build(n, brackets)
+
+    return rebased
 
 
 @pytest.fixture(scope="session")

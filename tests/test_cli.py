@@ -422,6 +422,26 @@ def test_main_unknown_builder_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [("su:1", "su needs size >= 2"),
+                                           ("sl:1", "sl needs size >= 2"),
+                                           ("so:1", "so needs size >= 2")])
+def test_main_too_small_classical_exit_2(capsys, spec, message):
+    assert main(["--algebra", spec, "--analyze", "flags"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("argv", [["--algebra", "sl:2", "--analyze", "flags"],
+                                  ["sections", "--check", "center", "--k", "sl:2",
+                                   "--A", "jet:1,2"]])
+def test_main_max_dim_below_one_exit_2(capsys, argv, value):
+    assert main(argv + ["--max-dim", value]) == 2
+    err = capsys.readouterr().err
+    assert "--max-dim: must be at least 1, got %s" % value in err
+    assert "above the limit" not in err
+
+
 def test_main_unknown_analysis_exit_2(capsys):
     code = main(["--algebra", "sl:2", "--analyze", "eigenvalues"])
     assert code == 2

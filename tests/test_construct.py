@@ -104,6 +104,8 @@ def test_classical_rejects_bad_input():
         classical("e8", 8)
     with pytest.raises(ValueError):
         classical("gl", 0)
+    with pytest.raises(ValueError, match="su needs size >= 2"):
+        classical("su", 1)
 
 
 def _solve_per_pair(mats, names):
@@ -600,44 +602,23 @@ def test_casimir_coefficient_action_composes(sl2):
 # Killing form and both Casimirs against Fraction oracles on dense bases
 # ---------------------------------------------------------------------------
 
-def _rebased(g, seed, big=False, scale=1):
-    """g in the basis f_i = sum_k p[k][i] e_k, p = scale * lower @ upper for
-    a seeded dense integer matrix of determinant 1; with ``big``, one entry
-    of lower is 2^64 + 1, so the constants run far past 64 bits, and a
-    ``scale`` other than 1 multiplies every constant by it."""
-    n, rng = g.dim, random.Random(seed)
-    lower = [[1 if r == c else rng.randint(-2, 2) if r > c else 0 for c in range(n)]
-             for r in range(n)]
-    upper = [[1 if r == c else rng.randint(-2, 2) if r < c else 0 for c in range(n)]
-             for r in range(n)]
-    if big:
-        lower[n - 1][0] = 2**64 + 1
-    p = (Matrix(lower) @ Matrix(upper)).scale(scale)
-    pinv = p.inverse()
-    cols = [p.column(i) for i in range(n)]
-    brackets = {}
-    for i, j in itertools.combinations(range(n), 2):
-        coords = pinv.apply(g.bracket(cols[i], cols[j]))
-        brackets[(i, j)] = {k: c for k, c in enumerate(coords) if c}
-    return build(n, brackets)
-
-
 REBASED = {
-    "sl:3": lambda: _rebased(classical("sl", 3), 1),
-    "so:5": lambda: _rebased(classical("so", 5), 2),
-    "sum:sl:2+sl:3": lambda: _rebased(direct_sum([classical("sl", 2), classical("sl", 3)]), 3),
-    "sl:2 (x) Q(i)": lambda: _rebased(
+    "sl:3": lambda rebase: rebase(classical("sl", 3), 1),
+    "so:5": lambda rebase: rebase(classical("so", 5), 2),
+    "sum:sl:2+sl:3": lambda rebase: rebase(
+        direct_sum([classical("sl", 2), classical("sl", 3)]), 3),
+    "sl:2 (x) Q(i)": lambda rebase: rebase(
         current_algebra(classical("sl", 2), quadratic_extension(-1)), 4),
-    "sl:2 (x) Q(sqrt2)": lambda: _rebased(
+    "sl:2 (x) Q(sqrt2)": lambda rebase: rebase(
         current_algebra(classical("sl", 2), quadratic_extension(2)), 5),
-    "sl:3, entries >= 2^64": lambda: _rebased(classical("sl", 3), 6, big=True),
-    "so:5 (x) 2/3": lambda: _rebased(classical("so", 5), 7, scale=F(2, 3)),
+    "sl:3, entries >= 2^64": lambda rebase: rebase(classical("sl", 3), 6, big=True),
+    "so:5 (x) 2/3": lambda rebase: rebase(classical("so", 5), 7, scale=F(2, 3)),
 }
 
 
 @pytest.fixture(scope="module")
-def rebased():
-    return {name: make() for name, make in REBASED.items()}
+def rebased(rebase):
+    return {name: make(rebase) for name, make in REBASED.items()}
 
 
 def _traced_form(g):
@@ -713,9 +694,9 @@ def test_casimirs_refuse_a_degenerate_killing_form(name, heisenberg3, two_dim):
         assert type(info.value) is LiestructError
 
 
-def test_killing_form_and_casimirs_build_no_ad_matrix_and_no_matrix_sum(monkeypatch):
+def test_killing_form_and_casimirs_build_no_ad_matrix_and_no_matrix_sum(monkeypatch, rebase):
     # freshly rebased, so no memo entry of an equal algebra holds a Killing form
-    g, k = _rebased(classical("so", 5), 101), _rebased(classical("sl", 2), 102)
+    g, k = rebase(classical("so", 5), 101), rebase(classical("sl", 2), 102)
     a, coeff = truncated_poly(1, 2), vector([F(3, 2), -1])
     current = current_algebra(k, a)
     expected = (_traced_form(g), _naive_casimir(g, g.ad, g.ad), _naive_casimir(

@@ -9,10 +9,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from liestruct import (build, classical, current_algebra, endo, from_dict, to_dict,
-                       truncated_poly)
-from liestruct.errors import PreconditionError
-from liestruct.linalg import Matrix, Subspace, vector
+from liestruct import (build, classical, current_algebra, direct_sum, endo, example_algebra,
+                       from_dict, lie, parse_algebra, to_dict, truncated_poly)
+from liestruct.errors import JacobiError, PreconditionError
+from liestruct.lie import _integral
+from liestruct.linalg import Matrix, Subspace, kernel_of_rows, vector
 
 
 def M(rows):
@@ -456,3 +457,146 @@ def test_commutant_of_a_rational_representation_matches_fraction_rows():
     assert got.space == expected and got.dim == 4
     for t in got.basis_matrices():
         assert t @ a == a @ t and t @ b == b @ t
+
+
+# ---------------------------------------------------------------------------
+# Der and Cent from fewer rows: the semisimple shortcut and generating sets,
+# against the kernels of every row of the one Leibniz and commutant generator
+# ---------------------------------------------------------------------------
+
+FIXTURE_ALGEBRAS = ("sl2", "sl3", "so3", "gl2", "two_dim", "abelian2", "abelian1",
+                    "heisenberg3", "oscillator6", "sl2_plus_q_rebased", "sl2_complex_model")
+
+
+def _full_kernels(g):
+    n = g.dim
+    return (kernel_of_rows(endo.leibniz_system(g), n * n),
+            kernel_of_rows(endo.commutant_system(g._nonzero, n), n * n))
+
+
+def _fresh(fn, g):
+    """fn(g) computed again, past the memo that may hold it for an equal algebra."""
+    return fn.__wrapped__(g)
+
+
+def _row_counter(monkeypatch):
+    """The number of rows of each kernel_of_rows call endo makes from now on."""
+    counts = []
+
+    def counting(rows, ncols):
+        rows = list(rows)
+        counts.append(len(rows))
+        return kernel_of_rows(rows, ncols)
+
+    monkeypatch.setattr(endo, "kernel_of_rows", counting)
+    return counts
+
+
+REBASE_SPECS = ("sl:3", "so:4", "gl:2", "u:3", "sum:sl:2+ex:2dim", "cur:sl:2,jet:1,3",
+                "cur:sl:2,points:2")
+
+
+@pytest.mark.parametrize("name", FIXTURE_ALGEBRAS)
+def test_der_and_cent_equal_the_full_row_kernels_on_fixtures(request, name):
+    g = request.getfixturevalue(name)
+    assert lie._jacobi_known(g)
+    der, cent = _full_kernels(g)
+    assert _fresh(endo.derivations, g).space == der == endo.derivations(g).space
+    assert _fresh(endo.centroid, g).space == cent == endo.centroid(g).space
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("spec", REBASE_SPECS)
+def test_der_and_cent_equal_the_full_row_kernels_on_rebasings(rebase, spec, seed):
+    g = rebase(parse_algebra(spec), seed)
+    der, cent = _full_kernels(g)
+    assert _fresh(endo.derivations, g).space == der
+    assert _fresh(endo.centroid, g).space == cent
+
+
+def test_semisimple_derivations_stream_no_rows(monkeypatch):
+    g = classical("sl", 4)
+    counts = _row_counter(monkeypatch)
+    der = _fresh(endo.derivations, g)
+    assert sum(counts) == 0
+    assert der.space == endo.inner_derivations(g).space and der.dim == 15
+
+
+def test_centroid_streams_only_the_rows_of_a_generating_set(monkeypatch):
+    g = parse_algebra("cur:sl:3,jet:1,4")
+    n, gens = g.dim, endo._generators(g)
+    counts = _row_counter(monkeypatch)
+    cent = _fresh(endo.centroid, g)
+    assert cent.dim == 4  # dim A, for the central simple sl:3
+    assert sum(counts) <= len(gens) * n * n < n ** 3 // 4
+
+
+def test_a_table_with_no_jacobi_verdict_streams_every_row(monkeypatch):
+    with pytest.raises(JacobiError):
+        example_algebra("five_dim")
+    five = build(5, {(0, 1): {0: 1}, (0, 2): {1: 1}, (0, 3): {2: 1}, (1, 2): {3: 1},
+                     (1, 3): {4: 1}}, validate=False)
+    # the raw table of sl:2 under names no other algebra carries
+    raw = lie.LieAlgebra(["r0", "r1", "r2"], classical("sl", 2).table)
+    for g in (five, raw):
+        assert not lie._jacobi_known(g) and endo._generators(g) is None
+        n = g.dim
+        der, cent = _full_kernels(g)
+        counts = _row_counter(monkeypatch)
+        assert _fresh(endo.derivations, g).space == der
+        assert _fresh(endo.centroid, g).space == cent
+        assert counts == [len(list(endo.leibniz_system(g))),
+                          len(list(endo.commutant_system(g._nonzero, n)))]
+        monkeypatch.undo()
+
+
+def test_a_non_generating_set_is_refused_by_the_closure_check(monkeypatch):
+    # a relabeled copy, so no memoized result of an equal algebra is served
+    g = parse_algebra("cur:sl:2,jet:1,3").permuted((4, 0, 7, 2, 8, 1, 5, 3, 6))
+    _, nz = _integral(g._nonzero)
+    gens = endo._greedy_generators(nz)
+    assert endo._generates(nz, gens) and len(gens) < g.dim
+    forced = gens[:-1]
+    assert not endo._generates(nz, forced)
+    monkeypatch.setattr(endo, "_greedy_generators", lambda nz: forced)
+    assert _fresh(endo._generators, g) is None
+    der, cent = _full_kernels(g)
+    counts = _row_counter(monkeypatch)
+    assert endo.derivations(g).space == der
+    assert endo.centroid(g).space == cent
+    assert counts == [len(list(endo.leibniz_system(g))),
+                      len(list(endo.commutant_system(g._nonzero, g.dim)))]
+
+
+def test_constructions_pass_on_the_jacobi_verdict():
+    known = lie._jacobi_known
+    sl2, two = classical("sl", 2), example_algebra("two_dim")
+    raw = lie.LieAlgebra(["q0", "q1"], two.table)
+    assert known(sl2) and known(two) and not known(raw)
+    assert known(build(2, {(0, 1): {0: 1}}, names=["v0", "v1"]))
+    assert not known(build(2, {(0, 1): {0: 1}}, names=["w0", "w1"], validate=False))
+    assert known(direct_sum([sl2, two])) and not known(direct_sum([sl2, raw]))
+    assert known(sl2.permuted((2, 0, 1))) and not known(raw.permuted((1, 0)))
+    assert known(two.quotient(two.commutator_algebra()))
+    assert not known(raw.quotient(raw.commutator_algebra()))
+    assert known(two.restrict_to(two.commutator_algebra(), ["c"]))
+    assert not known(raw.restrict_to(raw.commutator_algebra(), ["d"]))
+    assert known(current_algebra(sl2, truncated_poly(1, 2)))
+    # with no verdict for k, k (x) A is checked, and passes here
+    assert known(current_algebra(raw, truncated_poly(1, 2)))
+
+
+def test_restricted_rows_are_those_of_the_pairs_meeting_the_generators(monkeypatch):
+    # reversed, so generators sit at high indices and pairs (j, s) with j < s matter
+    g = parse_algebra("cur:sl:2,jet:1,3").permuted(tuple(reversed(range(9))))
+    n, gens = g.dim, endo._generators(g)
+    assert gens and max(gens) == n - 1
+    leibniz = sum(1 for (i, j), row in zip(itertools.product(range(n), range(n * n)),
+                                           _fraction_leibniz_rows(g))
+                  if i <= j // n and (i in gens or j // n in gens) and any(row))
+    ads = [g.ad_basis(s) for s in sorted(gens)]
+    commutant = sum(1 for row in _fraction_commutant_rows(ads, n) if any(row))
+    counts = _row_counter(monkeypatch)
+    der, cent = _fresh(endo.derivations, g), _fresh(endo.centroid, g)
+    assert counts == [leibniz, commutant]
+    assert (der.space, cent.space) == _full_kernels(g)
