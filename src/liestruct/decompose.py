@@ -7,7 +7,11 @@ that decomposition is from unique. The idempotents are found by a
 deterministic separating-element search: factor the minimal polynomial of
 candidate centroid elements, turn rational roots into spectral projectors
 (Lagrange interpolation on the squarefree part), lift them to exact
-idempotents through the radical, and recurse on the corner algebras.
+idempotents through the radical, and recurse on the corner algebras. The
+search of a corner stops at the first candidate f whose squarefree minimal
+polynomial p certifies a residue field: p has no rational root and degree
+at most 3, so it is irreducible, and its degree is the dimension of the
+residue algebra, so Q[f] fills it; the unit is then primitive.
 
 The centroid need not be commutative here (off-diagonal blocks between
 summands with center can fail to commute with nilpotent centroid elements),
@@ -181,7 +185,6 @@ def _split_local(unit: Matrix, basis: list[Matrix], search_bound: int):
         return [unit], "split"
     residue_dim = d - rad_dim
 
-    rootless_evidence = []  # squarefree minimal polynomials without rational roots
     saw_degree_two_or_more = False
     for f in _candidates(basis, search_bound):
         p = squarefree_part(min_poly(f, unit=unit))
@@ -190,7 +193,12 @@ def _split_local(unit: Matrix, basis: list[Matrix], search_bound: int):
         saw_degree_two_or_more = True
         linear, quads, rem = factor_small(p)
         if not linear:
-            rootless_evidence.append(p)
+            if degree(p) == residue_dim <= 3:
+                # rootless of degree <= 3, p is irreducible, and Q[f] fills the
+                # residue algebra: a field, so unit is primitive. An imaginary
+                # quadratic field stays indecomposable over the reals as well.
+                real = degree(p) == 2 and p[1] * p[1] - 4 * p[0] < 0
+                return [unit], "nonsplit_real" if real else "nonsplit_unknown"
             continue
         pieces = []
         for root, _ in linear:
@@ -226,13 +234,6 @@ def _split_local(unit: Matrix, basis: list[Matrix], search_bound: int):
             "modulo the radical, yet the residue algebra has dimension %d"
             % residue_dim
         )
-    for p in rootless_evidence:
-        if degree(p) == 2 and degree(p) == residue_dim:
-            disc = p[1] * p[1] - 4 * p[0]
-            if disc < 0:
-                # residue algebra is an imaginary quadratic field: it stays
-                # indecomposable over the reals as well
-                return [unit], "nonsplit_real"
     return [unit], "nonsplit_unknown"
 
 

@@ -1,39 +1,54 @@
 """Spaces of endomorphisms attached to a Lie algebra.
 
 Derivations, inner derivations, the centroid, the two-sided annihilator
-space J(g), and commutants of matrix families. Derivations, the centroid and
-commutants are exact kernels of sparse linear systems over the dim^2 matrix
-entries (row-major flattening, columns are images of basis vectors), all
-assembled by one Leibniz and one commutant row generator; J(g) is built in
-closed form. The generators scale the rational constants they read to
-integers over one common denominator, once per call, so every row they
-yield is a ``{col: int}`` map that the integer echelon takes as it is.
+space J(g), and commutants of matrix families. Derivations are the exact
+kernel of a sparse linear system over the dim^2 matrix entries (row-major
+flattening, columns are images of basis vectors), assembled by one Leibniz
+row generator; the centroid and commutants are the exact kernel of a spun
+system over far fewer unknowns (below); J(g) is built in closed form.
+Constants are scaled to integers over one common denominator, once per
+call, so every row is a ``{col: int}`` map that the integer echelon takes
+as it is.
 
 Where Der and Cent come from. When g is known to satisfy the Jacobi identity
-(see ``lie._jacobi_known``), two exact facts cut the rows:
+(see ``lie._jacobi_known``), two exact facts cut the work:
 
 - If the Killing form is nondegenerate, g is semisimple (Cartan's
   criterion) and every derivation is inner, so Der(g) is read off the span
   of the ad e_i with no Leibniz rows at all.
 - Otherwise {x : D[x,y] = [Dx,y] + [x,Dy] for all y} and {x : f ad_x =
-  ad_x f} are subalgebras, so the rows of a set S of basis vectors that
-  generates g give the same kernels: Leibniz rows for the pairs that meet S,
-  commutant rows for the ad e_s, s in S. S comes from one greedy pass, and
-  is used only once the span of its iterated brackets is checked to be all
-  of g; Cent always takes this path.
+  ad_x f} are subalgebras, so for a set S of basis vectors that generates g
+  the Leibniz rows of the pairs that meet S give Der, and the commutant of
+  the ad e_s, s in S, is Cent. S comes from one greedy pass, and is used
+  only once the span of its iterated brackets is checked to be all of g.
 
-A table with no Jacobi verdict, or no generating set smaller than its basis,
-takes every row.
+A table with no Jacobi verdict, or no generating set smaller than its
+basis, takes every Leibniz row and the ad of every basis vector.
+
+Cent, and every commutant {f : f A = A f for A in ops}, comes from spinning
+(Parker's MeatAxe): seed basis vectors v_1..v_m and their images under the
+operators span Q^n, each spun vector an exact word image b = A b'. A
+commuting f has f(b) = A f(b'), so it is fixed by w = (f(v_1), ...,
+f(v_m)), m n unknowns instead of n^2, and f -> w is injective on the
+commutant. Conversely a w extends to a commuting f exactly when f(A b) =
+A f(b) holds for every spun b and operator A: commutation checked on a
+basis. Only the pairs whose image is already in the span add rows, one
+block each, so the kernel of those rows is the commutant with nothing left
+out. Each f returned is still checked to commute with every operator, and
+the identity to be among them. :func:`commutant_system` keeps the n^2
+unknowns; it is the tests' independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .errors import PreconditionError
+from .errors import LiestructError, PreconditionError
 from .lie import LieAlgebra, _integral, _jacobi_known, _memoized, _StructureTable
-from .linalg import Matrix, Subspace, Vector, _primitive, _reduce, kernel_of_rows, unit_vector
+from .linalg import (Matrix, Subspace, Vector, _echelon, _int_row, _primitive, _reduce, _span,
+                     kernel_of_rows, unit_vector)
 from .poly import jordan_chevalley
 
 __all__ = [
@@ -162,7 +177,9 @@ def commutant_system(ops, n: int):
     the left multiplications of a structure table are its ``_nonzero`` rows.
     The unknown f is flattened row-major. Yields one row per operator and
     entry, as a map of nonzero ints: the entries of all the operators are
-    scaled over one common denominator first.
+    scaled over one common denominator first. The library computes
+    commutants by spinning (:func:`_commutant`); these rows over all n^2
+    entries are the independent oracle its tests compare with.
     """
     _, ops = _integral(ops)
     for cols in ops:
@@ -176,6 +193,49 @@ def commutant_system(ops, n: int):
                 _subtract(row, ((r * n + k, v) for k, v in cols[cc]))
                 if row:
                     yield row
+
+
+def _apply(op, v) -> dict:
+    """A v as ``{row: int}``, for an operator A given by its int columns (as
+    :func:`commutant_system` takes them) and v as (index, int) pairs."""
+    out = {}
+    for s, x in v:
+        for r, a in op[s]:
+            out[r] = out.get(r, 0) + a * x
+    return {r: x for r, x in out.items() if x}
+
+
+def _compose(a, b) -> dict:
+    """The product a b of two operators given by their int columns, as
+    ``{index: int}`` of its nonzero entries, column-major."""
+    out, n = {}, len(b)
+    for c, col in enumerate(b):
+        for s, y in col:
+            for r, x in a[s]:
+                out[c * n + r] = out.get(c * n + r, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def _apply_block(op, block: dict) -> dict:
+    """A F for an int operator A (columns) and a block F as rows ``{row: {col: int}}``."""
+    out = {}
+    for s, row in block.items():
+        for r, a in op[s]:
+            acc = out.setdefault(r, {})
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + a * x
+    return {r: {j: x for j, x in acc.items() if x} for r, acc in out.items()}
+
+
+def _residue(pivots: dict, v: dict) -> dict:
+    """v reduced against the echelon rows ``pivots``, keyed by their leading column,
+    until its leading column holds no pivot."""
+    while v:
+        c = min(v)
+        if c not in pivots:
+            break
+        v = _reduce(v, pivots[c], c)
+    return v
 
 
 class _Closure:
@@ -196,36 +256,20 @@ class _Closure:
         self.pivots = {}
         self.found = []
 
-    def _residue(self, v: dict) -> dict:
-        while v:
-            c = min(v)
-            if c not in self.pivots:
-                break
-            v = _reduce(v, self.pivots[c], c)
-        return v
-
-    def _ad(self, s: int, v: dict) -> dict:
-        out = {}
-        row = self.nz[s]
-        for j, x in v.items():
-            for k, c in row[j]:
-                out[k] = out.get(k, 0) + x * c
-        return {k: x for k, x in out.items() if x}
-
     def contains(self, i: int) -> bool:
-        return not self._residue({i: 1})
+        return not _residue(self.pivots, {i: 1})
 
     def add(self, s: int):
         self.gens.append(s)
         # the old span is closed under the old generators; ad e_s of it is not known to be
-        work = [{s: 1}] + [self._ad(s, b) for b in self.found]
+        work = [{s: 1}] + [_apply(self.nz[s], b.items()) for b in self.found]
         while work:
-            v = self._residue(work.pop())
+            v = _residue(self.pivots, work.pop())
             if v:
                 v = _primitive(v)
                 self.pivots[min(v)] = v
                 self.found.append(v)
-                work.extend(self._ad(t, v) for t in self.gens)
+                work.extend(_apply(self.nz[t], v.items()) for t in self.gens)
 
 
 def _greedy_generators(nz) -> list[int]:
@@ -264,6 +308,120 @@ def _generators(g: LieAlgebra) -> Optional[frozenset]:
     return frozenset(gens)
 
 
+def _spin(ops, n: int):
+    """A basis of Q^n spun from seed basis vectors under the int operators ``ops``.
+
+    Returns (basis, images, parents, pivots). Each b_k in ``basis`` is a
+    seed e_i outside the span of the earlier vectors (``parents[k]`` is
+    None), or the exact image A b_j of an earlier one under the operator of
+    index a (``parents[k]`` is (j, a)). ``images[k]`` is the integer block
+    F_k, rows ``{row: {col: int}}``, with f(b_k) = F_k w for every f that
+    commutes with ``ops``, where w stacks f(e_i) over the seeds e_i: F_k is
+    the identity on the seed's block, and A F_j for A b_j. ``pivots`` is
+    the echelon of the vectors, each tagged with a 1 in column n + k, so
+    that a vector in the span reduces to its relation.
+    """
+    pivots, basis, images, parents = {}, [], [], []
+    seeds = 0
+    for i in range(n):
+        if len(basis) == n:
+            break
+        v = _residue(pivots, {i: 1, n + len(basis): 1})
+        if min(v) >= n:
+            continue
+        pivots[min(v)] = _primitive(v)
+        basis.append({i: 1})
+        images.append({r: {seeds * n + r: 1} for r in range(n)})
+        parents.append(None)
+        seeds += 1
+        k = len(basis) - 1
+        while k < len(basis) < n:
+            for a, op in enumerate(ops):
+                u = _apply(op, basis[k].items())
+                v = _residue(pivots, {**u, n + len(basis): 1})
+                if min(v) < n:
+                    pivots[min(v)] = _primitive(v)
+                    basis.append(u)
+                    images.append(_apply_block(op, images[k]))
+                    parents.append((k, a))
+                    if len(basis) == n:
+                        break
+            k += 1
+    return basis, images, parents, pivots
+
+
+def _spin_relations(ops, n: int, basis, images, parents, pivots):
+    """The rows {col: int} of alpha A F_k + sum_j tau_j F_j = 0, one block of
+    up to n rows for each vector b_k and operator A with A b_k in the span
+    (every pair that made no vector), where alpha A b_k + sum_j tau_j b_j = 0
+    is read off the tags of A b_k, reduced against the spin echelon with its
+    own tag in column 2n."""
+    made = set(parents)
+    for k, (b, image) in enumerate(zip(basis, images)):
+        for a, op in enumerate(ops):
+            if (k, a) in made:
+                continue
+            tags = _residue(pivots, {**_apply(op, b.items()), 2 * n: 1})
+            alpha = tags.pop(2 * n)
+            block = _apply_block(op, image)
+            if alpha != 1:
+                for row in block.values():
+                    for j in row:
+                        row[j] *= alpha
+            for t, tau in tags.items():
+                for r, row in images[t - n].items():
+                    acc = block.setdefault(r, {})
+                    for j, x in row.items():
+                        acc[j] = acc.get(j, 0) + tau * x
+            for row in block.values():
+                row = {j: x for j, x in row.items() if x}
+                if row:
+                    yield row
+
+
+def _commutant(ops, n: int, kind: str) -> EndoSpace:
+    """{f : f A = A f for every A in ``ops``}, n x n operators as int columns.
+
+    Spinning (Parker's MeatAxe): f is fixed by w = (f(e_i)) over the m
+    seeds of :func:`_spin`, since f(b_k) = F_k w on a basis; and a w comes
+    from such an f exactly when the relations of :func:`_spin_relations`
+    hold, which is f A = A f checked on that basis. So the commutant is the
+    kernel of those rows over m n columns, mapped back by f(e_c) = sum_k
+    lambda_ck f(b_k) / p_c, with p_c e_c = sum_k lambda_ck b_k read off one
+    tagged echelon of [B | I]. Every f returned is checked to commute with
+    every operator, and the identity to be among them; ``kind`` names the
+    space, in the result and in the error when a check fails.
+    """
+    basis, images, parents, pivots = _spin(ops, n)
+    seeds = [min(b) for b, p in zip(basis, parents) if p is None]
+    ker = kernel_of_rows(_spin_relations(ops, n, basis, images, parents, pivots),
+                         len(seeds) * n)
+    if not ker.contains({t * n + i: 1 for t, i in enumerate(seeds)}):
+        raise LiestructError("%s: the identity fails the spun relations" % kind)
+    inverse = {}
+    _echelon(({**b, n + k: 1} for k, b in enumerate(basis)), inverse)
+    den = lcm(*(row[c] for c, row in inverse.items()))
+    back = [[(k - n, x * (den // row[c])) for k, x in row.items() if k >= n]
+            for c, row in sorted(inverse.items())]
+    found = []
+    for w in ker.sparse_rows():
+        w = _int_row(w)
+        # f(b_k): the seeds' part of w, or A f(b_j) for b_k = A b_j
+        fb, t = [], 0
+        for parent in parents:
+            if parent is None:
+                fb.append(tuple((r, w[t * n + r]) for r in range(n) if t * n + r in w))
+                t += 1
+            else:
+                fb.append(tuple(_apply(ops[parent[1]], fb[parent[0]]).items()))
+        # column c of f: f(e_c) times den
+        f = [tuple(_apply(fb, lam).items()) for lam in back]
+        if not all(_compose(f, op) == _compose(op, f) for op in ops):
+            raise LiestructError("%s: a spun element fails f A = A f" % kind)
+        found.append({r * n + c: x for c, col in enumerate(f) for r, x in col})
+    return EndoSpace(kind, n, _span(found, n * n))
+
+
 @_memoized
 def derivations(g: LieAlgebra) -> EndoSpace:
     """Der(g) = {D : D[x,y] = [Dx,y] + [x,Dy]}.
@@ -293,13 +451,14 @@ def centroid(g: LieAlgebra) -> EndoSpace:
     """Cent(g) = {f : f ad_x = ad_x f for all x}; contains the identity.
 
     x ranges over the generating set of :func:`_generators`, or over the
-    basis when there is none.
+    basis when there is none; the commutant of those ad x is spun by
+    :func:`_commutant`.
     """
     n = g.dim
     gens = _generators(g)
     # column j of ad e_i is [e_i, e_j]: the ad e_i are g's nonzero lists as they stand
     ads = g._nonzero if gens is None else [g._nonzero[s] for s in sorted(gens)]
-    return EndoSpace("centroid", n, kernel_of_rows(commutant_system(ads, n), n * n))
+    return _commutant(_integral(ads)[1], n, "centroid")
 
 
 @_memoized
@@ -322,7 +481,7 @@ def j_space(g: LieAlgebra) -> EndoSpace:
 
 
 def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
-    """Commutant {T : T rho = rho T for every rho in rep}."""
+    """Commutant {T : T rho = rho T for every rho in rep}, spun by :func:`_commutant`."""
     rep = list(rep)
     if not rep:
         raise ValueError("empty representation; ambient size unknown")
@@ -331,7 +490,7 @@ def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
         if not m.is_square() or m.nrows != n:
             raise ValueError("representation matrices must be square of one size")
     ops = [[[(k, x) for k, x in enumerate(col) if x] for col in zip(*m.rows)] for m in rep]
-    return EndoSpace("commutant", n, kernel_of_rows(commutant_system(ops, n), n * n))
+    return _commutant(_integral(ops)[1], n, "commutant")
 
 
 def _algebra_table(space: EndoSpace) -> _StructureTable:

@@ -423,3 +423,44 @@ def test_centroid_table_dies_with_its_algebra():
     del g, table
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# the idempotent search stops at a residue field
+# ---------------------------------------------------------------------------
+
+
+def _cube_root_field():
+    """Q(cbrt 2) on the basis 1, r, r^2 with r^3 = 2."""
+    from liestruct.construct import CommutativeAlgebra
+
+    return CommutativeAlgebra(["1", "r", "r^2"], [1, 0, 0], [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, 1], [2, 0, 0]],
+        [[0, 0, 1], [2, 0, 0], [0, 2, 0]],
+    ])
+
+
+# (field, rebasing seed, status). Of seeds 1-5 of the Q(cbrt 2) rebasing only 4
+# finishes: the others hang in the trial division of poly._rational_roots on the
+# first cubic candidate, with or without this stop.
+FIELD_REBASINGS = {
+    "Q(i)": (lambda: quadratic_extension(-1), 1, "nonsplit_real"),
+    "Q(sqrt 2)": (lambda: quadratic_extension(2), 1, "nonsplit_unknown"),
+    "Q(cbrt 2)": (_cube_root_field, 4, "nonsplit_unknown"),
+}
+
+
+@pytest.mark.parametrize("name", FIELD_REBASINGS)
+def test_a_residue_field_stops_the_idempotent_search(rebase, monkeypatch, name):
+    from liestruct import decompose
+
+    field, seed, status = FIELD_REBASINGS[name]
+    g = rebase(current_algebra(classical("sl", 2), field()), seed)
+    calls = []
+    min_poly = decompose.min_poly
+    monkeypatch.setattr(decompose, "min_poly",
+                        lambda *args, **kwargs: calls.append(1) or min_poly(*args, **kwargs))
+    report = indecompose.__wrapped__(g)
+    assert report.ideals == (Subspace.full(g.dim),) and report.status == status
+    assert len(calls) <= 2

@@ -11,7 +11,7 @@ import pytest
 
 from liestruct import (build, classical, current_algebra, direct_sum, endo, example_algebra,
                        from_dict, lie, parse_algebra, to_dict, truncated_poly)
-from liestruct.errors import JacobiError, PreconditionError
+from liestruct.errors import JacobiError, LiestructError, PreconditionError
 from liestruct.lie import _integral
 from liestruct.linalg import Matrix, Subspace, kernel_of_rows, vector
 
@@ -479,13 +479,16 @@ def _fresh(fn, g):
     return fn.__wrapped__(g)
 
 
-def _row_counter(monkeypatch):
-    """The number of rows of each kernel_of_rows call endo makes from now on."""
+def _row_counter(monkeypatch, cols=None):
+    """The number of rows of each kernel_of_rows call endo makes from now on;
+    the number of columns of each goes to the list ``cols`` when given."""
     counts = []
 
     def counting(rows, ncols):
         rows = list(rows)
         counts.append(len(rows))
+        if cols is not None:
+            cols.append(ncols)
         return kernel_of_rows(rows, ncols)
 
     monkeypatch.setattr(endo, "kernel_of_rows", counting)
@@ -542,11 +545,13 @@ def test_a_table_with_no_jacobi_verdict_streams_every_row(monkeypatch):
         assert not lie._jacobi_known(g) and endo._generators(g) is None
         n = g.dim
         der, cent = _full_kernels(g)
-        counts = _row_counter(monkeypatch)
+        cols = []
+        counts = _row_counter(monkeypatch, cols)
         assert _fresh(endo.derivations, g).space == der
         assert _fresh(endo.centroid, g).space == cent
-        assert counts == [len(list(endo.leibniz_system(g))),
-                          len(list(endo.commutant_system(g._nonzero, n)))]
+        # the centroid: one spun kernel over m n columns, not the n^2 of every row
+        assert counts[:1] == [len(list(endo.leibniz_system(g)))]
+        assert len(cols) == 2 and cols[1] < n * n
         monkeypatch.undo()
 
 
@@ -561,11 +566,13 @@ def test_a_non_generating_set_is_refused_by_the_closure_check(monkeypatch):
     monkeypatch.setattr(endo, "_greedy_generators", lambda nz: forced)
     assert _fresh(endo._generators, g) is None
     der, cent = _full_kernels(g)
-    counts = _row_counter(monkeypatch)
+    cols = []
+    counts = _row_counter(monkeypatch, cols)
     assert endo.derivations(g).space == der
     assert endo.centroid(g).space == cent
-    assert counts == [len(list(endo.leibniz_system(g))),
-                      len(list(endo.commutant_system(g._nonzero, g.dim)))]
+    # the centroid: one spun kernel over m n columns, not the n^2 of every row
+    assert counts[:1] == [len(list(endo.leibniz_system(g)))]
+    assert len(cols) == 2 and cols[1] < g.dim ** 2
 
 
 def test_constructions_pass_on_the_jacobi_verdict():
@@ -594,9 +601,116 @@ def test_restricted_rows_are_those_of_the_pairs_meeting_the_generators(monkeypat
     leibniz = sum(1 for (i, j), row in zip(itertools.product(range(n), range(n * n)),
                                            _fraction_leibniz_rows(g))
                   if i <= j // n and (i in gens or j // n in gens) and any(row))
-    ads = [g.ad_basis(s) for s in sorted(gens)]
-    commutant = sum(1 for row in _fraction_commutant_rows(ads, n) if any(row))
-    counts = _row_counter(monkeypatch)
+    cols = []
+    counts = _row_counter(monkeypatch, cols)
     der, cent = _fresh(endo.derivations, g), _fresh(endo.centroid, g)
-    assert counts == [leibniz, commutant]
+    # the centroid: one spun kernel over m n columns, not the n^2 of every row
+    assert counts[:1] == [leibniz]
+    assert len(cols) == 2 and cols[1] < n * n
     assert (der.space, cent.space) == _full_kernels(g)
+
+
+# ---------------------------------------------------------------------------
+# the spun commutant against the kernel of every commutant row, and sympy
+# ---------------------------------------------------------------------------
+
+
+def _seeds(mats):
+    """The number m of seed vectors the spinning of ``mats`` starts from."""
+    n = mats[0].nrows
+    ops = _integral([[[(k, x) for k, x in enumerate(m.column(j)) if x] for j in range(n)]
+                     for m in mats])[1]
+    return endo._spin(ops, n)[2].count(None)
+
+
+def _gl3_split():
+    """gl:3 on a basis of sl:3 and the identity: its center is a basis vector of its own."""
+    return direct_sum([classical("sl", 3), build(1, {}, names=["z"])])
+
+
+def _commutant_cases():
+    # A = [[0, 1], [1, 1]] twice; A is irreducible over Q, so the commutant is M_2(Q[A])
+    diag_aa = M([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]])
+    big = 2**64 + 3
+    return {
+        "zero operators": [Matrix.zero(3, 3), Matrix.zero(3, 3)],
+        "identity": [Matrix.identity(3)],
+        "diag(A, A)": [diag_aa],
+        "abelian g": [build(3, {}).ad_basis(i) for i in range(3)],
+        "gl:3 on sl:3 + center": [_gl3_split().ad_basis(i) for i in range(9)],
+        "numerators past 2^64": [M([[F(big, 3), F(1, big), 0], [0, F(big, 3), 0],
+                                    [0, 0, F(-big, 5)]]),
+                                 M([[0, F(2 * big, 7), 0], [0, 0, 0], [0, 0, F(big, 2)]])],
+        "a single operator": [M([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, F(1, 2), 0],
+                                 [0, 0, 0, F(1, 2)]])],
+        "n = 1": [M([[F(5, 7)]])],
+    }
+
+
+COMMUTANT_CASES = tuple(_commutant_cases())
+SEVERAL_SEEDS = ("zero operators", "identity", "diag(A, A)", "abelian g", "gl:3 on sl:3 + center")
+
+
+@pytest.mark.parametrize("name", COMMUTANT_CASES)
+def test_spun_commutant_equals_the_full_row_kernel(name):
+    mats = _commutant_cases()[name]
+    n = mats[0].nrows
+    cols = [[[(k, x) for k, x in enumerate(m.column(j)) if x] for j in range(n)] for m in mats]
+    full = kernel_of_rows(endo.commutant_system(cols, n), n * n)
+    got = endo.module_commutant(mats)
+    assert got.space == full and got.kind == "commutant"
+    if name in SEVERAL_SEEDS:
+        assert _seeds(mats) > 1
+    for t in got.basis_matrices():
+        assert all(t @ m == m @ t for m in mats)
+
+
+@pytest.mark.parametrize("name", COMMUTANT_CASES)
+def test_spun_commutant_matches_sympy_oracle(sympy, name):
+    mats = _commutant_cases()[name]
+    n = mats[0].nrows
+    sym = [sympy.Matrix(n, n, lambda r, c: sympy.Rational(m[r, c].numerator, m[r, c].denominator))
+           for m in mats]
+    blocks = [_vec_right(sympy, a, n) - _vec_left(sympy, a, n) for a in sym]
+    assert endo.module_commutant(mats).space.rows == _sympy_solution(sympy, blocks, n)
+
+
+def test_spun_centroids_with_several_seeds_equal_the_full_row_kernels():
+    # an abelian g, and gl:3 on a basis of sl:3 and its center: the adjoint
+    # module needs more than one seed
+    for g, m in ((build(3, {}, names=["a0", "a1", "a2"]), 3), (_gl3_split(), 2)):
+        ads = [g.ad_basis(i) for i in range(g.dim)]
+        assert _seeds(ads) == m
+        assert _fresh(endo.centroid, g).space == _full_kernels(g)[1]
+
+
+@pytest.mark.parametrize("mutation", ["alpha off by one", "every coefficient zero"])
+def test_a_wrong_relation_coefficient_is_refused_by_the_certificate(monkeypatch, mutation):
+    # sl:3 relabeled, so no memoized centroid of an equal algebra is served
+    g = classical("sl", 3).permuted((3, 1, 4, 0, 7, 2, 6, 5))
+    n = g.dim
+    real = endo._residue
+
+    def wrong(pivots, v):
+        out = real(pivots, v)
+        if 2 * n in out:  # the relation of a spun pair: alpha sits in column 2n
+            out = {**out, 2 * n: out[2 * n] + 1} if mutation == "alpha off by one" else {2 * n: 0}
+        return out
+
+    monkeypatch.setattr(endo, "_residue", wrong)
+    with pytest.raises(LiestructError, match="centroid"):
+        _fresh(endo.centroid, g)
+    monkeypatch.undo()
+    assert _fresh(endo.centroid, g).space == _full_kernels(g)[1]
+
+
+def test_spun_centroid_of_ten_simple_ideals_equals_the_full_row_kernel(monkeypatch):
+    # sl:3 (x) Q^10 on the point basis: ten seeds, one per ideal, so m n = 800 of n^2 = 6400
+    g = parse_algebra("cur:sl:3,points:10", max_dim=80)
+    n = g.dim
+    cols = []
+    _row_counter(monkeypatch, cols)
+    cent = _fresh(endo.centroid, g)
+    assert cols == [10 * n] and cent.dim == 10
+    monkeypatch.undo()
+    assert cent.space == kernel_of_rows(endo.commutant_system(g._nonzero, n), n * n)
