@@ -372,12 +372,7 @@ def complex_structure(g: LieAlgebra) -> Optional[ComplexStructure]:
             "> 2 on an indecomposable algebra" % sspace.dim
         )
     ident = Matrix.identity(n)
-    identity_line = Subspace.span([ident.flatten()], n * n)
-    f = None
-    for m in sspace.basis_matrices():
-        if not identity_line.contains(m.flatten()):
-            f = m
-            break
+    f = next((m for m in sspace.basis_matrices() if m != ident.scale(m.rows[0][0])), None)
     if f is None:
         raise LiestructError("semisimple part of dim 2 collapsed to scalars")
     # f has the minimal polynomial of L_f in the regular representation

@@ -6,7 +6,10 @@ disconnected bases, truncated polynomial rings for infinitesimal
 neighborhoods of a point. Every check in this module computes both sides of
 a structural identity (center, commutator, derivations, centroid,
 indecomposability, semisimple part) independently and compares them as
-canonical subspaces — exact equality, no tolerances.
+canonical subspaces — exact equality, no tolerances. The expected spaces of
+endomorphisms are spanned by tensor products of sparse rows: the canonical
+rows of Der(k), Cent(k) and Der(A), and A's multiplications read off its
+structure constants, in the basis order of the current algebra.
 
 The jet machinery at the bottom (partial-derivative operators, generalized
 Leibniz expansion, reparametrization automorphisms) verifies the
@@ -171,6 +174,25 @@ def _tensor_subspace(k: LieAlgebra, a: CommutativeAlgebra, sub: Subspace) -> Sub
     return Subspace.span(vecs, k.dim * na)
 
 
+def _multiplications(a: CommutativeAlgebra) -> list[dict]:
+    """L_{e_p} flattened, for each p: entry (k, j) is the e_k coefficient of e_p e_j."""
+    return [{k * a.dim + j: c for j, v in enumerate(row) for k, c in v} for row in a._nonzero]
+
+
+def _tensor_rows(xs, nk: int, ys, na: int) -> list[dict]:
+    """x (x) y for each x in ``xs`` and y in ``ys``, flattened nk x nk and na x na
+    ``{index: value}`` maps, as flattened rows of End(k (x) A): e_i (x) e_p is
+    basis vector i na + p, so entry (i, j) of x times entry (p, q) of y is entry
+    (i na + p, j na + q)."""
+    n = nk * na
+    ys = [[(pq // na * n + pq % na, v) for pq, v in y.items()] for y in ys]
+    rows = []
+    for x in xs:
+        x = [(ij // nk * na * n + ij % nk * na, u) for ij, u in x.items()]
+        rows.extend({s + t: u * v for s, u in x for t, v in y} for y in ys)
+    return rows
+
+
 def section_center_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     """z(k (x) A) versus z(k) (x) A, computed independently."""
     g = current_algebra(k, a)
@@ -306,21 +328,10 @@ def current_der_decomposition(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     g = current_algebra(k, a)
     full = derivations(g)
     n = g.dim
-    der_k = derivations(k).basis_matrices()
-    cent_k = centroid(k).basis_matrices()
-    der_a = commutative_derivations(a).basis_matrices()
-    tensor_part = Subspace.span(
-        [
-            kron(d, a.mult_matrix(unit_vector(a.dim, p))).flatten()
-            for d in der_k
-            for p in range(a.dim)
-        ],
-        n * n,
-    )
-    connection_part = Subspace.span(
-        [kron(s, d).flatten() for s in cent_k for d in der_a],
-        n * n,
-    )
+    der_k, cent_k = derivations(k).space.sparse_rows(), centroid(k).space.sparse_rows()
+    der_a = commutative_derivations(a).space.sparse_rows()
+    tensor_part = Subspace.span(_tensor_rows(der_k, k.dim, _multiplications(a), a.dim), n * n)
+    connection_part = Subspace.span(_tensor_rows(cent_k, k.dim, der_a, a.dim), n * n)
     together = tensor_part.sum(connection_part)
     direct = together.dim == tensor_part.dim + connection_part.dim
     spans = together == full.space
@@ -340,14 +351,8 @@ def centroid_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     g = current_algebra(k, a)
     full = centroid(g)
     n = g.dim
-    expected = Subspace.span(
-        [
-            kron(cmat, a.mult_matrix(unit_vector(a.dim, p))).flatten()
-            for cmat in centroid(k).basis_matrices()
-            for p in range(a.dim)
-        ],
-        n * n,
-    )
+    cent_k = centroid(k).space.sparse_rows()
+    expected = Subspace.span(_tensor_rows(cent_k, k.dim, _multiplications(a), a.dim), n * n)
     return {
         "check": "centroid",
         "full_dim": full.dim,
@@ -358,11 +363,7 @@ def centroid_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
 
 def _multiplication_endospace(a: CommutativeAlgebra) -> EndoSpace:
     """The regular representation of A as a commutative matrix algebra."""
-    span = Subspace.span(
-        [a.mult_matrix(unit_vector(a.dim, p)).flatten() for p in range(a.dim)],
-        a.dim * a.dim,
-    )
-    return EndoSpace("centroid", a.dim, span)
+    return EndoSpace("centroid", a.dim, Subspace.span(_multiplications(a), a.dim * a.dim))
 
 
 def indecomposability_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
@@ -415,10 +416,11 @@ def s_part_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     n_g, s_g = split_centroid(g)
     # semisimple part of A through its regular representation
     s_parts = []
-    for p in range(a.dim):
-        s, _ = jordan_chevalley(a.mult_matrix(unit_vector(a.dim, p)))
-        s_parts.append(kron(Matrix.identity(k.dim), s).flatten())
-    expected = Subspace.span(s_parts, g.dim * g.dim)
+    for mult in _multiplications(a):
+        s, _ = jordan_chevalley(Matrix.unflatten(mult, a.dim, a.dim))
+        s_parts.append({j: x for j, x in enumerate(s.flatten()) if x})
+    identity = {i * k.dim + i: 1 for i in range(k.dim)}
+    expected = Subspace.span(_tensor_rows([identity], k.dim, s_parts, a.dim), g.dim * g.dim)
     return {
         "check": "spart",
         "s_dim": s_g.dim,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,13 +20,14 @@ from liestruct import (
     truncated_poly,
 )
 from liestruct.decompose import (
+    _split_local,
     centroid_radical,
     complex_structure,
     indecompose,
     primitive_idempotents,
 )
-from liestruct.errors import LiestructError, PreconditionError
-from liestruct.linalg import Matrix, Subspace, unit_vector, vector
+from liestruct.errors import LiestructError, PreconditionError, SeparatingElementError
+from liestruct.linalg import Matrix, Subspace, kron, unit_vector, vector
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +466,163 @@ def test_a_residue_field_stops_the_idempotent_search(rebase, monkeypatch, name):
     report = indecompose.__wrapped__(g)
     assert report.ideals == (Subspace.full(g.dim),) and report.status == status
     assert len(calls) <= 2
+
+
+# ---------------------------------------------------------------------------
+# the idempotent search on chosen representations
+# ---------------------------------------------------------------------------
+#
+# Each input is a commutative algebra given by matrices spanning it, whose
+# primitive idempotents are known from the construction; the results are
+# checked by certificates that do not use the search: p^2 = p, p q = 0, a sum
+# of 1, every p in the algebra, and the count. The last two inputs are no
+# algebras: they reach the guards that stop the search on such input.
+
+
+def _block_diag(*blocks):
+    n = sum(b.nrows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows.extend([0] * at + list(r) + [0] * (n - at - b.nrows) for r in b.rows)
+        at += b.nrows
+    return Matrix(rows)
+
+
+def _gauss(a, b):
+    """Multiplication by a + b i on Q(i), in the basis 1, i."""
+    return Matrix([[a, -b], [b, a]])
+
+
+def _assert_primitive_family(idems, unit, algebra: Subspace, count):
+    assert len(idems) == count
+    total = Matrix.zero(unit.nrows, unit.ncols)
+    for i, p in enumerate(idems):
+        assert p @ p == p and not p.is_zero()
+        assert algebra.contains(p.flatten())
+        for q in idems[i + 1:]:
+            assert (p @ q).is_zero() and (q @ p).is_zero()
+        total = total + p
+    assert total == unit
+
+
+def _span_of(mats):
+    n = mats[0].nrows
+    return Subspace.span([m.flatten() for m in mats], n * n)
+
+
+def _search(unit, basis, bound=None):
+    """The search on ``basis`` with the bound primitive_idempotents uses, d^2 + 1."""
+    return _split_local(unit, basis, len(basis) ** 2 + 1 if bound is None else bound)
+
+
+# Q[x]/(x^2) x Q on Q^2 + Q, and Q(i) x Q on Q(i) + Q
+_E = _block_diag(Matrix.identity(2), Matrix.zero(1, 1))
+_X = _block_diag(Matrix([[0, 1], [0, 0]]), Matrix.zero(1, 1))
+_I = _block_diag(_gauss(0, 1), Matrix.zero(1, 1))
+
+
+def test_projectors_of_a_non_semisimple_candidate_are_newton_lifted():
+    # f = (1 + x, 0) has minimal polynomial t (t - 1)^2: its spectral
+    # projectors f and 1 - f are idempotent only modulo x
+    unit = Matrix.identity(3)
+    basis = [unit, _E + _X, _X]
+    idems, status = _search(unit, basis)
+    _assert_primitive_family(idems, unit, _span_of(basis), 2)
+    assert status == "split" and set(idems) == {_E, unit - _E}
+
+
+def _conjugated(rep, seed):
+    """P rep P^-1 for a seeded integer P of determinant 1."""
+    n, rng = rep[0].nrows, random.Random(seed)
+    lower = Matrix([[1 if r == c else rng.randint(-2, 2) if r > c else 0 for c in range(n)]
+                    for r in range(n)])
+    upper = Matrix([[1 if r == c else rng.randint(-2, 2) if r < c else 0 for c in range(n)]
+                    for r in range(n)])
+    p = lower @ upper
+    pinv = p.inverse()
+    return [p @ m @ pinv for m in rep]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("rep, status", [([_X, _E], "split"), ([_I, _E], "nonsplit_real")],
+                         ids=["jet-x-point", "gauss-x-point"])
+def test_idempotents_of_a_chosen_commutative_commutant(rep, status, seed):
+    # the commutant of {x, e} is Q[x]/(x^2) x Q, that of {i, e} is Q(i) x Q:
+    # two primitive idempotents each, in any basis
+    cent = endo.module_commutant(_conjugated(rep, seed))
+    assert cent.dim == 3
+    idems, got = primitive_idempotents(cent)
+    _assert_primitive_family(list(idems), Matrix.identity(3), cent.space, 2)
+    assert got == status
+
+
+def _gauss_pair(*pairs):
+    """Multiplications of Q(i) x Q(i) on Q(i) + Q(i), one per ((a, b), (c, d))."""
+    return [_block_diag(_gauss(*z), _gauss(*w)) for z, w in pairs]
+
+
+def test_weighted_candidates_split_a_product_of_gaussian_fields():
+    # basis 1, (i, i), (i, 2i), (1 + i, -1 - 3i): no basis element has a
+    # rational eigenvalue, so the search reaches the weighted sums; the first,
+    # their plain sum (2 + 3i, 0), has the root 0 and a residual piece
+    basis = _gauss_pair(((1, 0), (1, 0)), ((0, 1), (0, 1)), ((0, 1), (0, 2)), ((1, 1), (-1, -3)))
+    unit = Matrix.identity(4)
+    idems, status = _search(unit, basis)
+    _assert_primitive_family(idems, unit, _span_of(basis), 2)
+    assert set(idems) == {_block_diag(Matrix.identity(2), Matrix.zero(2, 2)),
+                          _block_diag(Matrix.zero(2, 2), Matrix.identity(2))}
+    assert status == "nonsplit_real"
+
+
+def test_a_quartic_field_runs_the_search_out():
+    # Q(sqrt 2, i) is a field of degree 4: no candidate has a rational root,
+    # and a quartic is past the residue-field stop, so every candidate is passed
+    # over and the unit is returned, primitive as it should be. The bound is
+    # small: at d^2 + 1 = 17 the weighted sums have norms up to 2 * 10^15, which the
+    # trial division of poly._rational_roots (ROADMAP item 1) does not finish.
+    s, i = kron(Matrix([[0, 2], [1, 0]]), Matrix.identity(2)), kron(Matrix.identity(2), _gauss(0, 1))
+    unit = Matrix.identity(4)
+    basis = [unit, s, i, s @ i]
+    idems, status = _search(unit, basis, bound=2)
+    _assert_primitive_family(idems, unit, _span_of(basis), 1)
+    assert status == "nonsplit_unknown"
+
+
+def _two_cubic_fields():
+    """Q[x]/((x^3 - x - 1)(x^3 - x + 1)) = K1 x K2, the powers of x on its power basis."""
+    x = Matrix([[1 if r == c + 1 else 0 for c in range(5)] + [[1, 0, -1, 0, 2, 0][r]]
+                for r in range(6)])  # companion matrix of x^6 - 2 x^4 + x^2 - 1
+    return [x.power(k) for k in range(6)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the search splits only on rational "
+                   "roots, so a product of fields none of whose candidates has one stays whole")
+@pytest.mark.parametrize("basis", [
+    _gauss_pair(((1, 0), (1, 0)), ((0, 1), (0, 1)), ((0, 1), (0, 2)), ((1, 2), (-1, -1))),
+    _two_cubic_fields(),
+], ids=["gauss-x-gauss", "cubic-x-cubic"])
+def test_a_product_of_fields_splits(basis):
+    # no weighted sum of this Q(i) x Q(i) basis has a rational coordinate, and
+    # K1 x K2 has no element of rational eigenvalue but the scalars; the bound
+    # is small for the trial division, as above
+    unit = Matrix.identity(basis[0].nrows)
+    idems, _ = _search(unit, basis, bound=2)
+    _assert_primitive_family(idems, unit, _span_of(basis), 2)
+
+
+def test_a_candidate_that_separates_nothing_is_passed_over():
+    # not an algebra search: u is a rank-one idempotent that is no identity for
+    # f (u f != f u), so the projectors of f leave u as the only piece;
+    # recursing on it would repeat this search forever
+    f = Matrix([[1, 0, 0], [2, 2, 1], [2, -2, 1]])
+    u = Matrix([[0, 0, 0], [0, 1, -1], [0, 0, 0]])
+    assert u @ u == u and u @ f != f @ u
+    assert _search(u, [u, f], bound=0) == ([u], "nonsplit_unknown")
+
+
+def test_a_basis_of_no_algebra_has_no_separating_element():
+    # 1, E12, E21 span no algebra (E12 E21 = E11 lies outside): each is scalar
+    # modulo nilpotents, yet the trace form is nondegenerate
+    e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
+    with pytest.raises(SeparatingElementError, match="dimension 3"):
+        _search(Matrix.identity(2), [Matrix.identity(2), e12, e21], bound=0)

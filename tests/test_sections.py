@@ -16,10 +16,13 @@ from liestruct import (
     TruncationError,
     centroid,
     centroid_of_sections_check,
+    classical,
+    commutative_derivations,
     current_der_decomposition,
     current_algebra,
     derivations,
     direct_sum,
+    example_algebra,
     indecomposability_of_sections_check,
     jet_algebra,
     jet_reparametrization_automorphism,
@@ -30,12 +33,14 @@ from liestruct import (
     s_part_of_sections_check,
     section_center_check,
     section_commutator_check,
+    split_centroid,
     symbol_check,
     tensor_vector,
     truncated_poly,
     x_derivations,
 )
-from liestruct.linalg import unit_vector, vector, zero_vector
+from liestruct.linalg import Subspace, kron, unit_vector, vector, zero_vector
+from liestruct.poly import jordan_chevalley
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +313,139 @@ def test_s_part_of_sections(sl2, two_dim):
 def test_s_part_preconditions(heisenberg3):
     with pytest.raises(PreconditionError):
         s_part_of_sections_check(heisenberg3, point_functions(2))
+
+
+# ---------------------------------------------------------------------------
+# sparse tensor rows against dense Kronecker products
+# ---------------------------------------------------------------------------
+
+def _sparse(m):
+    return {j: x for j, x in enumerate(m.flatten()) if x}
+
+
+def _random_sparse_matrix(rng, n):
+    """Mostly zero entries, one of them surely not; the nonzero ones are
+    rationals with numerators past 2^64."""
+    def entry(nonzero):
+        if not nonzero and rng.random() < 0.6:
+            return F(0)
+        return F(rng.choice([-1, 1]) * rng.randint(2**64, 2**70), rng.randint(1, 9))
+    spot = rng.randrange(n * n)
+    return Matrix([[entry(i * n + j == spot) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tensor_rows_equal_dense_kronecker_products(seed):
+    rng = random.Random(seed)
+    nk, na = rng.randint(1, 4), rng.randint(1, 4)
+    if seed < 3:
+        nk, na = [(1, 1), (1, 3), (3, 1)][seed]
+    xs = [_random_sparse_matrix(rng, nk) for _ in range(rng.randint(1, 3))]
+    ys = [_random_sparse_matrix(rng, na) for _ in range(rng.randint(1, 3))]
+    xs.append(Matrix.zero(nk, nk))  # a zero row on each side
+    ys.insert(0, Matrix.zero(na, na))
+    got = sections._tensor_rows([_sparse(x) for x in xs], nk, [_sparse(y) for y in ys], na)
+    assert got == [_sparse(kron(x, y)) for x in xs for y in ys]
+    assert any(abs(v.numerator) >= 2**64 for row in got for v in row.values())
+
+
+# The section checks as first written, with every expected element a dense
+# Kronecker product of dense basis matrices: the oracle of the sparse rows. The
+# grid below meets every precondition, so the oracles leave them out.
+
+def _dense_der_decomposition(k, a):
+    g = current_algebra(k, a)
+    full = derivations(g)
+    n = g.dim
+    der_k = derivations(k).basis_matrices()
+    cent_k = centroid(k).basis_matrices()
+    der_a = commutative_derivations(a).basis_matrices()
+    tensor_part = Subspace.span(
+        [kron(d, a.mult_matrix(unit_vector(a.dim, p))).flatten()
+         for d in der_k for p in range(a.dim)],
+        n * n,
+    )
+    connection_part = Subspace.span([kron(s, d).flatten() for s in cent_k for d in der_a], n * n)
+    together = tensor_part.sum(connection_part)
+    direct = together.dim == tensor_part.dim + connection_part.dim
+    return {
+        "check": "derdecomp",
+        "full_dim": full.dim,
+        "tensor_part_dim": tensor_part.dim,
+        "connection_part_dim": connection_part.dim,
+        "direct": direct,
+        "ok": direct and together == full.space,
+    }
+
+
+def _dense_centroid_check(k, a):
+    g = current_algebra(k, a)
+    full = centroid(g)
+    n = g.dim
+    expected = Subspace.span(
+        [kron(c, a.mult_matrix(unit_vector(a.dim, p))).flatten()
+         for c in centroid(k).basis_matrices() for p in range(a.dim)],
+        n * n,
+    )
+    return {
+        "check": "centroid",
+        "full_dim": full.dim,
+        "expected_dim": centroid(k).dim * a.dim,
+        "ok": full.dim == centroid(k).dim * a.dim and expected == full.space,
+    }
+
+
+def _dense_s_part_check(k, a):
+    g = current_algebra(k, a)
+    n_g, s_g = split_centroid(g)
+    s_parts = []
+    for p in range(a.dim):
+        s, _ = jordan_chevalley(a.mult_matrix(unit_vector(a.dim, p)))
+        s_parts.append(kron(Matrix.identity(k.dim), s).flatten())
+    expected = Subspace.span(s_parts, g.dim * g.dim)
+    return {
+        "check": "spart",
+        "s_dim": s_g.dim,
+        "n_dim": n_g.dim,
+        "expected_s_dim": expected.dim,
+        "ok": s_g.space == expected,
+    }
+
+
+_FIBERS = {
+    "sl2": lambda: classical("sl", 2),
+    "sl3": lambda: classical("sl", 3),
+    "su3": lambda: classical("su", 3),
+    "2dim": lambda: example_algebra("two_dim"),
+}
+_COEFFICIENTS = {
+    "jet13": lambda: truncated_poly(1, 3),
+    "jet22": lambda: truncated_poly(2, 2),
+    "points3": lambda: point_functions(3),
+    "gauss": lambda: quadratic_extension(-1),
+}
+
+
+@pytest.mark.parametrize("a_name", sorted(_COEFFICIENTS))
+@pytest.mark.parametrize("k_name", sorted(_FIBERS))
+def test_section_checks_equal_their_dense_formulation(k_name, a_name):
+    k, a = _FIBERS[k_name](), _COEFFICIENTS[a_name]()
+    for check, oracle in [
+        (current_der_decomposition, _dense_der_decomposition),
+        (centroid_of_sections_check, _dense_centroid_check),
+        (s_part_of_sections_check, _dense_s_part_check),
+    ]:
+        assert check(k, a) == oracle(k, a)
+
+
+@pytest.mark.parametrize("a_name", sorted(_COEFFICIENTS))
+def test_multiplications_are_the_regular_representation(a_name):
+    a = _COEFFICIENTS[a_name]()
+    dense = [a.mult_matrix(unit_vector(a.dim, p)) for p in range(a.dim)]
+    assert sections._multiplications(a) == [_sparse(m) for m in dense]
+    assert sections._multiplication_endospace(a).space == Subspace.span(
+        [m.flatten() for m in dense], a.dim * a.dim
+    )
 
 
 # ---------------------------------------------------------------------------
