@@ -411,6 +411,8 @@ def tensor_vector(k: LieAlgebra, a: CommutativeAlgebra, x, coeff) -> Vector:
     """Coordinates of x (x) coeff in the tensor basis of k (x) A."""
     x, coeff = vector(x), vector(coeff)
     na = a.dim
+    k._check_length(x)
+    a._check_length(coeff)
     out = [Fraction(0)] * (k.dim * na)
     for i, xi in enumerate(x):
         if xi:

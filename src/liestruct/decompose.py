@@ -16,15 +16,16 @@ residue algebra, so Q[f] fills it; the unit is then primitive.
 The centroid need not be commutative here (off-diagonal blocks between
 summands with center can fail to commute with nilpotent centroid elements),
 but the search never relies on commutativity: each branch works inside the
-commutative subalgebra generated by one element, corner nesting makes
-idempotents from different branches orthogonal, and the trace-form kernel
-equals the radical for any faithfully represented algebra in characteristic
-zero. So the search runs in the regular representation (the d x d matrices
-L_b, d = dim Cent), which is faithful because Cent contains 1; its
-idempotents are mapped back to End(g) and checked there. A corner
+commutative subalgebra generated by one element, and corner nesting makes
+idempotents from different branches orthogonal. It runs in the regular
+representation (the d x d matrices L_b, d = dim Cent), faithful as Cent
+contains 1, so the kernel of its trace form tr(L_a L_b) is the radical N (in
+characteristic zero, a nil ideal holding every nilpotent ideal), read off
+Cent's table once per algebra; a corner eAe takes e N e = rad(eAe). A corner
 p Cent(g) p is canonically the centroid of the ideal im(p) (extend an
-endomorphism of the ideal by zero on the complement), so the recursion
-stops exactly when each piece is indecomposable.
+endomorphism of the ideal by zero on the complement), so the recursion stops
+exactly when each piece is indecomposable. The idempotents come back to
+End(g) once, as the sparse int columns of the checks, ideals and images.
 
 All arithmetic is exact, so every claimed identity (p^2 = p, orthogonality,
 completeness) holds on the nose, not up to tolerance.
@@ -37,10 +38,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import LiestructError, PreconditionError, SeparatingElementError
-from .endo import (EndoSpace, _algebra_table, _centroid_table, _from_regular, _regular,
-                   centroid, check_abelian, split_centroid)
+from .endo import (EndoSpace, _algebra_table, _apply, _centroid_radical, _centroid_table,
+                   _compose, _from_regular, _int_columns, _subtract, centroid,
+                   check_abelian, split_centroid)
 from .lie import LieAlgebra, _memoized
-from .linalg import Matrix, Subspace, kernel_basis
+from .linalg import Matrix, Subspace, _int_row, kernel_basis, unit_vector
 from .poly import (
     _rational_square_root,
     degree,
@@ -121,20 +123,12 @@ def centroid_radical(cent: EndoSpace) -> Subspace:
     """Coordinates (in cent's basis) of the nilpotent part of the centroid.
 
     The kernel of the trace form (f, g) -> tr(fg) of a faithful (here the
-    regular) representation of a commutative algebra with 1 is exactly its
-    nilpotent elements in characteristic zero (all power traces vanish).
+    regular, read off cent's table) representation of a commutative algebra
+    with 1 is exactly its nilpotent elements in characteristic zero.
     """
     table = _algebra_table(cent)
     check_abelian(cent, table)
-    return _trace_form_kernel(_regular(table))
-
-
-def _trace_form_kernel(mats: list[Matrix]) -> Subspace:
-    d = len(mats)
-    gram = Matrix(
-        [[(mats[a] @ mats[b]).trace() for b in range(d)] for a in range(d)]
-    )
-    return kernel_basis(gram)
+    return kernel_basis(table._trace_form())
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +139,6 @@ def _candidates(basis: list[Matrix], bound: int):
     """Deterministic stream: basis elements, then powers-weighted sums."""
     for b in basis:
         yield b
-    d = len(basis)
     for j in range(1, bound + 1):
         acc = Matrix.zero(basis[0].nrows, basis[0].ncols)
         w = 1
@@ -171,19 +164,15 @@ def _corner_basis(e: Matrix, basis: list[Matrix]) -> list[Matrix]:
     return [Matrix.unflatten(r, n, n) for r in span.sparse_rows()]
 
 
-def _split_local(unit: Matrix, basis: list[Matrix], search_bound: int):
-    """Recursive splitting of the corner algebra spanned by ``basis``.
+def _split_local(unit: Matrix, basis: list[Matrix], rad: list[Matrix], search_bound: int):
+    """Recursive splitting of the corner algebra spanned by ``basis``, radical ``rad``.
 
     Returns (list of primitive idempotents summing to ``unit``, status).
     """
-    d = len(basis)
-    if d == 1:
-        return [unit], "split"
-    rad_dim = _trace_form_kernel(basis).dim
-    if d == rad_dim + 1:
+    residue_dim = len(basis) - len(rad)
+    if residue_dim == 1:
         # residue field is Q: local algebra, unit is primitive
         return [unit], "split"
-    residue_dim = d - rad_dim
 
     saw_degree_two_or_more = False
     for f in _candidates(basis, search_bound):
@@ -221,7 +210,7 @@ def _split_local(unit: Matrix, basis: list[Matrix], search_bound: int):
         statuses = []
         for e in pieces:
             sub_idems, sub_status = _split_local(
-                e, _corner_basis(e, basis), search_bound
+                e, _corner_basis(e, basis), _corner_basis(e, rad), search_bound
             )
             idems.extend(sub_idems)
             statuses.append(sub_status)
@@ -249,29 +238,31 @@ def primitive_idempotents(cent: EndoSpace) -> tuple[IdempotentSet, str]:
     """
     table = _algebra_table(cent)
     check_abelian(cent, table)
-    return _primitive_idempotents_any(cent, table)
+    return _primitive_idempotents_any(cent, table, kernel_basis(table._trace_form()))
 
 
-def _primitive_idempotents_any(cent: EndoSpace, table) -> tuple[IdempotentSet, str]:
-    """Idempotent search without the commutativity gate, given cent's table (module docs)."""
+def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace) -> tuple[IdempotentSet, str]:
+    """Search without the commutativity gate, given cent's table and radical (module docs)."""
     if not cent.dim:
         raise PreconditionError("centroid is zero-dimensional")
-    unit = Matrix.identity(cent.n)
-    if not cent.contains(unit):
+    n, d = cent.n, cent.dim
+    if not cent.space.contains({c * (n + 1): 1 for c in range(n)}):
         raise PreconditionError("centroid does not contain the identity")
-    bound = cent.dim * cent.dim + 1
-    idems, status = _split_local(Matrix.identity(cent.dim), _regular(table), bound)
-    idems = [Matrix.unflatten(_from_regular(cent, p), cent.n, cent.n) for p in idems]
-    # exactness checks: mutual orthogonality and completeness
-    total = Matrix.zero(cent.n, cent.n)
-    for i, p in enumerate(idems):
-        if p @ p != p:
+    regular = [Matrix.unflatten(m, d, d) for m in table._flat_left()]  # faithful: Cent holds 1
+    idems, status = _split_local(Matrix.identity(d), regular,
+                                 [table._left_matrix(r) for r in rad.rows], d * d + 1)
+    idems = [Matrix.unflatten(_from_regular(cent, p), n, n) for p in idems]
+    # exactness checks on the int columns of the den p: p^2 = p, p q = 0, den (1 - sum p) = 0
+    den, cols = _int_columns(idems)
+    rest = {c * (n + 1): den for c in range(n)}
+    for i, a in enumerate(cols):
+        flat = {c * n + r: x for c, col in enumerate(a) for r, x in col}
+        if _compose(a, a) != {k: den * x for k, x in flat.items()}:
             raise LiestructError("lifted projection %d is not idempotent" % i)
-        total = total + p
-        for q in idems[i + 1 :]:
-            if not (p @ q).is_zero():
-                raise LiestructError("projections are not orthogonal")
-    if total != unit:
+        if any(_compose(a, b) for b in cols[i + 1:]):
+            raise LiestructError("projections are not orthogonal")
+        _subtract(rest, flat.items())
+    if rest:
         raise LiestructError("projections do not sum to the identity")
     return IdempotentSet(tuple(idems)), status
 
@@ -306,27 +297,23 @@ def indecompose(g: LieAlgebra) -> DecompositionReport:
             )
     cent = centroid(g)
     table = _centroid_table(g)
-    idems, status = _primitive_idempotents_any(cent, table)
-    n = g.dim
-    ideals = [
-        Subspace.span([p.column(j) for j in range(n)], n) for p in idems
-    ]
+    idems, status = _primitive_idempotents_any(cent, table, _centroid_radical(g))
+    n, d = g.dim, cent.dim
+    cols = _int_columns(idems)[1]
+    ideals = [Subspace.span([dict(col) for col in a], n) for a in cols]
     if sum(s.dim for s in ideals) != n:
         raise LiestructError("ideal dimensions do not sum to dim g")
-    # p_i b p_j in coordinates: L_{p_i} L_b c(p_j)
+    # p_i b_k p_j in coordinates, products in Cent's table
     coords = [cent.coordinates(p) for p in idems]
-    regular = _regular(table)
-    blocks = [
-        [Subspace.span([table._left_matrix(ci).apply(b.apply(cj)) for b in regular],
-                       cent.dim).dim for cj in coords]
-        for ci in coords
-    ]
-    if sum(sum(row) for row in blocks) != cent.dim:
+    blocks = [[Subspace.span([table._product(ci, table._product(unit_vector(d, k), cj))
+                              for k in range(d)], d).dim for cj in coords] for ci in coords]
+    if sum(sum(row) for row in blocks) != d:
         raise LiestructError("Peirce block dimensions do not sum to dim Cent")
     # g is the direct sum of the g_i = im(p_i): p_i z(g) = z(g_i), p_i [g,g] = [g_i,g_i]
-    zdims = [Subspace.span([p.apply(v) for v in z.rows], n).dim for p in idems]
-    abel = [s.dim - Subspace.span([p.apply(v) for v in comm.rows], n).dim
-            for p, s in zip(idems, ideals)]
+    z_int, comm_int = ([_int_row(v).items() for v in s.sparse_rows()] for s in (z, comm))
+    zdims = [Subspace.span([_apply(a, v) for v in z_int], n).dim for a in cols]
+    abel = [s.dim - Subspace.span([_apply(a, v) for v in comm_int], n).dim
+            for a, s in zip(cols, ideals)]
     j_dims = [a * zi for a, zi in zip(abel, zdims)]  # dim Hom(g_i/[g_i,g_i], z(g_i))
     for i, zi in enumerate(zdims):
         for j, aj in enumerate(abel):

@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 from .errors import LiestructError, PreconditionError
 from .lie import LieAlgebra, _integral, _jacobi_known, _memoized, _StructureTable
 from .linalg import (Matrix, Subspace, Vector, _echelon, _int_row, _primitive, _reduce, _span,
-                     kernel_of_rows, unit_vector)
+                     kernel_basis, kernel_of_rows)
 from .poly import jordan_chevalley
 
 __all__ = [
@@ -441,9 +441,7 @@ def derivations(g: LieAlgebra) -> EndoSpace:
 def inner_derivations(g: LieAlgebra) -> EndoSpace:
     """Span of the adjoint maps; dim = dim g - dim z(g)."""
     n = g.dim
-    # entry (k, j) of ad e_i is the coefficient of e_k in [e_i, e_j]
-    ads = [{k * n + j: c for j, v in enumerate(row) for k, c in v} for row in g._nonzero]
-    return EndoSpace("inner", n, Subspace.span(ads, n * n))
+    return EndoSpace("inner", n, Subspace.span(g._flat_left(), n * n))
 
 
 @_memoized
@@ -489,8 +487,13 @@ def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
     for m in rep:
         if not m.is_square() or m.nrows != n:
             raise ValueError("representation matrices must be square of one size")
-    ops = [[[(k, x) for k, x in enumerate(col) if x] for col in zip(*m.rows)] for m in rep]
-    return _commutant(_integral(ops)[1], n, "commutant")
+    return _commutant(_int_columns(rep)[1], n, "commutant")
+
+
+def _int_columns(mats: Sequence[Matrix]) -> tuple:
+    """(den, ops): den times the square matrices ``mats``, as int columns (:func:`_compose`)."""
+    return _integral([[[(k, x) for k, x in enumerate(col) if x] for col in zip(*m.rows)]
+                      for m in mats])
 
 
 def _algebra_table(space: EndoSpace) -> _StructureTable:
@@ -515,11 +518,6 @@ def _centroid_table(g: LieAlgebra) -> _StructureTable:
     return _algebra_table(centroid(g))
 
 
-def _regular(table: _StructureTable) -> list[Matrix]:
-    """L_b for the basis: the regular representation, faithful on a unital algebra."""
-    return [table._left_matrix(unit_vector(table.dim, i)) for i in range(table.dim)]
-
-
 def _from_regular(space: EndoSpace, m: Matrix) -> Vector:
     """The flattened x = sum c_k b_k in ``space`` with L_x = m: c = L_x 1, 1 at the pivots."""
     return space.space.combine(m.apply([Fraction(p % (space.n + 1) == 0)
@@ -535,27 +533,29 @@ def check_abelian(space: EndoSpace, table: _StructureTable):
 
 
 @_memoized
+def _centroid_radical(g: LieAlgebra) -> Subspace:
+    """rad Cent(g) in coordinates: the kernel of its table's trace form (decompose docs)."""
+    return kernel_basis(_centroid_table(g)._trace_form())
+
+
+@_memoized
 def split_centroid(g: LieAlgebra) -> tuple[EndoSpace, EndoSpace]:
     """Split an abelian centroid into nilpotent and semisimple parts.
 
-    Applies the Jordan-Chevalley decomposition to each centroid basis
-    element b, as the matrix L_b of Cent(g)'s regular representation (the
-    parts come back to End(g)); N = span of the nilpotent parts, S = span of
-    the semisimple parts. For an abelian centroid these are subalgebras with
-    N + S = Cent as a direct sum, which is checked in End(g).
+    N is the radical (:func:`_centroid_radical`). S is spanned by the
+    semisimple parts s(b) of the basis elements b off N's pivots, each the
+    Jordan-Chevalley part of L_b in the regular representation: on a
+    commutative algebra s is linear with kernel N, so they span s(Cent).
+    When N = 0, S = Cent. N + S = Cent, direct, is checked in End(g).
     """
     cent = centroid(g)
     table = _centroid_table(g)
     check_abelian(cent, table)
-    n = g.dim
-    nil_parts = []
-    semi_parts = []
-    for m in _regular(table):
-        s, nil = jordan_chevalley(m)
-        semi_parts.append(_from_regular(cent, s))
-        nil_parts.append(_from_regular(cent, nil))
-    nspace = EndoSpace("nilpotent_part", n, Subspace.span(nil_parts, n * n))
-    sspace = EndoSpace("semisimple_part", n, Subspace.span(semi_parts, n * n))
+    n, d, rad = g.dim, cent.dim, _centroid_radical(g)
+    semi = [_from_regular(cent, jordan_chevalley(Matrix.unflatten(m, d, d))[0])
+            for k, m in enumerate(table._flat_left()) if rad.dim and k not in rad.pivots]
+    nspace = EndoSpace("nilpotent_part", n, _span([cent.space.combine(r) for r in rad.rows], n * n))
+    sspace = EndoSpace("semisimple_part", n, Subspace.span(semi, n * n) if semi else cent.space)
     total = nspace.space.sum(sspace.space)
     if total != cent.space or total.dim != nspace.dim + sspace.dim:
         raise PreconditionError(

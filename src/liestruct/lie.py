@@ -7,9 +7,9 @@ code can assume it is working with an actual Lie algebra. A passed check is
 kept as the table's Jacobi verdict in the memo, and the constructions that
 keep the identity pass it on; ``endo`` reads it before it trusts the
 identity to cut a constraint system. The structure
-constants, held only as nonzero lists, the product and the left
-multiplication live in one private structure-constant core, which
-``construct.CommutativeAlgebra`` shares.
+constants, held only as nonzero lists, the product, the left
+multiplication and the one trace form live in one private structure-constant
+core, which ``construct.CommutativeAlgebra`` and the centroid's table share.
 """
 
 from __future__ import annotations
@@ -153,8 +153,14 @@ class _StructureTable:
             )))
         return self._hash
 
+    def _check_length(self, x: Sequence[Fraction]):
+        if len(x) != self.dim:
+            raise ValueError("vector length %d != dimension %d" % (len(x), self.dim))
+
     def _product(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """x y for coordinate vectors x, y."""
+        self._check_length(x)
+        self._check_length(y)
         out = [Fraction(0)] * self.dim
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
@@ -168,6 +174,7 @@ class _StructureTable:
 
     def _left_matrix(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of y -> x y; column j holds the coordinates of x e_j."""
+        self._check_length(x)
         n = self.dim
         rows = [[Fraction(0)] * n for _ in range(n)]
         for i, xi in enumerate(x):
@@ -175,6 +182,28 @@ class _StructureTable:
                 for j, entries in enumerate(self._nonzero[i]):
                     for k, v in entries:
                         rows[k][j] += xi * v
+        return Matrix._trusted(map(tuple, rows))
+
+    def _flat_left(self, nz=None) -> list[dict]:
+        """L_{e_i} flattened row-major for each i, entry (k, j) the e_k coefficient of
+        e_i e_j, from the nonzero lists ``nz`` (the table's own by default)."""
+        n = self.dim
+        return [{k * n + j: c for j, v in enumerate(row) for k, c in v}
+                for row in (self._nonzero if nz is None else nz)]
+
+    def _trace_form(self) -> Matrix:
+        """tr(L_{e_i} L_{e_j}) = sum of c_il^k c_jk^l over k, l, in ints over the
+        constants scaled by :func:`_integral`, then over den^2: the Killing form
+        of a Lie table; on an associative table with 1, its kernel is the radical."""
+        n = self.dim
+        den, nz = _integral(self._nonzero)
+        flat = self._flat_left(nz)
+        rows = [[None] * n for _ in range(n)]
+        for i, a in enumerate(flat):
+            for j in range(i, n):
+                b = flat[j]
+                s = sum(c * b[t] for kl, c in a.items() if (t := kl % n * n + kl // n) in b)
+                rows[i][j] = rows[j][i] = Fraction(s, den * den)
         return Matrix._trusted(map(tuple, rows))
 
 
@@ -231,19 +260,11 @@ class LieAlgebra(_StructureTable):
     @_memoized
     def center(self) -> Subspace:
         """z(g) = {x : [x, y] = 0 for all y}, the kernel of x -> ad(x)."""
-        n = self.dim
-
-        def rows():
-            # constraint for each (j, k): sum_i x_i c[i][j][k] = 0
-            for j in range(n):
-                by_k = {}
-                for i in range(n):
-                    for k, c in self._nonzero[i][j]:
-                        by_k.setdefault(k, {})[i] = c
-                for k in sorted(by_k):
-                    yield by_k[k]
-
-        return kernel_of_rows(rows(), n)
+        rows = {}  # sum_i x_i c_ij^k = 0 for each entry (k, j) of ad x
+        for i, ad in enumerate(self._flat_left()):
+            for kj, c in ad.items():
+                rows.setdefault(kj, {})[i] = c
+        return kernel_of_rows(rows.values(), self.dim)
 
     def bracket_span(self, s: Subspace, t: Subspace) -> Subspace:
         """Subspace spanned by all [u, v], u in s, v in t."""
@@ -279,18 +300,8 @@ class LieAlgebra(_StructureTable):
 
     @_memoized
     def killing_form(self) -> Matrix:
-        """kappa(i, j) = tr(ad e_i ad e_j) = sum of c_il^k c_jk^l over k, l, in
-        ints over the constants scaled by :func:`_integral`, then over den^2."""
-        n = self.dim
-        den, nz = _integral(self._nonzero)
-        ads = [{(k, l): c for l, v in enumerate(row) for k, c in v} for row in nz]  # ad e_i
-        rows = [[None] * n for _ in range(n)]
-        for i, a in enumerate(ads):
-            for j in range(i, n):
-                b = ads[j]
-                s = sum(c * b[l, k] for (k, l), c in a.items() if (l, k) in b)
-                rows[i][j] = rows[j][i] = Fraction(s, den * den)
-        return Matrix._trusted(map(tuple, rows))
+        """kappa(i, j) = tr(ad e_i ad e_j), the table's trace form."""
+        return self._trace_form()
 
     @_memoized
     def _killing_rank(self) -> int:

@@ -167,6 +167,8 @@ class Matrix:
     def power(self, k: int) -> "Matrix":
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
+        if k < 0:
+            raise ValueError("negative power %d" % k)
         result = Matrix.identity(self.nrows)
         base = self
         while k:

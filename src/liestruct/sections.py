@@ -174,11 +174,6 @@ def _tensor_subspace(k: LieAlgebra, a: CommutativeAlgebra, sub: Subspace) -> Sub
     return Subspace.span(vecs, k.dim * na)
 
 
-def _multiplications(a: CommutativeAlgebra) -> list[dict]:
-    """L_{e_p} flattened, for each p: entry (k, j) is the e_k coefficient of e_p e_j."""
-    return [{k * a.dim + j: c for j, v in enumerate(row) for k, c in v} for row in a._nonzero]
-
-
 def _tensor_rows(xs, nk: int, ys, na: int) -> list[dict]:
     """x (x) y for each x in ``xs`` and y in ``ys``, flattened nk x nk and na x na
     ``{index: value}`` maps, as flattened rows of End(k (x) A): e_i (x) e_p is
@@ -330,7 +325,7 @@ def current_der_decomposition(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     n = g.dim
     der_k, cent_k = derivations(k).space.sparse_rows(), centroid(k).space.sparse_rows()
     der_a = commutative_derivations(a).space.sparse_rows()
-    tensor_part = Subspace.span(_tensor_rows(der_k, k.dim, _multiplications(a), a.dim), n * n)
+    tensor_part = Subspace.span(_tensor_rows(der_k, k.dim, a._flat_left(), a.dim), n * n)
     connection_part = Subspace.span(_tensor_rows(cent_k, k.dim, der_a, a.dim), n * n)
     together = tensor_part.sum(connection_part)
     direct = together.dim == tensor_part.dim + connection_part.dim
@@ -352,7 +347,7 @@ def centroid_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     full = centroid(g)
     n = g.dim
     cent_k = centroid(k).space.sparse_rows()
-    expected = Subspace.span(_tensor_rows(cent_k, k.dim, _multiplications(a), a.dim), n * n)
+    expected = Subspace.span(_tensor_rows(cent_k, k.dim, a._flat_left(), a.dim), n * n)
     return {
         "check": "centroid",
         "full_dim": full.dim,
@@ -363,7 +358,7 @@ def centroid_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
 
 def _multiplication_endospace(a: CommutativeAlgebra) -> EndoSpace:
     """The regular representation of A as a commutative matrix algebra."""
-    return EndoSpace("centroid", a.dim, Subspace.span(_multiplications(a), a.dim * a.dim))
+    return EndoSpace("centroid", a.dim, Subspace.span(a._flat_left(), a.dim * a.dim))
 
 
 def indecomposability_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
@@ -416,7 +411,7 @@ def s_part_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     n_g, s_g = split_centroid(g)
     # semisimple part of A through its regular representation
     s_parts = []
-    for mult in _multiplications(a):
+    for mult in a._flat_left():
         s, _ = jordan_chevalley(Matrix.unflatten(mult, a.dim, a.dim))
         s_parts.append({j: x for j, x in enumerate(s.flatten()) if x})
     identity = {i * k.dim + i: 1 for i in range(k.dim)}

@@ -498,9 +498,21 @@ def test_current_algebra_brackets(sl2):
 def test_current_algebra_truncation(sl2):
     a = truncated_poly(1, 2)
     g = current_algebra(sl2, a)
-    e_t = tensor_vector(sl2, a, unit_vector(3, 0), unit_vector(3, 1))
-    f_t = tensor_vector(sl2, a, unit_vector(3, 1), unit_vector(3, 1))
+    e_t = tensor_vector(sl2, a, unit_vector(3, 0), unit_vector(2, 1))
+    f_t = tensor_vector(sl2, a, unit_vector(3, 1), unit_vector(2, 1))
     assert g.bracket(e_t, f_t) == zero_vector(6)  # t^2 = 0 here
+
+
+@pytest.mark.parametrize("call, lengths", [
+    (lambda sl2, a: sl2.bracket([1, 0], [0, 1, 0]), (2, 3)),
+    (lambda sl2, a: sl2.ad([1, 0, 0, 5]), (4, 3)),
+    (lambda sl2, a: a.product([1, 0], [0, 1, 0]), (2, 3)),
+    (lambda sl2, a: a.mult_matrix([0, 1, 0, 0]), (4, 3)),
+    (lambda sl2, a: tensor_vector(sl2, truncated_poly(1, 2), [1, 0, 0], [0, 0, 1]), (3, 2)),
+], ids=["bracket", "ad", "product", "mult_matrix", "tensor_vector"])
+def test_a_vector_of_the_wrong_length_is_refused(sl2, call, lengths):
+    with pytest.raises(ValueError, match="vector length %d != dimension %d" % lengths):
+        call(sl2, truncated_poly(1, 3))
 
 
 def test_current_algebra_one_point_recovers_factor(sl2):

@@ -27,7 +27,7 @@ from liestruct.decompose import (
     primitive_idempotents,
 )
 from liestruct.errors import LiestructError, PreconditionError, SeparatingElementError
-from liestruct.linalg import Matrix, Subspace, kron, unit_vector, vector
+from liestruct.linalg import Matrix, Subspace, kernel_basis, kron, unit_vector, vector
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +282,27 @@ def _split_reference(g):
     return nil.rows, semi.rows
 
 
+def _gram(mats):
+    """The trace form tr(a b) on ``mats``, as a dense Gram of matrix products."""
+    return Matrix([[(a @ b).trace() for b in mats] for a in mats])
+
+
+def _gram_radical(mats):
+    """A basis of the kernel of the Gram of ``mats``, as matrices: the radical of the
+    algebra they span when it is faithfully represented (characteristic 0)."""
+    n = mats[0].nrows
+    kernel = [sum((m.scale(c) for c, m in zip(v, mats) if c), Matrix.zero(n, n))
+              for v in kernel_basis(_gram(mats)).rows]
+    return [Matrix.unflatten(r, n, n) for r in _span_of(kernel).sparse_rows()] if kernel else []
+
+
 def _decompose_reference(g):
     """(idempotents, status, blocks) from the dim g x dim g search and Peirce loop."""
-    from liestruct.decompose import _split_local
-
     cent = endo.centroid(g)
     basis = cent.basis_matrices()
     n = g.dim
-    idems, status = _split_local(Matrix.identity(n), basis, cent.dim * cent.dim + 1)
+    idems, status = _split_local(Matrix.identity(n), basis, _gram_radical(basis),
+                                 cent.dim * cent.dim + 1)
     blocks = tuple(
         tuple(Subspace.span([(p @ b @ q).flatten() for b in basis], n * n).dim for q in idems)
         for p in idems
@@ -396,13 +409,96 @@ def test_complex_structure_matches_end_reference(regular_cases, name):
 
 
 def test_centroid_radical_matches_end_trace_form(regular_cases):
-    from liestruct.linalg import kernel_basis
-
     for name in ("cur:sl:2,jet:2,3", "cur:sl:2,points:4", "sl2 x Q(sqrt 2)", "sl:3"):
         cent = endo.centroid(regular_cases[name])
-        mats = cent.basis_matrices()
-        gram = Matrix([[(a @ b).trace() for b in mats] for a in mats])
-        assert centroid_radical(cent) == kernel_basis(gram)
+        assert centroid_radical(cent) == kernel_basis(_gram(cent.basis_matrices()))
+
+
+# ---------------------------------------------------------------------------
+# one trace form: the Killing form, the centroid radical and the search's
+# ---------------------------------------------------------------------------
+
+
+def _regular_of(table):
+    return [table._left_matrix(unit_vector(table.dim, i)) for i in range(table.dim)]
+
+
+def _rebased_commutative(a, seed):
+    """a on the seeded dense basis f_i = sum_k p_ki e_k, p = lower upper / 3."""
+    from liestruct.construct import CommutativeAlgebra
+
+    n, rng = a.dim, random.Random(seed)
+    lower = Matrix([[1 if r == c else rng.randint(-2, 2) if r > c else 0 for c in range(n)]
+                    for r in range(n)])
+    upper = Matrix([[1 if r == c else rng.randint(-2, 2) if r < c else 0 for c in range(n)]
+                    for r in range(n)])
+    p = (lower @ upper).scale(F(1, 3))
+    pinv, cols = p.inverse(), [p.column(i) for i in range(n)]
+    return CommutativeAlgebra(["f%d" % i for i in range(n)], pinv.apply(a.unit),
+                              [[pinv.apply(a.product(x, y)) for y in cols] for x in cols])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trace_form_is_the_gram_of_the_regular_representation(rebase, seed):
+    h3 = build(3, {(0, 1): {2: F(1)}}, names=["x", "y", "z"])
+    for g in (classical("sl", 2), example_algebra("two_dim"), h3, classical("sl", 3)):
+        g = rebase(g, seed, scale=F(1, 3))
+        assert g._trace_form() == _gram(_regular_of(g)) == g.killing_form()
+    for a in (truncated_poly(2, 2), point_functions(3), quadratic_extension(F(2, 3))):
+        a = _rebased_commutative(a, seed)
+        assert any(c.denominator > 1 for row in a._nonzero for v in row for _, c in v)
+        assert a._trace_form() == _gram(_regular_of(a))
+
+
+@pytest.mark.parametrize("name", REGULAR_CASES)
+def test_trace_form_of_a_centroid_table_is_its_gram(regular_cases, name):
+    table = endo._centroid_table(regular_cases[name])
+    assert table._trace_form() == _gram(_regular_of(table))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["h3 + h3", "two_dim + h3 + sl3", "jets + sl2"])
+def test_a_corner_radical_is_the_kernel_of_the_corners_own_gram(regular_cases, name, seed):
+    # rad(eAe) = e rad(A) e for an idempotent e: the sum of a seeded set of
+    # primitive idempotents, conjugated by a seeded unit 1 + r, r in the radical
+    from liestruct.decompose import _corner_basis
+
+    if name == "jets + sl2":
+        sl2 = classical("sl", 2)
+        g = direct_sum([current_algebra(sl2, truncated_poly(1, 3)),
+                        current_algebra(sl2, truncated_poly(2, 2)), sl2])
+    else:
+        g = regular_cases[name]
+    table = endo._centroid_table(g)
+    d, basis = table.dim, _regular_of(table)
+    rad = [table._left_matrix(r) for r in endo._centroid_radical(g).rows]
+    idems, _ = _split_local(Matrix.identity(d), basis, rad, d * d + 1)
+    assert len(idems) == 3 - (name == "h3 + h3") and rad
+    rng = random.Random(seed)
+    e = sum(rng.sample(idems, rng.randint(1, len(idems))), Matrix.zero(d, d))
+    u = sum((r.scale(rng.randint(-2, 2)) for r in rad), Matrix.identity(d))
+    e = u @ e @ u.inverse()
+    assert e @ e == e
+
+    def span(mats):
+        return Subspace.span([m.flatten() for m in mats], d * d)
+
+    assert span(_corner_basis(e, rad)) == span(_gram_radical(_corner_basis(e, basis)))
+
+
+@pytest.mark.parametrize("spec, calls", [("cur:sl:2,points:3", 0), ("cur:sl:2,jet:1,3", 1)])
+def test_split_centroid_takes_one_jordan_chevalley_per_residue_dimension(monkeypatch, spec,
+                                                                          calls):
+    # d - dim N of them, the semisimple parts of a complement of the radical,
+    # and none when N = 0: Q^3 and Q[t]/(t^3)
+    from liestruct.cli import parse_algebra
+
+    g = parse_algebra(spec)
+    counted, jordan_chevalley = [], endo.jordan_chevalley
+    monkeypatch.setattr(endo, "jordan_chevalley", lambda m: counted.append(m) or jordan_chevalley(m))
+    got = endo.split_centroid.__wrapped__(g)
+    assert len(counted) == calls
+    assert tuple(s.space.rows for s in got) == _split_reference(g)
 
 
 def test_split_centroid_refuses_noncommutative_centroid_with_first_pair():
@@ -511,8 +607,10 @@ def _span_of(mats):
 
 
 def _search(unit, basis, bound=None):
-    """The search on ``basis`` with the bound primitive_idempotents uses, d^2 + 1."""
-    return _split_local(unit, basis, len(basis) ** 2 + 1 if bound is None else bound)
+    """The search on ``basis``, its radical from the Gram, with the bound
+    primitive_idempotents uses, d^2 + 1."""
+    return _split_local(unit, basis, _gram_radical(basis),
+                        len(basis) ** 2 + 1 if bound is None else bound)
 
 
 # Q[x]/(x^2) x Q on Q^2 + Q, and Q(i) x Q on Q(i) + Q

@@ -531,6 +531,8 @@ def test_matrix_inverse_and_power():
     assert m @ minv == Matrix.identity(2)
     assert m.power(3) == M([[1, 3], [0, 1]])
     assert m.power(0) == Matrix.identity(2)
+    with pytest.raises(ValueError, match="negative power -1"):
+        m.power(-1)
 
 
 def test_matrix_inverse_singular_raises():

@@ -442,7 +442,7 @@ def test_section_checks_equal_their_dense_formulation(k_name, a_name):
 def test_multiplications_are_the_regular_representation(a_name):
     a = _COEFFICIENTS[a_name]()
     dense = [a.mult_matrix(unit_vector(a.dim, p)) for p in range(a.dim)]
-    assert sections._multiplications(a) == [_sparse(m) for m in dense]
+    assert a._flat_left() == [_sparse(m) for m in dense]
     assert sections._multiplication_endospace(a).space == Subspace.span(
         [m.flatten() for m in dense], a.dim * a.dim
     )
