@@ -238,11 +238,15 @@ def primitive_idempotents(cent: EndoSpace) -> tuple[IdempotentSet, str]:
     """
     table = _algebra_table(cent)
     check_abelian(cent, table)
-    return _primitive_idempotents_any(cent, table, kernel_basis(table._trace_form()))
+    return _primitive_idempotents_any(cent, table, kernel_basis(table._trace_form()))[:2]
 
 
-def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace) -> tuple[IdempotentSet, str]:
-    """Search without the commutativity gate, given cent's table and radical (module docs)."""
+def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace):
+    """Search without the commutativity gate, given cent's table and radical (module docs).
+
+    Returns (idempotents, status, coordinates, columns): each idempotent's
+    coordinates in cent's basis, and den times it as the int columns of its checks.
+    """
     if not cent.dim:
         raise PreconditionError("centroid is zero-dimensional")
     n, d = cent.n, cent.dim
@@ -251,7 +255,8 @@ def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace) -> tuple[I
     regular = [Matrix.unflatten(m, d, d) for m in table._flat_left()]  # faithful: Cent holds 1
     idems, status = _split_local(Matrix.identity(d), regular,
                                  [table._left_matrix(r) for r in rad.rows], d * d + 1)
-    idems = [Matrix.unflatten(_from_regular(cent, p), n, n) for p in idems]
+    coords = [_from_regular(cent, p) for p in idems]
+    idems = [Matrix.unflatten(cent.space.combine(c), n, n) for c in coords]
     # exactness checks on the int columns of the den p: p^2 = p, p q = 0, den (1 - sum p) = 0
     den, cols = _int_columns(idems)
     rest = {c * (n + 1): den for c in range(n)}
@@ -264,7 +269,7 @@ def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace) -> tuple[I
         _subtract(rest, flat.items())
     if rest:
         raise LiestructError("projections do not sum to the identity")
-    return IdempotentSet(tuple(idems)), status
+    return IdempotentSet(tuple(idems)), status, coords, cols
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +302,12 @@ def indecompose(g: LieAlgebra) -> DecompositionReport:
             )
     cent = centroid(g)
     table = _centroid_table(g)
-    idems, status = _primitive_idempotents_any(cent, table, _centroid_radical(g))
+    idems, status, coords, cols = _primitive_idempotents_any(cent, table, _centroid_radical(g))
     n, d = g.dim, cent.dim
-    cols = _int_columns(idems)[1]
     ideals = [Subspace.span([dict(col) for col in a], n) for a in cols]
     if sum(s.dim for s in ideals) != n:
         raise LiestructError("ideal dimensions do not sum to dim g")
     # p_i b_k p_j in coordinates, products in Cent's table
-    coords = [cent.coordinates(p) for p in idems]
     blocks = [[Subspace.span([table._product(ci, table._product(unit_vector(d, k), cj))
                               for k in range(d)], d).dim for cj in coords] for ci in coords]
     if sum(sum(row) for row in blocks) != d:
@@ -350,7 +353,7 @@ def complex_structure(g: LieAlgebra) -> Optional[ComplexStructure]:
             "classified only for indecomposable algebras" % len(report.ideals)
         )
     _, sspace = split_centroid(g)
-    n = g.dim
+    cent, n = centroid(g), g.dim
     if sspace.dim == 1:
         return None
     if sspace.dim > 2:
@@ -358,12 +361,14 @@ def complex_structure(g: LieAlgebra) -> Optional[ComplexStructure]:
             "inconsistency: semisimple part of the centroid has dimension %d "
             "> 2 on an indecomposable algebra" % sspace.dim
         )
-    ident = Matrix.identity(n)
-    f = next((m for m in sspace.basis_matrices() if m != ident.scale(m.rows[0][0])), None)
+    # S in Cent's coordinates, where the identity's are 1 at the diagonal pivots
+    one = [Fraction(p % (n + 1) == 0) for p in cent.space.pivots]
+    f = next((x for x in map(cent.space.coordinates, sspace.space.sparse_rows())
+              if Subspace.span([one, x], cent.dim).dim == 2), None)
     if f is None:
         raise LiestructError("semisimple part of dim 2 collapsed to scalars")
     # f has the minimal polynomial of L_f in the regular representation
-    p = squarefree_part(min_poly(_centroid_table(g)._left_matrix(centroid(g).coordinates(f))))
+    p = squarefree_part(min_poly(_centroid_table(g)._left_matrix(f)))
     if degree(p) != 2:
         raise LiestructError(
             "expected a quadratic minimal polynomial on S, got degree %d"
@@ -384,7 +389,9 @@ def complex_structure(g: LieAlgebra) -> Optional[ComplexStructure]:
             "a complex structure exists over the reals but not over Q: "
             "%s is not a rational square" % b_squared
         )
-    jmat = (f - ident.scale(a)).scale(Fraction(1) / b)
-    if jmat @ jmat != ident.scale(-1):
+    jmat = Matrix.unflatten(cent.space.combine([(x - a * o) / b for x, o in zip(f, one)]), n, n)
+    # J^2 = -1 on the int columns of den J, in End(g) and not in Cent's table
+    den, (cols,) = _int_columns([jmat])
+    if _compose(cols, cols) != {c * (n + 1): -den * den for c in range(n)}:
         raise LiestructError("constructed J fails J^2 = -1 (internal error)")
     return ComplexStructure(J=jmat)

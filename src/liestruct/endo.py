@@ -25,18 +25,23 @@ Where Der and Cent come from. When g is known to satisfy the Jacobi identity
 A table with no Jacobi verdict, or no generating set smaller than its
 basis, takes every Leibniz row and the ad of every basis vector.
 
-Cent, and every commutant {f : f A = A f for A in ops}, comes from spinning
-(Parker's MeatAxe): seed basis vectors v_1..v_m and their images under the
-operators span Q^n, each spun vector an exact word image b = A b'. A
-commuting f has f(b) = A f(b'), so it is fixed by w = (f(v_1), ...,
-f(v_m)), m n unknowns instead of n^2, and f -> w is injective on the
-commutant. Conversely a w extends to a commuting f exactly when f(A b) =
-A f(b) holds for every spun b and operator A: commutation checked on a
-basis. Only the pairs whose image is already in the span add rows, one
-block each, so the kernel of those rows is the commutant with nothing left
-out. Each f returned is still checked to commute with every operator, and
-the identity to be among them. :func:`commutant_system` keeps the n^2
-unknowns; it is the tests' independent oracle.
+One spinner (:class:`_Spinner`) serves the generating set and every
+commutant: the span of seed vectors closed under operators, grown by a new
+seed or a new operator (Parker's MeatAxe). S spins its own basis vectors
+under their ad. Cent, and every commutant {f : f A = A f for A in ops},
+spins e_0, ..., e_n-1 under the fixed ops until seeds v_1..v_m and their
+images span Q^n, each spun vector an exact word image b = A b'. A commuting
+f has f(b) = A f(b'), so it is fixed by w = (f(v_1), ..., f(v_m)), m n
+unknowns instead of n^2, and f -> w is injective on the commutant.
+Conversely a w extends to a commuting f exactly when f(A b) = A f(b) holds
+for every spun b and operator A: commutation checked on a basis. Only the
+pairs whose image is already in the span add rows, one block each, so the
+kernel of those rows is the commutant with nothing left out. The spinner's
+echelon carries no tags; one tagged echelon of [B | I] gives both the
+relations and the map back to f. Each f returned is still checked to
+commute with every operator, and the identity to be among them.
+:func:`commutant_system` keeps the n^2 unknowns; it is the tests'
+independent oracle.
 """
 
 from __future__ import annotations
@@ -238,60 +243,76 @@ def _residue(pivots: dict, v: dict) -> dict:
     return v
 
 
-class _Closure:
-    """The subalgebra generated by a growing set of basis vectors, over the
-    integer structure constants ``nz``: the span of the generators closed
-    under ad of each generator, which is the span of the brackets
-    [s_1, [s_2, ... [s_k-1, s_k]]] with every s_i a generator.
+class _Spinner:
+    """The span of seed vectors closed under a growing list of int operators
+    (columns, as :func:`_apply` takes them), spun breadth first in Q^n.
 
-    The span is an echelon of primitive integer rows keyed by their leading
-    column; ``found`` keeps the new part of each vector that grew it, a basis
-    of the span whose ad images are all pushed, so the span stays closed
-    under ad of every generator added so far.
+    ``basis[k]`` is each vector that grew the span, as it was made: a seed
+    (``parents[k]`` is None) or the exact image A b_j of an earlier vector
+    under the operator of index a (``parents[k]`` is (j, a)). The span itself
+    is an echelon of primitive int rows keyed by their leading column.
+    ``applied[k]`` counts the operators already applied to b_k, so a new seed
+    or a new operator closes the span again by taking only the images not yet
+    taken. Spinning stops once the span is all of Q^n.
     """
 
-    def __init__(self, nz):
-        self.nz = nz
-        self.gens = []
-        self.pivots = {}
-        self.found = []
+    def __init__(self, n: int, ops=()):
+        self.n, self.ops = n, list(ops)
+        self.pivots, self.basis, self.parents, self.applied = {}, [], [], []
 
-    def contains(self, i: int) -> bool:
-        return not _residue(self.pivots, {i: 1})
+    def push(self, v: dict) -> bool:
+        """Add the seed v and close the span again; False when v was in it."""
+        new = self._grow(v, None)
+        self._close()
+        return new
 
-    def add(self, s: int):
-        self.gens.append(s)
-        # the old span is closed under the old generators; ad e_s of it is not known to be
-        work = [{s: 1}] + [_apply(self.nz[s], b.items()) for b in self.found]
-        while work:
-            v = _residue(self.pivots, work.pop())
-            if v:
-                v = _primitive(v)
-                self.pivots[min(v)] = v
-                self.found.append(v)
-                work.extend(_apply(self.nz[t], v.items()) for t in self.gens)
+    def add(self, op):
+        """Add the operator op and close the span under it."""
+        self.ops.append(op)
+        self._close()
+
+    def _grow(self, v: dict, parent) -> bool:
+        """Take v, made by ``parent``, into the basis when it is outside the span."""
+        r = len(self.basis) < self.n and _residue(self.pivots, dict(v))
+        if not r:
+            return False
+        self.pivots[min(r)] = _primitive(r)
+        self.basis.append(v)
+        self.parents.append(parent)
+        self.applied.append(0)
+        return True
+
+    def _close(self):
+        k, ops = 0, self.ops
+        while k < len(self.basis) < self.n:
+            while self.applied[k] < len(ops):
+                a = self.applied[k]
+                self.applied[k] = a + 1
+                self._grow(_apply(ops[a], self.basis[k].items()), (k, a))
+            k += 1
 
 
 def _greedy_generators(nz) -> list[int]:
     """Basis indices that generate the algebra of the structure constants ``nz``,
     in one pass over the basis, taken by descending count of nonzero brackets
-    (ties by index): an index joins when it is not in what the earlier ones generate."""
+    (ties by index): an index joins when it is not in what the earlier ones
+    generate, the span of the joined ones closed under their ad."""
     n = len(nz)
-    closure = _Closure(nz)
+    spin, gens = _Spinner(n), []
     for i in sorted(range(n), key=lambda i: (-sum(1 for v in nz[i] if v), i)):
-        if len(closure.found) == n:
-            break
-        if not closure.contains(i):
-            closure.add(i)
-    return closure.gens
+        if spin.push({i: 1}):
+            gens.append(i)
+            spin.add(nz[i])
+    return gens
 
 
 def _generates(nz, gens) -> bool:
-    """The certificate: the iterated brackets of the basis vectors ``gens`` span everything."""
-    closure = _Closure(nz)
+    """The certificate: the iterated brackets of the basis vectors ``gens`` span
+    everything, as the span of ``gens`` closed under their ad."""
+    spin = _Spinner(len(nz), [nz[s] for s in gens])
     for s in gens:
-        closure.add(s)
-    return len(closure.found) == len(nz)
+        spin.push({s: 1})
+    return len(spin.basis) == len(nz)
 
 
 @_memoized
@@ -308,60 +329,18 @@ def _generators(g: LieAlgebra) -> Optional[frozenset]:
     return frozenset(gens)
 
 
-def _spin(ops, n: int):
-    """A basis of Q^n spun from seed basis vectors under the int operators ``ops``.
-
-    Returns (basis, images, parents, pivots). Each b_k in ``basis`` is a
-    seed e_i outside the span of the earlier vectors (``parents[k]`` is
-    None), or the exact image A b_j of an earlier one under the operator of
-    index a (``parents[k]`` is (j, a)). ``images[k]`` is the integer block
-    F_k, rows ``{row: {col: int}}``, with f(b_k) = F_k w for every f that
-    commutes with ``ops``, where w stacks f(e_i) over the seeds e_i: F_k is
-    the identity on the seed's block, and A F_j for A b_j. ``pivots`` is
-    the echelon of the vectors, each tagged with a 1 in column n + k, so
-    that a vector in the span reduces to its relation.
-    """
-    pivots, basis, images, parents = {}, [], [], []
-    seeds = 0
-    for i in range(n):
-        if len(basis) == n:
-            break
-        v = _residue(pivots, {i: 1, n + len(basis): 1})
-        if min(v) >= n:
-            continue
-        pivots[min(v)] = _primitive(v)
-        basis.append({i: 1})
-        images.append({r: {seeds * n + r: 1} for r in range(n)})
-        parents.append(None)
-        seeds += 1
-        k = len(basis) - 1
-        while k < len(basis) < n:
-            for a, op in enumerate(ops):
-                u = _apply(op, basis[k].items())
-                v = _residue(pivots, {**u, n + len(basis): 1})
-                if min(v) < n:
-                    pivots[min(v)] = _primitive(v)
-                    basis.append(u)
-                    images.append(_apply_block(op, images[k]))
-                    parents.append((k, a))
-                    if len(basis) == n:
-                        break
-            k += 1
-    return basis, images, parents, pivots
-
-
-def _spin_relations(ops, n: int, basis, images, parents, pivots):
+def _spin_relations(spin: _Spinner, images, tagged):
     """The rows {col: int} of alpha A F_k + sum_j tau_j F_j = 0, one block of
     up to n rows for each vector b_k and operator A with A b_k in the span
     (every pair that made no vector), where alpha A b_k + sum_j tau_j b_j = 0
-    is read off the tags of A b_k, reduced against the spin echelon with its
-    own tag in column 2n."""
-    made = set(parents)
-    for k, (b, image) in enumerate(zip(basis, images)):
+    is read off the tags of A b_k, with its own tag in column 2n, reduced
+    against the tagged echelon ``tagged`` of [B | I], B the spinner's basis."""
+    ops, n, made = spin.ops, spin.n, set(spin.parents)
+    for k, (b, image) in enumerate(zip(spin.basis, images)):
         for a, op in enumerate(ops):
             if (k, a) in made:
                 continue
-            tags = _residue(pivots, {**_apply(op, b.items()), 2 * n: 1})
+            tags = _residue(tagged, {**_apply(op, b.items()), 2 * n: 1})
             alpha = tags.pop(2 * n)
             block = _apply_block(op, image)
             if alpha != 1:
@@ -382,33 +361,38 @@ def _spin_relations(ops, n: int, basis, images, parents, pivots):
 def _commutant(ops, n: int, kind: str) -> EndoSpace:
     """{f : f A = A f for every A in ``ops``}, n x n operators as int columns.
 
-    Spinning (Parker's MeatAxe): f is fixed by w = (f(e_i)) over the m
-    seeds of :func:`_spin`, since f(b_k) = F_k w on a basis; and a w comes
-    from such an f exactly when the relations of :func:`_spin_relations`
-    hold, which is f A = A f checked on that basis. So the commutant is the
-    kernel of those rows over m n columns, mapped back by f(e_c) = sum_k
-    lambda_ck f(b_k) / p_c, with p_c e_c = sum_k lambda_ck b_k read off one
-    tagged echelon of [B | I]. Every f returned is checked to commute with
-    every operator, and the identity to be among them; ``kind`` names the
+    e_0, ..., e_n-1 are pushed in turn into a :class:`_Spinner` of ``ops``
+    (module docs); f(b_k) = F_k w for w = (f(e_i)) over its seeds, where F_k
+    is the identity on the seed's block of w, and A F_j for b_k = A b_j. The
+    kernel of the rows of :func:`_spin_relations` is mapped back by f(e_c) =
+    sum_k lambda_ck f(b_k) / p_c, with p_c e_c = sum_k lambda_ck b_k read off
+    the tagged echelon of [B | I] that gave the relations. ``kind`` names the
     space, in the result and in the error when a check fails.
     """
-    basis, images, parents, pivots = _spin(ops, n)
-    seeds = [min(b) for b, p in zip(basis, parents) if p is None]
-    ker = kernel_of_rows(_spin_relations(ops, n, basis, images, parents, pivots),
-                         len(seeds) * n)
+    spin = _Spinner(n, ops)
+    for i in range(n):
+        spin.push({i: 1})
+    images, seeds = [], []
+    for b, parent in zip(spin.basis, spin.parents):
+        if parent is None:
+            images.append({r: {len(seeds) * n + r: 1} for r in range(n)})
+            seeds.append(min(b))
+        else:
+            images.append(_apply_block(ops[parent[1]], images[parent[0]]))
+    tagged = {}
+    _echelon(({**b, n + k: 1} for k, b in enumerate(spin.basis)), tagged)
+    ker = kernel_of_rows(_spin_relations(spin, images, tagged), len(seeds) * n)
     if not ker.contains({t * n + i: 1 for t, i in enumerate(seeds)}):
         raise LiestructError("%s: the identity fails the spun relations" % kind)
-    inverse = {}
-    _echelon(({**b, n + k: 1} for k, b in enumerate(basis)), inverse)
-    den = lcm(*(row[c] for c, row in inverse.items()))
+    den = lcm(*(row[c] for c, row in tagged.items()))
     back = [[(k - n, x * (den // row[c])) for k, x in row.items() if k >= n]
-            for c, row in sorted(inverse.items())]
+            for c, row in sorted(tagged.items())]
     found = []
     for w in ker.sparse_rows():
         w = _int_row(w)
         # f(b_k): the seeds' part of w, or A f(b_j) for b_k = A b_j
         fb, t = [], 0
-        for parent in parents:
+        for parent in spin.parents:
             if parent is None:
                 fb.append(tuple((r, w[t * n + r]) for r in range(n) if t * n + r in w))
                 t += 1
@@ -519,9 +503,9 @@ def _centroid_table(g: LieAlgebra) -> _StructureTable:
 
 
 def _from_regular(space: EndoSpace, m: Matrix) -> Vector:
-    """The flattened x = sum c_k b_k in ``space`` with L_x = m: c = L_x 1, 1 at the pivots."""
-    return space.space.combine(m.apply([Fraction(p % (space.n + 1) == 0)
-                                        for p in space.space.pivots]))
+    """The coordinates c of x = sum c_k b_k in ``space`` with L_x = m: c = L_x 1,
+    for the coordinates of 1 are 1 at the diagonal pivots."""
+    return m.apply([Fraction(p % (space.n + 1) == 0) for p in space.space.pivots])
 
 
 def check_abelian(space: EndoSpace, table: _StructureTable):
@@ -552,7 +536,7 @@ def split_centroid(g: LieAlgebra) -> tuple[EndoSpace, EndoSpace]:
     table = _centroid_table(g)
     check_abelian(cent, table)
     n, d, rad = g.dim, cent.dim, _centroid_radical(g)
-    semi = [_from_regular(cent, jordan_chevalley(Matrix.unflatten(m, d, d))[0])
+    semi = [cent.space.combine(_from_regular(cent, jordan_chevalley(Matrix.unflatten(m, d, d))[0]))
             for k, m in enumerate(table._flat_left()) if rad.dim and k not in rad.pivots]
     nspace = EndoSpace("nilpotent_part", n, _span([cent.space.combine(r) for r in rad.rows], n * n))
     sspace = EndoSpace("semisimple_part", n, Subspace.span(semi, n * n) if semi else cent.space)

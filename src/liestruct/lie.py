@@ -356,8 +356,11 @@ class LieAlgebra(_StructureTable):
     def restrict_to(self, s: Subspace, names: Optional[Sequence[str]] = None) -> "LieAlgebra":
         """The subalgebra on the canonical basis of s.
 
-        Raises ValueError when s is not closed under the bracket.
+        Raises ValueError when s is not closed under the bracket, or when
+        ``names`` does not hold one name per basis vector.
         """
+        if names is not None and len(names) != s.dim:
+            raise ValueError("%d names for a subspace of dimension %d" % (len(names), s.dim))
         rows = s.rows
         products = {}
         for a, u in enumerate(rows):

@@ -447,6 +447,8 @@ class Subspace:
 
     def combine(self, coeffs: Sequence[Fraction]) -> Vector:
         """The vector sum c_i b_i with coordinates ``coeffs`` in the canonical basis."""
+        if len(coeffs) != self.dim:
+            raise ValueError("coefficient count %d != dimension %d" % (len(coeffs), self.dim))
         out = [_ZERO] * self.ambient_dim
         for c, row in zip(coeffs, self._rows):
             if c:

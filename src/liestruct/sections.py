@@ -137,6 +137,8 @@ class JetAlgebra:
 
 
 def _pair(functional: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    if len(functional) != len(v):
+        raise ValueError("functional length %d != vector length %d" % (len(functional), len(v)))
     return sum((a * b for a, b in zip(functional, v)), Fraction(0))
 
 

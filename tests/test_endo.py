@@ -13,7 +13,7 @@ from liestruct import (build, classical, current_algebra, direct_sum, endo, exam
                        from_dict, lie, parse_algebra, to_dict, truncated_poly)
 from liestruct.errors import JacobiError, LiestructError, PreconditionError
 from liestruct.lie import _integral
-from liestruct.linalg import Matrix, Subspace, kernel_of_rows, vector
+from liestruct.linalg import Matrix, Subspace, kernel_of_rows, unit_vector, vector
 
 
 def M(rows):
@@ -620,7 +620,8 @@ def _seeds(mats):
     n = mats[0].nrows
     ops = _integral([[[(k, x) for k, x in enumerate(m.column(j)) if x] for j in range(n)]
                      for m in mats])[1]
-    return endo._spin(ops, n)[2].count(None)
+    spin = endo._Spinner(n, ops)
+    return sum(spin.push({i: 1}) for i in range(n))
 
 
 def _gl3_split():
@@ -689,17 +690,19 @@ def test_a_wrong_relation_coefficient_is_refused_by_the_certificate(monkeypatch,
     # sl:3 relabeled, so no memoized centroid of an equal algebra is served
     g = classical("sl", 3).permuted((3, 1, 4, 0, 7, 2, 6, 5))
     n = g.dim
-    real = endo._residue
+    real, hits = endo._residue, []
 
     def wrong(pivots, v):
         out = real(pivots, v)
         if 2 * n in out:  # the relation of a spun pair: alpha sits in column 2n
+            hits.append(out[2 * n])
             out = {**out, 2 * n: out[2 * n] + 1} if mutation == "alpha off by one" else {2 * n: 0}
         return out
 
     monkeypatch.setattr(endo, "_residue", wrong)
     with pytest.raises(LiestructError, match="centroid"):
         _fresh(endo.centroid, g)
+    assert hits
     monkeypatch.undo()
     assert _fresh(endo.centroid, g).space == _full_kernels(g)[1]
 
@@ -714,3 +717,145 @@ def test_spun_centroid_of_ten_simple_ideals_equals_the_full_row_kernel(monkeypat
     assert cols == [10 * n] and cent.dim == 10
     monkeypatch.undo()
     assert cent.space == kernel_of_rows(endo.commutant_system(g._nonzero, n), n * n)
+
+
+# ---------------------------------------------------------------------------
+# one spinner for the generating set and the commutant
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def spinners(monkeypatch):
+    """Every endo._Spinner made from now on, in the order they are made."""
+    made = []
+
+    class Recorded(endo._Spinner):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(endo, "_Spinner", Recorded)
+    return made
+
+
+def _generated(g, gens) -> Subspace:
+    """The subalgebra generated by the basis vectors ``gens``: their span, grown by
+    the brackets of all pairs of its basis vectors until it is stable."""
+    n = g.dim
+    span = Subspace.span([unit_vector(n, s) for s in gens], n)
+    while True:
+        rows = span.rows
+        grown = span.sum(Subspace.span([g.bracket(u, v) for u in rows for v in rows], n))
+        if grown == span:
+            return span
+        span = grown
+
+
+def _greedy_reference(g) -> list:
+    """The greedy pass over the basis by descending count of nonzero brackets,
+    membership decided by :func:`_generated`."""
+    n, gens = g.dim, []
+    units = [unit_vector(n, i) for i in range(n)]
+    count = [sum(1 for u in units if any(g.bracket(e, u))) for e in units]
+    for i in sorted(range(n), key=lambda i: (-count[i], i)):
+        if not _generated(g, gens).contains(units[i]):
+            gens.append(i)
+    return gens
+
+
+def _spun_span(spin) -> Subspace:
+    """The span of the spinner's basis, once its echelon is checked to hold no tag:
+    each pivot row is keyed by its leading column and has no column past n."""
+    assert all(min(row) == c and max(row) < spin.n for c, row in spin.pivots.items())
+    return Subspace.span(spin.basis, spin.n)
+
+
+def _check_closures(g, spinners):
+    n, nz = g.dim, _integral(g._nonzero)[1]
+    gens = endo._greedy_generators(nz)
+    assert gens == _greedy_reference(g)
+    assert _spun_span(spinners[-1]) == _generated(g, gens) == Subspace.full(n)
+    # every prefix and every set with one generator left out
+    for sub in [gens[:k] for k in range(len(gens))] + [gens[:k] + gens[k + 1:]
+                                                       for k in range(len(gens))]:
+        expected = _generated(g, sub)
+        assert endo._generates(nz, sub) == expected.is_full()
+        assert _spun_span(spinners[-1]) == expected
+
+
+@pytest.mark.parametrize("name", FIXTURE_ALGEBRAS)
+def test_spun_closures_equal_the_bracket_closure_on_fixtures(request, spinners, name):
+    _check_closures(request.getfixturevalue(name), spinners)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("spec", REBASE_SPECS)
+def test_spun_closures_equal_the_bracket_closure_on_rebasings(rebase, spinners, spec, seed):
+    _check_closures(rebase(parse_algebra(spec), seed), spinners)
+
+
+def test_the_commutant_spins_untagged_and_builds_one_tagged_echelon(monkeypatch, spinners):
+    real, echelons = endo._echelon, []
+
+    def counting(rows, pivots):
+        out = real(rows, pivots)
+        echelons.append(dict(pivots))
+        return out
+
+    monkeypatch.setattr(endo, "_echelon", counting)
+    gl3 = _gl3_split()
+    calls = [(lambda mats=mats: endo.module_commutant(mats), mats[0].nrows)
+             for mats in _commutant_cases().values()]
+    calls += [(lambda g=g: _fresh(endo.centroid, g), g.dim)
+              for g in (gl3, classical("sl", 3).permuted((3, 1, 4, 0, 7, 2, 6, 5)),
+                        parse_algebra("cur:sl:2,jet:1,3"))]
+    for call, n in calls:
+        echelons.clear()
+        call()
+        # one echelon per call, of [B | I]: a pivot in every column of B, tags past n
+        assert len(echelons) == 1 and sorted(echelons[0]) == list(range(n))
+        assert max(max(row) for row in echelons[0].values()) < 2 * n
+        assert _spun_span(spinners[-1]) == Subspace.full(n)
+
+
+@pytest.mark.parametrize("where", ["spinning", "map back"])
+def test_a_wrong_parent_operator_is_refused_by_the_certificates(monkeypatch, spinners, where):
+    # sl:3 relabeled, so no memoized centroid of an equal algebra is served
+    g = classical("sl", 3).permuted((5, 1, 4, 0, 7, 2, 6, 3))
+    endo._generators(g)  # its spinner is not the one mutated
+    spun = []
+
+    def mutate(spin):
+        k = next(k for k, p in enumerate(spin.parents) if p is not None)
+        j, a = spin.parents[k]
+        spin.parents[k] = (j, (a + 1) % len(spin.ops))
+        spun.append(spin.parents[k])
+
+    if where == "spinning":
+        # recorded with the wrong operator as the vector is made: F_k is wrong,
+        # and the identity fails the relations
+        real_close = endo._Spinner._close
+
+        def close(self):
+            real_close(self)
+            if not spun and len(self.basis) == self.n:
+                mutate(self)
+
+        monkeypatch.setattr(endo._Spinner, "_close", close)
+        message = "the identity fails the spun relations"
+    else:
+        # read wrongly only where f(b_k) is rebuilt from w: f A = A f fails
+        real_kernel = endo.kernel_of_rows
+
+        def kernel(rows, ncols):
+            out = real_kernel(rows, ncols)
+            mutate(spinners[-1])
+            return out
+
+        monkeypatch.setattr(endo, "kernel_of_rows", kernel)
+        message = "a spun element fails f A = A f"
+    with pytest.raises(LiestructError, match="centroid: " + message):
+        _fresh(endo.centroid, g)
+    assert spun
+    monkeypatch.undo()
+    assert _fresh(endo.centroid, g).space == _full_kernels(g)[1]

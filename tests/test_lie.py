@@ -503,6 +503,12 @@ def test_quotient_rejects_non_ideal(two_dim):
         two_dim.quotient(non_ideal)
 
 
+@pytest.mark.parametrize("names", [["a", "b", "c", "d"], ["a", "b"]], ids=["four", "two"])
+def test_restrict_to_refuses_a_wrong_number_of_names(sl2, names):
+    with pytest.raises(ValueError, match="%d names for a subspace of dimension 3" % len(names)):
+        sl2.restrict_to(sl2.full_space(), names=names)
+
+
 # ---------------------------------------------------------------------------
 # permutation and serialization
 # ---------------------------------------------------------------------------

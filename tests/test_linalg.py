@@ -412,6 +412,13 @@ def test_subspace_reduce_and_coordinates():
     assert s.coordinates(outside) is None
 
 
+@pytest.mark.parametrize("coeffs", [[2], [1, 1, 7]], ids=["too few", "too many"])
+def test_combine_refuses_a_wrong_number_of_coefficients(coeffs):
+    s = Subspace.span([vector([1, 0, 1]), vector([0, 1, 1])], 3)
+    with pytest.raises(ValueError, match="coefficient count %d != dimension 2" % len(coeffs)):
+        s.combine(coeffs)
+
+
 def test_subspace_direct_construction_rejected():
     with pytest.raises(TypeError):
         Subspace((vector([1, 0]),), 2)

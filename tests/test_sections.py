@@ -60,6 +60,14 @@ def test_jet_algebra_single_variable():
     assert jet.degree(zero_vector(3)) == -1
 
 
+def test_jet_functionals_of_the_wrong_length_are_refused():
+    jet = jet_algebra(1, 3)
+    with pytest.raises(ValueError, match="functional length 3 != vector length 5"):
+        jet.eval([1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match="functional length 1 != vector length 3"):
+        sections.JetAlgebra(jet.A, 1, 3, (F(1),), jet.partials)
+
+
 def test_jet_algebra_two_variables():
     jet = jet_algebra(2, 3)  # basis 1, x1, x2, x1^2, x1x2, x2^2
     assert len(jet.partials) == 2
