@@ -484,8 +484,10 @@ def casimir_coefficient_action(k: LieAlgebra, a: CommutativeAlgebra, coeff) -> M
     A — putting ``coeff`` on both legs would scale quadratically in ``coeff``
     and fail the multiplication law.
     """
+    coeff = vector(coeff)
+    a._check_length(coeff)
     g, na = current_algebra(k, a), a.dim
     # x_i (x) c for each basis vector x_i of k, c = coeff and c = 1
-    left, right = ([[(i * na + p, x) for p, x in enumerate(vector(c)) if x] for i in range(k.dim)]
+    left, right = ([[(i * na + p, x) for p, x in enumerate(c) if x] for i in range(k.dim)]
                    for c in (coeff, a.unit))
     return _casimir(k, g, left, right)

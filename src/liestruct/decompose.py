@@ -3,29 +3,40 @@
 When the center of an algebra sits inside its commutator, a complete family
 of primitive orthogonal idempotents of the centroid cuts the algebra into
 indecomposable ideals, and the Peirce blocks p_i Cent p_j measure how far
-that decomposition is from unique. The idempotents are found by a
-deterministic separating-element search: factor the minimal polynomial of
-candidate centroid elements, turn rational roots into spectral projectors
-(Lagrange interpolation on the squarefree part), lift them to exact
-idempotents through the radical, and recurse on the corner algebras. The
-search of a corner stops at the first candidate f whose squarefree minimal
-polynomial p certifies a residue field: p has no rational root and degree
-at most 3, so it is irreducible, and its degree is the dimension of the
-residue algebra, so Q[f] fills it; the unit is then primitive.
+that decomposition is from unique.
 
-The centroid need not be commutative here (off-diagonal blocks between
-summands with center can fail to commute with nilpotent centroid elements),
-but the search never relies on commutativity: each branch works inside the
-commutative subalgebra generated by one element, and corner nesting makes
-idempotents from different branches orthogonal. It runs in the regular
-representation (the d x d matrices L_b, d = dim Cent), faithful as Cent
-contains 1, so the kernel of its trace form tr(L_a L_b) is the radical N (in
-characteristic zero, a nil ideal holding every nilpotent ideal), read off
-Cent's table once per algebra; a corner eAe takes e N e = rad(eAe). A corner
-p Cent(g) p is canonically the centroid of the ideal im(p) (extend an
-endomorphism of the ideal by zero on the complement), so the recursion stops
-exactly when each piece is indecomposable. The idempotents come back to
-End(g) once, as the sparse int columns of the checks, ideals and images.
+The idempotents come from one primitive element. With N the radical of
+A = Cent, the residue algebra A/N is commutative (below) and semisimple, a
+product of fields of dimension r = dim A - dim N, and the basis elements of
+A off the pivots of N's echelon basis, b_1..b_r, map to a basis of it. A
+candidate f whose squarefree minimal polynomial p has degree r generates
+A/N = Q[t]/(p). For each irreducible factor q of p (one complete
+factorization over Q), with m the minimal polynomial of f, m_q its
+q-primary part and u = m / m_q, e_q = u (u^-1 mod m_q) mod m is 1 mod m_q
+and 0 mod u (Chinese remainders): the e_q(f) are orthogonal idempotents
+summing to 1, each primitive as its image is the unit of the field
+Q[t]/(q). The status is "split" if all q are linear, "nonsplit_real" if the
+others are imaginary quadratic (final over R too), else "nonsplit_unknown".
+
+The candidates are b_1..b_r, then the sums sum_k j^(k-1) b_k for j = 1, 2,
+.... Two distinct embeddings of A/N into C differ on the j-th sum by a
+nonzero polynomial in j of degree < r, so at most C(r, 2)(r - 1) sums fail
+to separate all r embeddings: one of the first C(r, 2)(r - 1) + 1 is primitive.
+
+A/N is commutative wherever the search runs: `primitive_idempotents`
+requires a commutative centroid, and under `indecompose`'s hypothesis
+z(g) inside [g, g], a commutator fh - hf of centroid elements kills [g, g]
+((fh)[x, y] = [fx, hy] = (hf)[x, y]) and maps g into z(g). The centroid
+elements that do both form an ideal whose products vanish (z(g) lies in
+[g, g]), so it lies in N, and so do the commutators.
+
+The search runs in the regular representation (the d x d matrices L_b,
+d = dim Cent), faithful as Cent contains 1, so the kernel of its trace form
+tr(L_a L_b) is the radical N (in characteristic zero, a nil ideal holding
+every nilpotent ideal), read off Cent's table once per algebra. L_x 1 is
+the coordinate column of x, so minimal polynomials and idempotents come
+from products with that column. The idempotents come back to End(g) once,
+as the sparse int columns of the checks, ideals and images.
 
 All arithmetic is exact, so every claimed identity (p^2 = p, orthogonality,
 completeness) holds on the nose, not up to tolerance.
@@ -39,19 +50,19 @@ from typing import Optional
 
 from .errors import LiestructError, PreconditionError, SeparatingElementError
 from .endo import (EndoSpace, _algebra_table, _apply, _centroid_radical, _centroid_table,
-                   _compose, _from_regular, _int_columns, _subtract, centroid,
+                   _compose, _int_columns, _subtract, centroid,
                    check_abelian, split_centroid)
 from .lie import LieAlgebra, _memoized
 from .linalg import Matrix, Subspace, _int_row, kernel_basis, unit_vector
 from .poly import (
+    _crt_idempotent,
     _rational_square_root,
     degree,
-    factor_small,
+    factor,
     min_poly,
-    poly,
-    poly_div_exact,
-    poly_eval,
     poly_eval_matrix,
+    poly_mod,
+    poly_mul,
     squarefree_part,
 )
 
@@ -65,7 +76,7 @@ __all__ = [
     "complex_structure",
 ]
 
-STATUS_ORDER = {"split": 0, "nonsplit_real": 1, "nonsplit_unknown": 2}
+STATUSES = ("split", "nonsplit_real", "nonsplit_unknown")  # a worse one wins
 
 
 @dataclass(frozen=True)
@@ -132,108 +143,50 @@ def centroid_radical(cent: EndoSpace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Primitive idempotents by separating elements
+# Primitive idempotents from one primitive element
 # ---------------------------------------------------------------------------
 
 def _candidates(basis: list[Matrix], bound: int):
-    """Deterministic stream: basis elements, then powers-weighted sums."""
-    for b in basis:
-        yield b
+    """Deterministic stream: basis elements, then the sums sum_k j^k b_k for j = 1..bound."""
+    yield from basis
+    zero = Matrix.zero(basis[0].nrows, basis[0].ncols)
     for j in range(1, bound + 1):
-        acc = Matrix.zero(basis[0].nrows, basis[0].ncols)
-        w = 1
-        for b in basis:
-            acc = acc + b.scale(w)
-            w *= j
-        yield acc
+        yield sum((b.scale(j ** k) for k, b in enumerate(basis)), zero)
 
 
-def _lift_idempotent(e: Matrix) -> Matrix:
-    """Newton-lift an idempotent-modulo-nilpotents to an exact idempotent."""
-    for _ in range(2 * e.nrows.bit_length() + 4):
-        if e @ e == e:
-            return e
-        e = (e @ e).scale(3) - (e @ e @ e).scale(2)
-    raise RuntimeError("idempotent lifting did not stabilize (unreachable)")
+def _split_local(unit: Matrix, basis: list[Matrix]):
+    """Primitive idempotents of a matrix algebra with identity ``unit`` (or a column it
+    acts on faithfully), from ``basis``, a basis modulo its radical (module docs).
 
-
-def _corner_basis(e: Matrix, basis: list[Matrix]) -> list[Matrix]:
-    """Basis of the corner algebra e A e from a spanning set of A."""
-    n = e.nrows
-    span = Subspace.span([(e @ b @ e).flatten() for b in basis], n * n)
-    return [Matrix.unflatten(r, n, n) for r in span.sparse_rows()]
-
-
-def _split_local(unit: Matrix, basis: list[Matrix], rad: list[Matrix], search_bound: int):
-    """Recursive splitting of the corner algebra spanned by ``basis``, radical ``rad``.
-
-    Returns (list of primitive idempotents summing to ``unit``, status).
+    Returns (the primitive idempotents times ``unit``, which sum to ``unit``, status).
     """
-    residue_dim = len(basis) - len(rad)
-    if residue_dim == 1:
-        # residue field is Q: local algebra, unit is primitive
+    r = len(basis)
+    if r == 1:  # residue field Q: a local algebra, the unit is primitive
         return [unit], "split"
-
-    saw_degree_two_or_more = False
-    for f in _candidates(basis, search_bound):
-        p = squarefree_part(min_poly(f, unit=unit))
-        if degree(p) < 2:
-            continue
-        saw_degree_two_or_more = True
-        linear, quads, rem = factor_small(p)
-        if not linear:
-            if degree(p) == residue_dim <= 3:
-                # rootless of degree <= 3, p is irreducible, and Q[f] fills the
-                # residue algebra: a field, so unit is primitive. An imaginary
-                # quadratic field stays indecomposable over the reals as well.
-                real = degree(p) == 2 and p[1] * p[1] - 4 * p[0] < 0
-                return [unit], "nonsplit_real" if real else "nonsplit_unknown"
-            continue
-        pieces = []
-        for root, _ in linear:
-            ell = poly_div_exact(p, poly([-root, 1]))
-            denom = poly_eval(ell, root)
-            proj = poly_eval_matrix(
-                [c / denom for c in ell], f, unit=unit
-            )
-            lifted = _lift_idempotent(proj)
-            if not lifted.is_zero():
-                pieces.append(lifted)
-        residual = unit
-        for e in pieces:
-            residual = residual - e
-        if not residual.is_zero():
-            pieces.append(_lift_idempotent(residual))
-        if len(pieces) <= 1:
-            continue  # candidate did not actually separate anything
-        idems = []
-        statuses = []
-        for e in pieces:
-            sub_idems, sub_status = _split_local(
-                e, _corner_basis(e, basis), _corner_basis(e, rad), search_bound
-            )
-            idems.extend(sub_idems)
-            statuses.append(sub_status)
-        return idems, max(statuses, key=STATUS_ORDER.__getitem__)
-
-    # No candidate produced a genuine split. Classify from the evidence.
-    if not saw_degree_two_or_more:
-        raise SeparatingElementError(
-            "no separating element found: every candidate acts as a scalar "
-            "modulo the radical, yet the residue algebra has dimension %d"
-            % residue_dim
-        )
-    return [unit], "nonsplit_unknown"
+    for f in _candidates(basis, r * (r - 1) // 2 * (r - 1) + 1):
+        m = min_poly(f, unit=unit)
+        if degree(m) >= r and degree(p := squarefree_part(m)) == r:
+            break
+    else:
+        raise SeparatingElementError("no primitive element found: no candidate generates "
+                                     "the residue algebra of dimension %d" % r)
+    idems, worst = [], 0
+    for q in factor(p):
+        primary = q  # the q-primary part of m, so that e(f) is idempotent on the nose
+        while not poly_mod(m, poly_mul(primary, q)):
+            primary = poly_mul(primary, q)
+        idems.append(poly_eval_matrix(_crt_idempotent(m, primary), f, unit=unit))
+        real = degree(q) == 2 and q[1] * q[1] - 4 * q[0] < 0
+        worst = max(worst, 0 if degree(q) == 1 else 1 if real else 2)
+    return idems, STATUSES[worst]
 
 
 def primitive_idempotents(cent: EndoSpace) -> tuple[IdempotentSet, str]:
     """Complete family of primitive orthogonal idempotents of the centroid.
 
-    Returns (idempotents, status) where status records how completely the
-    minimal polynomials factored over Q: "split" (all the way into rational
-    roots), "nonsplit_real" (an imaginary-quadratic residue field appeared:
-    decomposition is final over R too), or "nonsplit_unknown" (evidence of
-    real irrationalities: the rational decomposition may be coarser than the
+    Returns (idempotents, status): "split" when every residue field is Q,
+    "nonsplit_real" when the others are imaginary quadratic (the decomposition
+    is final over R too), else "nonsplit_unknown" (it may be coarser than the
     real one). The search runs in cent's regular representation (module docs).
     """
     table = _algebra_table(cent)
@@ -252,10 +205,12 @@ def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace):
     n, d = cent.n, cent.dim
     if not cent.space.contains({c * (n + 1): 1 for c in range(n)}):
         raise PreconditionError("centroid does not contain the identity")
-    regular = [Matrix.unflatten(m, d, d) for m in table._flat_left()]  # faithful: Cent holds 1
-    idems, status = _split_local(Matrix.identity(d), regular,
-                                 [table._left_matrix(r) for r in rad.rows], d * d + 1)
-    coords = [_from_regular(cent, p) for p in idems]
+    pivots = set(rad.pivots)  # L_b for the b off them: a basis mod rad, faithful as 1 is in Cent
+    regular = [Matrix.unflatten(m, d, d)
+               for i, m in enumerate(table._flat_left()) if i not in pivots]
+    one = Matrix([[int(p % (n + 1) == 0)] for p in cent.space.pivots])  # L_x 1: x's coordinates
+    found, status = _split_local(one, regular)
+    coords = [p.flatten() for p in found]
     idems = [Matrix.unflatten(cent.space.combine(c), n, n) for c in coords]
     # exactness checks on the int columns of the den p: p^2 = p, p q = 0, den (1 - sum p) = 0
     den, cols = _int_columns(idems)
@@ -263,7 +218,7 @@ def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace):
     for i, a in enumerate(cols):
         flat = {c * n + r: x for c, col in enumerate(a) for r, x in col}
         if _compose(a, a) != {k: den * x for k, x in flat.items()}:
-            raise LiestructError("lifted projection %d is not idempotent" % i)
+            raise LiestructError("projection %d is not idempotent" % i)
         if any(_compose(a, b) for b in cols[i + 1:]):
             raise LiestructError("projections are not orthogonal")
         _subtract(rest, flat.items())
@@ -283,8 +238,8 @@ def indecompose(g: LieAlgebra) -> DecompositionReport:
     Requires z(g) inside [g, g] (in particular holds when g is perfect or
     centerfree); without it the pieces of a finest decomposition are not
     even determined up to isomorphism and the call is refused. Under the
-    hypothesis the centroid may still be noncommutative; the idempotent
-    search handles that (see the module docstring), and the off-diagonal
+    hypothesis the centroid may still be noncommutative, but its commutators
+    lie in its radical (see the module docstring), and the off-diagonal
     Peirce blocks it reports measure the remaining non-uniqueness: the
     decomposition is unique exactly when they all vanish (`is_unique`).
     Each block p_i Cent p_j (i != j) is checked against the dimension of

@@ -2,16 +2,18 @@
 
 Polynomials are lists of Fractions in ascending order of degree, so
 ``[a0, a1, a2]`` is ``a0 + a1 t + a2 t^2``. The zero polynomial is ``[]``.
-Includes characteristic/minimal polynomials of rational matrices, a small
-factoring routine (rational roots plus quadratic splitting of rootless
-quartics through the resolvent cubic), and the additive Jordan-Chevalley
-decomposition computed by Newton iteration.
+Includes characteristic/minimal polynomials of rational matrices, complete
+factorization of squarefree polynomials over Q (Zassenhaus), and the additive
+Jordan-Chevalley decomposition computed by Newton iteration.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import reduce
+from itertools import combinations, count, zip_longest
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .linalg import Matrix, _echelon, frac
@@ -104,28 +106,20 @@ def squarefree_part(p: Poly) -> Poly:
     return monic(poly_div_exact(p, g))
 
 
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    x = frac(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def poly_eval_matrix(p: Poly, m: Matrix, unit: Optional[Matrix] = None) -> Matrix:
     """Evaluate p at a square matrix by Horner's rule.
 
     ``unit`` replaces the identity as m^0; pass the unit element when m lives
-    in a unital subalgebra smaller than the full matrix algebra. Each step
-    adds c * unit on the nonzero entries of the unit only (the diagonal, for
-    the identity).
+    in a unital subalgebra smaller than the full matrix algebra, or a column
+    v to get p(m) v. Each step adds c * unit on the nonzero entries of the
+    unit only (the diagonal, for the identity).
     """
     if unit is None:
         unit = Matrix.identity(m.nrows)
     spots = [(i, j, v) for i, row in enumerate(unit.rows) for j, v in enumerate(row) if v]
-    acc = Matrix.zero(m.nrows, m.ncols)
+    acc = Matrix.zero(unit.nrows, unit.ncols)
     for c in reversed(p):
-        acc = acc @ m
+        acc = m @ acc
         if c:
             rows = [list(r) for r in acc.rows]
             for i, j, v in spots:
@@ -160,24 +154,28 @@ def min_poly(m: Matrix, unit: Optional[Matrix] = None) -> Poly:
 
     With ``unit`` given, m^0 is taken to be that unit, which computes the
     minimal polynomial of m as an element of the unital algebra generated by
-    m and unit (used when recursing into corner subalgebras eCe).
+    m and unit, such as a corner algebra eCe with identity e. A column v as
+    ``unit`` gives the least q with q(m) v = 0, m's minimal polynomial when v
+    is 1 in a faithful regular representation.
 
-    m^0, m^1, ... go into one integer echelon, m^k flattened and tagged with
-    a 1 in column n^2 + k. The first row that reduces to tag columns alone is
-    the first dependent power; its tags over the tag of m^k are the result.
+    m^k unit go into one integer echelon, flattened and tagged with a 1 in
+    column size + k (size: the unit's entry count). The first row that
+    reduces to tag columns alone is the first dependent power; its tags over
+    the tag of m^k are the result.
     """
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
-    size = m.nrows ** 2
+    unit = Matrix.identity(m.nrows) if unit is None else unit
+    size = unit.nrows * unit.ncols
     pivots: dict[int, dict[int, int]] = {}
 
     def tagged_powers():
-        current = Matrix.identity(m.nrows) if unit is None else unit
+        current = unit
         for k in range(size + 1):
             yield list(current.flatten()) + [0] * k + [1]
             if next(reversed(pivots)) >= size:
                 return  # the row of m^k is all tags
-            current = current @ m
+            current = m @ current
 
     _echelon(tagged_powers(), pivots)
     dependency = pivots[next(reversed(pivots))]
@@ -186,7 +184,7 @@ def min_poly(m: Matrix, unit: Optional[Matrix] = None) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Small factoring: rational roots, then quadratic splitting up to quartics
+# Factoring over Q: Zassenhaus, Hensel lifting a factorization mod a prime
 # ---------------------------------------------------------------------------
 
 def _rational_square_root(x: Fraction) -> Optional[Fraction]:
@@ -199,119 +197,162 @@ def _rational_square_root(x: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots (without multiplicity), by the rational root test."""
-    p = normalize(p)
-    if not p:
-        raise ValueError("zero polynomial has every root")
-    # strip t^k factor
-    k = 0
-    while p[k] == 0:
-        k += 1
-    roots = set([Fraction(0)] if k else [])
-    p = p[k:]
-    if degree(p) >= 1:
-        # clear denominators to integer coefficients
-        den = 1
-        for c in p:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ip = [int(c * den) for c in p]
-        a0, an = abs(ip[0]), abs(ip[-1])
-        for r in _divisors(a0):
-            for s in _divisors(an):
-                for cand in (Fraction(r, s), Fraction(-r, s)):
-                    if poly_eval(p, cand) == 0:
-                        roots.add(cand)
-    return sorted(roots)
+# Polynomials mod m below are int lists in ascending order, entries in 0..m-1.
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
+def _mod_mul(a: list, b: list, m: int) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _mod_sub(a: list, b: list, m: int) -> list:
+    return _trim([(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _mod_divmod(a: list, b: list, m: int) -> tuple[list, list]:
+    """Quotient and remainder of a by b mod m; b's leading coefficient is a unit mod m."""
+    r, inv = _trim([c % m for c in a]), pow(b[-1], -1, m)
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        k, c = len(r) - len(b), r[-1] * inv % m
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] = (r[k + i] - c * y) % m
+        _trim(r)
+    return q, r
+
+
+def _mod_gcd(a: list, b: list, p: int) -> list:
+    while b:
+        a, b = b, _mod_divmod(a, b, p)[1]
+    return _mod_mul(a, [pow(a[-1], -1, p)], p)
+
+
+def _mod_pow(a: list, e: int, g: list, p: int) -> list:
+    """a^e mod (g, p)."""
+    out, a = [1], _mod_divmod(a, g, p)[1]
+    while e:
+        if e & 1:
+            out = _mod_divmod(_mod_mul(out, a, p), g, p)[1]
+        a = _mod_divmod(_mod_mul(a, a, p), g, p)[1]
+        e >>= 1
+    return out
+
+
+def _distinct_degree(f: list, p: int) -> list[tuple[list, int]]:
+    """(g, d): g the product of the degree-d irreducible factors of squarefree monic f mod p."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= len(f) - 1:
         d += 1
-    return sorted(out)
+        h = _mod_pow(h, p, f, p)  # x^(p^d) mod f
+        g = _mod_gcd(f, _mod_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _mod_divmod(f, g, p)[0]
+            h = _mod_divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
 
 
-def _split_rootless_quartic(p: Poly) -> Optional[tuple[Poly, Poly]]:
-    """Factor a monic rootless quartic into two monic rational quadratics.
+def _equal_degree(f: list, d: int, p: int, rng: random.Random) -> list[list]:
+    """The monic irreducible factors mod an odd prime p of f, all of degree d: Cantor-Zassenhaus."""
+    if len(f) - 1 == d:
+        return [f]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        g = _mod_gcd(f, _mod_sub(_mod_pow(a, (p ** d - 1) // 2, f, p), [1], p), p) if a else f
+        if 1 < len(g) < len(f):
+            return (_equal_degree(g, d, p, rng)
+                    + _equal_degree(_mod_divmod(f, g, p)[0], d, p, rng))
 
-    Works through the resolvent cubic: for t^4 + p3 t^3 + p2 t^2 + p1 t + p0
-    = (t^2 + a t + b)(t^2 + c t + d), the quantity y = b + d satisfies
-    y^3 - p2 y^2 + (p3 p1 - 4 p0) y - (p3^2 p0 - 4 p2 p0 + p1^2) = 0.
+
+def _hensel(f: list, g: list, p: int, modulus: int) -> tuple[list, list]:
+    """Monic (g, h), f = g h mod ``modulus`` (a power of p), lifted linearly from g | f mod p
+    for g irreducible mod p, so that h^-1 = h^(p^deg g - 2) in the field F_p[t]/(g)."""
+    h = _mod_divmod(f, g, p)[0]
+    t, q = _mod_pow(h, p ** (len(g) - 1) - 2, g, p), p
+    while q < modulus:
+        # f = (g + q s)(h + q u) mod q p for s h + u g = (f - g h) / q mod p
+        e = [c // q for c in _mod_sub(f, _mod_mul(g, h, q * p), q * p)]
+        s = _mod_divmod(_mod_mul(e, t, p), g, p)[1]
+        u = _mod_divmod(_mod_sub(e, _mod_mul(s, h, p), p), g, p)[0]
+        g = _mod_sub(g, [-q * c for c in s], q * p)
+        h = _mod_sub(h, [-q * c for c in u], q * p)
+        q *= p
+    return g, h
+
+
+def _crt_idempotent(p: Poly, q: Poly) -> Poly:
+    """The e of degree < deg p with e = 1 mod q and e = 0 mod u = p / q, for a factor
+    q of p prime to p / q: u (u^-1 mod q) mod p (extended Euclid)."""
+    u = poly_div_exact(p, q)
+    r0, r1, t0, t1 = q, poly_mod(u, q), [], [Fraction(1)]
+    while r1:
+        quo, rem = poly_divmod(r0, r1)
+        r0, r1, t0, t1 = r1, rem, t1, normalize(
+            [a - b for a, b in zip_longest(t0, poly_mul(quo, t1), fillvalue=0)])
+    return poly_mul(u, [c / r0[0] for c in t0])  # deg t0 < deg q, so deg e < deg p
+
+
+def factor(p: Poly) -> list[Poly]:
+    """The monic irreducible factors over Q of a squarefree p, by degree, t - a by ascending a.
+
+    Zassenhaus on f = den p in Z[t], lc = den: factor f mod the first odd prime
+    dividing neither lc nor the discriminant (distinct-degree, then
+    Cantor-Zassenhaus with a generator seeded 0), Hensel-lift the factors one
+    at a time past 2 lc 2^n |f|_2, which bounds lc times any factor of f
+    (Mignotte), and keep the products of subsets, smallest first, whose
+    primitive parts divide f exactly.
     """
-    p0, p1, p2, p3 = p[0], p[1], p[2], p[3]
-    resolvent = poly(
-        [-(p3 * p3 * p0 - 4 * p2 * p0 + p1 * p1), p3 * p1 - 4 * p0, -p2, 1]
-    )
-    for y in _rational_roots(resolvent):
-        # b, d are roots of z^2 - y z + p0
-        sqrt_bd = _rational_square_root(y * y - 4 * p0)
-        # a, c are roots of z^2 - p3 z + (p2 - y)
-        sqrt_ac = _rational_square_root(p3 * p3 - 4 * (p2 - y))
-        if sqrt_bd is None or sqrt_ac is None:
-            continue
-        b, d = (y + sqrt_bd) / 2, (y - sqrt_bd) / 2
-        a, c = (p3 + sqrt_ac) / 2, (p3 - sqrt_ac) / 2
-        for aa, cc in ((a, c), (c, a)):
-            if aa * d + b * cc == p1:
-                return poly([b, aa, 1]), poly([d, cc, 1])
-    return None
-
-
-def factor_small(p: Poly):
-    """Partial factorization over Q.
-
-    Returns (linear_factors, quadratic_factors, remainder) where
-    linear_factors is a list of (root, multiplicity), quadratic_factors a
-    list of (monic quadratic with no rational root, multiplicity), and
-    remainder the monic unfactored part (1 when fully factored). Rootless
-    parts of degree <= 4 are split into quadratics when possible; higher
-    degrees are returned whole.
-    """
-    p = monic(p)
-    if degree(p) <= 0:
-        return [], [], p if p else []
-    linear = []
-    for r in _rational_roots(p):
-        mult = 0
-        while True:
-            q, rem = poly_divmod(p, poly([-r, 1]))
-            if rem:
+    p, n = monic(p), degree(p)
+    if n <= 1:
+        return [p] if n == 1 else []
+    den = lcm(*(c.denominator for c in p))
+    f = [int(c * den) for c in p]  # primitive: den p has a coefficient prime to each q | den
+    df, norm = [i * c for i, c in enumerate(f)][1:], isqrt(sum(c * c for c in f)) + 1
+    rejected = 1  # a product of primes dividing Res(f, f'), which is at most (n |f|_2)^(2n)
+    for prime in (q for q in count(3, 2) if all(q % r for r in range(3, isqrt(q) + 1, 2))):
+        if den % prime and len(_mod_gcd(f, _trim([c % prime for c in df]), prime)) == 1:
+            break
+        rejected *= prime if den % prime else 1
+        if rejected > (n * norm) ** (2 * n):
+            raise ValueError("factor needs a squarefree polynomial")
+    rng = random.Random(0)
+    local = [g for part, d in _distinct_degree(_mod_mul(f, [pow(den, -1, prime)], prime), prime)
+             for g in _equal_degree(part, d, prime, rng)]
+    bound, modulus = 2 * den * 2 ** n * norm, prime
+    while modulus <= bound:
+        modulus *= prime
+    lifted, rest = [], _mod_mul(f, [pow(den, -1, modulus)], modulus)
+    for g in local[:-1]:
+        g, rest = _hensel(rest, g, prime, modulus)
+        lifted.append(g)
+    lifted.append(rest)
+    found, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = reduce(lambda a, i: _mod_mul(a, lifted[i], modulus), subset, [f[-1]])
+            g = [c - modulus if 2 * c > modulus else c for c in g]
+            g = poly([c // gcd(*g) for c in g])
+            quo, rem = poly_divmod(poly(f), g)
+            if not rem:
+                found.append(g)
+                f = [int(c) for c in quo]
+                lifted = [h for i, h in enumerate(lifted) if i not in subset]
                 break
-            p, mult = q, mult + 1
-        linear.append((r, mult))
-    quadratics = []
-
-    def extract(q: Poly):
-        mult = 0
-        nonlocal p
-        while True:
-            quo, rem = poly_divmod(p, q)
-            if rem:
-                break
-            p, mult = quo, mult + 1
-        if mult:
-            quadratics.append((q, mult))
-
-    while degree(p) >= 2:
-        if degree(p) == 2:
-            extract(list(p))
-            continue
-        if degree(p) == 4:
-            split = _split_rootless_quartic(p)
-            if split is not None:
-                extract(split[0])
-                extract(split[1])
-                continue
-        break  # rootless cubic, stubborn quartic, or degree >= 5
-    return linear, quadratics, p
+        else:
+            size += 1
+    found.append(poly(f))
+    return sorted(map(monic, found), key=lambda q: (len(q), [-c for c in q]))
 
 
 # ---------------------------------------------------------------------------

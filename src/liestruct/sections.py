@@ -129,6 +129,7 @@ class JetAlgebra:
 
     def degree(self, coeff: Sequence[Fraction]) -> int:
         """Max total degree of a coefficient vector; -1 for zero."""
+        self.A._check_length(coeff)
         deg = -1
         for p, c in enumerate(coeff):
             if c:

@@ -509,7 +509,11 @@ def test_current_algebra_truncation(sl2):
     (lambda sl2, a: a.product([1, 0], [0, 1, 0]), (2, 3)),
     (lambda sl2, a: a.mult_matrix([0, 1, 0, 0]), (4, 3)),
     (lambda sl2, a: tensor_vector(sl2, truncated_poly(1, 2), [1, 0, 0], [0, 0, 1]), (3, 2)),
-], ids=["bracket", "ad", "product", "mult_matrix", "tensor_vector"])
+    # too short was padded with zeros, too long failed deep in the ad columns
+    (lambda sl2, a: casimir_coefficient_action(sl2, truncated_poly(1, 2), [1]), (1, 2)),
+    (lambda sl2, a: casimir_coefficient_action(sl2, truncated_poly(1, 2), [0, 1, 5]), (3, 2)),
+], ids=["bracket", "ad", "product", "mult_matrix", "tensor_vector", "casimir short",
+        "casimir long"])
 def test_a_vector_of_the_wrong_length_is_refused(sl2, call, lengths):
     with pytest.raises(ValueError, match="vector length %d != dimension %d" % lengths):
         call(sl2, truncated_poly(1, 3))

@@ -296,13 +296,19 @@ def _gram_radical(mats):
     return [Matrix.unflatten(r, n, n) for r in _span_of(kernel).sparse_rows()] if kernel else []
 
 
+def _off_radical(mats):
+    """The elements of ``mats`` off the pivots of its Gram's kernel: a basis modulo the
+    radical of the algebra they span (when they span one)."""
+    pivots = set(kernel_basis(_gram(mats)).pivots)
+    return [m for i, m in enumerate(mats) if i not in pivots]
+
+
 def _decompose_reference(g):
     """(idempotents, status, blocks) from the dim g x dim g search and Peirce loop."""
     cent = endo.centroid(g)
     basis = cent.basis_matrices()
     n = g.dim
-    idems, status = _split_local(Matrix.identity(n), basis, _gram_radical(basis),
-                                 cent.dim * cent.dim + 1)
+    idems, status = _split_local(Matrix.identity(n), _off_radical(basis))
     blocks = tuple(
         tuple(Subspace.span([(p @ b @ q).flatten() for b in basis], n * n).dim for q in idems)
         for p in idems
@@ -461,8 +467,6 @@ def test_trace_form_of_a_centroid_table_is_its_gram(regular_cases, name):
 def test_a_corner_radical_is_the_kernel_of_the_corners_own_gram(regular_cases, name, seed):
     # rad(eAe) = e rad(A) e for an idempotent e: the sum of a seeded set of
     # primitive idempotents, conjugated by a seeded unit 1 + r, r in the radical
-    from liestruct.decompose import _corner_basis
-
     if name == "jets + sl2":
         sl2 = classical("sl", 2)
         g = direct_sum([current_algebra(sl2, truncated_poly(1, 3)),
@@ -472,7 +476,7 @@ def test_a_corner_radical_is_the_kernel_of_the_corners_own_gram(regular_cases, n
     table = endo._centroid_table(g)
     d, basis = table.dim, _regular_of(table)
     rad = [table._left_matrix(r) for r in endo._centroid_radical(g).rows]
-    idems, _ = _split_local(Matrix.identity(d), basis, rad, d * d + 1)
+    idems, _ = _split_local(Matrix.identity(d), _off_radical(basis))
     assert len(idems) == 3 - (name == "h3 + h3") and rad
     rng = random.Random(seed)
     e = sum(rng.sample(idems, rng.randint(1, len(idems))), Matrix.zero(d, d))
@@ -483,7 +487,10 @@ def test_a_corner_radical_is_the_kernel_of_the_corners_own_gram(regular_cases, n
     def span(mats):
         return Subspace.span([m.flatten() for m in mats], d * d)
 
-    assert span(_corner_basis(e, rad)) == span(_gram_radical(_corner_basis(e, basis)))
+    def corner(mats):  # a basis of e A e from a spanning set of A
+        return [Matrix.unflatten(r, d, d) for r in span([e @ m @ e for m in mats]).sparse_rows()]
+
+    assert span(corner(rad)) == span(_gram_radical(corner(basis)))
 
 
 @pytest.mark.parametrize("spec, calls", [("cur:sl:2,points:3", 0), ("cur:sl:2,jet:1,3", 1)])
@@ -524,7 +531,7 @@ def test_centroid_table_dies_with_its_algebra():
 
 
 # ---------------------------------------------------------------------------
-# the idempotent search stops at a residue field
+# the idempotent search stops at the first primitive element
 # ---------------------------------------------------------------------------
 
 
@@ -539,13 +546,14 @@ def _cube_root_field():
     ])
 
 
-# (field, rebasing seed, status). Of seeds 1-5 of the Q(cbrt 2) rebasing only 4
-# finishes: the others hang in the trial division of poly._rational_roots on the
-# first cubic candidate, with or without this stop.
+# (field, rebasing seed, status). Seeds 1, 2, 3 and 5 of the Q(cbrt 2) rebasing
+# give cubic minimal polynomials with large coefficients, which a rational-root
+# search by trial division over their divisors did not finish.
 FIELD_REBASINGS = {
     "Q(i)": (lambda: quadratic_extension(-1), 1, "nonsplit_real"),
     "Q(sqrt 2)": (lambda: quadratic_extension(2), 1, "nonsplit_unknown"),
     "Q(cbrt 2)": (_cube_root_field, 4, "nonsplit_unknown"),
+    **{"Q(cbrt 2), seed %d" % s: (_cube_root_field, s, "nonsplit_unknown") for s in (1, 2, 3, 5)},
 }
 
 
@@ -571,8 +579,8 @@ def test_a_residue_field_stops_the_idempotent_search(rebase, monkeypatch, name):
 # Each input is a commutative algebra given by matrices spanning it, whose
 # primitive idempotents are known from the construction; the results are
 # checked by certificates that do not use the search: p^2 = p, p q = 0, a sum
-# of 1, every p in the algebra, and the count. The last two inputs are no
-# algebras: they reach the guards that stop the search on such input.
+# of 1, every p in the algebra, and the count. The last input is no algebra:
+# it reaches the guard that stops the search on such input.
 
 
 def _block_diag(*blocks):
@@ -606,11 +614,9 @@ def _span_of(mats):
     return Subspace.span([m.flatten() for m in mats], n * n)
 
 
-def _search(unit, basis, bound=None):
-    """The search on ``basis``, its radical from the Gram, with the bound
-    primitive_idempotents uses, d^2 + 1."""
-    return _split_local(unit, basis, _gram_radical(basis),
-                        len(basis) ** 2 + 1 if bound is None else bound)
+def _search(unit, basis):
+    """The search on ``basis``, its radical from the Gram."""
+    return _split_local(unit, _off_radical(basis))
 
 
 # Q[x]/(x^2) x Q on Q^2 + Q, and Q(i) x Q on Q(i) + Q
@@ -620,8 +626,9 @@ _I = _block_diag(_gauss(0, 1), Matrix.zero(1, 1))
 
 
 def test_projectors_of_a_non_semisimple_candidate_are_newton_lifted():
-    # f = (1 + x, 0) has minimal polynomial t (t - 1)^2: its spectral
-    # projectors f and 1 - f are idempotent only modulo x
+    # f = (1 + x, 0) has minimal polynomial m = t (t - 1)^2: the projectors
+    # f and 1 - f of its squarefree part are idempotent only modulo x, those
+    # of the primary parts t and (t - 1)^2 of m on the nose
     unit = Matrix.identity(3)
     basis = [unit, _E + _X, _X]
     idems, status = _search(unit, basis)
@@ -660,9 +667,8 @@ def _gauss_pair(*pairs):
 
 
 def test_weighted_candidates_split_a_product_of_gaussian_fields():
-    # basis 1, (i, i), (i, 2i), (1 + i, -1 - 3i): no basis element has a
-    # rational eigenvalue, so the search reaches the weighted sums; the first,
-    # their plain sum (2 + 3i, 0), has the root 0 and a residual piece
+    # basis 1, (i, i), (i, 2i), (1 + i, -1 - 3i): (i, 2i) is a primitive
+    # element, of minimal polynomial (t^2 + 1)(t^2 + 4), one idempotent per factor
     basis = _gauss_pair(((1, 0), (1, 0)), ((0, 1), (0, 1)), ((0, 1), (0, 2)), ((1, 1), (-1, -3)))
     unit = Matrix.identity(4)
     idems, status = _search(unit, basis)
@@ -673,15 +679,12 @@ def test_weighted_candidates_split_a_product_of_gaussian_fields():
 
 
 def test_a_quartic_field_runs_the_search_out():
-    # Q(sqrt 2, i) is a field of degree 4: no candidate has a rational root,
-    # and a quartic is past the residue-field stop, so every candidate is passed
-    # over and the unit is returned, primitive as it should be. The bound is
-    # small: at d^2 + 1 = 17 the weighted sums have norms up to 2 * 10^15, which the
-    # trial division of poly._rational_roots (ROADMAP item 1) does not finish.
+    # Q(sqrt 2, i) is a field of degree 4: its minimal polynomial of degree 4
+    # is irreducible, so the unit comes back, primitive as it should be
     s, i = kron(Matrix([[0, 2], [1, 0]]), Matrix.identity(2)), kron(Matrix.identity(2), _gauss(0, 1))
     unit = Matrix.identity(4)
     basis = [unit, s, i, s @ i]
-    idems, status = _search(unit, basis, bound=2)
+    idems, status = _search(unit, basis)
     _assert_primitive_family(idems, unit, _span_of(basis), 1)
     assert status == "nonsplit_unknown"
 
@@ -693,34 +696,48 @@ def _two_cubic_fields():
     return [x.power(k) for k in range(6)]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the search splits only on rational "
-                   "roots, so a product of fields none of whose candidates has one stays whole")
 @pytest.mark.parametrize("basis", [
     _gauss_pair(((1, 0), (1, 0)), ((0, 1), (0, 1)), ((0, 1), (0, 2)), ((1, 2), (-1, -1))),
     _two_cubic_fields(),
 ], ids=["gauss-x-gauss", "cubic-x-cubic"])
 def test_a_product_of_fields_splits(basis):
     # no weighted sum of this Q(i) x Q(i) basis has a rational coordinate, and
-    # K1 x K2 has no element of rational eigenvalue but the scalars; the bound
-    # is small for the trial division, as above
+    # K1 x K2 has no element of rational eigenvalue but the scalars: a split
+    # by rational roots alone keeps both whole
     unit = Matrix.identity(basis[0].nrows)
-    idems, _ = _search(unit, basis, bound=2)
+    idems, _ = _search(unit, basis)
     _assert_primitive_family(idems, unit, _span_of(basis), 2)
 
 
-def test_a_candidate_that_separates_nothing_is_passed_over():
-    # not an algebra search: u is a rank-one idempotent that is no identity for
-    # f (u f != f u), so the projectors of f leave u as the only piece;
-    # recursing on it would repeat this search forever
-    f = Matrix([[1, 0, 0], [2, 2, 1], [2, -2, 1]])
-    u = Matrix([[0, 0, 0], [0, 1, -1], [0, 0, 0]])
-    assert u @ u == u and u @ f != f @ u
-    assert _search(u, [u, f], bound=0) == ([u], "nonsplit_unknown")
-
-
 def test_a_basis_of_no_algebra_has_no_separating_element():
-    # 1, E12, E21 span no algebra (E12 E21 = E11 lies outside): each is scalar
-    # modulo nilpotents, yet the trace form is nondegenerate
+    # 1, E12, E21 span no algebra (E12 E21 = E11 lies outside): the trace form
+    # is nondegenerate, yet no 2 x 2 candidate has a minimal polynomial of
+    # degree 3, so the search stops after its C(3, 2) 2 + 1 weighted sums
     e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
     with pytest.raises(SeparatingElementError, match="dimension 3"):
-        _search(Matrix.identity(2), [Matrix.identity(2), e12, e21], bound=0)
+        _search(Matrix.identity(2), [Matrix.identity(2), e12, e21])
+
+
+@pytest.mark.parametrize("name", ["h3 + h3", "two_dim + h3", "two_dim + h3 + sl3"])
+def test_centroid_commutators_lie_in_the_radical(regular_cases, name):
+    # with z(g) in [g, g], fh - hf kills [g, g] and maps into z(g): the residue
+    # algebra is commutative, so one primitive element generates it
+    g = regular_cases[name]
+    cent, rad = endo.centroid(g), endo._centroid_radical(g)
+    mats = cent.basis_matrices()
+    commutators = [a @ b - b @ a for a in mats for b in mats]
+    assert any(not c.is_zero() for c in commutators)
+    assert all(rad.contains(cent.coordinates(c)) for c in commutators)
+
+
+@pytest.mark.parametrize("spec", ["cur:sl:2,points:3", "sum:sl:2+sl:2+sl:2"])
+def test_an_idempotent_set_missing_a_factor_is_refused(monkeypatch, spec):
+    # the certificates do not trust the factorization: drop one irreducible
+    # factor, and the idempotents no longer sum to the identity
+    from liestruct import decompose
+    from liestruct.cli import parse_algebra
+
+    factor = decompose.factor
+    monkeypatch.setattr(decompose, "factor", lambda p: factor(p)[1:])
+    with pytest.raises(LiestructError, match="do not sum to the identity"):
+        indecompose.__wrapped__(parse_algebra(spec))

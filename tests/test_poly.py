@@ -13,7 +13,7 @@ from liestruct.linalg import Matrix, solve, vector
 from liestruct.poly import (
     char_poly,
     derivative,
-    factor_small,
+    factor,
     is_nilpotent_matrix,
     jordan_chevalley,
     min_poly,
@@ -91,60 +91,128 @@ def test_squarefree_irreducible_untouched():
 
 
 # ---------------------------------------------------------------------------
-# factor_small
+# factor
 # ---------------------------------------------------------------------------
 
 
 def test_factor_two_rational_roots():
-    roots, quads, rem = factor_small(P(-1, 0, 1))
-    assert sorted(r for r, _ in roots) == [F(-1), F(1)]
-    assert quads == [] and rem == P(1)
+    assert factor(P(-1, 0, 1)) == [P(1, 1), P(-1, 1)]  # roots -1, 1 in order
 
 
 def test_factor_irreducible_quadratic():
-    roots, quads, rem = factor_small(P(1, 0, 1))
-    assert roots == []
-    assert quads == [(P(1, 0, 1), 1)]
-    assert rem == P(1)
+    assert factor(P(1, 0, 1)) == [P(1, 0, 1)]
 
 
-def test_factor_rootless_cubic_left_as_remainder():
-    roots, quads, rem = factor_small(P(-2, 0, 0, 1))  # t^3 - 2
-    assert roots == [] and quads == []
-    assert rem == P(-2, 0, 0, 1)
+def test_factor_rootless_cubic_is_irreducible():
+    assert factor(P(-2, 0, 0, 1)) == [P(-2, 0, 0, 1)]  # t^3 - 2
 
 
 def test_factor_multiplicities():
+    # factor takes the squarefree part, so a repeated factor is refused
     p = poly_mul(poly_mul(P(-1, 1), P(-1, 1)), P(2, 1))
-    roots, quads, rem = factor_small(p)
-    assert dict(roots) == {F(1): 2, F(-2): 1}
-    assert rem == P(1)
+    with pytest.raises(ValueError, match="squarefree"):
+        factor(p)
+    assert factor(squarefree_part(p)) == [P(2, 1), P(-1, 1)]
 
 
 def test_factor_product_of_two_imaginary_quadratics():
-    # (t^2+1)(t^2+4) has no rational roots; quartic splitter must find both
-    p = poly_mul(P(1, 0, 1), P(4, 0, 1))
-    roots, quads, rem = factor_small(p)
-    assert roots == []
-    assert sorted(q for q, _ in quads) == sorted([P(1, 0, 1), P(4, 0, 1)])
-    assert rem == P(1)
+    # (t^2+1)(t^2+4) has no rational roots, and both quadratics come back
+    assert factor(poly_mul(P(1, 0, 1), P(4, 0, 1))) == [P(4, 0, 1), P(1, 0, 1)]
 
 
 def test_factor_product_of_two_real_quadratics():
     # (t^2-2)(t^2-3): rootless but splits into rational quadratics
-    p = poly_mul(P(-2, 0, 1), P(-3, 0, 1))
-    roots, quads, rem = factor_small(p)
-    assert roots == []
-    assert sorted(q for q, _ in quads) == sorted([P(-2, 0, 1), P(-3, 0, 1)])
-    assert rem == P(1)
+    assert factor(poly_mul(P(-2, 0, 1), P(-3, 0, 1))) == [P(-2, 0, 1), P(-3, 0, 1)]
 
 
-def test_factor_irreducible_quartic_stays_remainder():
+def test_factor_irreducible_quartic():
     # t^4 + t + 1 is irreducible over Q (no rational roots, no quadratic split)
-    p = P(1, 1, 0, 0, 1)
-    roots, quads, rem = factor_small(p)
-    assert roots == [] and quads == []
-    assert rem == p
+    assert factor(P(1, 1, 0, 0, 1)) == [P(1, 1, 0, 0, 1)]
+
+
+def test_factor_two_cubic_fields():
+    # (t^3 - t - 1)(t^3 - t + 1): no rational root, one degree of splitting only
+    p = poly_mul(P(-1, -1, 0, 1), P(1, -1, 0, 1))
+    assert factor(p) == [P(1, -1, 0, 1), P(-1, -1, 0, 1)]
+
+
+def test_factor_of_a_huge_non_square_constant_is_irreducible():
+    # t^2 - (10^40 + 1): a rational root would be a divisor of 10^40 + 1
+    p = P(-(10**40 + 1), 0, 1)
+    assert factor(p) == [p]
+
+
+def test_factor_monic_rational_and_trivial_inputs():
+    assert factor(P(F(-1, 3), F(1, 3), F(2, 3))) == [P(1, 1), P(F(-1, 2), 1)]  # 2/3 (t+1)(t-1/2)
+    assert factor(P(F(5, 7), 1)) == [P(F(5, 7), 1)]
+    assert factor(P(3)) == []
+
+
+def _irreducibles(rng, count, max_degree, bits):
+    """Distinct monic polynomials of degree 1..max_degree that are irreducible by
+    construction: linear ones, and Eisenstein ones at a prime q (every
+    coefficient but the leading a multiple of q, the constant not of q^2),
+    rescaled t -> t / s and shifted t -> t + a, both of which keep
+    irreducibility; each has a coefficient of ``bits`` bits or more."""
+    out = []
+    while len(out) < count:
+        deg, q = rng.randint(1, max_degree), rng.choice((2, 3, 5, 7))
+        body = [q * rng.randint(-(2**bits), 2**bits) for _ in range(deg)]
+        body[0] = q * rng.choice([c for c in range(1, 2 * q) if c % q]) * rng.choice((-1, 1))
+        if deg == 1:
+            body[0] = rng.randint(2**bits, 2**(bits + 1)) * rng.choice((-1, 1))
+        s, a = rng.randint(1, 9), F(rng.randint(-5, 5), rng.randint(1, 3))
+        p = P(1)
+        for i, c in enumerate(body + [1]):  # sum c_i ((t + a) s)^i
+            p = _poly_add(p, [x * c for x in _power(P(a * s, s), i)])
+        p = [c / p[-1] for c in p]
+        if p not in out:
+            out.append(p)
+    return out
+
+
+def _poly_add(p, q):
+    n = max(len(p), len(q))
+    return normalize([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                      for i in range(n)])
+
+
+def _power(p, k):
+    out = P(1)
+    for _ in range(k):
+        out = poly_mul(out, p)
+    return out
+
+
+def _seeded_products():
+    """(product, its factors) of 1 to 4 distinct seeded irreducibles of degree <= 12."""
+    rng, out = random.Random(19), []
+    for _ in range(20):
+        factors = _irreducibles(rng, rng.randint(1, 4), 12, 64)
+        p = P(1)
+        for q in factors:
+            p = poly_mul(p, q)
+        out.append((p, factors))
+    return out
+
+
+SEEDED_PRODUCTS = _seeded_products()
+
+
+def test_seeded_products_reach_degree_twelve_and_huge_coefficients():
+    assert max(len(q) - 1 for _, qs in SEEDED_PRODUCTS for q in qs) == 12
+    assert all(max(abs(c.numerator) for c in p) >= 2**64 for p, _ in SEEDED_PRODUCTS)
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED_PRODUCTS)))
+def test_factor_returns_the_constructed_irreducibles(idx):
+    p, factors = SEEDED_PRODUCTS[idx]
+    got = factor(p)
+    assert sorted(got) == sorted(factors)
+    product = P(1)
+    for q in got:
+        product = poly_mul(product, q)
+    assert product == p
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +419,23 @@ def test_min_poly_with_a_corner_unit_matches_one_solve_per_power(idx):
     assert poly_eval_matrix(expected, corner, unit=e).is_zero()
 
 
+@pytest.mark.parametrize("idx", range(len(SEEDED)))
+def test_min_poly_of_a_column_is_its_least_annihilator(idx):
+    # the least q with q(m) v = 0, by one solve per product m^k v
+    m, rng = SEEDED[idx], random.Random(700 + idx)
+    v = M([[rng.randint(-2, 2)] for _ in range(m.nrows - 1)] + [[1]])
+    krylov = [v]
+    while (x := solve(Matrix.from_columns([w.flatten() for w in krylov]),
+                      (m @ krylov[-1]).flatten())) is None:
+        krylov.append(m @ krylov[-1])
+    expected = normalize([-c for c in x] + [F(1)])
+    assert min_poly(m, unit=v) == expected
+    assert poly_eval_matrix(expected, m, unit=v).is_zero()
+    assert poly_mod(min_poly(m), expected) == []
+    p = P(F(-3, 2), 0, 5, F(1, 7), -1)
+    assert poly_eval_matrix(p, m, unit=v) == poly_eval_matrix(p, m) @ v
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_min_poly_of_scalars_and_zero(n):
     assert min_poly(Matrix.zero(n, n)) == _reference_min_poly(Matrix.zero(n, n)) == P(0, 1)
@@ -359,37 +444,25 @@ def test_min_poly_of_scalars_and_zero(n):
 
 
 def _factor_oracle(sympy, p):
-    """factor_small's answer, from sympy's complete factorization of p."""
+    """The monic irreducible factors of p from sympy's factor_list, in factor's order."""
     t = sympy.Symbol("t")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(p))
     _, factors = sympy.factor_list(expr, t)
-    linear, rest = [], []
-    for f, e in factors:
-        coeffs = _fractions(sympy.Poly(f, t).monic().all_coeffs())[::-1]
-        if len(coeffs) == 2:
-            linear.append((-coeffs[0], e))
-        else:
-            rest.append((coeffs, e))
-    rest_deg = sum((len(c) - 1) * e for c, e in rest)
-    if rest_deg == 2 or (rest_deg == 4 and all(len(c) == 3 for c, _ in rest)):
-        return sorted(linear), sorted(rest), P(1)
-    remainder = P(1)
-    for c, e in rest:
-        for _ in range(e):
-            remainder = poly_mul(remainder, c)
-    return sorted(linear), [], remainder
+    monics = [_fractions(sympy.Poly(f, t).monic().all_coeffs())[::-1] for f, _ in factors]
+    return sorted(monics, key=lambda q: (len(q), [-c for c in q]))
 
 
 def _seeded_polys():
+    """Squarefree parts of seeded characteristic polynomials, and products of small
+    irreducibles."""
     rng = random.Random(77)
     pool = [P(3, 1), P(1, 1), P(0, 1), P(F(-1, 2), 1), P(-5, 1), P(1, 0, 1), P(-2, 0, 1),
             P(1, 1, 1), P(1, -3, 1), P(-2, 0, 0, 1), P(1, 1, 0, 0, 1)]
-    polys = [char_poly(m) for m in SEEDED]
+    polys = [squarefree_part(char_poly(m)) for m in SEEDED]
     for _ in range(16):
         p = P(1)
         for f in rng.sample(pool, rng.randint(1, 3)):
-            for _ in range(rng.randint(1, 2)):
-                p = poly_mul(p, f)
+            p = poly_mul(p, f)
         polys.append(p)
     return polys
 
@@ -399,9 +472,15 @@ SEEDED_POLYS = _seeded_polys()
 
 @pytest.mark.parametrize("idx", range(len(SEEDED_POLYS)))
 def test_factor_small_matches_sympy_factor_list(sympy, idx):
+    # small polynomials: degree <= 8, numerators and denominators of <= 14 bits
     p = SEEDED_POLYS[idx]
-    linear, quads, rem = factor_small(p)
-    assert (linear, sorted(quads), rem) == _factor_oracle(sympy, p)
+    assert factor(p) == _factor_oracle(sympy, p)
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED_PRODUCTS)))
+def test_factor_of_large_products_matches_sympy_factor_list(sympy, idx):
+    p = SEEDED_PRODUCTS[idx][0]
+    assert factor(p) == _factor_oracle(sympy, p)
 
 
 # ---------------------------------------------------------------------------

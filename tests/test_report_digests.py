@@ -82,7 +82,7 @@ DIGESTS = {
         "text": "80c357e7c69861182bdc29e5d81d5c37a076bfb1c415d76fb054492f4aaeb8be",
     },
     "cur:sl:2,points:3": {
-        "json": "e559a183dc279256e895eaba2b8fba4f5c02ab93ebc6a2664a6bd52ceb45575e",
+        "json": "ad40a38f6a900a6a7c65742d0f42b513624afd824a92a044148a0d30dac97fd0",
         "text": "518801a70e6eb1e98125bbe002dd8f67ac29c7ff8c9435bc4995e7c4763b364c",
     },
     "sum:sl:2+sl:3": {

@@ -68,6 +68,11 @@ def test_jet_functionals_of_the_wrong_length_are_refused():
         sections.JetAlgebra(jet.A, 1, 3, (F(1),), jet.partials)
 
 
+def test_jet_degree_of_a_vector_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="vector length 5 != dimension 3"):
+        jet_algebra(1, 3).degree([0, 0, 0, 1, 1])
+
+
 def test_jet_algebra_two_variables():
     jet = jet_algebra(2, 3)  # basis 1, x1, x2, x1^2, x1x2, x2^2
     assert len(jet.partials) == 2
