@@ -29,9 +29,9 @@ from .lie import (
 )
 from .linalg import (
     Matrix,
-    Subspace,
     Vector,
     _echelon,
+    _reduce,
     frac,
     kernel_of_rows,
     unit_vector,
@@ -193,36 +193,54 @@ def commutative_derivations(a: CommutativeAlgebra):
 # Classical matrix Lie algebras
 # ---------------------------------------------------------------------------
 
-def _from_matrix_basis(mats: list[Matrix], names: list[str]) -> LieAlgebra:
-    """Structure constants from commutators of a basis of matrices.
+def _from_matrix_basis(basis: list[tuple[str, dict]], m: int) -> LieAlgebra:
+    """Structure constants from the commutators of named m x m basis matrices,
+    sparse integer maps ``{(row, col): entry}``.
 
-    The flattened basis is reduced once. With P the basis restricted to the
-    pivot columns of that echelon (row i: basis matrix i), the vector with
-    coordinates x has pivot entries P^T x; so the coordinates of each
-    commutator are (P^-1)^T times its pivot entries. Once every commutator is
-    found in the span, the table is that of a Lie algebra of matrices, which
-    satisfies the Jacobi identity; it is recorded as such, not checked.
+    Basis matrix i, flattened to columns r m + c and tagged with a 1 in column
+    m^2 + i, goes through one echelon: the basis is independent when no pivot
+    lies in the tags. A commutator v, with a 1 in the marker column m^2 + d and
+    reduced by the pivot rows whose columns it holds, leaves alpha (v | 0 | 1)
+    minus tagged basis rows: zero before the tags when v is in the span, with
+    -alpha times v's coordinates in the tags. A table of matrix commutators
+    satisfies the Jacobi identity, so it is recorded as such, not checked.
     """
-    flat = [m.flatten() for m in mats]
-    span = Subspace.span(flat, len(flat[0]))
-    if span.dim != len(mats):
+    names, mats = zip(*basis)
+    d, mm = len(mats), m * m
+    pivots = {}
+    _echelon(({**{r * m + c: x for (r, c), x in a.items()}, mm + i: 1}
+              for i, a in enumerate(mats)), pivots)
+    if any(c >= mm for c in pivots):
         raise ValueError("matrix basis is linearly dependent")
-    to_coords = Matrix([[v[p] for p in span.pivots] for v in flat]).inverse().transpose()
 
-    def coords(a: Matrix, b: Matrix) -> dict:
-        comm = a.commutator(b).flatten()
-        if not span.contains(comm):
+    def coords(a: dict, b: dict) -> dict:
+        row = {mm + d: 1}  # ab - ba, marked
+        for left, right, sign in ((a, b, 1), (b, a, -1)):
+            for (r, k), x in left.items():
+                for (l, c), y in right.items():
+                    if k == l:
+                        row[r * m + c] = row.get(r * m + c, 0) + sign * x * y
+        row = {col: x for col, x in row.items() if x}
+        for c in [c for c in row if c in pivots]:
+            row = _reduce(row, pivots[c], c)
+        if min(row) < mm:
             raise ValueError("commutator escapes the span of the basis")
-        return {k: c for k, c in enumerate(to_coords.apply([comm[p] for p in span.pivots])) if c}
+        alpha = row.pop(mm + d)
+        return {col - mm: Fraction(-x, alpha) for col, x in row.items()}
 
-    return _inherit_jacobi(LieAlgebra(names, {(i, j): coords(a, b)
-                                              for i, a in enumerate(mats)
-                                              for j, b in enumerate(mats)}))
+    products = {}
+    for i, j in itertools.combinations(range(d), 2):
+        products[i, j] = coords(mats[i], mats[j])
+        products[j, i] = {k: -x for k, x in products[i, j].items()}
+    return _inherit_jacobi(LieAlgebra(names, products))
 
 
-def _eij(n: int, i: int, j: int) -> Matrix:
-    rows = [[Fraction(1) if (r, c) == (i, j) else Fraction(0) for c in range(n)] for r in range(n)]
-    return Matrix(rows)
+def _units(*entries) -> dict:
+    """The sparse integer matrix sum of x E_rc over the triples (r, c, x)."""
+    out = {}
+    for r, c, x in entries:
+        out[r, c] = out.get((r, c), 0) + x
+    return {rc: x for rc, x in out.items() if x}
 
 
 def classical(kind: str, n: int) -> LieAlgebra:
@@ -235,92 +253,60 @@ def classical(kind: str, n: int) -> LieAlgebra:
     if n < 1:
         raise ValueError("size must be positive")
     if kind == "gl":
-        mats = [_eij(n, i, j) for i in range(n) for j in range(n)]
-        names = ["E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-        return _from_matrix_basis(mats, names)
-    if kind == "sl":
+        basis = [("E%d%d" % (i + 1, j + 1), _units((i, j, 1))) for i in range(n) for j in range(n)]
+    elif kind == "sl":
         if n < 2:
             raise ValueError("sl needs size >= 2")
-        mats = [_eij(n, i, j) for i in range(n) for j in range(n) if i != j]
-        names = ["E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n) if i != j]
-        for i in range(n - 1):
-            mats.append(_eij(n, i, i) - _eij(n, i + 1, i + 1))
-            names.append("H%d" % (i + 1))
-        return _from_matrix_basis(mats, names)
-    if kind == "so":
+        basis = [("E%d%d" % (i + 1, j + 1), _units((i, j, 1)))
+                 for i in range(n) for j in range(n) if i != j]
+        basis += [("H%d" % (i + 1), _units((i, i, 1), (i + 1, i + 1, -1))) for i in range(n - 1)]
+    elif kind == "so":
         if n < 2:
             raise ValueError("so needs size >= 2")
-        mats, names = [], []
-        for i in range(n):
-            for j in range(i + 1, n):
-                mats.append(_eij(n, i, j) - _eij(n, j, i))
-                names.append("A%d%d" % (i + 1, j + 1))
-        return _from_matrix_basis(mats, names)
-    if kind == "sp":
+        basis = [("A%d%d" % (i + 1, j + 1), _units((i, j, 1), (j, i, -1)))
+                 for i, j in itertools.combinations(range(n), 2)]
+    elif kind == "sp":
         if n < 2 or n % 2:
             raise ValueError("sp needs a positive even ambient size")
         h = n // 2
         # J = [[0, I], [-I, 0]]; basis of {X : X^T J + J X = 0}:
         # blocks [[A, B], [C, -A^T]] with B, C symmetric
-        mats, names = [], []
-        for i in range(h):
-            for j in range(h):
-                a = _eij(n, i, j) - _eij(n, h + j, h + i)
-                mats.append(a)
-                names.append("A%d%d" % (i + 1, j + 1))
-        for i in range(h):
-            for j in range(i, h):
-                b = _eij(n, i, h + j) + _eij(n, j, h + i)
-                mats.append(b)
-                names.append("B%d%d" % (i + 1, j + 1))
-                c = _eij(n, h + i, j) + _eij(n, h + j, i)
-                mats.append(c)
-                names.append("C%d%d" % (i + 1, j + 1))
-        return _from_matrix_basis(mats, names)
-    if kind in ("u", "su"):
+        basis = [("A%d%d" % (i + 1, j + 1), _units((i, j, 1), (h + j, h + i, -1)))
+                 for i in range(h) for j in range(h)]
+        for i, j in itertools.combinations_with_replacement(range(h), 2):
+            basis += [("B%d%d" % (i + 1, j + 1), _units((i, h + j, 1), (j, h + i, 1))),
+                      ("C%d%d" % (i + 1, j + 1), _units((h + i, j, 1), (h + j, i, 1)))]
+    elif kind in ("u", "su"):
         if kind == "su" and n < 2:
             raise ValueError("su needs size >= 2")
-        return _unitary(kind, n)
-    raise ValueError("unknown classical family %r" % kind)
+        return _from_matrix_basis(_unitary(kind, n), 2 * n)
+    else:
+        raise ValueError("unknown classical family %r" % kind)
+    return _from_matrix_basis(basis, n)
 
 
-def _unitary(kind: str, n: int) -> LieAlgebra:
-    """Real models of u(n) and su(n) with rational structure constants.
+def _unitary(kind: str, n: int) -> list[tuple[str, dict]]:
+    """The named basis of the real models of u(n) and su(n), whose structure
+    constants are rational.
 
     A skew-hermitian matrix X + iY (X real skew, Y real symmetric) is coded
     as the real 2n x 2n matrix [[X, -Y], [Y, X]]: an exact rational faithful
-    representation of the real Lie algebra.
+    representation of the real Lie algebra. Each basis matrix has an X or a
+    Y part, given as triples (r, c, x) and placed in its blocks directly.
     """
-    def embed(x: Matrix, y: Matrix) -> Matrix:
-        rows = []
-        for i in range(n):
-            rows.append(list(x.rows[i]) + [-v for v in y.rows[i]])
-        for i in range(n):
-            rows.append(list(y.rows[i]) + list(x.rows[i]))
-        return Matrix(rows)
+    def x_part(*entries) -> dict:
+        return _units(*((r + s, c + s, x) for r, c, x in entries for s in (0, n)))
 
-    zero = Matrix.zero(n, n)
-    mats, names = [], []
-    # X part: real skew-symmetric (dim n(n-1)/2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mats.append(embed(_eij(n, i, j) - _eij(n, j, i), zero))
-            names.append("K%d%d" % (i + 1, j + 1))
-    # iY part: Y real symmetric off-diagonal (dim n(n-1)/2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mats.append(embed(zero, _eij(n, i, j) + _eij(n, j, i)))
-            names.append("S%d%d" % (i + 1, j + 1))
-    # iY diagonal part
+    def y_part(*entries) -> dict:
+        return _units(*(t for r, c, y in entries for t in ((n + r, c, y), (r, n + c, -y))))
+
+    pairs = list(itertools.combinations(range(n), 2))
+    # X real skew-symmetric, then Y real symmetric: off the diagonal, then on it
+    basis = [("K%d%d" % (i + 1, j + 1), x_part((i, j, 1), (j, i, -1))) for i, j in pairs]
+    basis += [("S%d%d" % (i + 1, j + 1), y_part((i, j, 1), (j, i, 1))) for i, j in pairs]
     if kind == "u":
-        for i in range(n):
-            mats.append(embed(zero, _eij(n, i, i)))
-            names.append("D%d" % (i + 1))
-    else:
-        for i in range(n - 1):
-            mats.append(embed(zero, _eij(n, i, i) - _eij(n, i + 1, i + 1)))
-            names.append("D%d" % (i + 1))
-    return _from_matrix_basis(mats, names)
+        return basis + [("D%d" % (i + 1), y_part((i, i, 1))) for i in range(n)]
+    return basis + [("D%d" % (i + 1), y_part((i, i, 1), (i + 1, i + 1, -1))) for i in range(n - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,23 @@ def monic(p: Poly) -> Poly:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    a, b = normalize(p), normalize(q)
+    """Monic gcd by Euclid on primitive integer polynomials: each pseudo-remainder
+    is divided by its content, so no coefficient blows up as over Q."""
+    a, b = _primitive_part(p), _primitive_part(q)
     while b:
-        a, b = b, poly_mod(a, b)
-    return monic(a)
+        while len(a) >= len(b):  # a <- lc(b) a - lc(a) t^k b
+            k, lead = len(a) - len(b), a[-1]
+            a = _trim([x * b[-1] - (lead * b[i - k] if i >= k else 0) for i, x in enumerate(a)])
+        a, b = b, _primitive_part(a)
+    return monic([Fraction(c) for c in a])
+
+
+def _primitive_part(p: Sequence) -> list:
+    """The primitive integer multiple of a rational polynomial, leading coefficient > 0."""
+    den = lcm(*(c.denominator for c in p))
+    f = [c.numerator * (den // c.denominator) for c in normalize(p)]
+    g = gcd(*f) if f and f[-1] > 0 else -gcd(*f)
+    return [c // g for c in f]
 
 
 def derivative(p: Poly) -> Poly:
@@ -316,8 +329,8 @@ def factor(p: Poly) -> list[Poly]:
     p, n = monic(p), degree(p)
     if n <= 1:
         return [p] if n == 1 else []
-    den = lcm(*(c.denominator for c in p))
-    f = [int(c * den) for c in p]  # primitive: den p has a coefficient prime to each q | den
+    f = _primitive_part(p)  # den p, as it has a coefficient prime to each q | den
+    den = f[-1]
     df, norm = [i * c for i, c in enumerate(f)][1:], isqrt(sum(c * c for c in f)) + 1
     rejected = 1  # a product of primes dividing Res(f, f'), which is at most (n |f|_2)^(2n)
     for prime in (q for q in count(3, 2) if all(q % r for r in range(3, isqrt(q) + 1, 2))):

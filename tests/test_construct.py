@@ -108,20 +108,22 @@ def test_classical_rejects_bad_input():
         classical("su", 1)
 
 
-def _solve_per_pair(mats, names):
+def _solve_per_pair(basis, m):
     """Structure constants by one `solve` per ordered pair of basis matrices,
-    against the stacked flattened basis: the reference for the one-echelon
-    builder."""
-    cols = Matrix.from_columns([m.flatten() for m in mats])
+    each made a dense `Matrix` here, against the stacked flattened basis: the
+    reference for the one-echelon builder, which never forms a dense matrix."""
+    names = [name for name, _ in basis]
+    mats = [Matrix([[a.get((r, c), 0) for c in range(m)] for r in range(m)]) for _, a in basis]
+    cols = Matrix.from_columns([a.flatten() for a in mats])
     table = [[solve(cols, a.commutator(b).flatten()) for b in mats] for a in mats]
     return LieAlgebra(names, table)
 
 
 @pytest.mark.parametrize(
     "kind, n",
-    [("sl", n) for n in range(2, 6)]
+    [("sl", n) for n in range(2, 7)]
     + [("gl", n) for n in range(1, 5)]
-    + [("so", n) for n in range(2, 7)]
+    + [("so", n) for n in range(2, 8)]
     + [("sp", n) for n in (2, 4, 6)]
     + [("u", n) for n in range(1, 5)]
     + [("su", n) for n in range(2, 5)],
@@ -155,16 +157,24 @@ def test_current_algebra_retains_only_its_nonzero_constants():
 
 
 def test_matrix_basis_must_be_independent():
-    e12 = Matrix([[0, 1], [0, 0]])
-    with pytest.raises(ValueError, match="linearly dependent"):
-        construct._from_matrix_basis([e12, e12.scale(2)], ["a", "b"])
+    for basis in (
+        [("a", {(0, 1): 1}), ("b", {(0, 1): 2})],
+        [("a", {(0, 0): 1, (1, 1): -1}), ("b", {(0, 1): 1}), ("c", {(1, 1): 3, (0, 0): -3})],
+        [("a", {(0, 1): 1}), ("zero", {})],
+    ):
+        with pytest.raises(ValueError, match="matrix basis is linearly dependent"):
+            construct._from_matrix_basis(basis, 2)
 
 
 def test_matrix_basis_must_be_closed_under_commutators():
-    # [E12, E21] = E11 - E22 is not in span{E12, E21}
-    e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
-    with pytest.raises(ValueError, match="commutator escapes the span of the basis"):
-        construct._from_matrix_basis([e12, e21], ["E12", "E21"])
+    for basis in (
+        # [E12, E21] = E11 - E22 is not in span{E12, E21}
+        [("E12", {(0, 1): 1}), ("E21", {(1, 0): 1})],
+        # [E11, E12 + E13] = E12 + E13 stays, but [E22, E12 + E13] = -E12 escapes
+        [("E11", {(0, 0): 1}), ("E22", {(1, 1): 1}), ("X", {(0, 1): 1, (0, 2): 1})],
+    ):
+        with pytest.raises(ValueError, match="commutator escapes the span of the basis"):
+            construct._from_matrix_basis(basis, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from liestruct.poly import (
     is_nilpotent_matrix,
     jordan_chevalley,
     min_poly,
+    monic,
     normalize,
     poly,
     poly_eval_matrix,
@@ -481,6 +482,29 @@ def test_factor_small_matches_sympy_factor_list(sympy, idx):
 def test_factor_of_large_products_matches_sympy_factor_list(sympy, idx):
     p = SEEDED_PRODUCTS[idx][0]
     assert factor(p) == _factor_oracle(sympy, p)
+
+
+def _with_square(idx):
+    """(p, p q^2) for the seeded product p and q one of its irreducible factors."""
+    p, factors = SEEDED_PRODUCTS[idx]
+    q = factors[idx % len(factors)]
+    return p, poly_mul(p, poly_mul(q, q))
+
+
+@pytest.mark.parametrize("idx", range(len(SEEDED_PRODUCTS)))
+def test_squarefree_part_drops_a_squared_factor(idx):
+    # degree up to 47, numerators up to 516 bits
+    p, pq2 = _with_square(idx)
+    assert squarefree_part(pq2) == monic(p)
+
+
+@pytest.mark.parametrize("idx", range(0, len(SEEDED_PRODUCTS), 3))
+def test_squarefree_part_matches_sympy_sqf_part(sympy, idx):
+    pq2 = _with_square(idx)[1]
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(pq2))
+    expected = _fractions(sympy.Poly(sympy.sqf_part(expr), t).monic().all_coeffs())[::-1]
+    assert squarefree_part(pq2) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ digests were computed before the subspace bases became sparse and the
 Matrix arithmetic stopped re-coercing its results, the demo digests before
 the Killing form and the Casimirs moved to integer sums; a digest that
 changes on purpose is recomputed with ``_digests`` (or ``sha256sum`` of the
-demo's output) and replaced here.
+demo's output) and replaced here. The largest classical algebras that the
+CLI admits by default are pinned the same way, by the digest of ``to_dict``.
 """
 
 from __future__ import annotations
@@ -142,3 +143,22 @@ def test_demo_output_is_byte_identical(demo):
     out = subprocess.run([sys.executable, str(root / "demos" / demo)], capture_output=True,
                          check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
     assert hashlib.sha256(out).hexdigest() == DEMO_DIGESTS[demo]
+
+
+# sha256 of json.dumps(to_dict(g), sort_keys=True) for the largest classical
+# algebras the CLI admits by default (dimension 55-64), computed when every
+# algebra was still built from dense matrices and (P^-1)^T
+CLASSICAL_DIGESTS = {
+    ("sl", 8): "2d4a073cbcd2b5398af31268da9b18fb114e9225413b8d8055a5c23fcd423e6c",
+    ("gl", 8): "96d32177710bc519b1b0aaf30b1b011c2f7af9a0b59493f681031eb1929d62b8",
+    ("so", 11): "46ffdaafa02887cec2e051af32cbe70d63806079c6bc6788f2792ccfb25296ce",
+    ("sp", 10): "f93dc04ef7e4b7f3ea62038c67000ae830ae67adf6b75efd9936edbaed98ae40",
+    ("u", 8): "557dfccc13b0e6dbed42e8a723dd4befe15c25c67ccdd5b3ebf56c3397e322e6",
+    ("su", 8): "666834e41df1a0d0c1969ce2687ed1ca79732cbc46af6a42160d15c033060f8d",
+}
+
+
+@pytest.mark.parametrize("kind, n", CLASSICAL_DIGESTS)
+def test_large_classical_algebra_is_unchanged(kind, n):
+    data = json.dumps(to_dict(classical(kind, n)), sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == CLASSICAL_DIGESTS[kind, n]
