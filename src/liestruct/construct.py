@@ -252,12 +252,16 @@ def classical(kind: str, n: int) -> LieAlgebra:
     """
     if n < 1:
         raise ValueError("size must be positive")
+    # the two indices of a name run together while both are single digits; from
+    # index 10 on they are separated, as "E111" would be both E_1,11 and E_11,1
+    pair = "%d_%d" if (n // 2 if kind == "sp" else n) >= 10 else "%d%d"
     if kind == "gl":
-        basis = [("E%d%d" % (i + 1, j + 1), _units((i, j, 1))) for i in range(n) for j in range(n)]
+        basis = [("E" + pair % (i + 1, j + 1), _units((i, j, 1)))
+                 for i in range(n) for j in range(n)]
     elif kind == "sl":
         if n < 2:
             raise ValueError("sl needs size >= 2")
-        basis = [("E%d%d" % (i + 1, j + 1), _units((i, j, 1)))
+        basis = [("E" + pair % (i + 1, j + 1), _units((i, j, 1)))
                  for i in range(n) for j in range(n) if i != j]
         basis += [("H%d" % (i + 1), _units((i, i, 1), (i + 1, i + 1, -1))) for i in range(n - 1)]
     elif kind == "so":
@@ -271,11 +275,11 @@ def classical(kind: str, n: int) -> LieAlgebra:
         h = n // 2
         # J = [[0, I], [-I, 0]]; basis of {X : X^T J + J X = 0}:
         # blocks [[A, B], [C, -A^T]] with B, C symmetric
-        basis = [("A%d%d" % (i + 1, j + 1), _units((i, j, 1), (h + j, h + i, -1)))
+        basis = [("A" + pair % (i + 1, j + 1), _units((i, j, 1), (h + j, h + i, -1)))
                  for i in range(h) for j in range(h)]
         for i, j in itertools.combinations_with_replacement(range(h), 2):
-            basis += [("B%d%d" % (i + 1, j + 1), _units((i, h + j, 1), (j, h + i, 1))),
-                      ("C%d%d" % (i + 1, j + 1), _units((h + i, j, 1), (h + j, i, 1)))]
+            basis += [("B" + pair % (i + 1, j + 1), _units((i, h + j, 1), (j, h + i, 1))),
+                      ("C" + pair % (i + 1, j + 1), _units((h + i, j, 1), (h + j, i, 1)))]
     elif kind in ("u", "su"):
         if kind == "su" and n < 2:
             raise ValueError("su needs size >= 2")

@@ -18,10 +18,11 @@ summing to 1, each primitive as its image is the unit of the field
 Q[t]/(q). The status is "split" if all q are linear, "nonsplit_real" if the
 others are imaginary quadratic (final over R too), else "nonsplit_unknown".
 
-The candidates are b_1..b_r, then the sums sum_k j^(k-1) b_k for j = 1, 2,
-.... Two distinct embeddings of A/N into C differ on the j-th sum by a
-nonzero polynomial in j of degree < r, so at most C(r, 2)(r - 1) sums fail
-to separate all r embeddings: one of the first C(r, 2)(r - 1) + 1 is primitive.
+The candidates are b_1..b_r, then sum_k k b_k, then the sums sum_k j^(k-1)
+b_k for j = 1, 2, .... Two distinct embeddings of A/N into C differ on the
+j-th sum by a nonzero polynomial in j of degree < r, so at most C(r, 2)(r - 1)
+sums fail to separate all r embeddings: one of the first C(r, 2)(r - 1) + 1
+is primitive.
 
 A/N is commutative wherever the search runs: `primitive_idempotents`
 requires a commutative centroid, and under `indecompose`'s hypothesis
@@ -30,13 +31,15 @@ z(g) inside [g, g], a commutator fh - hf of centroid elements kills [g, g]
 elements that do both form an ideal whose products vanish (z(g) lies in
 [g, g]), so it lies in N, and so do the commutators.
 
-The search runs in the regular representation (the d x d matrices L_b,
-d = dim Cent), faithful as Cent contains 1, so the kernel of its trace form
-tr(L_a L_b) is the radical N (in characteristic zero, a nil ideal holding
-every nilpotent ideal), read off Cent's table once per algebra. L_x 1 is
-the coordinate column of x, so minimal polynomials and idempotents come
-from products with that column. The idempotents come back to End(g) once,
-as the sparse int columns of the checks, ideals and images.
+The search runs on a unital structure table and the coordinates of its 1:
+Cent's table, read off once per algebra, or a coefficient algebra's own.
+The kernel of the table's trace form tr(L_a L_b) is the radical N (in
+characteristic zero, a nil ideal holding every nilpotent ideal). As x 1 = x,
+f's minimal polynomial is the first dependency among its Krylov vectors
+f^k 1 (Parker's spinning), products in the table over its constants scaled
+to ints, and each e(f) = e(f) 1 is a combination of those vectors: no d x d
+matrix and no Horner step (d = dim Cent). The idempotents come back to End(g)
+once, as the sparse int columns of the checks, ideals and images.
 
 All arithmetic is exact, so every claimed identity (p^2 = p, orthogonality,
 completeness) holds on the nose, not up to tolerance.
@@ -44,23 +47,25 @@ completeness) holds on the nose, not up to tolerance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import LiestructError, PreconditionError, SeparatingElementError
 from .endo import (EndoSpace, _algebra_table, _apply, _centroid_radical, _centroid_table,
-                   _compose, _int_columns, _subtract, centroid,
+                   _compose, _int_columns, _one, _subtract, centroid,
                    check_abelian, split_centroid)
-from .lie import LieAlgebra, _memoized
-from .linalg import Matrix, Subspace, _int_row, kernel_basis, unit_vector
+from .lie import LieAlgebra, _integral, _memoized
+from .linalg import Matrix, Subspace, _int_row, _span, kernel_basis
 from .poly import (
     _crt_idempotent,
+    _krylov,
     _rational_square_root,
     degree,
     factor,
     min_poly,
-    poly_eval_matrix,
     poly_mod,
     poly_mul,
     squarefree_part,
@@ -146,36 +151,60 @@ def centroid_radical(cent: EndoSpace) -> Subspace:
 # Primitive idempotents from one primitive element
 # ---------------------------------------------------------------------------
 
-def _candidates(basis: list[Matrix], bound: int):
-    """Deterministic stream: basis elements, then the sums sum_k j^k b_k for j = 1..bound."""
-    yield from basis
-    zero = Matrix.zero(basis[0].nrows, basis[0].ncols)
-    for j in range(1, bound + 1):
-        yield sum((b.scale(j ** k) for k, b in enumerate(basis)), zero)
+def _scaled(v) -> tuple[int, dict]:
+    """(s, w): w = s v as ``{index: int}``, s the least common denominator of v."""
+    s = lcm(*(x.denominator for x in v))
+    return s, {i: x.numerator * (s // x.denominator) for i, x in enumerate(v) if x}
 
 
-def _split_local(unit: Matrix, basis: list[Matrix]):
-    """Primitive idempotents of a matrix algebra with identity ``unit`` (or a column it
-    acts on faithfully), from ``basis``, a basis modulo its radical (module docs).
+def _times(nz, x: dict, y: dict) -> dict:
+    """x y as ``{index: int}``, for x and y as ``{index: int}`` and the int constants ``nz``."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            for k, c in nz[i][j]:
+                out[k] = out.get(k, 0) + a * b * c
+    return {k: v for k, v in out.items() if v}
 
-    Returns (the primitive idempotents times ``unit``, which sum to ``unit``, status).
+
+def _minimal_polynomials(nz, den: int, one: dict, off):
+    """For each candidate f, in order (module docs), as a map of coordinates on ``off``,
+    a basis modulo the radical: its minimal polynomial and its Krylov vectors den^k f^k
+    one (``poly._krylov``), products over the int constants ``nz``, den times the
+    table's. SeparatingElementError once the candidates run out."""
+    r = len(off)
+    bound = r * (r - 1) // 2 * (r - 1) + 1
+    for f in itertools.chain(({b: 1} for b in off), [dict(zip(off, range(1, r + 1)))],
+                             ({b: j ** k for k, b in enumerate(off)} for j in range(1, bound + 1))):
+        yield _krylov(lambda v: _times(nz, f, v), one, len(nz), den)
+    raise SeparatingElementError("no primitive element found: no candidate generates "
+                                 "the residue algebra of dimension %d" % r)
+
+
+def _split(table, one, rad: Subspace):
+    """Primitive idempotents of a unital associative table with a commutative residue
+    algebra, from the coordinates ``one`` of its 1 and its radical ``rad`` (module docs).
+
+    Returns (each idempotent's coordinates, which sum to ``one``, status).
     """
-    r = len(basis)
-    if r == 1:  # residue field Q: a local algebra, the unit is primitive
-        return [unit], "split"
-    for f in _candidates(basis, r * (r - 1) // 2 * (r - 1) + 1):
-        m = min_poly(f, unit=unit)
-        if degree(m) >= r and degree(p := squarefree_part(m)) == r:
+    off = [b for b in range(table.dim) if b not in rad.pivots]
+    (s, unit), (den, nz) = _scaled(one), _integral(table._nonzero)
+    for m, powers in _minimal_polynomials(nz, den, unit, off):
+        if degree(m) >= len(off) and degree(p := squarefree_part(m)) == len(off):
             break
-    else:
-        raise SeparatingElementError("no primitive element found: no candidate generates "
-                                     "the residue algebra of dimension %d" % r)
     idems, worst = [], 0
     for q in factor(p):
         primary = q  # the q-primary part of m, so that e(f) is idempotent on the nose
         while not poly_mod(m, poly_mul(primary, q)):
             primary = poly_mul(primary, q)
-        idems.append(poly_eval_matrix(_crt_idempotent(m, primary), f, unit=unit))
+        # e(f) 1 = sum_k e_k f^k 1 = sum_k e_k powers[k] / (s den^k), over one denominator
+        over, e = _scaled(_crt_idempotent(m, primary))
+        top, acc = max(e), {}
+        for k, c in e.items():
+            for i, x in powers[k].items():
+                acc[i] = acc.get(i, 0) + c * den ** (top - k) * x
+        idems.append(tuple(Fraction(acc.get(i, 0), over * s * den ** top)
+                           for i in range(table.dim)))
         real = degree(q) == 2 and q[1] * q[1] - 4 * q[0] < 0
         worst = max(worst, 0 if degree(q) == 1 else 1 if real else 2)
     return idems, STATUSES[worst]
@@ -187,7 +216,7 @@ def primitive_idempotents(cent: EndoSpace) -> tuple[IdempotentSet, str]:
     Returns (idempotents, status): "split" when every residue field is Q,
     "nonsplit_real" when the others are imaginary quadratic (the decomposition
     is final over R too), else "nonsplit_unknown" (it may be coarser than the
-    real one). The search runs in cent's regular representation (module docs).
+    real one). The search runs on cent's multiplication table (module docs).
     """
     table = _algebra_table(cent)
     check_abelian(cent, table)
@@ -202,15 +231,10 @@ def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace):
     """
     if not cent.dim:
         raise PreconditionError("centroid is zero-dimensional")
-    n, d = cent.n, cent.dim
+    n = cent.n
     if not cent.space.contains({c * (n + 1): 1 for c in range(n)}):
         raise PreconditionError("centroid does not contain the identity")
-    pivots = set(rad.pivots)  # L_b for the b off them: a basis mod rad, faithful as 1 is in Cent
-    regular = [Matrix.unflatten(m, d, d)
-               for i, m in enumerate(table._flat_left()) if i not in pivots]
-    one = Matrix([[int(p % (n + 1) == 0)] for p in cent.space.pivots])  # L_x 1: x's coordinates
-    found, status = _split_local(one, regular)
-    coords = [p.flatten() for p in found]
+    coords, status = _split(table, _one(cent), rad)
     idems = [Matrix.unflatten(cent.space.combine(c), n, n) for c in coords]
     # exactness checks on the int columns of the den p: p^2 = p, p q = 0, den (1 - sum p) = 0
     den, cols = _int_columns(idems)
@@ -225,6 +249,34 @@ def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace):
     if rest:
         raise LiestructError("projections do not sum to the identity")
     return IdempotentSet(tuple(idems)), status, coords, cols
+
+
+@_memoized
+def _coefficient_idempotents(a) -> tuple:
+    """The primitive idempotents of a commutative coefficient algebra A, as
+    coordinates, from the search on A's own table and unit, checked there: e^2 = e,
+    e e' = 0 and sum e = 1. Memoized per A, which compares by value."""
+    idems, _ = _split(a, a.unit, kernel_basis(a._trace_form()))
+    for i, e in enumerate(idems):
+        if any(a._product(e, f) != (f if f is e else (0,) * a.dim) for f in idems[i:]):
+            raise LiestructError("coefficient idempotent %d is not idempotent, or not "
+                                 "orthogonal to a later one" % i)
+    if tuple(map(sum, zip(*idems))) != a.unit:
+        raise LiestructError("coefficient idempotents do not sum to the unit")
+    return tuple(idems)
+
+
+def _centroid_is_field(g: LieAlgebra) -> bool:
+    """Whether Cent(g) is a field, for a semisimple g, whose centroid is a product of
+    fields, one per simple ideal. The candidates of the search decide: a minimal
+    polynomial with two irreducible factors gives a nontrivial idempotent, and an
+    irreducible one of degree dim Cent generates Cent."""
+    cent = centroid(g)
+    (_, unit), (den, nz) = _scaled(_one(cent)), _integral(_centroid_table(g)._nonzero)
+    for m, _ in _minimal_polynomials(nz, den, unit, range(cent.dim)):
+        factors = factor(squarefree_part(m))
+        if len(factors) > 1 or degree(factors[0]) == cent.dim:
+            return len(factors) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +314,12 @@ def indecompose(g: LieAlgebra) -> DecompositionReport:
     ideals = [Subspace.span([dict(col) for col in a], n) for a in cols]
     if sum(s.dim for s in ideals) != n:
         raise LiestructError("ideal dimensions do not sum to dim g")
-    # p_i b_k p_j in coordinates, products in Cent's table
-    blocks = [[Subspace.span([table._product(ci, table._product(unit_vector(d, k), cj))
-                              for k in range(d)], d).dim for cj in coords] for ci in coords]
+    # p_i Cent p_j = p_i (Cent p_j): a basis of each Cent p_j from its d products b_k p_j,
+    # then each p_i on it, in ints over Cent's table
+    _, nz = _integral(table._nonzero)
+    ps = [_int_row(c) for c in coords]
+    right = [_span((_times(nz, {k: 1}, p) for k in range(d)), d).sparse_rows() for p in ps]
+    blocks = [[_span((_times(nz, p, w) for w in rows), d).dim for rows in right] for p in ps]
     if sum(sum(row) for row in blocks) != d:
         raise LiestructError("Peirce block dimensions do not sum to dim Cent")
     # g is the direct sum of the g_i = im(p_i): p_i z(g) = z(g_i), p_i [g,g] = [g_i,g_i]
@@ -316,8 +371,8 @@ def complex_structure(g: LieAlgebra) -> Optional[ComplexStructure]:
             "inconsistency: semisimple part of the centroid has dimension %d "
             "> 2 on an indecomposable algebra" % sspace.dim
         )
-    # S in Cent's coordinates, where the identity's are 1 at the diagonal pivots
-    one = [Fraction(p % (n + 1) == 0) for p in cent.space.pivots]
+    # S in Cent's coordinates
+    one = _one(cent)
     f = next((x for x in map(cent.space.coordinates, sspace.space.sparse_rows())
               if Subspace.span([one, x], cent.dim).dim == 2), None)
     if f is None:

@@ -502,10 +502,9 @@ def _centroid_table(g: LieAlgebra) -> _StructureTable:
     return _algebra_table(centroid(g))
 
 
-def _from_regular(space: EndoSpace, m: Matrix) -> Vector:
-    """The coordinates c of x = sum c_k b_k in ``space`` with L_x = m: c = L_x 1,
-    for the coordinates of 1 are 1 at the diagonal pivots."""
-    return m.apply([Fraction(p % (space.n + 1) == 0) for p in space.space.pivots])
+def _one(space: EndoSpace) -> Vector:
+    """The coordinates of the identity in ``space``'s basis: 1 at the diagonal pivots."""
+    return tuple(Fraction(p % (space.n + 1) == 0) for p in space.space.pivots)
 
 
 def check_abelian(space: EndoSpace, table: _StructureTable):
@@ -536,7 +535,8 @@ def split_centroid(g: LieAlgebra) -> tuple[EndoSpace, EndoSpace]:
     table = _centroid_table(g)
     check_abelian(cent, table)
     n, d, rad = g.dim, cent.dim, _centroid_radical(g)
-    semi = [cent.space.combine(_from_regular(cent, jordan_chevalley(Matrix.unflatten(m, d, d))[0]))
+    # s(b) = s(L_b) 1 in coordinates, s(L_b) the Jordan-Chevalley part of L_b
+    semi = [cent.space.combine(jordan_chevalley(Matrix.unflatten(m, d, d))[0].apply(_one(cent)))
             for k, m in enumerate(table._flat_left()) if rad.dim and k not in rad.pivots]
     nspace = EndoSpace("nilpotent_part", n, _span([cent.space.combine(r) for r in rad.rows], n * n))
     sspace = EndoSpace("semisimple_part", n, Subspace.span(semi, n * n) if semi else cent.space)

@@ -43,7 +43,8 @@ _memo = weakref.WeakKeyDictionary()
 
 
 def _memoized(fn):
-    """Memoize ``fn(g, *args)`` per Lie algebra ``g``, for as long as g lives.
+    """Memoize ``fn(g, *args)`` per algebra ``g``, for as long as g lives: a Lie
+    algebra, or a commutative coefficient algebra.
 
     The memo is keyed by g's value, so an equal algebra built separately
     while g is alive gets the stored result; the remaining arguments must be
@@ -319,7 +320,9 @@ class LieAlgebra(_StructureTable):
     def _flags(self) -> dict:
         """The flags from g's own invariants. If g = z(g) + [g,g], then for x, y
         in [g,g] ad_x ad_y kills z(g) and maps into [g,g]; so g is reductive iff
-        g's Killing form restricted to [g,g], B kappa B^T, is nondegenerate."""
+        g's Killing form restricted to [g,g], B kappa B^T, is nondegenerate. A
+        semisimple g is simple iff its centroid, a product of fields, one per
+        simple ideal, is a field."""
         comm = self.commutator_algebra()
         center = self.center()
         abelian = comm.is_zero()
@@ -337,9 +340,9 @@ class LieAlgebra(_StructureTable):
             reductive = r == comm.dim
         simple = False
         if semisimple and not abelian:
-            from .decompose import indecompose
+            from .decompose import _centroid_is_field
 
-            simple = len(indecompose(self).ideals) == 1
+            simple = _centroid_is_field(self)
         return {
             "abelian": abelian,
             "nilpotent": nilpotent,

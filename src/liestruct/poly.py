@@ -169,31 +169,37 @@ def min_poly(m: Matrix, unit: Optional[Matrix] = None) -> Poly:
     minimal polynomial of m as an element of the unital algebra generated by
     m and unit, such as a corner algebra eCe with identity e. A column v as
     ``unit`` gives the least q with q(m) v = 0, m's minimal polynomial when v
-    is 1 in a faithful regular representation.
-
-    m^k unit go into one integer echelon, flattened and tagged with a 1 in
-    column size + k (size: the unit's entry count). The first row that
-    reduces to tag columns alone is the first dependent power; its tags over
-    the tag of m^k are the result.
+    is 1 in a faithful regular representation. The powers m^k unit, flattened,
+    are the Krylov vectors of :func:`_krylov`.
     """
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     unit = Matrix.identity(m.nrows) if unit is None else unit
-    size = unit.nrows * unit.ncols
-    pivots: dict[int, dict[int, int]] = {}
+    shape = unit.nrows, unit.ncols
+    return _krylov(lambda v: dict(enumerate((m @ Matrix.unflatten(v, *shape)).flatten())),
+                   dict(enumerate(unit.flatten())), shape[0] * shape[1])[0]
 
-    def tagged_powers():
-        current = unit
+
+def _krylov(times, one: dict, size: int, step: int = 1) -> tuple[Poly, list]:
+    """(m, powers): the least monic m with m(x) one = 0, and powers[k] = step^k x^k one
+    for k < deg m, where ``times`` maps a vector v to step x v, vectors as ``{col:
+    value}`` with col < size. The vectors go into one integer echelon, each tagged with
+    a 1 in column size + k; the first that reduces to tags alone is the first dependent
+    power, and its tags, each times step^k, are the coefficients of m."""
+    pivots, powers = {}, [one]
+
+    def tagged():
         for k in range(size + 1):
-            yield list(current.flatten()) + [0] * k + [1]
+            yield {**powers[k], size + k: 1}
             if next(reversed(pivots)) >= size:
-                return  # the row of m^k is all tags
-            current = m @ current
+                return  # the row of x^k is all tags
+            powers.append(times(powers[k]))
 
-    _echelon(tagged_powers(), pivots)
-    dependency = pivots[next(reversed(pivots))]
-    top = max(dependency)
-    return [Fraction(dependency.get(j, 0), dependency[top]) for j in range(size, top + 1)]
+    _echelon(tagged(), pivots)
+    dep = pivots[next(reversed(pivots))]
+    deg = max(dep) - size
+    return ([Fraction(dep.get(size + k, 0) * step ** k, dep[size + deg] * step ** deg)
+             for k in range(deg + 1)], powers[:deg])
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from .construct import (
     point_functions,
     truncated_poly,
 )
-from .decompose import primitive_idempotents
-from .endo import EndoSpace, centroid, derivations, j_space, leibniz_system, split_centroid
+from .decompose import _coefficient_idempotents, indecompose
+from .endo import centroid, derivations, j_space, leibniz_system, split_centroid
 from .errors import LiestructError, PreconditionError, TruncationError
 from .lie import LieAlgebra, _memoized
 from .linalg import (
@@ -359,11 +359,6 @@ def centroid_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     }
 
 
-def _multiplication_endospace(a: CommutativeAlgebra) -> EndoSpace:
-    """The regular representation of A as a commutative matrix algebra."""
-    return EndoSpace("centroid", a.dim, Subspace.span(a._flat_left(), a.dim * a.dim))
-
-
 def indecomposability_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     """Ideal count of k (x) A against the idempotent count of A.
 
@@ -371,8 +366,6 @@ def indecomposability_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) ->
     decomposes exactly along the primitive idempotents of A: one ideal for a
     local A (connected base), s ideals for A = Q^s (s points).
     """
-    from .decompose import indecompose
-
     if j_space(k).dim != 0:
         raise PreconditionError(
             "Hom(k/[k,k], z(k)) is nonzero (dim %d); the indecomposability "
@@ -381,7 +374,7 @@ def indecomposability_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) ->
     if len(indecompose(k).ideals) != 1:
         raise PreconditionError("k is decomposable; the check needs an "
                                 "indecomposable fiber")
-    expected_idems, _ = primitive_idempotents(_multiplication_endospace(a))
+    expected_idems = _coefficient_idempotents(a)
     g = current_algebra(k, a)
     report = indecompose(g)
     return {

@@ -25,9 +25,11 @@ from liestruct import (
     current_algebra,
     direct_sum,
     example_algebra,
+    from_dict,
     point_functions,
     quadratic_extension,
     tensor_vector,
+    to_dict,
     truncated_poly,
 )
 from liestruct.linalg import kron, solve, unit_vector, vector, zero_vector
@@ -93,6 +95,24 @@ def test_so2_is_abelian():
 def test_u2_center():
     g = classical("u", 2)
     assert g.center().dim == 1 and g.flags()["reductive"]
+
+
+def _families_up_to(max_dim):
+    """(kind, n) of every classical algebra of dimension at most max_dim."""
+    dims = {"sl": lambda n: n * n - 1, "gl": lambda n: n * n, "so": lambda n: n * (n - 1) // 2,
+            "sp": lambda n: n * (n + 1) // 2, "u": lambda n: n * n, "su": lambda n: n * n - 1}
+    first = {"sl": 2, "gl": 1, "so": 2, "sp": 2, "u": 1, "su": 2}
+    return [(kind, n) for kind, dim in dims.items()
+            for n in range(first[kind], max_dim + 1, 2 if kind == "sp" else 1) if dim(n) <= max_dim]
+
+
+@pytest.mark.parametrize("kind, n", _families_up_to(64) + [("sl", 11), ("gl", 11), ("sp", 22)])
+def test_classical_names_are_distinct_and_round_trip(kind, n):
+    # from sl:11, gl:11 and sp:22 on, two indices run together would repeat
+    # names ("E111" for E_1,11 and E_11,1), which from_dict refuses
+    g = classical(kind, n)
+    assert len(set(g.names)) == g.dim
+    assert from_dict(to_dict(g)) == g
 
 
 def test_classical_rejects_bad_input():

@@ -20,7 +20,8 @@ from liestruct import (
     truncated_poly,
 )
 from liestruct.decompose import (
-    _split_local,
+    STATUSES,
+    IdempotentSet,
     centroid_radical,
     complex_structure,
     indecompose,
@@ -28,6 +29,61 @@ from liestruct.decompose import (
 )
 from liestruct.errors import LiestructError, PreconditionError, SeparatingElementError
 from liestruct.linalg import Matrix, Subspace, kernel_basis, kron, unit_vector, vector
+from liestruct.poly import (
+    _crt_idempotent,
+    degree,
+    factor,
+    min_poly,
+    poly_eval_matrix,
+    poly_mod,
+    poly_mul,
+    squarefree_part,
+)
+
+
+# ---------------------------------------------------------------------------
+# the dense oracle: the idempotent search on matrices
+# ---------------------------------------------------------------------------
+#
+# The library searches a structure table with integer Krylov vectors on its
+# unit. The oracle is the search as it ran on matrices: a basis of a matrix
+# algebra modulo its radical, the same stream of candidates as dense matrix
+# sums, minimal polynomials against a unit (or a column it acts on
+# faithfully) by poly.min_poly, and idempotents by Horner evaluation.
+
+
+def _oracle_candidates(basis, bound):
+    """The basis, then sum (k + 1) b_k, then the sums sum_k j^k b_k for j = 1..bound."""
+    yield from basis
+    zero = Matrix.zero(basis[0].nrows, basis[0].ncols)
+    yield sum((b.scale(k + 1) for k, b in enumerate(basis)), zero)
+    for j in range(1, bound + 1):
+        yield sum((b.scale(j ** k) for k, b in enumerate(basis)), zero)
+
+
+def _split_local(unit, basis):
+    """(the primitive idempotents times ``unit``, status) of the matrix algebra with
+    identity ``unit`` (or a column it acts on faithfully), from ``basis``, a basis
+    modulo its radical."""
+    r = len(basis)
+    if r == 1:
+        return [unit], "split"
+    for f in _oracle_candidates(basis, r * (r - 1) // 2 * (r - 1) + 1):
+        m = min_poly(f, unit=unit)
+        if degree(m) >= r and degree(p := squarefree_part(m)) == r:
+            break
+    else:
+        raise SeparatingElementError("no primitive element found: no candidate generates "
+                                     "the residue algebra of dimension %d" % r)
+    idems, worst = [], 0
+    for q in factor(p):
+        primary = q
+        while not poly_mod(m, poly_mul(primary, q)):
+            primary = poly_mul(primary, q)
+        idems.append(poly_eval_matrix(_crt_idempotent(m, primary), f, unit=unit))
+        real = degree(q) == 2 and q[1] * q[1] - 4 * q[0] < 0
+        worst = max(worst, 0 if degree(q) == 1 else 1 if real else 2)
+    return idems, STATUSES[worst]
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +305,11 @@ def test_complex_structure_of_decomposable_current(sl2):
 # centroid arithmetic in the regular representation, against End(g)
 # ---------------------------------------------------------------------------
 #
-# The library runs Jordan-Chevalley, the idempotent search, the Peirce blocks
-# and the minimal polynomial of complex_structure on the d x d matrices L_b of
-# Cent(g)'s regular representation. The references below do the same work on
-# the dim g x dim g centroid basis matrices, as the search did before it had a
-# multiplication table of the centroid.
+# The library runs Jordan-Chevalley and the minimal polynomial of
+# complex_structure on the d x d matrices L_b of Cent(g)'s regular
+# representation, and the idempotent search and the Peirce blocks on Cent's
+# multiplication table. The references below do the same work on the
+# dim g x dim g centroid basis matrices, the search by the dense oracle.
 
 
 def _outcome(fn):
@@ -564,9 +620,8 @@ def test_a_residue_field_stops_the_idempotent_search(rebase, monkeypatch, name):
     field, seed, status = FIELD_REBASINGS[name]
     g = rebase(current_algebra(classical("sl", 2), field()), seed)
     calls = []
-    min_poly = decompose.min_poly
-    monkeypatch.setattr(decompose, "min_poly",
-                        lambda *args, **kwargs: calls.append(1) or min_poly(*args, **kwargs))
+    krylov = decompose._krylov
+    monkeypatch.setattr(decompose, "_krylov", lambda *args: calls.append(1) or krylov(*args))
     report = indecompose.__wrapped__(g)
     assert report.ideals == (Subspace.full(g.dim),) and report.status == status
     assert len(calls) <= 2
@@ -615,8 +670,12 @@ def _span_of(mats):
 
 
 def _search(unit, basis):
-    """The search on ``basis``, its radical from the Gram."""
-    return _split_local(unit, _off_radical(basis))
+    """The oracle on ``basis``, its radical from the Gram. The library's search on the
+    table of the algebra that ``basis`` spans finds the same family and status."""
+    found, status = _split_local(unit, _off_radical(basis))
+    idems, got = primitive_idempotents(endo.EndoSpace("commutant", unit.nrows, _span_of(basis)))
+    assert (set(idems), got) == (set(found), status)
+    return found, status
 
 
 # Q[x]/(x^2) x Q on Q^2 + Q, and Q(i) x Q on Q(i) + Q
@@ -715,7 +774,26 @@ def test_a_basis_of_no_algebra_has_no_separating_element():
     # degree 3, so the search stops after its C(3, 2) 2 + 1 weighted sums
     e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
     with pytest.raises(SeparatingElementError, match="dimension 3"):
-        _search(Matrix.identity(2), [Matrix.identity(2), e12, e21])
+        _split_local(Matrix.identity(2), _off_radical([Matrix.identity(2), e12, e21]))
+
+
+def test_a_table_of_no_algebra_has_no_separating_element():
+    # 1, x, y with x^2 = y^2 = 1 and xy = yx = 0 is commutative but not associative
+    # ((xx)y = y, x(xy) = 0). Its trace form is diag(3, 2, 2), nondegenerate, yet
+    # (c + ax + by)^2 = a^2 + b^2 + c^2 + 2c(ax + by) lies in the span of 1 and the
+    # candidate: no minimal polynomial has degree 3
+    from liestruct import decompose
+    from liestruct.lie import _StructureTable
+
+    table = _StructureTable(["1", "x", "y"], {
+        (0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1}, (2, 0): {2: 1},
+        (1, 1): {0: 1}, (2, 2): {0: 1}})
+    rad = kernel_basis(table._trace_form())
+    assert rad.is_zero()
+    with pytest.raises(SeparatingElementError, match="dimension 3"):
+        decompose._split(table, vector([1, 0, 0]), rad)
+    with pytest.raises(SeparatingElementError, match="dimension 3"):
+        _split_local(Matrix([[1], [0], [0]]), _regular_of(table))
 
 
 @pytest.mark.parametrize("name", ["h3 + h3", "two_dim + h3", "two_dim + h3 + sl3"])
@@ -741,3 +819,192 @@ def test_an_idempotent_set_missing_a_factor_is_refused(monkeypatch, spec):
     monkeypatch.setattr(decompose, "factor", lambda p: factor(p)[1:])
     with pytest.raises(LiestructError, match="do not sum to the identity"):
         indecompose.__wrapped__(parse_algebra(spec))
+
+
+# ---------------------------------------------------------------------------
+# the table search against the dense oracle
+# ---------------------------------------------------------------------------
+
+
+def _power_basis_algebra(relation):
+    """Q[x]/(x^n - sum_k relation[k] x^k) on the power basis 1, x, ..., x^(n-1)."""
+    from liestruct.construct import CommutativeAlgebra
+
+    n = len(relation)
+    pw = [[int(i == k) for i in range(n)] for k in range(n)]
+    for _ in range(n - 1):  # x^(n+t) = x x^(n+t-1), with x^n replaced by the relation
+        top = pw[-1][-1]
+        pw.append([top * c + (pw[-1][i - 1] if i else 0) for i, c in enumerate(relation)])
+    return CommutativeAlgebra(["x%d" % i for i in range(n)], pw[0],
+                              [[pw[i + j] for j in range(n)] for i in range(n)])
+
+
+def _biquadratic_field():
+    """Q(sqrt 2, sqrt 3) on the basis 1, a, b, ab (a^2 = 2, b^2 = 3)."""
+    from liestruct.construct import CommutativeAlgebra
+
+    def mul(i, j):  # bit 0 of an index is a, bit 1 is b
+        return {i ^ j: (2 if i & j & 1 else 1) * (3 if i & j & 2 else 1)}
+
+    return CommutativeAlgebra(["1", "a", "b", "ab"], [1, 0, 0, 0],
+                              {(i, j): mul(i, j) for i in range(4) for j in range(4)})
+
+
+def _sl2_over(field):
+    return current_algebra(classical("sl", 2), field)
+
+
+# sl:2 over K1 x K2, two cubic fields, x^6 = 1 - x^2 + 2 x^4 on the power basis
+TWO_CUBIC = (1, 0, -1, 0, 2, 0)
+
+
+_ORACLE_SPECS = ("su:3", "gl:3", "u:3", "so:5", "sp:4", "cur:sl:2,jet:1,3", "cur:sl:2,jet:2,2",
+                 "sum:sl:2+sl:3", "ex:2dim") + tuple("cur:sl:2,points:%d" % k for k in range(1, 13))
+_ORACLE_FIXTURES = ("abelian2", "heisenberg3", "oscillator6", "gl2")
+_ORACLE_REBASED = ("sum:sl:2+sl:2+sl:2", "cur:sl:2,points:3", "sl2 x Q(i)", "two_dim + h3",
+                   "fld:r2r3")
+ORACLE_CASES = (REGULAR_CASES + _ORACLE_SPECS + _ORACLE_FIXTURES + ("two cubic", "fld:r2r3")
+                + tuple("%s, seed %d" % (name, seed) for name in _ORACLE_REBASED for seed in range(2)))
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(request, regular_cases, rebase):
+    from liestruct.cli import parse_algebra
+
+    cases = dict(regular_cases)
+    cases.update({spec: parse_algebra(spec) for spec in _ORACLE_SPECS})
+    cases.update({name: request.getfixturevalue(name) for name in _ORACLE_FIXTURES})
+    cases["two cubic"] = _sl2_over(_power_basis_algebra(TWO_CUBIC))
+    cases["fld:r2r3"] = _sl2_over(_biquadratic_field())
+    for name in _ORACLE_REBASED:
+        for seed in range(2):
+            cases["%s, seed %d" % (name, seed)] = rebase(cases[name], seed)
+    return cases
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_table_search_matches_the_dense_oracle(oracle_cases, name):
+    # the same idempotents in the same order and the same status, or the same
+    # refusal, as the oracle on the dim g x dim g centroid basis matrices
+    from liestruct import decompose
+
+    g = oracle_cases[name]
+    cent = endo.centroid(g)
+
+    def table_search():
+        idems, status, _, _ = decompose._primitive_idempotents_any(
+            cent, endo._centroid_table(g), endo._centroid_radical(g))
+        return idems.projections, status
+
+    def oracle():
+        idems, status = _split_local(Matrix.identity(g.dim), _off_radical(cent.basis_matrices()))
+        return tuple(idems), status
+
+    assert _outcome(table_search) == _outcome(oracle)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("rep", [[_X, _E], [_I, _E]], ids=["jet-x-point", "gauss-x-point"])
+def test_table_search_matches_the_dense_oracle_on_chosen_commutants(rep, seed):
+    cent = endo.module_commutant(_conjugated(rep, seed))
+    idems, status = _split_local(Matrix.identity(3), _off_radical(cent.basis_matrices()))
+    assert primitive_idempotents(cent) == (IdempotentSet(tuple(idems)), status)
+
+
+def test_a_centroid_table_with_one_wrong_constant_is_refused(monkeypatch):
+    # Cent(sl2 (x) Q^3) = Q^3: one constant of its table raised by 1, for each of the
+    # 27. The search trusts the table, the checks in End(g) do not: each wrong table
+    # is refused, or still gives the true primitive idempotents (in some order)
+    from liestruct import decompose
+    from liestruct.cli import parse_algebra
+    from liestruct.lie import _StructureTable
+
+    g = parse_algebra("cur:sl:2,points:3")
+    table, true = endo._centroid_table(g), indecompose(g)
+    refused = {}
+    for i, j, k in itertools.product(range(3), repeat=3):
+        products = {(a, b): dict(v) for a, row in enumerate(table._nonzero)
+                    for b, v in enumerate(row)}
+        products[i, j][k] = products[i, j].get(k, 0) + 1
+        wrong = _StructureTable(table.names, products)
+        monkeypatch.setattr(decompose, "_centroid_table", lambda g: wrong)
+        try:
+            report = indecompose.__wrapped__(g)
+        except LiestructError as exc:
+            refused[i, j, k] = str(exc)
+            continue
+        assert set(report.idempotents) == set(true.idempotents)
+        assert set(report.ideals) == set(true.ideals) and report.blocks == true.blocks
+    assert refused[0, 0, 1] == "projection 0 is not idempotent"
+    assert set(refused.values()) == {"projection 0 is not idempotent",
+                                     "projection 1 is not idempotent",
+                                     "Peirce block dimensions do not sum to dim Cent"}
+
+
+def test_a_coefficient_table_with_one_wrong_constant_is_refused(monkeypatch):
+    # Q^3 with one constant raised by 1, for each of the 27, past the constructor's
+    # checks: the search on A's own table is refused by the checks in that table
+    from liestruct import decompose
+    from liestruct.construct import CommutativeAlgebra
+
+    a = point_functions(3)
+    monkeypatch.setattr(CommutativeAlgebra, "_validate", lambda self: None)
+    for i, j, k in itertools.product(range(3), repeat=3):
+        products = {(x, y): dict(v) for x, row in enumerate(a._nonzero)
+                    for y, v in enumerate(row)}
+        products[i, j][k] = products[i, j].get(k, 0) + 1
+        with pytest.raises(LiestructError, match="coefficient idempotent"):
+            decompose._coefficient_idempotents.__wrapped__(
+                CommutativeAlgebra(a.names, a.unit, products))
+
+
+def test_coefficient_idempotents_are_memoized_by_value():
+    from liestruct import decompose
+
+    a = point_functions(4)  # an equal A built while a lives is served a's entry
+    first = decompose._coefficient_idempotents(a)
+    assert decompose._coefficient_idempotents(point_functions(4)) is first
+    assert sorted(first) == sorted(unit_vector(4, i) for i in range(4))
+
+
+# ---------------------------------------------------------------------------
+# simple: Cent(g) is a field
+# ---------------------------------------------------------------------------
+
+SEMISIMPLE_SPECS = ("sl:2", "sl:3", "sl:4", "so:3", "so:4", "so:5", "so:6", "sp:2", "sp:4",
+                    "sp:6", "su:2", "su:3", "sum:sl:2+sl:3", "sum:sl:2+sl:2+sl:2",
+                    "cur:sl:2,points:1", "cur:sl:2,points:3", "cur:sl:3,points:2")
+
+
+def _fields():
+    return {
+        "fld:i": _sl2_over(quadratic_extension(-1)),
+        "fld:r2": _sl2_over(quadratic_extension(2)),
+        "fld:c2": _sl2_over(_power_basis_algebra((2, 0, 0))),
+        "two cubic": _sl2_over(_power_basis_algebra(TWO_CUBIC)),
+        "fld:r2r3": _sl2_over(_biquadratic_field()),
+    }
+
+
+def _simple_agrees(g):
+    assert g.flags()["semisimple"]
+    return g.flags()["simple"] == (len(indecompose(g).ideals) == 1)
+
+
+@pytest.mark.parametrize("spec", SEMISIMPLE_SPECS)
+def test_simple_flag_agrees_with_the_ideal_count(spec):
+    from liestruct.cli import parse_algebra
+
+    assert _simple_agrees(parse_algebra(spec))
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("parts", ["fld:i", "fld:i+fld:r2", "two cubic", "fld:r2r3",
+                                   "fld:c2+sl:2", "sl:2+sl:2"])
+def test_simple_flag_agrees_on_rebased_sums_of_simple_algebras(rebase, parts, seed):
+    # centroids Q(i), Q(i) x Q(sqrt 2), K1 x K2, Q(sqrt 2, sqrt 3), Q(cbrt 2) x Q, Q x Q
+    fields = _fields()
+    g = direct_sum([fields[p] if p in fields else classical("sl", 2) for p in parts.split("+")])
+    g = rebase(g, seed)
+    assert _simple_agrees(g)
+    assert g.flags()["simple"] == (parts in ("fld:i", "fld:r2r3"))

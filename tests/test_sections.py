@@ -39,6 +39,8 @@ from liestruct import (
     truncated_poly,
     x_derivations,
 )
+from liestruct.decompose import _coefficient_idempotents, primitive_idempotents
+from liestruct.endo import EndoSpace
 from liestruct.linalg import Subspace, kron, unit_vector, vector, zero_vector
 from liestruct.poly import jordan_chevalley
 
@@ -456,9 +458,11 @@ def test_multiplications_are_the_regular_representation(a_name):
     a = _COEFFICIENTS[a_name]()
     dense = [a.mult_matrix(unit_vector(a.dim, p)) for p in range(a.dim)]
     assert a._flat_left() == [_sparse(m) for m in dense]
-    assert sections._multiplication_endospace(a).space == Subspace.span(
-        [m.flatten() for m in dense], a.dim * a.dim
-    )
+    # A's idempotents, searched on its own table, are those of its regular
+    # representation, searched as a matrix algebra on the table of that span
+    regular = EndoSpace("centroid", a.dim, Subspace.span([m.flatten() for m in dense], a.dim ** 2))
+    idems, _ = primitive_idempotents(regular)
+    assert {a.mult_matrix(e) for e in _coefficient_idempotents(a)} == set(idems)
 
 
 # ---------------------------------------------------------------------------
