@@ -188,6 +188,8 @@ def _split(table, one, rad: Subspace):
     Returns (each idempotent's coordinates, which sum to ``one``, status).
     """
     off = [b for b in range(table.dim) if b not in rad.pivots]
+    if len(off) == 1:  # residue field Q: a local algebra, the unit is primitive
+        return [tuple(one)], "split"
     (s, unit), (den, nz) = _scaled(one), _integral(table._nonzero)
     for m, powers in _minimal_polynomials(nz, den, unit, off):
         if degree(m) >= len(off) and degree(p := squarefree_part(m)) == len(off):
