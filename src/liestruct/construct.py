@@ -91,7 +91,7 @@ class CommutativeAlgebra(_StructureTable):
                 raise ValueError("unit law fails on basis vector %d" % i)
         # (e_i e_j) e_k = e_i (e_j e_k) = (e_j e_k) e_i, by commutativity;
         # over integer constants, since only a zero defect matters
-        _, nz = _integral(self._nonzero)
+        _, nz = self._int_constants()
         for i, j, k in itertools.product(range(n), repeat=3):
             defect = _compose(nz, i, j, k, {})
             if any(_compose(nz, j, k, i, defect, negate=True).values()):

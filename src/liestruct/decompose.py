@@ -57,7 +57,7 @@ from .errors import LiestructError, PreconditionError, SeparatingElementError
 from .endo import (EndoSpace, _algebra_table, _apply, _centroid_radical, _centroid_table,
                    _compose, _int_columns, _one, _subtract, centroid,
                    check_abelian, split_centroid)
-from .lie import LieAlgebra, _integral, _memoized
+from .lie import LieAlgebra, _memoized
 from .linalg import Matrix, Subspace, _int_row, _span, kernel_basis
 from .poly import (
     _crt_idempotent,
@@ -181,16 +181,17 @@ def _minimal_polynomials(nz, den: int, one: dict, off):
                                  "the residue algebra of dimension %d" % r)
 
 
+@_memoized
 def _split(table, one, rad: Subspace):
     """Primitive idempotents of a unital associative table with a commutative residue
     algebra, from the coordinates ``one`` of its 1 and its radical ``rad`` (module docs).
 
-    Returns (each idempotent's coordinates, which sum to ``one``, status).
+    Returns (each idempotent's coordinates, which sum to ``one``, status), memoized per table.
     """
     off = [b for b in range(table.dim) if b not in rad.pivots]
     if len(off) == 1:  # residue field Q: a local algebra, the unit is primitive
-        return [tuple(one)], "split"
-    (s, unit), (den, nz) = _scaled(one), _integral(table._nonzero)
+        return (tuple(one),), "split"
+    (s, unit), (den, nz) = _scaled(one), table._int_constants()
     for m, powers in _minimal_polynomials(nz, den, unit, off):
         if degree(m) >= len(off) and degree(p := squarefree_part(m)) == len(off):
             break
@@ -209,7 +210,7 @@ def _split(table, one, rad: Subspace):
                            for i in range(table.dim)))
         real = degree(q) == 2 and q[1] * q[1] - 4 * q[0] < 0
         worst = max(worst, 0 if degree(q) == 1 else 1 if real else 2)
-    return idems, STATUSES[worst]
+    return tuple(idems), STATUSES[worst]
 
 
 def primitive_idempotents(cent: EndoSpace) -> tuple[IdempotentSet, str]:
@@ -268,17 +269,10 @@ def _coefficient_idempotents(a) -> tuple:
     return tuple(idems)
 
 
-def _centroid_is_field(g: LieAlgebra) -> bool:
-    """Whether Cent(g) is a field, for a semisimple g, whose centroid is a product of
-    fields, one per simple ideal. The candidates of the search decide: a minimal
-    polynomial with two irreducible factors gives a nontrivial idempotent, and an
-    irreducible one of degree dim Cent generates Cent."""
-    cent = centroid(g)
-    (_, unit), (den, nz) = _scaled(_one(cent)), _integral(_centroid_table(g)._nonzero)
-    for m, _ in _minimal_polynomials(nz, den, unit, range(cent.dim)):
-        factors = factor(squarefree_part(m))
-        if len(factors) > 1 or degree(factors[0]) == cent.dim:
-            return len(factors) == 1
+def _centroid_split(g: LieAlgebra):
+    """The memoized :func:`_split` of Cent(g)'s table, as `indecompose` reuses it; Cent of
+    a semisimple g is a product of fields, one per simple ideal."""
+    return _split(_centroid_table(g), _one(centroid(g)), _centroid_radical(g))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +312,7 @@ def indecompose(g: LieAlgebra) -> DecompositionReport:
         raise LiestructError("ideal dimensions do not sum to dim g")
     # p_i Cent p_j = p_i (Cent p_j): a basis of each Cent p_j from its d products b_k p_j,
     # then each p_i on it, in ints over Cent's table
-    _, nz = _integral(table._nonzero)
+    _, nz = table._int_constants()
     ps = [_int_row(c) for c in coords]
     right = [_span((_times(nz, {k: 1}, p) for k in range(d)), d).sparse_rows() for p in ps]
     blocks = [[_span((_times(nz, p, w) for w in rows), d).dim for rows in right] for p in ps]

@@ -7,8 +7,8 @@ flattening, columns are images of basis vectors), assembled by one Leibniz
 row generator; the centroid and commutants are the exact kernel of a spun
 system over far fewer unknowns (below); J(g) is built in closed form.
 Constants are scaled to integers over one common denominator, once per
-call, so every row is a ``{col: int}`` map that the integer echelon takes
-as it is.
+table (``_int_constants``), so every row is a ``{col: int}`` map that the
+integer echelon takes as it is.
 
 Where Der and Cent come from. When g is known to satisfy the Jacobi identity
 (see ``lie._jacobi_known``), two exact facts cut the work:
@@ -147,7 +147,7 @@ def _leibniz_rows(source: _StructureTable, target: Optional[_StructureTable], ev
     j in the set ``keep`` of basis indices when it is not None."""
     n = source.dim
     if target is None:
-        _, source = _integral(source._nonzero)
+        _, source = source._int_constants()
         target, ev = source, range(n)
     else:
         _, source, target = _integral(source._nonzero, target._nonzero)
@@ -322,7 +322,7 @@ def _generators(g: LieAlgebra) -> Optional[frozenset]:
     basis; None otherwise, and then every basis index contributes rows."""
     if not _jacobi_known(g):
         return None
-    _, nz = _integral(g._nonzero)
+    _, nz = g._int_constants()
     gens = _greedy_generators(nz)
     if len(gens) == g.dim or not _generates(nz, gens):
         return None
@@ -425,7 +425,7 @@ def derivations(g: LieAlgebra) -> EndoSpace:
 def inner_derivations(g: LieAlgebra) -> EndoSpace:
     """Span of the adjoint maps; dim = dim g - dim z(g)."""
     n = g.dim
-    return EndoSpace("inner", n, Subspace.span(g._flat_left(), n * n))
+    return EndoSpace("inner", n, _span(g._flat_left(g._int_constants()[1]), n * n))
 
 
 @_memoized
@@ -436,11 +436,9 @@ def centroid(g: LieAlgebra) -> EndoSpace:
     basis when there is none; the commutant of those ad x is spun by
     :func:`_commutant`.
     """
-    n = g.dim
-    gens = _generators(g)
-    # column j of ad e_i is [e_i, e_j]: the ad e_i are g's nonzero lists as they stand
-    ads = g._nonzero if gens is None else [g._nonzero[s] for s in sorted(gens)]
-    return _commutant(_integral(ads)[1], n, "centroid")
+    n, gens, nz = g.dim, _generators(g), g._int_constants()[1]
+    # column j of ad e_i is [e_i, e_j]: the ad e_i are g's scaled nonzero lists as they stand
+    return _commutant(nz if gens is None else [nz[s] for s in sorted(gens)], n, "centroid")
 
 
 @_memoized

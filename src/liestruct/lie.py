@@ -28,6 +28,7 @@ from .linalg import (
     Subspace,
     Vector,
     _dense,
+    _span,
     frac,
     kernel_of_rows,
     row_reduce,
@@ -44,11 +45,11 @@ _memo = weakref.WeakKeyDictionary()
 
 def _memoized(fn):
     """Memoize ``fn(g, *args)`` per algebra ``g``, for as long as g lives: a Lie
-    algebra, or a commutative coefficient algebra.
+    algebra, a commutative coefficient algebra or a bare structure table.
 
-    The memo is keyed by g's value, so an equal algebra built separately
-    while g is alive gets the stored result; the remaining arguments must be
-    hashable. Results are shared between callers and must not be mutated.
+    The memo is keyed by g's value (a bare table's identity), so an equal
+    algebra built separately while g lives gets the stored result; other
+    arguments must be hashable. Results are shared and must not be mutated.
     ``cache_info()`` reports the hits and misses of ``fn``.
     """
     counts = [0, 0]
@@ -192,12 +193,17 @@ class _StructureTable:
         return [{k * n + j: c for j, v in enumerate(row) for k, c in v}
                 for row in (self._nonzero if nz is None else nz)]
 
+    @_memoized
+    def _int_constants(self) -> tuple:
+        """(den, nz) = :func:`_integral` of the constants, scaled once per table."""
+        return _integral(self._nonzero)
+
     def _trace_form(self) -> Matrix:
         """tr(L_{e_i} L_{e_j}) = sum of c_il^k c_jk^l over k, l, in ints over the
         constants scaled by :func:`_integral`, then over den^2: the Killing form
         of a Lie table; on an associative table with 1, its kernel is the radical."""
         n = self.dim
-        den, nz = _integral(self._nonzero)
+        den, nz = self._int_constants()
         flat = self._flat_left(nz)
         rows = [[None] * n for _ in range(n)]
         for i, a in enumerate(flat):
@@ -261,8 +267,8 @@ class LieAlgebra(_StructureTable):
     @_memoized
     def center(self) -> Subspace:
         """z(g) = {x : [x, y] = 0 for all y}, the kernel of x -> ad(x)."""
-        rows = {}  # sum_i x_i c_ij^k = 0 for each entry (k, j) of ad x
-        for i, ad in enumerate(self._flat_left()):
+        rows = {}  # sum_i x_i c_ij^k = 0 for each entry (k, j) of ad x, over int constants
+        for i, ad in enumerate(self._flat_left(self._int_constants()[1])):
             for kj, c in ad.items():
                 rows.setdefault(kj, {})[i] = c
         return kernel_of_rows(rows.values(), self.dim)
@@ -276,9 +282,8 @@ class LieAlgebra(_StructureTable):
     @_memoized
     def commutator_algebra(self) -> Subspace:
         """[g, g], the derived subalgebra: the span of the brackets [e_i, e_j]."""
-        nz = self._nonzero
-        brackets = [dict(v) for i, row in enumerate(nz) for v in row[i + 1 :] if v]
-        return Subspace.span(brackets, self.dim)
+        nz = self._int_constants()[1]
+        return _span((dict(v) for i, row in enumerate(nz) for v in row[i + 1 :] if v), self.dim)
 
     def derived_series(self) -> list[Subspace]:
         """g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ..., stopping when it stabilizes."""
@@ -340,9 +345,9 @@ class LieAlgebra(_StructureTable):
             reductive = r == comm.dim
         simple = False
         if semisimple and not abelian:
-            from .decompose import _centroid_is_field
+            from .decompose import _centroid_split
 
-            simple = _centroid_is_field(self)
+            simple = len(_centroid_split(self)[0]) == 1
         return {
             "abelian": abelian,
             "nilpotent": nilpotent,
@@ -475,7 +480,7 @@ def _check_jacobi(g: LieAlgebra):
     if _jacobi_known(g):
         return
     n = g.dim
-    den, nz = _integral(g._nonzero)
+    den, nz = g._int_constants()
     for i, j, k in itertools.combinations(range(n), 3):
         defect = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):

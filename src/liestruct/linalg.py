@@ -7,11 +7,11 @@ The elimination core takes rows either dense or as sparse ``{col: value}``
 maps, clears denominators and reduces sparse ``{col: int}`` rows (plain
 Python ints are much faster than Fraction arithmetic, and constraint systems
 are mostly zeros); rows that are already ``{col: int}`` maps, as the
-constraint generators in ``endo`` yield, pass through with no Fraction
-work. The echelon keeps every pivot row reduced, zero in every other pivot
-column, so a redundant row is cleared by each pivot once, with no fill-in,
-and the rows are the reduced row echelon form up to scale; Fractions are
-built only for the nonzero entries of results, in :func:`_span` alone.
+constraint generators in ``endo`` yield, enter as they are. The echelon
+keeps every pivot row reduced, so a redundant row is cleared by each pivot
+once, with no fill-in; a row's pivot is its smallest column for a span, its
+largest for a kernel, whose canonical basis is then read off in natural
+column order. Fractions are built only for the nonzero entries of results.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_FRACTION, _EXACT = frozenset((Fraction,)), frozenset((int, Fraction))  # kept by _checked
+_INT, _FRACTION, _EXACT = frozenset((int,)), frozenset((Fraction,)), frozenset((int, Fraction))
 
 
 def frac(x) -> Fraction:
@@ -237,19 +237,15 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _int_row(row) -> dict[int, int]:
+def _int_row(row, width: int = None) -> dict[int, int]:
     """Sparse primitive integer multiple ``{col: int}`` of a rational row.
 
-    ``row`` is a dense sequence or a ``{col: value}`` map; zero entries are
-    dropped before any arithmetic. A map whose values are all nonzero ints
-    is made primitive as it is, with no denominators to clear.
+    ``row`` is a dense sequence, of ``width`` entries if that is given, or a
+    ``{col: value}`` map; zero entries are dropped before any arithmetic.
     """
-    if isinstance(row, dict):
-        if all(type(x) is int and x for x in row.values()):
-            return _primitive(row) if row else row
-        items = [(j, x) for j, x in row.items() if x]
-    else:
-        items = [(j, x) for j, x in enumerate(row) if x]
+    if not isinstance(row, dict) and width is not None and len(row) != width:
+        raise ValueError("row length %d != %d columns" % (len(row), width))
+    items = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
     if not items:
         return {}
     den = lcm(*(x.denominator for _, x in items))
@@ -261,7 +257,7 @@ def _reduce(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]
     a, b = prow[c], row[c]
     g = gcd(a, b)
     a, b = a // g, b // g
-    if a != 1:
+    if a != 1 or row is prow:  # else in place; a map streamed twice may be its own pivot
         row = {j: a * v for j, v in row.items()}
     for j, v in prow.items():
         w = row.get(j, 0) - b * v
@@ -272,48 +268,49 @@ def _reduce(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]
     return row
 
 
-def _echelon(rows: Iterable, pivots: dict[int, dict[int, int]]):
+def _echelon(rows: Iterable, pivots: dict[int, dict[int, int]], lead=min, width: int = None):
     """Incremental reduced integer echelon form.
 
     Fills ``pivots`` with pivot_column -> sparse primitive ``{col: int}`` row
     and returns views of the pivot rows' entries, as pivot_column -> values.
-    Every pivot row starts at its pivot column and is zero in every other
-    pivot column, so the rows are the reduced row echelon form up to the
-    scale of each row. An incoming row is reduced once against the pivots
-    whose columns it holds; those pivots carry no other pivot column, so it
-    gets no fill-in there, and a redundant row reaches zero in as many steps
-    as it has pivot columns. A new pivot is cleared from the rows that hold
-    its column. Rows are combined with exact cross-multiplication, so no
-    fractions ever appear during elimination. Integer dict rows may be
-    reduced in place.
+    ``lead`` (``min`` or ``max``, one per ``pivots``) picks a row's pivot. Each
+    pivot row is zero in every other pivot column: the reduced row echelon
+    form in ``lead``'s column order, up to scale. An incoming row is reduced
+    once against the pivots whose columns it holds; those carry no other
+    pivot column, so it gets no fill-in there, and a redundant row reaches
+    zero in as many steps as it has pivot columns. A new pivot is cleared
+    from the rows that hold its column, by exact cross-multiplication, as
+    every step is. A map of nonzero ints enters as it is and may be reduced
+    in place; other rows go through :func:`_int_row` (``width`` as there).
+    Pivot rows are made primitive when stored.
     """
     # column -> pivot columns whose rows may hold it (a superset, checked on use)
     holders: dict[int, set[int]] = {}
     for c, prow in pivots.items():
         for j in prow:
             holders.setdefault(j, set()).add(c)
-    for raw in rows:
-        row = _int_row(raw)
+    for row in rows:
+        if type(row) is not dict or not _INT.issuperset(map(type, vs := row.values())) or 0 in vs:
+            row = _int_row(row, width)
         for c in [c for c in row if c in pivots]:
             row = _reduce(row, pivots[c], c)
         if row:
-            lead = min(row)
-            row = pivots[lead] = _primitive(row)
-            for c in holders.pop(lead, ()):
-                if lead in pivots[c]:
-                    pivots[c] = _primitive(_reduce(pivots[c], row, lead))
+            p = lead(row)
+            row = pivots[p] = _primitive(row)
+            for c in holders.pop(p, ()):
+                if p in pivots[c]:
+                    pivots[c] = _primitive(_reduce(pivots[c], row, p))
                     for j in row:
                         holders.setdefault(j, set()).add(c)
             for j in row:
-                holders.setdefault(j, set()).add(lead)
+                holders.setdefault(j, set()).add(p)
     # the views are what perfbench/tracing.py reads for the largest entry size
     return {c: prow.values() for c, prow in pivots.items()}
 
 
 def _span(rows: Iterable, ambient_dim: int) -> "Subspace":
     """The span of ``rows``, already valid for :func:`_echelon`: its pivot rows
-    scaled to 1 at their pivots, the one place where echelon rows become
-    Fractions (for their nonzero entries only)."""
+    scaled to 1 at their pivots, as Fractions for their nonzero entries only."""
     pivots: dict[int, dict[int, int]] = {}
     _echelon(rows, pivots)
     return Subspace._make(ambient_dim, {c: {j: Fraction(v, row[c]) for j, v in row.items()}
@@ -356,27 +353,31 @@ def kernel_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     """Kernel of the linear map given by an (implicit) stack of rows.
 
     Each row is a dense sequence of ``ncols`` rationals or a sparse
-    ``{col: value}`` map with no zero entries. Rows are streamed through the
-    sparse integer echelon, so callers can assemble large constraint systems
-    lazily and never materialize their zeros.
+    ``{col: value}`` map over columns 0..ncols-1, else ValueError (maps are
+    checked on the pivot rows, outside the columns exactly when their span
+    is). Rows are streamed through the sparse integer echelon, so callers
+    can assemble large constraint systems lazily and never materialize their
+    zeros. A map of nonzero ints may be reduced in place (not to be read
+    again); other rows are left as they are.
 
-    Column j is eliminated as ncols-1-j, so each pivot row of the reduced
-    echelon reads x_c + sum a_cj x_j = 0 over free columns j < c. The vector
-    of free column j has its 1 at j and -a_cj at pivot columns c > j only,
-    where the other kernel vectors are zero: the canonical RREF basis, read
-    off directly as sparse rows.
+    A row's pivot is its largest column, so each pivot row of the reduced
+    echelon reads a_cc x_c + sum a_cj x_j = 0 over free columns j < c. The
+    vector of free column j has its 1 at j and -a_cj / a_cc at pivot columns
+    c > j only, where the other kernel vectors are zero: the canonical RREF
+    basis, read off directly as sparse rows, one Fraction per entry.
     """
-    last = ncols - 1
-    echelon = _span(
-        ({last - j: x for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
-         for r in rows),
-        ncols,
-    )
-    pivots = set(echelon.pivots)
-    basis = {j: {j: _ONE} for j in range(ncols) if last - j not in pivots}
-    for p, row in zip(echelon.pivots, echelon._rows):
-        for k, x in row[1:]:  # the entries after the pivot's 1
-            basis[last - k][last - p] = -x
+    pivots: dict[int, dict[int, int]] = {}
+    _echelon(rows, pivots, max, ncols)
+    basis = {j: {j: _ONE} for j in range(ncols) if j not in pivots}
+    try:
+        for c, row in pivots.items():
+            a = row.pop(c)
+            if c not in range(ncols):
+                raise KeyError(c)
+            for j, v in row.items():  # free columns only: the row is reduced
+                basis[j][c] = Fraction(-v, a)
+    except KeyError as e:
+        raise ValueError("row column %r outside 0..%d" % (e.args[0], ncols - 1)) from None
     return Subspace._make(ncols, basis)
 
 

@@ -463,9 +463,11 @@ def test_memo_entries_die_with_their_algebra():
     del g
     gc.collect()
     assert ref() is None
-    # a new build holds only its own Jacobi verdict, none of the old results
+    # a new build holds only its own Jacobi verdict and the scaled constants that
+    # the check read, none of the old results
     fresh = _memo_probe()
-    assert set(lie._memo[fresh]) == {(lie._check_jacobi, ())}
+    scaled = lie._StructureTable._int_constants.__wrapped__
+    assert set(lie._memo[fresh]) == {(lie._check_jacobi, ()), (scaled, ())}
 
 
 def test_current_algebra_is_memoized_on_equal_arguments():

@@ -233,6 +233,125 @@ def test_kernel_of_rows_matches_sympy_on_degenerate_inputs(sympy):
 
 
 # ---------------------------------------------------------------------------
+# kernel_of_rows, differentially: every row form against two oracles
+# ---------------------------------------------------------------------------
+
+
+def _gauss_jordan(rows, ncols):
+    """(rref rows, pivot columns) of dense rational rows, by plain Gauss-Jordan."""
+    rows, pivots = [[F(x) for x in r] for r in rows], []
+    for c in range(ncols):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        top = rows[r] = [x / rows[r][c] for x in rows[r]]
+        rows[r], rows[len(pivots)] = rows[len(pivots)], top
+        for i, row in enumerate(rows):
+            if i != len(pivots) and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, top)]
+        pivots.append(c)
+    return [tuple(r) for r in rows[: len(pivots)]], pivots
+
+
+def _gauss_jordan_kernel(rows, ncols):
+    """The canonical kernel basis: one vector per free column, then reduced again."""
+    rref, pivots = _gauss_jordan(rows, ncols)
+    vectors = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [F(0)] * ncols
+        v[j] = F(1)
+        for r, c in zip(rref, pivots):
+            v[c] = -r[j]
+        vectors.append(v)
+    return tuple(_gauss_jordan(vectors, ncols)[0])
+
+
+def _int_system(rng, ncols):
+    """Primitive and non-primitive int rows of some rank, with 60-bit entries on
+    about half the seeds, then integer combinations of them and an empty row, shuffled."""
+    bits = 60 if rng.random() < 0.5 else 4
+    base = []
+    for _ in range(rng.randint(1, ncols)):
+        row = {j: rng.randint(-2**bits, 2**bits) for j in range(ncols) if rng.random() < 0.5}
+        base.append({j: x * rng.choice((1, 1, 6)) for j, x in row.items() if x})
+    rows = list(base)
+    for _ in range(rng.randint(0, 2 * ncols)):  # redundant rows
+        acc = {}
+        for row in rng.sample(base, rng.randint(1, len(base))):
+            c = rng.randint(-9, 9)
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + c * x
+        rows.append({j: x for j, x in acc.items() if x})
+    rows.append({})
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_of_rows_matches_gauss_jordan_in_every_row_form(seed):
+    rng = random.Random(9100 + seed)
+    ncols = rng.randint(1, 11)
+    ints = _int_system(rng, ncols)
+    expected = _gauss_jordan_kernel([_dense(r, ncols) for r in ints], ncols)
+
+    def shuffled(row):
+        keys = list(row)
+        rng.shuffle(keys)
+        return {j: row[j] for j in keys}
+
+    fractions = [{j: F(x, d) for j, x in r.items()} for r in ints for d in [rng.randint(1, 9)]]
+    dense = [tuple(_dense(r, ncols)) for r in fractions]
+    mixed = [[x.numerator if x.denominator == 1 else x for x in r] for r in dense]  # lists
+    kept = [dict(r) for r in fractions], list(dense), [list(r) for r in mixed]
+    for form in ([shuffled(r) for r in ints], fractions, dense, mixed):
+        ker = kernel_of_rows(iter(form), ncols)
+        assert ker.rows == expected
+        assert ker == Subspace.span(expected, ncols) and ker.ambient_dim == ncols
+        assert ker.pivots == tuple(next(j for j, x in enumerate(r) if x) for r in expected)
+    # only maps of ints may be reduced in place: the other rows are the caller's as they were
+    assert (fractions, dense, mixed) == kept
+    assert all(type(x) is F for r in fractions for x in r.values())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_of_int_rows_matches_sympy(sympy, seed):
+    rng = random.Random(9200 + seed)
+    ncols = rng.randint(1, 9)
+    ints = _int_system(rng, ncols)
+    dense = [[F(x) for x in _dense(r, ncols)] for r in ints]
+    assert kernel_of_rows(ints, ncols).rows == _sympy_kernel(sympy, dense, ncols)
+    assert _gauss_jordan_kernel(dense, ncols) == _sympy_kernel(sympy, dense, ncols)
+
+
+def test_kernel_of_rows_takes_one_int_map_streamed_many_times():
+    # a primitive map becomes a pivot row as it is, so it meets itself again
+    row = {0: 1, 2: 3}
+    assert kernel_of_rows([row, {1: 2}, row, row], 3).rows == ((1, 0, F(-1, 3)),)
+    row = {0: 2, 2: 6}
+    assert kernel_of_rows([row, row], 3).rows == ((1, 0, F(-1, 3)), (0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, message",
+    [
+        ([{0: 1, 5: 1}], 3, "column 5 outside 0..2"),
+        ([{5: 1}, {0: 1}], 3, "column 5 outside 0..2"),
+        ([{-1: 1}], 3, "column -1 outside 0..2"),
+        ([{0: 1, -1: 1}, {1: 1}], 3, "column -1 outside 0..2"),
+        ([{0: F(1, 2), 7: F(1, 3)}], 3, "column 7 outside 0..2"),
+        ([{0: 1}, {0: 2, 3: 1}], 3, "column 3 outside 0..2"),
+        ([(1, 2)], 3, "length 2 != 3 columns"),
+        ([(1, 2, 3, 4)], 3, "length 4 != 3 columns"),
+        ([(1, 0, 0, 0)], 3, "length 4 != 3 columns"),
+        ([{0: 1}, (F(1), F(2))], 3, "length 2 != 3 columns"),
+    ],
+)
+def test_kernel_of_rows_refuses_rows_outside_its_columns(rows, ncols, message):
+    with pytest.raises(ValueError, match=message):
+        kernel_of_rows(rows, ncols)
+
+
+# ---------------------------------------------------------------------------
 # kernel_of_rows against the standard-order construction
 # ---------------------------------------------------------------------------
 
