@@ -38,8 +38,11 @@ characteristic zero, a nil ideal holding every nilpotent ideal). As x 1 = x,
 f's minimal polynomial is the first dependency among its Krylov vectors
 f^k 1 (Parker's spinning), products in the table over its constants scaled
 to ints, and each e(f) = e(f) 1 is a combination of those vectors: no d x d
-matrix and no Horner step (d = dim Cent). The idempotents come back to End(g)
-once, as the sparse int columns of the checks, ideals and images.
+matrix and no Horner step (d = dim Cent). This one path,
+``lie._polynomials_in``, also gives ``endo.split_centroid`` its semisimple
+parts and :func:`complex_structure` its minimal polynomial. The idempotents
+come back to End(g) once, as the sparse int columns of the checks, ideals and
+images.
 
 All arithmetic is exact, so every claimed identity (p^2 = p, orthogonality,
 completeness) holds on the nose, not up to tolerance.
@@ -49,27 +52,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import LiestructError, PreconditionError, SeparatingElementError
 from .endo import (EndoSpace, _algebra_table, _apply, _centroid_radical, _centroid_table,
                    _compose, _int_columns, _one, _subtract, centroid,
                    check_abelian, split_centroid)
-from .lie import LieAlgebra, _memoized
+from .lie import LieAlgebra, _memoized, _polynomials_in, _times
 from .linalg import Matrix, Subspace, _int_row, _span, kernel_basis
-from .poly import (
-    _crt_idempotent,
-    _krylov,
-    _rational_square_root,
-    degree,
-    factor,
-    min_poly,
-    poly_mod,
-    poly_mul,
-    squarefree_part,
-)
+from .poly import (_crt_idempotent, _rational_square_root, degree, factor, poly_mod, poly_mul,
+                   squarefree_part)
 
 __all__ = [
     "IdempotentSet",
@@ -151,36 +143,6 @@ def centroid_radical(cent: EndoSpace) -> Subspace:
 # Primitive idempotents from one primitive element
 # ---------------------------------------------------------------------------
 
-def _scaled(v) -> tuple[int, dict]:
-    """(s, w): w = s v as ``{index: int}``, s the least common denominator of v."""
-    s = lcm(*(x.denominator for x in v))
-    return s, {i: x.numerator * (s // x.denominator) for i, x in enumerate(v) if x}
-
-
-def _times(nz, x: dict, y: dict) -> dict:
-    """x y as ``{index: int}``, for x and y as ``{index: int}`` and the int constants ``nz``."""
-    out = {}
-    for i, a in x.items():
-        for j, b in y.items():
-            for k, c in nz[i][j]:
-                out[k] = out.get(k, 0) + a * b * c
-    return {k: v for k, v in out.items() if v}
-
-
-def _minimal_polynomials(nz, den: int, one: dict, off):
-    """For each candidate f, in order (module docs), as a map of coordinates on ``off``,
-    a basis modulo the radical: its minimal polynomial and its Krylov vectors den^k f^k
-    one (``poly._krylov``), products over the int constants ``nz``, den times the
-    table's. SeparatingElementError once the candidates run out."""
-    r = len(off)
-    bound = r * (r - 1) // 2 * (r - 1) + 1
-    for f in itertools.chain(({b: 1} for b in off), [dict(zip(off, range(1, r + 1)))],
-                             ({b: j ** k for k, b in enumerate(off)} for j in range(1, bound + 1))):
-        yield _krylov(lambda v: _times(nz, f, v), one, len(nz), den)
-    raise SeparatingElementError("no primitive element found: no candidate generates "
-                                 "the residue algebra of dimension %d" % r)
-
-
 @_memoized
 def _split(table, one, rad: Subspace):
     """Primitive idempotents of a unital associative table with a commutative residue
@@ -189,25 +151,25 @@ def _split(table, one, rad: Subspace):
     Returns (each idempotent's coordinates, which sum to ``one``, status), memoized per table.
     """
     off = [b for b in range(table.dim) if b not in rad.pivots]
-    if len(off) == 1:  # residue field Q: a local algebra, the unit is primitive
+    r = len(off)
+    if r == 1:  # residue field Q: a local algebra, the unit is primitive
         return (tuple(one),), "split"
-    (s, unit), (den, nz) = _scaled(one), table._int_constants()
-    for m, powers in _minimal_polynomials(nz, den, unit, off):
-        if degree(m) >= len(off) and degree(p := squarefree_part(m)) == len(off):
+    # the candidates (module docs), as maps of coordinates on the basis modulo the radical
+    bound = r * (r - 1) // 2 * (r - 1) + 1
+    for f in itertools.chain(({b: 1} for b in off), [dict(zip(off, range(1, r + 1)))],
+                             ({b: j ** k for k, b in enumerate(off)} for j in range(1, bound + 1))):
+        m, at = _polynomials_in(table, f, one)
+        if degree(m) >= r and degree(p := squarefree_part(m)) == r:
             break
+    else:
+        raise SeparatingElementError("no primitive element found: no candidate generates "
+                                     "the residue algebra of dimension %d" % r)
     idems, worst = [], 0
     for q in factor(p):
         primary = q  # the q-primary part of m, so that e(f) is idempotent on the nose
         while not poly_mod(m, poly_mul(primary, q)):
             primary = poly_mul(primary, q)
-        # e(f) 1 = sum_k e_k f^k 1 = sum_k e_k powers[k] / (s den^k), over one denominator
-        over, e = _scaled(_crt_idempotent(m, primary))
-        top, acc = max(e), {}
-        for k, c in e.items():
-            for i, x in powers[k].items():
-                acc[i] = acc.get(i, 0) + c * den ** (top - k) * x
-        idems.append(tuple(Fraction(acc.get(i, 0), over * s * den ** top)
-                           for i in range(table.dim)))
+        idems.append(at(_crt_idempotent(m, primary)))
         real = degree(q) == 2 and q[1] * q[1] - 4 * q[0] < 0
         worst = max(worst, 0 if degree(q) == 1 else 1 if real else 2)
     return tuple(idems), STATUSES[worst]
@@ -373,8 +335,7 @@ def complex_structure(g: LieAlgebra) -> Optional[ComplexStructure]:
               if Subspace.span([one, x], cent.dim).dim == 2), None)
     if f is None:
         raise LiestructError("semisimple part of dim 2 collapsed to scalars")
-    # f has the minimal polynomial of L_f in the regular representation
-    p = squarefree_part(min_poly(_centroid_table(g)._left_matrix(f)))
+    p = squarefree_part(_polynomials_in(_centroid_table(g), dict(enumerate(f)), one)[0])
     if degree(p) != 2:
         raise LiestructError(
             "expected a quadratic minimal polynomial on S, got degree %d"

@@ -51,10 +51,11 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import LiestructError, PreconditionError
-from .lie import LieAlgebra, _integral, _jacobi_known, _memoized, _StructureTable
+from .lie import (LieAlgebra, _integral, _jacobi_known, _memoized, _polynomials_in,
+                  _StructureTable)
 from .linalg import (Matrix, Subspace, Vector, _echelon, _int_row, _primitive, _reduce, _span,
                      kernel_basis, kernel_of_rows)
-from .poly import jordan_chevalley
+from .poly import _semisimple_polynomial
 
 __all__ = [
     "EndoSpace",
@@ -524,18 +525,19 @@ def split_centroid(g: LieAlgebra) -> tuple[EndoSpace, EndoSpace]:
     """Split an abelian centroid into nilpotent and semisimple parts.
 
     N is the radical (:func:`_centroid_radical`). S is spanned by the
-    semisimple parts s(b) of the basis elements b off N's pivots, each the
-    Jordan-Chevalley part of L_b in the regular representation: on a
-    commutative algebra s is linear with kernel N, so they span s(Cent).
-    When N = 0, S = Cent. N + S = Cent, direct, is checked in End(g).
+    semisimple parts s(b) of the basis elements b off N's pivots: on a
+    commutative algebra s is linear with kernel N, so they span s(Cent). Each
+    s(b) = P(b), P by Newton in Q[t]/(m) (``poly._semisimple_polynomial``), from
+    b's Krylov vectors on Cent's table (``lie._polynomials_in``). When N = 0,
+    S = Cent. N + S = Cent, direct, is checked in End(g).
     """
     cent = centroid(g)
     table = _centroid_table(g)
     check_abelian(cent, table)
-    n, d, rad = g.dim, cent.dim, _centroid_radical(g)
-    # s(b) = s(L_b) 1 in coordinates, s(L_b) the Jordan-Chevalley part of L_b
-    semi = [cent.space.combine(jordan_chevalley(Matrix.unflatten(m, d, d))[0].apply(_one(cent)))
-            for k, m in enumerate(table._flat_left()) if rad.dim and k not in rad.pivots]
+    n, rad, one = g.dim, _centroid_radical(g), _one(cent)
+    semi = [cent.space.combine(at(_semisimple_polynomial(m)))
+            for m, at in (_polynomials_in(table, {b: 1}, one)
+                          for b in range(cent.dim) if rad.dim and b not in rad.pivots)]
     nspace = EndoSpace("nilpotent_part", n, _span([cent.space.combine(r) for r in rad.rows], n * n))
     sspace = EndoSpace("semisimple_part", n, Subspace.span(semi, n * n) if semi else cent.space)
     total = nspace.space.sum(sspace.space)

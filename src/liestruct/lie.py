@@ -9,7 +9,8 @@ keep the identity pass it on; ``endo`` reads it before it trusts the
 identity to cut a constraint system. The structure
 constants, held only as nonzero lists, the product, the left
 multiplication and the one trace form live in one private structure-constant
-core, which ``construct.CommutativeAlgebra`` and the centroid's table share.
+core, which ``construct.CommutativeAlgebra`` and the centroid's table share,
+with polynomials in an element of a unital table (:func:`_polynomials_in`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .linalg import (
     row_reduce,
     unit_vector,
 )
+from .poly import _krylov
 
 __all__ = ["LieAlgebra", "build", "from_dict", "to_dict"]
 
@@ -212,6 +214,44 @@ class _StructureTable:
                 s = sum(c * b[t] for kl, c in a.items() if (t := kl % n * n + kl // n) in b)
                 rows[i][j] = rows[j][i] = Fraction(s, den * den)
         return Matrix._trusted(map(tuple, rows))
+
+
+def _scaled(v: dict) -> tuple[int, dict]:
+    """(s, w): w = s v as ``{index: int}``, for v as ``{index: value}``, s the least
+    common denominator of v."""
+    s = lcm(*(x.denominator for x in v.values()))
+    return s, {i: x.numerator * (s // x.denominator) for i, x in v.items() if x}
+
+
+def _times(nz, x: dict, y: dict) -> dict:
+    """x y as ``{index: int}``, for x and y as ``{index: int}`` and the int constants ``nz``."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            for k, c in nz[i][j]:
+                out[k] = out.get(k, 0) + a * b * c
+    return {k: v for k, v in out.items() if v}
+
+
+def _polynomials_in(table: _StructureTable, x: dict, one: Sequence[Fraction]):
+    """(m, at) for x, as ``{index: value}``, in a unital associative ``table`` whose 1
+    has the coordinates ``one``: m is x's minimal polynomial (and L_x's, as x 1 = x),
+    the first dependency among the Krylov vectors step^k x^k 1 (``poly._krylov``, over
+    the table's int constants), and at(p) the coordinates of p(x) 1 for deg p < deg m,
+    those vectors combined over one denominator: no d x d matrix, no Horner step."""
+    (den, nz), (xs, xi) = table._int_constants(), _scaled(x)
+    s, unit, step = *_scaled(dict(enumerate(one))), den * xs
+    m, powers = _krylov(lambda v: _times(nz, xi, v), unit, table.dim, step)
+
+    def at(p) -> tuple:  # p(x) 1 = sum_k p_k powers[k] / (s step^k), with p = e / over
+        over, e = _scaled(dict(enumerate(p)))
+        top, acc = max(e, default=0), {}
+        for k, c in e.items():
+            for i, v in powers[k].items():
+                acc[i] = acc.get(i, 0) + c * step ** (top - k) * v
+        return tuple(Fraction(acc.get(i, 0), over * s * step ** top) for i in range(table.dim))
+
+    return m, at
 
 
 class LieAlgebra(_StructureTable):

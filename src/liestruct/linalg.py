@@ -210,19 +210,6 @@ class Matrix:
             raise ValueError("shape mismatch")
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; row/column index (i, p) maps to i*b.nrows + p."""
-    zeros = (_ZERO,) * b.ncols
-    out = []
-    for arow in a.rows:
-        for brow in b.rows:
-            row = []
-            for aij in arow:
-                row.extend([aij * x for x in brow] if aij else zeros)
-            out.append(tuple(row))
-    return Matrix._trusted(out)
-
-
 # ---------------------------------------------------------------------------
 # Elimination core (sparse integer rows for speed)
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 Polynomials are lists of Fractions in ascending order of degree, so
 ``[a0, a1, a2]`` is ``a0 + a1 t + a2 t^2``. The zero polynomial is ``[]``.
-Includes characteristic/minimal polynomials of rational matrices, complete
-factorization of squarefree polynomials over Q (Zassenhaus), and the additive
-Jordan-Chevalley decomposition computed by Newton iteration.
+Includes characteristic/minimal polynomials of rational matrices, minimal
+polynomials from integer Krylov vectors (``_krylov``), complete factorization
+of squarefree polynomials over Q (Zassenhaus), and the additive
+Jordan-Chevalley decomposition as a polynomial in the element: Newton's method
+in Q[t]/(m), m the minimal polynomial (``_semisimple_polynomial``), with one
+extended gcd per step (``_inverse_mod``, shared with the Chinese-remainder
+idempotents).
 """
 
 from __future__ import annotations
@@ -65,6 +69,10 @@ def poly_divmod(p: Poly, d: Poly) -> tuple[Poly, Poly]:
         if not r:
             break
     return normalize(q), r
+
+
+def _sub(p: Poly, q: Poly) -> Poly:
+    return normalize([a - b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def poly_mod(p: Poly, d: Poly) -> Poly:
@@ -310,16 +318,20 @@ def _hensel(f: list, g: list, p: int, modulus: int) -> tuple[list, list]:
     return g, h
 
 
-def _crt_idempotent(p: Poly, q: Poly) -> Poly:
-    """The e of degree < deg p with e = 1 mod q and e = 0 mod u = p / q, for a factor
-    q of p prime to p / q: u (u^-1 mod q) mod p (extended Euclid)."""
-    u = poly_div_exact(p, q)
-    r0, r1, t0, t1 = q, poly_mod(u, q), [], [Fraction(1)]
+def _inverse_mod(a: Poly, m: Poly) -> Poly:
+    """The b of degree < deg m with a b = 1 mod m, for a prime to m (extended Euclid)."""
+    r0, r1, t0, t1 = m, poly_mod(a, m), [], [Fraction(1)]
     while r1:
         quo, rem = poly_divmod(r0, r1)
-        r0, r1, t0, t1 = r1, rem, t1, normalize(
-            [a - b for a, b in zip_longest(t0, poly_mul(quo, t1), fillvalue=0)])
-    return poly_mul(u, [c / r0[0] for c in t0])  # deg t0 < deg q, so deg e < deg p
+        r0, r1, t0, t1 = r1, rem, t1, _sub(t0, poly_mul(quo, t1))
+    return [c / r0[0] for c in t0]
+
+
+def _crt_idempotent(p: Poly, q: Poly) -> Poly:
+    """The e of degree < deg p with e = 1 mod q and e = 0 mod u = p / q, for a factor
+    q of p prime to p / q: u (u^-1 mod q)."""
+    u = poly_div_exact(p, q)
+    return poly_mul(u, _inverse_mod(u, q))
 
 
 def factor(p: Poly) -> list[Poly]:
@@ -378,39 +390,35 @@ def factor(p: Poly) -> list[Poly]:
 # Jordan-Chevalley decomposition
 # ---------------------------------------------------------------------------
 
+def _semisimple_polynomial(m: Poly) -> Poly:
+    """The P of degree < deg m with P(x) the semisimple part of any x with minimal
+    polynomial m, by Newton's method in Q[t]/(m) (Chevalley; Couty, Esterle & Zarouf,
+    2011): from a = t, a <- a - f(a) f'(a)^-1 mod m, f the squarefree part of m. As
+    a = t mod f, f(a) is nilpotent mod m and f'(a) a unit; each step doubles the order
+    of f(a), so it is 0 within ceil(log2(deg m)) + 1 rounds. Then f(P(x)) = 0, and x -
+    P(x) is nilpotent, as f divides t - P."""
+    f = squarefree_part(m)
+    fp, a = derivative(f), [Fraction(0), Fraction(1)]
+
+    def at(p):  # p(a) mod m, by Horner's rule
+        return reduce(lambda acc, c: poly_mod(_sub(poly_mul(acc, a), [-c]), m), reversed(p), [])
+
+    for _ in range(degree(m).bit_length() + 1):
+        if not (fa := at(f)):
+            return poly_mod(a, m)
+        a = _sub(a, poly_mod(poly_mul(fa, _inverse_mod(at(fp), m)), m))
+    raise RuntimeError("Newton iteration did not terminate (unreachable)")
+
+
 def jordan_chevalley(m: Matrix) -> tuple[Matrix, Matrix]:
     """Split m = s + n with s semisimple, n nilpotent, s n = n s.
 
-    Both parts are polynomials in m. Newton iteration on the squarefree part
-    f of the minimal polynomial, which has the irreducible factors of the
-    characteristic polynomial, so f(m) is nilpotent of index at most size:
-    a <- a - f(a) f'(a)^{-1} doubles the order of vanishing of f(a) each
-    step, so it stops within ceil(log2(size)) + 1 rounds. f'(a) is
-    invertible because gcd(f, f') = 1 and f(a) stays nilpotent; its matrix
-    inverse is the inverse in Q[m], so everything commutes.
+    s = P(m) for P = :func:`_semisimple_polynomial` of m's minimal polynomial,
+    found by Newton's method in Q[t]/(min_poly(m)) and evaluated once.
     """
     if not m.is_square():
         raise ValueError("Jordan-Chevalley of a non-square matrix")
-    n = m.nrows
-    if n == 0:
+    if m.nrows == 0:
         return m, m
-    f = squarefree_part(min_poly(m))
-    fp = derivative(f)
-    a = m
-    for _ in range(n.bit_length() + 1):
-        fa = poly_eval_matrix(f, a)
-        if fa.is_zero():
-            break
-        a = a - fa @ poly_eval_matrix(fp, a).inverse()
-    else:
-        raise RuntimeError("Newton iteration did not terminate (unreachable)")
-    return a, m - a
-
-
-def is_nilpotent_matrix(m: Matrix) -> bool:
-    if not m.is_square():
-        raise ValueError("nilpotency of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return True
-    return m.power(n).is_zero()
+    s = poly_eval_matrix(_semisimple_polynomial(min_poly(m)), m)
+    return s, m - s

@@ -35,19 +35,18 @@ from .construct import (
 from .decompose import _coefficient_idempotents, indecompose
 from .endo import centroid, derivations, j_space, leibniz_system, split_centroid
 from .errors import LiestructError, PreconditionError, TruncationError
-from .lie import LieAlgebra, _memoized
+from .lie import LieAlgebra, _memoized, _polynomials_in
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
     add_vectors,
     kernel_of_rows,
-    kron,
     unit_vector,
     vector,
     zero_vector,
 )
-from .poly import jordan_chevalley
+from .poly import _semisimple_polynomial
 
 __all__ = [
     "JetAlgebra",
@@ -399,18 +398,21 @@ def s_part_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
             "Hom(k/[k,k], z(k)) must vanish for the S-part description"
         )
     _, s_of_k = split_centroid(k)
-    if s_of_k.dim != 1 or not s_of_k.contains(Matrix.identity(k.dim)):
+    identity = {i * k.dim + i: 1 for i in range(k.dim)}
+    if s_of_k.dim != 1 or not s_of_k.space.contains(identity):
         raise PreconditionError(
             "S(k) must be spanned by the identity (split-central fiber)"
         )
     g = current_algebra(k, a)
     n_g, s_g = split_centroid(g)
-    # semisimple part of A through its regular representation
+    # L_s, flattened, for s = P(e_p) the semisimple part of each basis element e_p
+    # of A, P and e_p's Krylov vectors on A's table
     s_parts = []
-    for mult in a._flat_left():
-        s, _ = jordan_chevalley(Matrix.unflatten(mult, a.dim, a.dim))
-        s_parts.append({j: x for j, x in enumerate(s.flatten()) if x})
-    identity = {i * k.dim + i: 1 for i in range(k.dim)}
+    for p in range(a.dim):
+        m, at = _polynomials_in(a, {p: 1}, a.unit)
+        s = at(_semisimple_polynomial(m))
+        s_parts.append({r * a.dim + j: c for j in range(a.dim)
+                        for r, c in enumerate(a._product(s, unit_vector(a.dim, j))) if c})
     expected = Subspace.span(_tensor_rows([identity], k.dim, s_parts, a.dim), g.dim * g.dim)
     return {
         "check": "spart",
@@ -581,20 +583,19 @@ def jet_reparametrization_automorphism(
                 )
     if mu.apply(a.unit) != a.unit:
         raise LiestructError("coefficient substitution moves the unit")
-    full = kron(Matrix.identity(k.dim), mu)
+    # full = I_k (x) mu, column i dim A + p is e_i (x) mu e_p; as full - I = I_k (x)
+    # (mu - I), invertibility and unipotence are decided on mu
+    zeros = (Fraction(0),) * a.dim
+    full = Matrix._trusted(zeros * i + row + zeros * (k.dim - 1 - i)
+                           for i in range(k.dim) for row in mu.rows)
     g = current_algebra(k, a)
     auto_ok = all(
         full.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
         == g.bracket(full.column(i), full.column(j))
         for i, j in itertools.combinations(range(g.dim), 2)
     )
-    try:
-        full.inverse()
-        invertible = True
-    except ValueError:
-        invertible = False
-    diff = full - Matrix.identity(g.dim)
-    nilpotent = diff.power(g.dim).is_zero()
+    invertible = Subspace.span(mu.rows, a.dim).dim == a.dim
+    nilpotent = (mu - Matrix.identity(a.dim)).power(a.dim).is_zero()
     report = {
         "check": "jetauto",
         "automorphism": auto_ok and invertible,

@@ -16,6 +16,44 @@ import pytest
 
 from liestruct import build, classical, example_algebra
 from liestruct.linalg import Matrix
+from liestruct.poly import char_poly, derivative, poly_eval_matrix, squarefree_part
+
+# ---------------------------------------------------------------------------
+# dense helpers and oracles, imported by the test modules
+# ---------------------------------------------------------------------------
+
+
+def kron(a, b):
+    """Kronecker product; row/column index (i, p) maps to i * b.nrows + p."""
+    return Matrix([[x * y for x in arow for y in brow] for arow in a.rows for brow in b.rows])
+
+
+def block_diag(*blocks):
+    n = sum(b.nrows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows.extend([0] * at + list(r) + [0] * (n - at - b.nrows) for r in b.rows)
+        at += b.nrows
+    return Matrix(rows)
+
+
+def is_nilpotent(m):
+    return m.nrows == 0 or m.power(m.nrows).is_zero()
+
+
+def jordan_chevalley_reference(m):
+    """(s, n) by Newton's method on dense matrices, a <- a - f(a) f'(a)^-1 with one
+    matrix inverse per step, f the squarefree part of the characteristic polynomial:
+    independent of the library's minimal polynomial and of its Newton in Q[t]/(m)."""
+    f = squarefree_part(char_poly(m))
+    fp = derivative(f)
+    a = m
+    for _ in range(m.nrows.bit_length() + 1):
+        fa = poly_eval_matrix(f, a)
+        if fa.is_zero():
+            return a, m - a
+        a = a - fa @ poly_eval_matrix(fp, a).inverse()
+    raise AssertionError("reference Newton iteration did not converge")
 
 # ---------------------------------------------------------------------------
 # fixtures

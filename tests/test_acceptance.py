@@ -49,8 +49,10 @@ from liestruct import (
     truncated_poly,
     x_derivations,
 )
-from liestruct.linalg import kron, unit_vector, vector, zero_vector
+from liestruct.linalg import unit_vector, vector, zero_vector
 from liestruct.sections import _apply_partial_power
+
+from conftest import kron
 
 FIVE_DIM_BLOCKED = pytest.mark.xfail(
     strict=True,

@@ -32,7 +32,9 @@ from liestruct import (
     to_dict,
     truncated_poly,
 )
-from liestruct.linalg import kron, solve, unit_vector, vector, zero_vector
+from liestruct.linalg import solve, unit_vector, vector, zero_vector
+
+from conftest import kron
 
 
 # ---------------------------------------------------------------------------

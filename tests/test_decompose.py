@@ -28,7 +28,7 @@ from liestruct.decompose import (
     primitive_idempotents,
 )
 from liestruct.errors import LiestructError, PreconditionError, SeparatingElementError
-from liestruct.linalg import Matrix, Subspace, kernel_basis, kron, unit_vector, vector
+from liestruct.linalg import Matrix, Subspace, kernel_basis, unit_vector, vector
 from liestruct.poly import (
     _crt_idempotent,
     degree,
@@ -39,6 +39,8 @@ from liestruct.poly import (
     poly_mul,
     squarefree_part,
 )
+
+from conftest import block_diag, is_nilpotent, jordan_chevalley_reference, kron
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +105,12 @@ def test_radical_of_jet_current_algebra(sl2):
     rad = centroid_radical(cent)
     assert rad.dim == 2  # multiplications by t and t^2
     # every radical element is nilpotent
-    from liestruct.poly import is_nilpotent_matrix
-
     for coords in rad.rows:
         mat = Matrix.zero(g.dim, g.dim)
         mats = cent.basis_matrices()
         for c, b in zip(coords, mats):
             mat = mat + b.scale(c)
-        assert is_nilpotent_matrix(mat)
+        assert is_nilpotent(mat)
 
 
 def test_radical_of_heisenberg_centroid(heisenberg3):
@@ -305,11 +305,14 @@ def test_complex_structure_of_decomposable_current(sl2):
 # centroid arithmetic in the regular representation, against End(g)
 # ---------------------------------------------------------------------------
 #
-# The library runs Jordan-Chevalley and the minimal polynomial of
-# complex_structure on the d x d matrices L_b of Cent(g)'s regular
-# representation, and the idempotent search and the Peirce blocks on Cent's
-# multiplication table. The references below do the same work on the
-# dim g x dim g centroid basis matrices, the search by the dense oracle.
+# The library runs every polynomial in a centroid element on Cent's
+# multiplication table: the idempotent search, the semisimple parts of
+# split_centroid (Newton in Q[t]/(m)) and the minimal polynomial of
+# complex_structure, all from integer Krylov vectors on the unit, and the
+# Peirce blocks from products in the table. The references below do the same
+# work on the dim g x dim g centroid basis matrices: the search by the dense
+# oracle, Jordan-Chevalley by the dense Newton on the characteristic
+# polynomial (conftest), with one matrix inverse per step.
 
 
 def _outcome(fn):
@@ -320,8 +323,6 @@ def _outcome(fn):
 
 
 def _split_reference(g):
-    from liestruct.poly import jordan_chevalley
-
     cent = endo.centroid(g)
     mats = cent.basis_matrices()
     for i in range(len(mats)):
@@ -332,7 +333,7 @@ def _split_reference(g):
                     "elements %d and %d do not commute" % (i, j)
                 )
     nn = g.dim * g.dim
-    parts = [jordan_chevalley(m) for m in mats]
+    parts = [jordan_chevalley_reference(m) for m in mats]
     semi = Subspace.span([s.flatten() for s, _ in parts], nn)
     nil = Subspace.span([n.flatten() for _, n in parts], nn)
     return nil.rows, semi.rows
@@ -393,11 +394,12 @@ def _complex_reference(g):
 
 REGULAR_CASES = ("sl:3", "cur:sl:2,jet:2,3", "cur:sl:2,points:4", "sum:sl:2+sl:2+sl:2",
                  "sl2_plus_q_rebased", "sl2 x Q(i)", "sl2 x Q(sqrt 2)", "two_dim + h3", "h3 + h3",
-                 "two_dim + h3 + sl3")
+                 "two_dim + h3 + sl3", "sl2 + sl2 x jet:1,2 rebased",
+                 "sl2 x Q(i) x jet:1,2 rebased")
 
 
 @pytest.fixture(scope="module")
-def regular_cases(sl2_plus_q_rebased):
+def regular_cases(sl2_plus_q_rebased, rebase):
     from liestruct.cli import parse_algebra
 
     two_dim = example_algebra("two_dim")
@@ -411,6 +413,12 @@ def regular_cases(sl2_plus_q_rebased):
     cases["two_dim + h3"] = direct_sum([two_dim, h3])
     cases["h3 + h3"] = direct_sum([h3, h3])
     cases["two_dim + h3 + sl3"] = direct_sum([two_dim, h3, classical("sl", 3)])
+    # dense bases, where no centroid basis element off the radical is semisimple:
+    # Cent = Q x Q[t]/(t^2) and Q(i)[t]/(t^2), minimal polynomials of degree 3 and 4
+    jet12 = truncated_poly(1, 2)
+    cases["sl2 + sl2 x jet:1,2 rebased"] = rebase(direct_sum([sl2, current_algebra(sl2, jet12)]), 1)
+    cases["sl2 x Q(i) x jet:1,2 rebased"] = rebase(
+        current_algebra(current_algebra(sl2, quadratic_extension(-1)), jet12), 1)
     return cases
 
 
@@ -419,20 +427,36 @@ def _is_commutative(cent):
     return all(a @ b == b @ a for a in mats for b in mats)
 
 
-def test_regular_cases_cover_every_shape_of_centroid(regular_cases):
+def _newton_steps(monkeypatch, g) -> list:
+    """The degree of m at each Newton step split_centroid takes on g, one extended
+    gcd mod m each."""
+    from liestruct import poly
+
+    steps, inverse = [], poly._inverse_mod
+    monkeypatch.setattr(poly, "_inverse_mod", lambda a, m: steps.append(degree(m)) or inverse(a, m))
+    _outcome(lambda: endo.split_centroid.__wrapped__(g))
+    monkeypatch.undo()
+    return steps
+
+
+def test_regular_cases_cover_every_shape_of_centroid(monkeypatch, regular_cases):
     shapes = {}
     for name, g in regular_cases.items():
         cent = endo.centroid(g)
-        key = ((cent.dim > g.dim) - (cent.dim < g.dim), _is_commutative(cent))
+        key = ((cent.dim > g.dim) - (cent.dim < g.dim), _is_commutative(cent),
+               tuple(_newton_steps(monkeypatch, g)))
         shapes.setdefault(key, set()).add(name)
-    # (sign of dim Cent - dim g, commutative): the regular representation is
-    # smaller, as large as or larger than End(g), on commutative and
-    # noncommutative centroids, where the idempotents are not unique
+    # (sign of dim Cent - dim g, commutative, split_centroid's Newton steps): the
+    # regular representation is smaller, as large as or larger than End(g), on
+    # commutative and noncommutative centroids, where the idempotents are not
+    # unique; the rebasings take a Newton step per basis element off the radical
     assert shapes == {
-        (-1, True): set(REGULAR_CASES[:7]),
-        (-1, False): {"two_dim + h3 + sl3"},  # dim Cent 6, dim g 13
-        (0, False): {"two_dim + h3"},  # 5 and 5
-        (1, False): {"h3 + h3"},  # 10 and 6
+        (-1, True, ()): set(REGULAR_CASES[:7]),
+        (-1, False, ()): {"two_dim + h3 + sl3"},  # dim Cent 6, dim g 13
+        (0, False, ()): {"two_dim + h3"},  # 5 and 5
+        (1, False, ()): {"h3 + h3"},  # 10 and 6
+        (-1, True, (3, 3)): {"sl2 + sl2 x jet:1,2 rebased"},
+        (-1, True, (4, 4)): {"sl2 x Q(i) x jet:1,2 rebased"},
     }
 
 
@@ -457,7 +481,8 @@ def test_idempotents_and_blocks_match_end_reference(regular_cases, name):
         assert primitive_idempotents(endo.centroid(g)) == (report.idempotents, report.status)
 
 
-@pytest.mark.parametrize("name", ["sl:3", "cur:sl:2,jet:2,3", "sl2 x Q(i)", "sl2 x Q(sqrt 2)"])
+@pytest.mark.parametrize("name", ["sl:3", "cur:sl:2,jet:2,3", "sl2 x Q(i)", "sl2 x Q(sqrt 2)",
+                                  "sl2 x Q(i) x jet:1,2 rebased"])
 def test_complex_structure_matches_end_reference(regular_cases, name):
     g = regular_cases[name]
     expected = _complex_reference(g)
@@ -552,15 +577,19 @@ def test_a_corner_radical_is_the_kernel_of_the_corners_own_gram(regular_cases, n
 @pytest.mark.parametrize("spec, calls", [("cur:sl:2,points:3", 0), ("cur:sl:2,jet:1,3", 1)])
 def test_split_centroid_takes_one_jordan_chevalley_per_residue_dimension(monkeypatch, spec,
                                                                           calls):
-    # d - dim N of them, the semisimple parts of a complement of the radical,
-    # and none when N = 0: Q^3 and Q[t]/(t^3)
+    # d - dim N of them, the semisimple polynomials of a complement of the
+    # radical, each on one Krylov run, and none when N = 0: Q^3 and Q[t]/(t^3)
     from liestruct.cli import parse_algebra
 
     g = parse_algebra(spec)
-    counted, jordan_chevalley = [], endo.jordan_chevalley
-    monkeypatch.setattr(endo, "jordan_chevalley", lambda m: counted.append(m) or jordan_chevalley(m))
+    newtons, runs = [], []
+    semisimple, polynomials_in = endo._semisimple_polynomial, endo._polynomials_in
+    monkeypatch.setattr(endo, "_semisimple_polynomial",
+                        lambda m: newtons.append(m) or semisimple(m))
+    monkeypatch.setattr(endo, "_polynomials_in",
+                        lambda *args: runs.append(1) or polynomials_in(*args))
     got = endo.split_centroid.__wrapped__(g)
-    assert len(counted) == calls
+    assert len(newtons) == len(runs) == calls
     assert tuple(s.space.rows for s in got) == _split_reference(g)
 
 
@@ -620,8 +649,9 @@ def test_a_residue_field_stops_the_idempotent_search(rebase, monkeypatch, name):
     field, seed, status = FIELD_REBASINGS[name]
     g = rebase(current_algebra(classical("sl", 2), field()), seed)
     calls = []
-    krylov = decompose._krylov
-    monkeypatch.setattr(decompose, "_krylov", lambda *args: calls.append(1) or krylov(*args))
+    polynomials_in = decompose._polynomials_in
+    monkeypatch.setattr(decompose, "_polynomials_in",
+                        lambda *args: calls.append(1) or polynomials_in(*args))
     report = indecompose.__wrapped__(g)
     assert report.ideals == (Subspace.full(g.dim),) and report.status == status
     assert len(calls) <= 2
@@ -636,15 +666,6 @@ def test_a_residue_field_stops_the_idempotent_search(rebase, monkeypatch, name):
 # checked by certificates that do not use the search: p^2 = p, p q = 0, a sum
 # of 1, every p in the algebra, and the count. The last input is no algebra:
 # it reaches the guard that stops the search on such input.
-
-
-def _block_diag(*blocks):
-    n = sum(b.nrows for b in blocks)
-    rows, at = [], 0
-    for b in blocks:
-        rows.extend([0] * at + list(r) + [0] * (n - at - b.nrows) for r in b.rows)
-        at += b.nrows
-    return Matrix(rows)
 
 
 def _gauss(a, b):
@@ -679,9 +700,9 @@ def _search(unit, basis):
 
 
 # Q[x]/(x^2) x Q on Q^2 + Q, and Q(i) x Q on Q(i) + Q
-_E = _block_diag(Matrix.identity(2), Matrix.zero(1, 1))
-_X = _block_diag(Matrix([[0, 1], [0, 0]]), Matrix.zero(1, 1))
-_I = _block_diag(_gauss(0, 1), Matrix.zero(1, 1))
+_E = block_diag(Matrix.identity(2), Matrix.zero(1, 1))
+_X = block_diag(Matrix([[0, 1], [0, 0]]), Matrix.zero(1, 1))
+_I = block_diag(_gauss(0, 1), Matrix.zero(1, 1))
 
 
 def test_projectors_of_a_non_semisimple_candidate_are_newton_lifted():
@@ -722,7 +743,7 @@ def test_idempotents_of_a_chosen_commutative_commutant(rep, status, seed):
 
 def _gauss_pair(*pairs):
     """Multiplications of Q(i) x Q(i) on Q(i) + Q(i), one per ((a, b), (c, d))."""
-    return [_block_diag(_gauss(*z), _gauss(*w)) for z, w in pairs]
+    return [block_diag(_gauss(*z), _gauss(*w)) for z, w in pairs]
 
 
 def test_weighted_candidates_split_a_product_of_gaussian_fields():
@@ -732,8 +753,8 @@ def test_weighted_candidates_split_a_product_of_gaussian_fields():
     unit = Matrix.identity(4)
     idems, status = _search(unit, basis)
     _assert_primitive_family(idems, unit, _span_of(basis), 2)
-    assert set(idems) == {_block_diag(Matrix.identity(2), Matrix.zero(2, 2)),
-                          _block_diag(Matrix.zero(2, 2), Matrix.identity(2))}
+    assert set(idems) == {block_diag(Matrix.identity(2), Matrix.zero(2, 2)),
+                          block_diag(Matrix.zero(2, 2), Matrix.identity(2))}
     assert status == "nonsplit_real"
 
 

@@ -16,11 +16,12 @@ from liestruct.linalg import (
     _echelon,
     kernel_basis,
     kernel_of_rows,
-    kron,
     row_reduce,
     solve,
     vector,
 )
+
+from conftest import kron
 
 
 def M(rows):
@@ -694,6 +695,7 @@ def test_matrix_arithmetic_does_not_coerce_its_results(monkeypatch):
 
 
 def test_kron_block_structure():
+    # the tests' own Kronecker product (conftest), under the tensor-product oracles
     a = M([[2, 0], [0, 3]])
     b = M([[0, 1], [1, 0]])
     k = kron(a, b)

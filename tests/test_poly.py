@@ -14,7 +14,6 @@ from liestruct.poly import (
     char_poly,
     derivative,
     factor,
-    is_nilpotent_matrix,
     jordan_chevalley,
     min_poly,
     monic,
@@ -26,6 +25,8 @@ from liestruct.poly import (
     poly_mul,
     squarefree_part,
 )
+
+from conftest import block_diag, is_nilpotent, jordan_chevalley_reference
 
 
 def M(rows):
@@ -285,7 +286,7 @@ def test_property_jordan_chevalley(m):
     s, n = jordan_chevalley(m)
     assert s + n == m
     assert s @ n == n @ s
-    assert is_nilpotent_matrix(n)
+    assert is_nilpotent(n)
     mp = min_poly(s)
     assert mp == squarefree_part(mp)
 
@@ -508,21 +509,8 @@ def test_squarefree_part_matches_sympy_sqf_part(sympy, idx):
 
 
 # ---------------------------------------------------------------------------
-# jordan_chevalley against a characteristic-polynomial Newton reference
+# jordan_chevalley against the dense characteristic-polynomial Newton (conftest)
 # ---------------------------------------------------------------------------
-
-
-def _jordan_chevalley_reference(m):
-    """Newton iteration on the squarefree part of the characteristic polynomial."""
-    f = squarefree_part(char_poly(m))
-    fp = derivative(f)
-    a = m
-    for _ in range(m.nrows.bit_length() + 1):
-        fa = poly_eval_matrix(f, a)
-        if fa.is_zero():
-            return a, m - a
-        a = a - fa @ poly_eval_matrix(fp, a).inverse()
-    raise AssertionError("reference Newton iteration did not converge")
 
 
 def _centroid_bases():
@@ -536,14 +524,46 @@ def _centroid_bases():
 @pytest.mark.parametrize("idx", range(len(SEEDED)))
 def test_jordan_chevalley_matches_char_poly_reference_on_seeded(idx):
     m = SEEDED[idx]
-    assert jordan_chevalley(m) == _jordan_chevalley_reference(m)
+    assert jordan_chevalley(m) == jordan_chevalley_reference(m)
 
 
 def test_jordan_chevalley_matches_char_poly_reference_on_centroids():
     mats = _centroid_bases()
     assert any(not jordan_chevalley(m)[1].is_zero() for m in mats)  # some nilpotent parts
     for m in mats:
-        assert jordan_chevalley(m) == _jordan_chevalley_reference(m)
+        assert jordan_chevalley(m) == jordan_chevalley_reference(m)
+
+
+def _companion(*coeffs):
+    """The companion matrix of t^n + c_{n-1} t^{n-1} + ... + c_0, from c_0..c_{n-1}."""
+    n = len(coeffs)
+    return M([[int(r == c + 1) for c in range(n - 1)] + [-coeffs[r]] for r in range(n)])
+
+
+def _jordan_block(n, ev):
+    return M([[ev if r == c else int(c == r + 1) for c in range(n)] for r in range(n)])
+
+
+# Nilpotent parts on non-split primary blocks, so the Newton step does work:
+# companion((t^2 + 1)^2) + J_2(3) + companion(t^3 - 2), J_3(-1) + companion((t^2 - 2)^2)
+# (two steps for J_3), companion((t^3 - 2)^2) + companion(t^2 + t + 1)
+NEWTON_BLOCKS = (
+    (_companion(1, 0, 2, 0), _jordan_block(2, 3), _companion(-2, 0, 0)),
+    (_jordan_block(3, -1), _companion(4, 0, -4, 0)),
+    (_companion(4, 0, 0, -4, 0, 0), _companion(1, 1)),
+)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("idx", range(len(NEWTON_BLOCKS)))
+def test_jordan_chevalley_matches_reference_on_conjugated_primary_blocks(idx, seed):
+    block = block_diag(*NEWTON_BLOCKS[idx])
+    rng, n = random.Random(seed), block.nrows
+    p = _unitriangular(rng, n, True, True) @ _unitriangular(rng, n, False, True)
+    m = p @ block @ p.inverse()
+    assert max(abs(x.numerator) for r in m.rows for x in r).bit_length() >= 60
+    s, nil = jordan_chevalley(m)
+    assert not nil.is_zero() and (s, nil) == jordan_chevalley_reference(m)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from liestruct import (
     Matrix,
     PreconditionError,
     TruncationError,
+    build,
     centroid,
     centroid_of_sections_check,
     classical,
@@ -41,8 +42,9 @@ from liestruct import (
 )
 from liestruct.decompose import _coefficient_idempotents, primitive_idempotents
 from liestruct.endo import EndoSpace
-from liestruct.linalg import Subspace, kron, unit_vector, vector, zero_vector
-from liestruct.poly import jordan_chevalley
+from liestruct.linalg import Subspace, unit_vector, vector, zero_vector
+
+from conftest import jordan_chevalley_reference, kron
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +417,7 @@ def _dense_s_part_check(k, a):
     n_g, s_g = split_centroid(g)
     s_parts = []
     for p in range(a.dim):
-        s, _ = jordan_chevalley(a.mult_matrix(unit_vector(a.dim, p)))
+        s, _ = jordan_chevalley_reference(a.mult_matrix(unit_vector(a.dim, p)))
         s_parts.append(kron(Matrix.identity(k.dim), s).flatten())
     expected = Subspace.span(s_parts, g.dim * g.dim)
     return {
@@ -427,11 +429,20 @@ def _dense_s_part_check(k, a):
     }
 
 
+# [e, f] = h, [h, e] = 2e, [h, f] = -2f on sl2 (e, f, h), acting on Q^2 (p, q)
+_SL2_ON_Q2 = {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2},
+              (0, 4): {3: 1}, (1, 3): {4: 1}, (2, 3): {3: 1}, (2, 4): {4: -1}}
 _FIBERS = {
     "sl2": lambda: classical("sl", 2),
     "sl3": lambda: classical("sl", 3),
     "su3": lambda: classical("su", 3),
     "2dim": lambda: example_algebra("two_dim"),
+    # perfect or centerfree, not semisimple: sl2 x| Q^2 (perfect, centerfree) and
+    # the Jacobi algebra sl2 x| h3 ([p, q] = z; perfect, 1-dim center)
+    "sl2xQ2": lambda: build(5, _SL2_ON_Q2),
+    "jacobi": lambda: build(6, {**_SL2_ON_Q2, (3, 4): {5: 1}}),
+    # sl2 over Q(i) as a Q-algebra: Cent = Q(i), so S(k) is no line
+    "sl2(i)": lambda: current_algebra(classical("sl", 2), quadratic_extension(-1)),
 }
 _COEFFICIENTS = {
     "jet13": lambda: truncated_poly(1, 3),
@@ -445,12 +456,18 @@ _COEFFICIENTS = {
 @pytest.mark.parametrize("k_name", sorted(_FIBERS))
 def test_section_checks_equal_their_dense_formulation(k_name, a_name):
     k, a = _FIBERS[k_name](), _COEFFICIENTS[a_name]()
-    for check, oracle in [
+    checks = [
         (current_der_decomposition, _dense_der_decomposition),
         (centroid_of_sections_check, _dense_centroid_check),
         (s_part_of_sections_check, _dense_s_part_check),
-    ]:
-        assert check(k, a) == oracle(k, a)
+    ]
+    if k_name == "sl2(i)":  # the S part needs S(k) = Q 1, and S(sl2 (x) Q(i)) = Q(i)
+        with pytest.raises(PreconditionError, match="S\\(k\\) must be spanned by the identity"):
+            s_part_of_sections_check(k, a)
+        checks.pop()
+    for check, oracle in checks:
+        got = check(k, a)
+        assert got == oracle(k, a) and got["ok"]
 
 
 @pytest.mark.parametrize("a_name", sorted(_COEFFICIENTS))
