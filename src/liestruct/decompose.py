@@ -41,8 +41,9 @@ to ints, and each e(f) = e(f) 1 is a combination of those vectors: no d x d
 matrix and no Horner step (d = dim Cent). This one path,
 ``lie._polynomials_in``, also gives ``endo.split_centroid`` its semisimple
 parts and :func:`complex_structure` its minimal polynomial. The idempotents
-come back to End(g) once, as the sparse int columns of the checks, ideals and
-images.
+and J come back to End(g) once, as int columns read off Cent's sparse basis
+(``endo._int_endos``): their checks, the ideals and the images run on those,
+and the public matrices are built from them last.
 
 All arithmetic is exact, so every claimed identity (p^2 = p, orthogonality,
 completeness) holds on the nose, not up to tolerance.
@@ -55,11 +56,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import LiestructError, PreconditionError, SeparatingElementError
-from .endo import (EndoSpace, _algebra_table, _apply, _centroid_radical, _centroid_table,
-                   _compose, _int_columns, _one, _subtract, centroid,
-                   check_abelian, split_centroid)
+from .endo import (EndoSpace, _algebra_table, _apply, _centroid_table, _compose,
+                   _int_endos, _one, _public, _subtract, centroid, check_abelian,
+                   split_centroid)
 from .lie import LieAlgebra, _memoized, _polynomials_in, _times
-from .linalg import Matrix, Subspace, _int_row, _span, kernel_basis
+from .linalg import Matrix, Subspace, _int_row, _span
 from .poly import (_crt_idempotent, _rational_square_root, degree, factor, poly_mod, poly_mul,
                    squarefree_part)
 
@@ -136,7 +137,7 @@ def centroid_radical(cent: EndoSpace) -> Subspace:
     """
     table = _algebra_table(cent)
     check_abelian(cent, table)
-    return kernel_basis(table._trace_form())
+    return table._radical()
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +186,7 @@ def primitive_idempotents(cent: EndoSpace) -> tuple[IdempotentSet, str]:
     """
     table = _algebra_table(cent)
     check_abelian(cent, table)
-    return _primitive_idempotents_any(cent, table, kernel_basis(table._trace_form()))[:2]
+    return _primitive_idempotents_any(cent, table, table._radical())[:2]
 
 
 def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace):
@@ -200,12 +201,11 @@ def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace):
     if not cent.space.contains({c * (n + 1): 1 for c in range(n)}):
         raise PreconditionError("centroid does not contain the identity")
     coords, status = _split(table, _one(cent), rad)
-    idems = [Matrix.unflatten(cent.space.combine(c), n, n) for c in coords]
     # exactness checks on the int columns of the den p: p^2 = p, p q = 0, den (1 - sum p) = 0
-    den, cols = _int_columns(idems)
+    den, cols = _int_endos(cent, (dict(enumerate(c)) for c in coords))
     rest = {c * (n + 1): den for c in range(n)}
     for i, a in enumerate(cols):
-        flat = {c * n + r: x for c, col in enumerate(a) for r, x in col}
+        flat = {c * n + r: x for c, col in enumerate(a) for r, x in col}  # as _compose keys
         if _compose(a, a) != {k: den * x for k, x in flat.items()}:
             raise LiestructError("projection %d is not idempotent" % i)
         if any(_compose(a, b) for b in cols[i + 1:]):
@@ -213,7 +213,7 @@ def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace):
         _subtract(rest, flat.items())
     if rest:
         raise LiestructError("projections do not sum to the identity")
-    return IdempotentSet(tuple(idems)), status, coords, cols
+    return IdempotentSet(tuple(_public(den, a) for a in cols)), status, coords, cols
 
 
 @_memoized
@@ -221,7 +221,7 @@ def _coefficient_idempotents(a) -> tuple:
     """The primitive idempotents of a commutative coefficient algebra A, as
     coordinates, from the search on A's own table and unit, checked there: e^2 = e,
     e e' = 0 and sum e = 1. Memoized per A, which compares by value."""
-    idems, _ = _split(a, a.unit, kernel_basis(a._trace_form()))
+    idems, _ = _split(a, a.unit, a._radical())
     for i, e in enumerate(idems):
         if any(a._product(e, f) != (f if f is e else (0,) * a.dim) for f in idems[i:]):
             raise LiestructError("coefficient idempotent %d is not idempotent, or not "
@@ -234,7 +234,8 @@ def _coefficient_idempotents(a) -> tuple:
 def _centroid_split(g: LieAlgebra):
     """The memoized :func:`_split` of Cent(g)'s table, as `indecompose` reuses it; Cent of
     a semisimple g is a product of fields, one per simple ideal."""
-    return _split(_centroid_table(g), _one(centroid(g)), _centroid_radical(g))
+    table = _centroid_table(g)
+    return _split(table, _one(centroid(g)), table._radical())
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +268,7 @@ def indecompose(g: LieAlgebra) -> DecompositionReport:
             )
     cent = centroid(g)
     table = _centroid_table(g)
-    idems, status, coords, cols = _primitive_idempotents_any(cent, table, _centroid_radical(g))
+    idems, status, coords, cols = _primitive_idempotents_any(cent, table, table._radical())
     n, d = g.dim, cent.dim
     ideals = [Subspace.span([dict(col) for col in a], n) for a in cols]
     if sum(s.dim for s in ideals) != n:
@@ -316,19 +317,15 @@ def complex_structure(g: LieAlgebra) -> Optional[ComplexStructure]:
     """
     report = indecompose(g)
     if len(report.ideals) > 1:
-        raise PreconditionError(
-            "algebra is decomposable (%d ideals); complex structures are "
-            "classified only for indecomposable algebras" % len(report.ideals)
-        )
+        raise PreconditionError("algebra is decomposable (%d ideals); complex structures are "
+                                "classified only for indecomposable algebras" % len(report.ideals))
     _, sspace = split_centroid(g)
     cent, n = centroid(g), g.dim
     if sspace.dim == 1:
         return None
     if sspace.dim > 2:
-        raise LiestructError(
-            "inconsistency: semisimple part of the centroid has dimension %d "
-            "> 2 on an indecomposable algebra" % sspace.dim
-        )
+        raise LiestructError("inconsistency: semisimple part of the centroid has dimension %d "
+                             "> 2 on an indecomposable algebra" % sspace.dim)
     # S in Cent's coordinates
     one = _one(cent)
     f = next((x for x in map(cent.space.coordinates, sspace.space.sparse_rows())
@@ -337,28 +334,21 @@ def complex_structure(g: LieAlgebra) -> Optional[ComplexStructure]:
         raise LiestructError("semisimple part of dim 2 collapsed to scalars")
     p = squarefree_part(_polynomials_in(_centroid_table(g), dict(enumerate(f)), one)[0])
     if degree(p) != 2:
-        raise LiestructError(
-            "expected a quadratic minimal polynomial on S, got degree %d"
-            % degree(p)
-        )
+        raise LiestructError("expected a quadratic minimal polynomial on S, got degree %d"
+                             % degree(p))
     # p = t^2 - 2a t + (a^2 + b^2) for J = (f - a)/b
     a = -p[1] / 2
     disc = p[1] * p[1] - 4 * p[0]
     if disc >= 0:
-        raise LiestructError(
-            "centroid splits over the reals (discriminant %s >= 0): the "
-            "algebra carries no complex structure" % disc
-        )
+        raise LiestructError("centroid splits over the reals (discriminant %s >= 0): the "
+                             "algebra carries no complex structure" % disc)
     b_squared = p[0] - a * a
     b = _rational_square_root(b_squared)
     if b is None:
-        raise LiestructError(
-            "a complex structure exists over the reals but not over Q: "
-            "%s is not a rational square" % b_squared
-        )
-    jmat = Matrix.unflatten(cent.space.combine([(x - a * o) / b for x, o in zip(f, one)]), n, n)
+        raise LiestructError("a complex structure exists over the reals but not over Q: "
+                             "%s is not a rational square" % b_squared)
     # J^2 = -1 on the int columns of den J, in End(g) and not in Cent's table
-    den, (cols,) = _int_columns([jmat])
+    den, (cols,) = _int_endos(cent, [{k: (x - a * o) / b for k, (x, o) in enumerate(zip(f, one))}])
     if _compose(cols, cols) != {c * (n + 1): -den * den for c in range(n)}:
         raise LiestructError("constructed J fails J^2 = -1 (internal error)")
-    return ComplexStructure(J=jmat)
+    return ComplexStructure(J=_public(den, cols))

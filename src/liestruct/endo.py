@@ -8,7 +8,11 @@ row generator; the centroid and commutants are the exact kernel of a spun
 system over far fewer unknowns (below); J(g) is built in closed form.
 Constants are scaled to integers over one common denominator, once per
 table (``_int_constants``), so every row is a ``{col: int}`` map that the
-integer echelon takes as it is.
+integer echelon takes as it is. An endomorphism has one form in the core:
+den times its columns, each the nonzero (row, int) pairs, as ``_compose`` and
+``_apply`` take them. ``_int_endos`` reads it off a space's sparse basis rows
+for coordinates in that basis; Cent's table, the idempotents, J and the N/S
+split are built and checked on it, and a ``Matrix`` only for a public value.
 
 Where Der and Cent come from. When g is known to satisfy the Jacobi identity
 (see ``lie._jacobi_known``), two exact facts cut the work:
@@ -51,10 +55,10 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import LiestructError, PreconditionError
-from .lie import (LieAlgebra, _integral, _jacobi_known, _memoized, _polynomials_in,
+from .lie import (LieAlgebra, _integral, _jacobi_known, _memoized, _polynomials_in, _scaled,
                   _StructureTable)
 from .linalg import (Matrix, Subspace, Vector, _echelon, _int_row, _primitive, _reduce, _span,
-                     kernel_basis, kernel_of_rows)
+                     kernel_of_rows)
 from .poly import _semisimple_polynomial
 
 __all__ = [
@@ -220,6 +224,36 @@ def _compose(a, b) -> dict:
             for r, x in a[s]:
                 out[c * n + r] = out.get(c * n + r, 0) + x * y
     return {k: v for k, v in out.items() if v}
+
+
+def _flat(op) -> dict:
+    """The int columns of an operator, flattened row-major as ``{index: int}``."""
+    n = len(op)
+    return {r * n + c: x for c, col in enumerate(op) for r, x in col}
+
+
+def _int_endos(space: EndoSpace, coords) -> tuple:
+    """(den, ops): den sum_k c_k b_k over the canonical basis b_k of ``space`` for each map
+    c = {k: value} in ``coords``, as int columns (:func:`_compose`) over one den."""
+    n, (s, (basis,)) = space.n, _integral([[r.items() for r in space.space.sparse_rows()]])
+    coords = [_scaled(c) for c in coords]  # c = c' / over, and s b_k are int rows
+    top, ops = lcm(*(over for over, _ in coords)), []
+    for over, c in coords:
+        acc, cols = {}, [[] for _ in range(n)]
+        for k, x in c.items():
+            for p, v in basis[k]:
+                acc[p] = acc.get(p, 0) + top // over * x * v
+        for p, x in acc.items():
+            if x:
+                cols[p % n].append((p // n, x))
+        ops.append(cols)
+    return top * s, ops
+
+
+def _public(den: int, op) -> Matrix:
+    """The Matrix of op / den, for op given by its int columns."""
+    n = len(op)
+    return Matrix.unflatten({p: Fraction(x, den) for p, x in _flat(op).items()}, n, n)
 
 
 def _apply_block(op, block: dict) -> dict:
@@ -403,7 +437,7 @@ def _commutant(ops, n: int, kind: str) -> EndoSpace:
         f = [tuple(_apply(fb, lam).items()) for lam in back]
         if not all(_compose(f, op) == _compose(op, f) for op in ops):
             raise LiestructError("%s: a spun element fails f A = A f" % kind)
-        found.append({r * n + c: x for c, col in enumerate(f) for r, x in col})
+        found.append(_flat(f))
     return EndoSpace(kind, n, _span(found, n * n))
 
 
@@ -470,30 +504,22 @@ def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
     for m in rep:
         if not m.is_square() or m.nrows != n:
             raise ValueError("representation matrices must be square of one size")
-    return _commutant(_int_columns(rep)[1], n, "commutant")
-
-
-def _int_columns(mats: Sequence[Matrix]) -> tuple:
-    """(den, ops): den times the square matrices ``mats``, as int columns (:func:`_compose`)."""
-    return _integral([[[(k, x) for k, x in enumerate(col) if x] for col in zip(*m.rows)]
-                      for m in mats])
+    # column j of each op lists (k, den rho_kj), as _commutant takes them
+    return _commutant(_integral([[[(k, x) for k, x in enumerate(col) if x] for col in zip(*m.rows)]
+                                 for m in rep])[1], n, "commutant")
 
 
 def _algebra_table(space: EndoSpace) -> _StructureTable:
     """Multiplication table of a matrix algebra: ``[i][j]`` holds the coordinates of
-    b_i b_j, its entries at the pivots of the echelon basis (the only ones computed)."""
-    n = space.n
-    spots = [divmod(p, n) for p in space.space.pivots]
-    basis = space.space.sparse_rows()
-    by_row = [{} for _ in basis]  # by_row[i][r]: the nonzero (t, entry (r, t)) of b_i
-    for rows, b in zip(by_row, basis):
-        for p, x in b.items():
-            rows.setdefault(p // n, []).append((p % n, x))
-    return _StructureTable(["b%d" % i for i in range(len(basis))], {
-        (i, j): {k: sum((x * b[t * n + c] for t, x in rows.get(r, ()) if t * n + c in b),
-                        Fraction(0))
-                 for k, (r, c) in enumerate(spots)}
-        for i, rows in enumerate(by_row) for j, b in enumerate(basis)})
+    b_i b_j, its entries at the pivots of the echelon basis, read off the composed int
+    columns of den b_i and den b_j over den^2 (:func:`_int_endos`)."""
+    n, d = space.n, space.dim
+    den, ops = _int_endos(space, ({k: 1} for k in range(d)))
+    # pivot r n + c (row-major) is entry c n + r of a composition (column-major)
+    spots = [(k, p % n * n + p // n) for k, p in enumerate(space.space.pivots)]
+    return _StructureTable(["b%d" % i for i in range(d)], {
+        (i, j): {k: Fraction(ab[s], den * den) for k, s in spots if s in ab}
+        for i, a in enumerate(ops) for j, b in enumerate(ops) for ab in (_compose(a, b),)})
 
 
 @_memoized
@@ -515,31 +541,29 @@ def check_abelian(space: EndoSpace, table: _StructureTable):
 
 
 @_memoized
-def _centroid_radical(g: LieAlgebra) -> Subspace:
-    """rad Cent(g) in coordinates: the kernel of its table's trace form (decompose docs)."""
-    return kernel_basis(_centroid_table(g)._trace_form())
-
-
-@_memoized
 def split_centroid(g: LieAlgebra) -> tuple[EndoSpace, EndoSpace]:
     """Split an abelian centroid into nilpotent and semisimple parts.
 
-    N is the radical (:func:`_centroid_radical`). S is spanned by the
-    semisimple parts s(b) of the basis elements b off N's pivots: on a
-    commutative algebra s is linear with kernel N, so they span s(Cent). Each
-    s(b) = P(b), P by Newton in Q[t]/(m) (``poly._semisimple_polynomial``), from
-    b's Krylov vectors on Cent's table (``lie._polynomials_in``). When N = 0,
-    S = Cent. N + S = Cent, direct, is checked in End(g).
+    N is the radical of Cent's table (``_StructureTable._radical``). S is
+    spanned by the semisimple parts s(b) of the basis elements b off N's
+    pivots: on a commutative algebra s is linear with kernel N, so they span
+    s(Cent). Each s(b) = P(b), P by Newton in Q[t]/(m)
+    (``poly._semisimple_polynomial``), from b's Krylov vectors on Cent's table
+    (``lie._polynomials_in``). Both come back to End(g) as int columns
+    (:func:`_int_endos`), flattened. When N = 0, S = Cent. N + S = Cent,
+    direct, is checked in End(g).
     """
     cent = centroid(g)
     table = _centroid_table(g)
     check_abelian(cent, table)
-    n, rad, one = g.dim, _centroid_radical(g), _one(cent)
-    semi = [cent.space.combine(at(_semisimple_polynomial(m)))
+    n, rad, one = g.dim, table._radical(), _one(cent)
+    semi = [dict(enumerate(at(_semisimple_polynomial(m))))
             for m, at in (_polynomials_in(table, {b: 1}, one)
                           for b in range(cent.dim) if rad.dim and b not in rad.pivots)]
-    nspace = EndoSpace("nilpotent_part", n, _span([cent.space.combine(r) for r in rad.rows], n * n))
-    sspace = EndoSpace("semisimple_part", n, Subspace.span(semi, n * n) if semi else cent.space)
+    _, ops = _int_endos(cent, [dict(r) for r in rad.sparse_rows()] + semi)
+    flats = [_flat(op) for op in ops]
+    nspace = EndoSpace("nilpotent_part", n, _span(flats[:rad.dim], n * n))
+    sspace = EndoSpace("semisimple_part", n, _span(flats[rad.dim:], n * n) if semi else cent.space)
     total = nspace.space.sum(sspace.space)
     if total != cent.space or total.dim != nspace.dim + sspace.dim:
         raise PreconditionError(

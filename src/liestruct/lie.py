@@ -200,20 +200,26 @@ class _StructureTable:
         """(den, nz) = :func:`_integral` of the constants, scaled once per table."""
         return _integral(self._nonzero)
 
-    def _trace_form(self) -> Matrix:
-        """tr(L_{e_i} L_{e_j}) = sum of c_il^k c_jk^l over k, l, in ints over the
-        constants scaled by :func:`_integral`, then over den^2: the Killing form
-        of a Lie table; on an associative table with 1, its kernel is the radical."""
+    def _trace_form(self) -> tuple:
+        """(den^2, rows): rows[i][j] = den^2 tr(L_{e_i} L_{e_j}) = sum of c_il^k c_jk^l over k, l
+        when nonzero, in ints over the constants scaled by :func:`_integral`: the Killing
+        form of a Lie table; on an associative table with 1, its kernel is the radical."""
         n = self.dim
         den, nz = self._int_constants()
         flat = self._flat_left(nz)
-        rows = [[None] * n for _ in range(n)]
+        rows = [{} for _ in range(n)]
         for i, a in enumerate(flat):
             for j in range(i, n):
                 b = flat[j]
                 s = sum(c * b[t] for kl, c in a.items() if (t := kl % n * n + kl // n) in b)
-                rows[i][j] = rows[j][i] = Fraction(s, den * den)
-        return Matrix._trusted(map(tuple, rows))
+                if s:
+                    rows[i][j] = rows[j][i] = s
+        return den * den, rows
+
+    @_memoized
+    def _radical(self) -> Subspace:
+        """The kernel of the trace form's int rows: the radical of an associative table with 1."""
+        return kernel_of_rows(self._trace_form()[1], self.dim)
 
 
 def _scaled(v: dict) -> tuple[int, dict]:
@@ -347,7 +353,9 @@ class LieAlgebra(_StructureTable):
     @_memoized
     def killing_form(self) -> Matrix:
         """kappa(i, j) = tr(ad e_i ad e_j), the table's trace form."""
-        return self._trace_form()
+        den2, rows = self._trace_form()
+        return Matrix._trusted(tuple(Fraction(row.get(j, 0), den2) for j in range(self.dim))
+                               for row in rows)
 
     @_memoized
     def _killing_rank(self) -> int:

@@ -19,6 +19,7 @@ on, inside honest finite quotients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,9 +34,10 @@ from .construct import (
     truncated_poly,
 )
 from .decompose import _coefficient_idempotents, indecompose
-from .endo import centroid, derivations, j_space, leibniz_system, split_centroid
+from .endo import (_apply, _generators, _public, centroid, derivations, j_space, leibniz_system,
+                   split_centroid)
 from .errors import LiestructError, PreconditionError, TruncationError
-from .lie import LieAlgebra, _memoized, _polynomials_in
+from .lie import LieAlgebra, _integral, _memoized, _polynomials_in, _times
 from .linalg import (
     Matrix,
     Subspace,
@@ -168,12 +170,13 @@ def jet_algebra(m: int, order: int) -> JetAlgebra:
 # Section-algebra structure checks
 # ---------------------------------------------------------------------------
 
-def _tensor_subspace(k: LieAlgebra, a: CommutativeAlgebra, sub: Subspace) -> Subspace:
-    """sub (x) A inside the tensor coordinate space of k (x) A."""
+def _tensor_check(check: str, lhs: Subspace, sub: Subspace, a: CommutativeAlgebra) -> dict:
+    """The report of lhs, a subspace of k (x) A, against sub (x) A for sub inside k."""
     na = a.dim
     # x (x) e_p has coordinate x_i at i * na + p
-    vecs = [{i * na + p: x for i, x in row.items()} for row in sub.sparse_rows() for p in range(na)]
-    return Subspace.span(vecs, k.dim * na)
+    rhs = Subspace.span([{i * na + p: x for i, x in row.items()}
+                         for row in sub.sparse_rows() for p in range(na)], sub.ambient_dim * na)
+    return {"check": check, "lhs_dim": lhs.dim, "rhs_dim": rhs.dim, "ok": lhs == rhs}
 
 
 def _tensor_rows(xs, nk: int, ys, na: int) -> list[dict]:
@@ -192,28 +195,13 @@ def _tensor_rows(xs, nk: int, ys, na: int) -> list[dict]:
 
 def section_center_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     """z(k (x) A) versus z(k) (x) A, computed independently."""
-    g = current_algebra(k, a)
-    lhs = g.center()
-    rhs = _tensor_subspace(k, a, k.center())
-    return {
-        "check": "center",
-        "lhs_dim": lhs.dim,
-        "rhs_dim": rhs.dim,
-        "ok": lhs == rhs,
-    }
+    return _tensor_check("center", current_algebra(k, a).center(), k.center(), a)
 
 
 def section_commutator_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     """[k (x) A, k (x) A] versus [k, k] (x) A."""
-    g = current_algebra(k, a)
-    lhs = g.commutator_algebra()
-    rhs = _tensor_subspace(k, a, k.commutator_algebra())
-    return {
-        "check": "commutator",
-        "lhs_dim": lhs.dim,
-        "rhs_dim": rhs.dim,
-        "ok": lhs == rhs,
-    }
+    return _tensor_check("commutator", current_algebra(k, a).commutator_algebra(),
+                         k.commutator_algebra(), a)
 
 
 def _require_perfect_or_centerfree(k: LieAlgebra):
@@ -358,21 +346,29 @@ def centroid_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     }
 
 
+def _require_split_central(k: LieAlgebra):
+    """Refuse a fiber whose S(k) is not the identity line: then neither the
+    idempotents nor the S part of Cent(k (x) A) = Cent(k) (x) A are A's."""
+    _, s_of_k = split_centroid(k)
+    if s_of_k.dim != 1 or not s_of_k.space.contains({i * k.dim + i: 1 for i in range(k.dim)}):
+        raise PreconditionError("S(k) must be spanned by the identity (split-central fiber)")
+
+
 def indecomposability_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     """Ideal count of k (x) A against the idempotent count of A.
 
-    For an indecomposable k with Hom(k/[k,k], z(k)) = 0, the current algebra
-    decomposes exactly along the primitive idempotents of A: one ideal for a
-    local A (connected base), s ideals for A = Q^s (s points).
+    For an indecomposable k with Hom(k/[k,k], z(k)) = 0 and S(k) = Q 1, the
+    current algebra decomposes exactly along the primitive idempotents of A: one
+    ideal for a local A (connected base), s ideals for A = Q^s (s points). Other
+    fibers are refused: for sl2 over Q(i), Q(i) (x) Q(i) splits where Q(i) does not.
     """
     if j_space(k).dim != 0:
-        raise PreconditionError(
-            "Hom(k/[k,k], z(k)) is nonzero (dim %d); the indecomposability "
-            "theorem does not apply" % j_space(k).dim
-        )
+        raise PreconditionError("Hom(k/[k,k], z(k)) is nonzero (dim %d); the indecomposability "
+                                "theorem does not apply" % j_space(k).dim)
     if len(indecompose(k).ideals) != 1:
         raise PreconditionError("k is decomposable; the check needs an "
                                 "indecomposable fiber")
+    _require_split_central(k)
     expected_idems = _coefficient_idempotents(a)
     g = current_algebra(k, a)
     report = indecompose(g)
@@ -394,15 +390,9 @@ def s_part_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     """
     _require_perfect_or_centerfree(k)
     if j_space(k).dim != 0:
-        raise PreconditionError(
-            "Hom(k/[k,k], z(k)) must vanish for the S-part description"
-        )
-    _, s_of_k = split_centroid(k)
+        raise PreconditionError("Hom(k/[k,k], z(k)) must vanish for the S-part description")
+    _require_split_central(k)
     identity = {i * k.dim + i: 1 for i in range(k.dim)}
-    if s_of_k.dim != 1 or not s_of_k.space.contains(identity):
-        raise PreconditionError(
-            "S(k) must be spanned by the identity (split-central fiber)"
-        )
     g = current_algebra(k, a)
     n_g, s_g = split_centroid(g)
     # L_s, flattened, for s = P(e_p) the semisimple part of each basis element e_p
@@ -500,10 +490,8 @@ def leibniz_expand(alpha: Sequence[int], t_mat, f_vec, jet: JetAlgebra):
         )
 
     def mat_vec(tm, fv):
-        return [
-            _sum_vectors([a.product(tm[i][j], fv[j]) for j in range(r)], a.dim)
-            for i in range(r)
-        ]
+        return [functools.reduce(add_vectors, (a.product(tm[i][j], fv[j]) for j in range(r)),
+                                 zero_vector(a.dim)) for i in range(r)]
 
     direct = [
         _apply_partial_power(jet, alpha, entry) for entry in mat_vec(t_mat, f_vec)
@@ -527,18 +515,19 @@ def leibniz_expand(alpha: Sequence[int], t_mat, f_vec, jet: JetAlgebra):
     return expanded
 
 
-def _sum_vectors(vecs, n):
-    out = [Fraction(0)] * n
-    for v in vecs:
-        for i, x in enumerate(v):
-            if x:
-                out[i] += x
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Jet reparametrization automorphisms
 # ---------------------------------------------------------------------------
+
+def _preserves_brackets(g: LieAlgebra, den: int, phi) -> bool:
+    """phi[e_s, e_j] = [phi e_s, phi e_j] for the int columns phi of den phi, in ints, for s
+    in ``endo._generators(g)`` (or the basis) and every j: every pair, as the x with
+    phi[x, y] = [phi x, phi y] for all y form a subalgebra when g satisfies Jacobi."""
+    (_, nz), gens = g._int_constants(), _generators(g)
+    return all({r: den * x for r, x in _apply(phi, nz[s][j]).items()}
+               == _times(nz, dict(phi[s]), dict(phi[j]))
+               for s in (range(g.dim) if gens is None else sorted(gens)) for j in range(g.dim))
+
 
 def jet_reparametrization_automorphism(
     k: LieAlgebra, jet: JetAlgebra, n_elem
@@ -550,17 +539,16 @@ def jet_reparametrization_automorphism(
     multiplication by n_elem, d = d/dt) is the exact Taylor substitution
     a(t) -> a(t + n(t)): a nilpotent differential operator of order at most
     order - 1 that is verified to be an algebra automorphism, then tensored
-    with the identity of k and verified to preserve brackets.
+    with the identity of k and verified to preserve brackets
+    (:func:`_preserves_brackets`).
     """
     if jet.m_vars != 1:
         raise PreconditionError("reparametrization model is single-variable")
     n_elem = vector(n_elem)
     a = jet.A
     if jet.eval(n_elem) != 0:
-        raise PreconditionError(
-            "reparametrization direction must lie in the maximal ideal "
-            "(its value at the marked point is %s)" % jet.eval(n_elem)
-        )
+        raise PreconditionError("reparametrization direction must lie in the maximal ideal "
+                                "(its value at the marked point is %s)" % jet.eval(n_elem))
     nmat = a.mult_matrix(n_elem)
     d = jet.partials[0]
     mu = Matrix.zero(a.dim, a.dim)
@@ -571,29 +559,19 @@ def jet_reparametrization_automorphism(
         npow = npow @ nmat
         dpow = dpow @ d
     # multiplicativity of mu on A
-    for p in range(a.dim):
-        for q in range(p, a.dim):
-            ep, eq = unit_vector(a.dim, p), unit_vector(a.dim, q)
-            lhs = mu.apply(a.product(ep, eq))
-            rhs = a.product(mu.apply(ep), mu.apply(eq))
-            if lhs != rhs:
-                raise LiestructError(
-                    "coefficient substitution is not multiplicative on basis "
-                    "pair (%d, %d)" % (p, q)
-                )
+    bad = next(((p, q) for p in range(a.dim) for q in range(p, a.dim)
+                if mu.apply(a.product(unit_vector(a.dim, p), unit_vector(a.dim, q)))
+                != a.product(mu.column(p), mu.column(q))), None)
+    if bad:
+        raise LiestructError("coefficient substitution is not multiplicative on basis "
+                             "pair (%d, %d)" % bad)
     if mu.apply(a.unit) != a.unit:
         raise LiestructError("coefficient substitution moves the unit")
-    # full = I_k (x) mu, column i dim A + p is e_i (x) mu e_p; as full - I = I_k (x)
-    # (mu - I), invertibility and unipotence are decided on mu
-    zeros = (Fraction(0),) * a.dim
-    full = Matrix._trusted(zeros * i + row + zeros * (k.dim - 1 - i)
-                           for i in range(k.dim) for row in mu.rows)
-    g = current_algebra(k, a)
-    auto_ok = all(
-        full.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
-        == g.bracket(full.column(i), full.column(j))
-        for i, j in itertools.combinations(range(g.dim), 2)
-    )
+    # full = I_k (x) mu as the int columns of den full: column i dim A + p is e_i (x) den mu
+    # e_p; as full - I = I_k (x) (mu - I), invertibility and unipotence are decided on mu
+    den, (cols,) = _integral([[[(q, x) for q, x in enumerate(col) if x] for col in zip(*mu.rows)]])
+    phi = [tuple((i * a.dim + q, x) for q, x in col) for i in range(k.dim) for col in cols]
+    auto_ok = _preserves_brackets(current_algebra(k, a), den, phi)
     invertible = Subspace.span(mu.rows, a.dim).dim == a.dim
     nilpotent = (mu - Matrix.identity(a.dim)).power(a.dim).is_zero()
     report = {
@@ -604,4 +582,4 @@ def jet_reparametrization_automorphism(
         "mu_minus_identity_nilpotent": nilpotent,
         "ok": auto_ok and invertible,
     }
-    return full, report
+    return _public(den, phi), report

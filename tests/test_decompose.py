@@ -467,6 +467,49 @@ def test_split_centroid_matches_end_reference(regular_cases, name):
     assert got == _split_reference(g)
 
 
+# the int form of Cent's endomorphisms (endo._int_endos) against dense Fraction
+# matrices, on the regular cases and on seeded dense rebasings of four of them,
+# where the centroid basis rows carry denominators
+_REBASED_INT_FORM = ("cur:sl:2,jet:1,3", "cur:sl:2,points:4", "sl2 x Q(i)", "two_dim + h3")
+INT_FORM_REBASED = tuple("%s, dense" % name for name in _REBASED_INT_FORM)
+INT_FORM_CASES = REGULAR_CASES + INT_FORM_REBASED
+
+
+@pytest.fixture(scope="module")
+def int_form_cases(regular_cases, rebase):
+    from liestruct.cli import parse_algebra
+
+    cases = dict(regular_cases, **{"cur:sl:2,jet:1,3": parse_algebra("cur:sl:2,jet:1,3")})
+    for name in _REBASED_INT_FORM:
+        cases["%s, dense" % name] = rebase(cases[name], 2, scale=F(1, 3))
+    return cases
+
+
+def test_the_int_form_grid_has_denominators(int_form_cases):
+    # den of the int columns of Cent's whole basis: past 2^40 on a dense rebasing
+    dens = {name: endo._int_endos(cent, [{k: 1} for k in range(cent.dim)])[0]
+            for name, cent in ((name, endo.centroid(g)) for name, g in int_form_cases.items())}
+    assert all(dens["%s, dense" % name] > 1 for name in _REBASED_INT_FORM)
+    assert max(dens.values()) > 2**40 and dens["sl:3"] == 1
+
+
+@pytest.mark.parametrize("name", INT_FORM_CASES)
+def test_centroid_table_is_the_fraction_product_of_the_basis_matrices(int_form_cases, name):
+    # b_i b_j as a dense product of Fraction matrices, in Cent's coordinates by
+    # elimination against its basis, not read off at the pivots
+    cent = endo.centroid(int_form_cases[name])
+    mats = cent.basis_matrices()
+    assert endo._algebra_table(cent).table == tuple(
+        tuple(cent.coordinates(a @ b) for b in mats) for a in mats)
+
+
+@pytest.mark.parametrize("name", INT_FORM_REBASED)  # the regular cases are tested above
+def test_split_centroid_is_the_dense_jordan_chevalley_split(int_form_cases, name):
+    g = int_form_cases[name]
+    got = _outcome(lambda: tuple(s.space.rows for s in endo.split_centroid(g)))
+    assert got == _split_reference(g)
+
+
 @pytest.mark.parametrize("name", REGULAR_CASES)
 def test_idempotents_and_blocks_match_end_reference(regular_cases, name):
     g = regular_cases[name]
@@ -510,6 +553,12 @@ def _regular_of(table):
     return [table._left_matrix(unit_vector(table.dim, i)) for i in range(table.dim)]
 
 
+def _trace_matrix(table):
+    """The table's trace form as a Matrix: its int rows over den^2."""
+    den2, rows = table._trace_form()
+    return Matrix([[F(row.get(j, 0), den2) for j in range(table.dim)] for row in rows])
+
+
 def _rebased_commutative(a, seed):
     """a on the seeded dense basis f_i = sum_k p_ki e_k, p = lower upper / 3."""
     from liestruct.construct import CommutativeAlgebra
@@ -530,17 +579,19 @@ def test_trace_form_is_the_gram_of_the_regular_representation(rebase, seed):
     h3 = build(3, {(0, 1): {2: F(1)}}, names=["x", "y", "z"])
     for g in (classical("sl", 2), example_algebra("two_dim"), h3, classical("sl", 3)):
         g = rebase(g, seed, scale=F(1, 3))
-        assert g._trace_form() == _gram(_regular_of(g)) == g.killing_form()
+        assert _trace_matrix(g) == _gram(_regular_of(g)) == g.killing_form()
     for a in (truncated_poly(2, 2), point_functions(3), quadratic_extension(F(2, 3))):
         a = _rebased_commutative(a, seed)
         assert any(c.denominator > 1 for row in a._nonzero for v in row for _, c in v)
-        assert a._trace_form() == _gram(_regular_of(a))
+        assert _trace_matrix(a) == _gram(_regular_of(a))
+        assert a._radical() == kernel_basis(_gram(_regular_of(a)))
 
 
 @pytest.mark.parametrize("name", REGULAR_CASES)
 def test_trace_form_of_a_centroid_table_is_its_gram(regular_cases, name):
     table = endo._centroid_table(regular_cases[name])
-    assert table._trace_form() == _gram(_regular_of(table))
+    assert _trace_matrix(table) == _gram(_regular_of(table))
+    assert table._radical() == kernel_basis(_gram(_regular_of(table)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -556,7 +607,7 @@ def test_a_corner_radical_is_the_kernel_of_the_corners_own_gram(regular_cases, n
         g = regular_cases[name]
     table = endo._centroid_table(g)
     d, basis = table.dim, _regular_of(table)
-    rad = [table._left_matrix(r) for r in endo._centroid_radical(g).rows]
+    rad = [table._left_matrix(r) for r in endo._centroid_table(g)._radical().rows]
     idems, _ = _split_local(Matrix.identity(d), _off_radical(basis))
     assert len(idems) == 3 - (name == "h3 + h3") and rad
     rng = random.Random(seed)
@@ -809,7 +860,7 @@ def test_a_table_of_no_algebra_has_no_separating_element():
     table = _StructureTable(["1", "x", "y"], {
         (0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1}, (2, 0): {2: 1},
         (1, 1): {0: 1}, (2, 2): {0: 1}})
-    rad = kernel_basis(table._trace_form())
+    rad = table._radical()
     assert rad.is_zero()
     with pytest.raises(SeparatingElementError, match="dimension 3"):
         decompose._split(table, vector([1, 0, 0]), rad)
@@ -822,7 +873,7 @@ def test_centroid_commutators_lie_in_the_radical(regular_cases, name):
     # with z(g) in [g, g], fh - hf kills [g, g] and maps into z(g): the residue
     # algebra is commutative, so one primitive element generates it
     g = regular_cases[name]
-    cent, rad = endo.centroid(g), endo._centroid_radical(g)
+    cent, rad = endo.centroid(g), endo._centroid_table(g)._radical()
     mats = cent.basis_matrices()
     commutators = [a @ b - b @ a for a in mats for b in mats]
     assert any(not c.is_zero() for c in commutators)
@@ -916,7 +967,7 @@ def test_table_search_matches_the_dense_oracle(oracle_cases, name):
 
     def table_search():
         idems, status, _, _ = decompose._primitive_idempotents_any(
-            cent, endo._centroid_table(g), endo._centroid_radical(g))
+            cent, endo._centroid_table(g), endo._centroid_table(g)._radical())
         return idems.projections, status
 
     def oracle():

@@ -3,6 +3,8 @@ point, structure checks for current algebras, the generalized Leibniz rule,
 and reparametrization automorphisms."""
 
 import functools
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -41,7 +43,7 @@ from liestruct import (
     x_derivations,
 )
 from liestruct.decompose import _coefficient_idempotents, primitive_idempotents
-from liestruct.endo import EndoSpace
+from liestruct.endo import EndoSpace, _generators
 from liestruct.linalg import Subspace, unit_vector, vector, zero_vector
 
 from conftest import jordan_chevalley_reference, kron
@@ -429,6 +431,16 @@ def _dense_s_part_check(k, a):
     }
 
 
+def _dense_indecomposability_check(k, a):
+    # with Cent(k) = Q 1 + nilpotents, Cent(k (x) A) = Cent(k) (x) A has A's primitive
+    # idempotents: those of the span of A's dense multiplication matrices
+    mults = [a.mult_matrix(unit_vector(a.dim, p)).flatten() for p in range(a.dim)]
+    idems, status = primitive_idempotents(
+        EndoSpace("centroid", a.dim, Subspace.span(mults, a.dim ** 2)))
+    return {"check": "indecomposability", "ideals": len(idems), "expected": len(idems),
+            "status": status, "ok": True}
+
+
 # [e, f] = h, [h, e] = 2e, [h, f] = -2f on sl2 (e, f, h), acting on Q^2 (p, q)
 _SL2_ON_Q2 = {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2},
               (0, 4): {3: 1}, (1, 3): {4: 1}, (2, 3): {3: 1}, (2, 4): {4: -1}}
@@ -459,12 +471,16 @@ def test_section_checks_equal_their_dense_formulation(k_name, a_name):
     checks = [
         (current_der_decomposition, _dense_der_decomposition),
         (centroid_of_sections_check, _dense_centroid_check),
+        (indecomposability_of_sections_check, _dense_indecomposability_check),
         (s_part_of_sections_check, _dense_s_part_check),
     ]
-    if k_name == "sl2(i)":  # the S part needs S(k) = Q 1, and S(sl2 (x) Q(i)) = Q(i)
-        with pytest.raises(PreconditionError, match="S\\(k\\) must be spanned by the identity"):
-            s_part_of_sections_check(k, a)
-        checks.pop()
+    if k_name == "sl2(i)":
+        # the ideal count and the S part need S(k) = Q 1, and S(sl2 (x) Q(i)) = Q(i):
+        # Cent(k (x) Q(i)) = Q(i) (x) Q(i) = Q(i) x Q(i) has two idempotents, Q(i) one
+        for check, _ in checks[2:]:
+            with pytest.raises(PreconditionError, match="S\\(k\\) must be spanned by the identity"):
+                check(k, a)
+        del checks[2:]
     for check, oracle in checks:
         got = check(k, a)
         assert got == oracle(k, a) and got["ok"]
@@ -625,3 +641,88 @@ def test_jetauto_rejects_multivariable(sl2):
     jet = jet_algebra(2, 2)
     with pytest.raises(PreconditionError, match="single-variable"):
         jet_reparametrization_automorphism(sl2, jet, unit_vector(3, 1))
+
+
+# The bracket check of jetauto runs on the pairs (s, j) with s in a generating set;
+# the oracle is the dense check on all pairs i < j of the full n x n matrix I (x) mu.
+
+_JET_FIBERS = {
+    "sl2": lambda: classical("sl", 2),
+    "sl3": lambda: classical("sl", 3),
+    "2dim": lambda: example_algebra("two_dim"),
+    "h3": lambda: build(3, {(0, 1): {2: 1}}),
+    "abelian1": lambda: build(1, {}),  # no generating set smaller than the basis
+}
+
+
+def _all_pairs_bracket_check(g, full):
+    return all(full.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
+               == g.bracket(full.column(i), full.column(j))
+               for i, j in itertools.combinations(range(g.dim), 2))
+
+
+def _generator_pair_check(g, full):
+    """The library's check on the int columns of den full."""
+    den = math.lcm(*(x.denominator for row in full.rows for x in row))
+    cols = [tuple((r, int(x * den)) for r, x in enumerate(col) if x) for col in zip(*full.rows)]
+    return sections._preserves_brackets(g, den, cols)
+
+
+def _mu_of(full, na):
+    return Matrix([[full[q, p] for p in range(na)] for q in range(na)])
+
+
+def _unit_matrix(n, q, p):
+    return Matrix([[int((r, c) == (q, p)) for c in range(n)] for r in range(n)])
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("k_name", sorted(_JET_FIBERS))
+def test_jetauto_generator_pairs_agree_with_all_pairs(k_name, order):
+    k, jet = _JET_FIBERS[k_name](), jet_algebra(1, order)
+    g = current_algebra(k, jet.A)
+    # both kinds of pair set are met: a proper generating set, and the whole basis
+    assert (_generators(g) is None) == (k_name == "abelian1" or (k_name, order) == ("2dim", 2))
+    for d in range(order):  # the directions 0, t, ..., t^(order - 1)
+        direction = unit_vector(order, d) if d else zero_vector(order)
+        full, rep = jet_reparametrization_automorphism(k, jet, direction)
+        assert rep["bracket_preserving"] and _all_pairs_bracket_check(g, full)
+        assert full == kron(Matrix.identity(k.dim), _mu_of(full, order))
+
+
+@pytest.mark.parametrize("k_name", ["sl2", "2dim", "h3", "abelian1"])
+def test_jetauto_refuses_a_mu_with_one_entry_changed(k_name):
+    # mu' = mu + E_qp for each (q, p), along t -> t + t^2 on Q[t]/(t^4): the pairs
+    # through the generators decide as all pairs do. Unless k is abelian, mu' is
+    # no automorphism of A for p != 1 (mu'(1) != mu'(1)^2, or mu'(t^p) != mu'(t)
+    # mu'(t^(p-1))), so I (x) mu' is refused; for p = 1 it may be one (t -> t + n'(t))
+    k, jet = _JET_FIBERS[k_name](), jet_algebra(1, 4)
+    g = current_algebra(k, jet.A)
+    full, _ = jet_reparametrization_automorphism(k, jet, unit_vector(4, 2))
+    mu = _mu_of(full, 4)
+    every, refused = set(itertools.product(range(4), repeat=2)), set()
+    for q, p in every:
+        changed = kron(Matrix.identity(k.dim), mu + _unit_matrix(4, q, p))
+        got = _generator_pair_check(g, changed)
+        assert got == _all_pairs_bracket_check(g, changed)
+        if not got:
+            refused.add((q, p))
+    if k_name == "abelian1":
+        assert not refused
+    else:
+        assert refused >= {(q, p) for q, p in every if p != 1} and refused != every
+
+
+@pytest.mark.parametrize("k_name", ["sl2", "2dim", "h3"])
+def test_the_generator_pairs_decide_every_one_entry_change_of_phi(k_name):
+    # phi' = I (x) mu + E_rc, no longer of the form I (x) mu': each change breaks pairs
+    # through column c alone, and the pairs through the generators see them all
+    k, jet = _JET_FIBERS[k_name](), jet_algebra(1, 3)
+    g = current_algebra(k, jet.A)
+    full, _ = jet_reparametrization_automorphism(k, jet, unit_vector(3, 2))
+    outcomes = []
+    for r, c in itertools.product(range(g.dim), repeat=2):
+        changed = full + _unit_matrix(g.dim, r, c)
+        outcomes.append(_generator_pair_check(g, changed))
+        assert outcomes[-1] == _all_pairs_bracket_check(g, changed)
+    assert not all(outcomes)
