@@ -432,14 +432,14 @@ def _casimir(k: LieAlgebra, g: LieAlgebra, left, right) -> Matrix:
     """sum_i ad(left[i]) ad(x^i) on g, x^i = sum_j w_ji right[j] for w the
     inverse of k's Killing form; ``left`` and ``right`` hold a vector of g,
     as (index, value) pairs, per basis vector of k. The sums run in ints: w
-    is d^-1 times ints read off one integer echelon of [kappa | I] (pivot row
-    c is p_c (e_c | row c of kappa^-1), d the lcm of the p_c), and g's
-    constants and the vectors are scaled to one denominator den by
-    :func:`_integral`, so each entry is one Fraction over den^4 d."""
-    n = k.dim
+    is q d^-1 times ints read off one integer echelon of [q kappa | I], q kappa
+    the trace form's int rows (pivot row c is p_c (e_c | row c of (q
+    kappa)^-1), d the lcm of the p_c), and g's constants and the vectors are
+    scaled to one denominator den by :func:`_integral`, so each entry is q
+    times one Fraction over den^4 d."""
+    n, (q, kappa) = k.dim, k._trace_form()
     pivots = {}
-    _echelon(({**{j: x for j, x in enumerate(row) if x}, n + i: 1}
-              for i, row in enumerate(k.killing_form().rows)), pivots)
+    _echelon(({**row, n + i: 1} for i, row in enumerate(kappa)), pivots)
     if any(c >= n for c in pivots):
         raise LiestructError("Killing form is degenerate; no dual basis exists")
     d = lcm(*(r[c] for c, r in pivots.items()))
@@ -453,7 +453,7 @@ def _casimir(k: LieAlgebra, g: LieAlgebra, left, right) -> Matrix:
             for t, b in col.items():
                 for r, x in a.get(t, {}).items():
                     acc[r][s] += x * b
-    return Matrix._trusted(tuple(Fraction(x, den ** 4 * d) for x in row) for row in acc)
+    return Matrix._trusted(tuple(Fraction(x * q, den ** 4 * d) for x in row) for row in acc)
 
 
 def casimir_adjoint(k: LieAlgebra) -> Matrix:

@@ -41,7 +41,7 @@ to ints, and each e(f) = e(f) 1 is a combination of those vectors: no d x d
 matrix and no Horner step (d = dim Cent). This one path,
 ``lie._polynomials_in``, also gives ``endo.split_centroid`` its semisimple
 parts and :func:`complex_structure` its minimal polynomial. The idempotents
-and J come back to End(g) once, as int columns read off Cent's sparse basis
+and J come back to End(g) once, as int columns read off Cent's int basis rows
 (``endo._int_endos``): their checks, the ideals and the images run on those,
 and the public matrices are built from them last.
 
@@ -277,12 +277,12 @@ def indecompose(g: LieAlgebra) -> DecompositionReport:
     # then each p_i on it, in ints over Cent's table
     _, nz = table._int_constants()
     ps = [_int_row(c) for c in coords]
-    right = [_span((_times(nz, {k: 1}, p) for k in range(d)), d).sparse_rows() for p in ps]
+    right = [_span((_times(nz, {k: 1}, p) for k in range(d)), d)._rows.values() for p in ps]
     blocks = [[_span((_times(nz, p, w) for w in rows), d).dim for rows in right] for p in ps]
     if sum(sum(row) for row in blocks) != d:
         raise LiestructError("Peirce block dimensions do not sum to dim Cent")
     # g is the direct sum of the g_i = im(p_i): p_i z(g) = z(g_i), p_i [g,g] = [g_i,g_i]
-    z_int, comm_int = ([_int_row(v).items() for v in s.sparse_rows()] for s in (z, comm))
+    z_int, comm_int = ([v.items() for v in s._rows.values()] for s in (z, comm))
     zdims = [Subspace.span([_apply(a, v) for v in z_int], n).dim for a in cols]
     abel = [s.dim - Subspace.span([_apply(a, v) for v in comm_int], n).dim
             for a, s in zip(cols, ideals)]

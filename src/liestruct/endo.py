@@ -10,7 +10,7 @@ Constants are scaled to integers over one common denominator, once per
 table (``_int_constants``), so every row is a ``{col: int}`` map that the
 integer echelon takes as it is. An endomorphism has one form in the core:
 den times its columns, each the nonzero (row, int) pairs, as ``_compose`` and
-``_apply`` take them. ``_int_endos`` reads it off a space's sparse basis rows
+``_apply`` take them. ``_int_endos`` reads it off a space's int basis rows
 for coordinates in that basis; Cent's table, the idempotents, J and the N/S
 split are built and checked on it, and a ``Matrix`` only for a public value.
 
@@ -33,19 +33,19 @@ One spinner (:class:`_Spinner`) serves the generating set and every
 commutant: the span of seed vectors closed under operators, grown by a new
 seed or a new operator (Parker's MeatAxe). S spins its own basis vectors
 under their ad. Cent, and every commutant {f : f A = A f for A in ops},
-spins e_0, ..., e_n-1 under the fixed ops until seeds v_1..v_m and their
-images span Q^n, each spun vector an exact word image b = A b'. A commuting
-f has f(b) = A f(b'), so it is fixed by w = (f(v_1), ..., f(v_m)), m n
-unknowns instead of n^2, and f -> w is injective on the commutant.
-Conversely a w extends to a commuting f exactly when f(A b) = A f(b) holds
-for every spun b and operator A: commutation checked on a basis. Only the
-pairs whose image is already in the span add rows, one block each, so the
-kernel of those rows is the commutant with nothing left out. The spinner's
-echelon carries no tags; one tagged echelon of [B | I] gives both the
-relations and the map back to f. Each f returned is still checked to
-commute with every operator, and the identity to be among them.
-:func:`commutant_system` keeps the n^2 unknowns; it is the tests'
-independent oracle.
+spins the e_i (Cent's by descending bracket count, so that one often
+suffices) under the fixed ops until seeds v_1..v_m and their images span
+Q^n, each spun vector an exact word image b = A b'. A commuting f has f(b) =
+A f(b'), so it is fixed by w = (f(v_1), ..., f(v_m)), m n unknowns instead
+of n^2, and f -> w is injective on the commutant. Conversely a w extends to
+a commuting f exactly when f(A b) = A f(b) holds for every spun b and
+operator A: commutation checked on a basis. Only the pairs whose image is
+already in the span add rows, one block each, so the kernel of those rows is
+the commutant with nothing left out. The spinner's echelon carries no tags;
+one tagged echelon of [B | I] gives both the relations and the map back to
+f. Each f returned is still checked to commute with every operator, and the
+identity to be among them. :func:`commutant_system` keeps the n^2 unknowns;
+it is the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 from .errors import LiestructError, PreconditionError
 from .lie import (LieAlgebra, _integral, _jacobi_known, _memoized, _polynomials_in, _scaled,
                   _StructureTable)
-from .linalg import (Matrix, Subspace, Vector, _echelon, _int_row, _primitive, _reduce, _span,
+from .linalg import (Matrix, Subspace, Vector, _echelon, _primitive, _reduce, _span,
                      kernel_of_rows)
 from .poly import _semisimple_polynomial
 
@@ -235,19 +235,19 @@ def _flat(op) -> dict:
 def _int_endos(space: EndoSpace, coords) -> tuple:
     """(den, ops): den sum_k c_k b_k over the canonical basis b_k of ``space`` for each map
     c = {k: value} in ``coords``, as int columns (:func:`_compose`) over one den."""
-    n, (s, (basis,)) = space.n, _integral([[r.items() for r in space.space.sparse_rows()]])
-    coords = [_scaled(c) for c in coords]  # c = c' / over, and s b_k are int rows
-    top, ops = lcm(*(over for over, _ in coords)), []
-    for over, c in coords:
+    n, basis = space.n, [(row, row[c]) for c, row in space.space._rows.items()]
+    coords = [_scaled({k: Fraction(x, basis[k][1]) for k, x in c.items()}) for c in coords]
+    den, ops = lcm(*(over for over, _ in coords)), []
+    for over, c in coords:  # b_k = r_k / p_k, int row over pivot entry: c_k b_k = c'_k r_k / over
         acc, cols = {}, [[] for _ in range(n)]
         for k, x in c.items():
-            for p, v in basis[k]:
-                acc[p] = acc.get(p, 0) + top // over * x * v
+            for p, v in basis[k][0].items():
+                acc[p] = acc.get(p, 0) + den // over * x * v
         for p, x in acc.items():
             if x:
                 cols[p % n].append((p // n, x))
         ops.append(cols)
-    return top * s, ops
+    return den, ops
 
 
 def _public(den: int, op) -> Matrix:
@@ -327,14 +327,18 @@ class _Spinner:
             k += 1
 
 
+def _by_brackets(nz) -> list[int]:
+    """The basis indices of ``nz`` by descending count of nonzero brackets, ties by index."""
+    return sorted(range(len(nz)), key=lambda i: (-sum(1 for v in nz[i] if v), i))
+
+
 def _greedy_generators(nz) -> list[int]:
     """Basis indices that generate the algebra of the structure constants ``nz``,
-    in one pass over the basis, taken by descending count of nonzero brackets
-    (ties by index): an index joins when it is not in what the earlier ones
-    generate, the span of the joined ones closed under their ad."""
-    n = len(nz)
-    spin, gens = _Spinner(n), []
-    for i in sorted(range(n), key=lambda i: (-sum(1 for v in nz[i] if v), i)):
+    in one pass over the basis, taken in :func:`_by_brackets` order: an index joins
+    when it is not in what the earlier ones generate, the span of the joined ones
+    closed under their ad."""
+    spin, gens = _Spinner(len(nz)), []
+    for i in _by_brackets(nz):
         if spin.push({i: 1}):
             gens.append(i)
             spin.add(nz[i])
@@ -393,10 +397,10 @@ def _spin_relations(spin: _Spinner, images, tagged):
                     yield row
 
 
-def _commutant(ops, n: int, kind: str) -> EndoSpace:
+def _commutant(ops, n: int, kind: str, order) -> EndoSpace:
     """{f : f A = A f for every A in ``ops``}, n x n operators as int columns.
 
-    e_0, ..., e_n-1 are pushed in turn into a :class:`_Spinner` of ``ops``
+    The e_i are pushed in the index ``order`` into a :class:`_Spinner` of ``ops``
     (module docs); f(b_k) = F_k w for w = (f(e_i)) over its seeds, where F_k
     is the identity on the seed's block of w, and A F_j for b_k = A b_j. The
     kernel of the rows of :func:`_spin_relations` is mapped back by f(e_c) =
@@ -405,7 +409,7 @@ def _commutant(ops, n: int, kind: str) -> EndoSpace:
     space, in the result and in the error when a check fails.
     """
     spin = _Spinner(n, ops)
-    for i in range(n):
+    for i in order:
         spin.push({i: 1})
     images, seeds = [], []
     for b, parent in zip(spin.basis, spin.parents):
@@ -423,8 +427,7 @@ def _commutant(ops, n: int, kind: str) -> EndoSpace:
     back = [[(k - n, x * (den // row[c])) for k, x in row.items() if k >= n]
             for c, row in sorted(tagged.items())]
     found = []
-    for w in ker.sparse_rows():
-        w = _int_row(w)
+    for w in ker._rows.values():
         # f(b_k): the seeds' part of w, or A f(b_j) for b_k = A b_j
         fb, t = [], 0
         for parent in spin.parents:
@@ -460,7 +463,7 @@ def derivations(g: LieAlgebra) -> EndoSpace:
 def inner_derivations(g: LieAlgebra) -> EndoSpace:
     """Span of the adjoint maps; dim = dim g - dim z(g)."""
     n = g.dim
-    return EndoSpace("inner", n, _span(g._flat_left(g._int_constants()[1]), n * n))
+    return EndoSpace("inner", n, _span(g._flat_left(), n * n))
 
 
 @_memoized
@@ -469,11 +472,11 @@ def centroid(g: LieAlgebra) -> EndoSpace:
 
     x ranges over the generating set of :func:`_generators`, or over the
     basis when there is none; the commutant of those ad x is spun by
-    :func:`_commutant`.
+    :func:`_commutant`, from seeds in :func:`_by_brackets` order.
     """
     n, gens, nz = g.dim, _generators(g), g._int_constants()[1]
     # column j of ad e_i is [e_i, e_j]: the ad e_i are g's scaled nonzero lists as they stand
-    return _commutant(nz if gens is None else [nz[s] for s in sorted(gens)], n, "centroid")
+    return _commutant([nz[s] for s in sorted(gens or range(n))], n, "centroid", _by_brackets(nz))
 
 
 @_memoized
@@ -486,13 +489,13 @@ def j_space(g: LieAlgebra) -> EndoSpace:
     the annihilator of [g,g]; it is zero when the center is.
     """
     n = g.dim
-    center = g.center().sparse_rows()
+    center = g.center()._rows.values()
     if not center:
         return EndoSpace("j_space", n, Subspace.zero(n * n))
-    ann = kernel_of_rows(g.commutator_algebra().sparse_rows(), n).sparse_rows()
+    ann = kernel_of_rows(map(dict, g.commutator_algebra()._rows.values()), n)._rows.values()
     outer = [{i * n + j: a * b for i, a in z.items() for j, b in w.items()}
              for z in center for w in ann]
-    return EndoSpace("j_space", n, Subspace.span(outer, n * n))
+    return EndoSpace("j_space", n, _span(outer, n * n))
 
 
 def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
@@ -506,7 +509,7 @@ def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
             raise ValueError("representation matrices must be square of one size")
     # column j of each op lists (k, den rho_kj), as _commutant takes them
     return _commutant(_integral([[[(k, x) for k, x in enumerate(col) if x] for col in zip(*m.rows)]
-                                 for m in rep])[1], n, "commutant")
+                                 for m in rep])[1], n, "commutant", range(n))
 
 
 def _algebra_table(space: EndoSpace) -> _StructureTable:
@@ -560,7 +563,7 @@ def split_centroid(g: LieAlgebra) -> tuple[EndoSpace, EndoSpace]:
     semi = [dict(enumerate(at(_semisimple_polynomial(m))))
             for m, at in (_polynomials_in(table, {b: 1}, one)
                           for b in range(cent.dim) if rad.dim and b not in rad.pivots)]
-    _, ops = _int_endos(cent, [dict(r) for r in rad.sparse_rows()] + semi)
+    _, ops = _int_endos(cent, [*rad._rows.values(), *semi])
     flats = [_flat(op) for op in ops]
     nspace = EndoSpace("nilpotent_part", n, _span(flats[:rad.dim], n * n))
     sspace = EndoSpace("semisimple_part", n, _span(flats[rad.dim:], n * n) if semi else cent.space)

@@ -32,7 +32,6 @@ from .linalg import (
     _span,
     frac,
     kernel_of_rows,
-    row_reduce,
     unit_vector,
 )
 from .poly import _krylov
@@ -188,25 +187,25 @@ class _StructureTable:
                         rows[k][j] += xi * v
         return Matrix._trusted(map(tuple, rows))
 
-    def _flat_left(self, nz=None) -> list[dict]:
-        """L_{e_i} flattened row-major for each i, entry (k, j) the e_k coefficient of
-        e_i e_j, from the nonzero lists ``nz`` (the table's own by default)."""
+    def _flat_left(self) -> list[dict]:
+        """den L_{e_i} flattened row-major for each i, entry (k, j) the e_k coefficient
+        of e_i e_j, over the int constants (den, nz) of :meth:`_int_constants`."""
         n = self.dim
         return [{k * n + j: c for j, v in enumerate(row) for k, c in v}
-                for row in (self._nonzero if nz is None else nz)]
+                for row in self._int_constants()[1]]
 
     @_memoized
     def _int_constants(self) -> tuple:
         """(den, nz) = :func:`_integral` of the constants, scaled once per table."""
         return _integral(self._nonzero)
 
+    @_memoized
     def _trace_form(self) -> tuple:
         """(den^2, rows): rows[i][j] = den^2 tr(L_{e_i} L_{e_j}) = sum of c_il^k c_jk^l over k, l
-        when nonzero, in ints over the constants scaled by :func:`_integral`: the Killing
-        form of a Lie table; on an associative table with 1, its kernel is the radical."""
+        when nonzero, in ints over the constants scaled by :func:`_integral`: the Killing form
+        of a Lie table; on an associative table with 1, its kernel is the radical. Memoized."""
         n = self.dim
-        den, nz = self._int_constants()
-        flat = self._flat_left(nz)
+        den, flat = self._int_constants()[0], self._flat_left()
         rows = [{} for _ in range(n)]
         for i, a in enumerate(flat):
             for j in range(i, n):
@@ -219,7 +218,7 @@ class _StructureTable:
     @_memoized
     def _radical(self) -> Subspace:
         """The kernel of the trace form's int rows: the radical of an associative table with 1."""
-        return kernel_of_rows(self._trace_form()[1], self.dim)
+        return kernel_of_rows(map(dict, self._trace_form()[1]), self.dim)
 
 
 def _scaled(v: dict) -> tuple[int, dict]:
@@ -314,16 +313,15 @@ class LieAlgebra(_StructureTable):
     def center(self) -> Subspace:
         """z(g) = {x : [x, y] = 0 for all y}, the kernel of x -> ad(x)."""
         rows = {}  # sum_i x_i c_ij^k = 0 for each entry (k, j) of ad x, over int constants
-        for i, ad in enumerate(self._flat_left(self._int_constants()[1])):
+        for i, ad in enumerate(self._flat_left()):
             for kj, c in ad.items():
                 rows.setdefault(kj, {})[i] = c
         return kernel_of_rows(rows.values(), self.dim)
 
     def bracket_span(self, s: Subspace, t: Subspace) -> Subspace:
-        """Subspace spanned by all [u, v], u in s, v in t."""
-        trows = t.rows
-        vecs = [self.bracket(u, v) for u in s.rows for v in trows]
-        return Subspace.span(vecs, self.dim)
+        """Subspace spanned by all [u, v], u in s, v in t, over their int rows."""
+        nz, trows = self._int_constants()[1], t._rows.values()
+        return _span((_times(nz, u, v) for u in s._rows.values() for v in trows), self.dim)
 
     @_memoized
     def commutator_algebra(self) -> Subspace:
@@ -359,9 +357,9 @@ class LieAlgebra(_StructureTable):
 
     @_memoized
     def _killing_rank(self) -> int:
-        """Rank of the Killing form; it is dim g exactly when g is semisimple
-        (Cartan's criterion), provided g satisfies the Jacobi identity."""
-        return row_reduce(self.killing_form())[1]
+        """Rank of the Killing form, on the trace form's int rows; it is dim g exactly
+        when g is semisimple (Cartan's criterion), provided g satisfies the Jacobi identity."""
+        return _span(map(dict, self._trace_form()[1]), self.dim).dim
 
     # -- structural flags ----------------------------------------------------
 
@@ -371,11 +369,11 @@ class LieAlgebra(_StructureTable):
 
     @_memoized
     def _flags(self) -> dict:
-        """The flags from g's own invariants. If g = z(g) + [g,g], then for x, y
-        in [g,g] ad_x ad_y kills z(g) and maps into [g,g]; so g is reductive iff
-        g's Killing form restricted to [g,g], B kappa B^T, is nondegenerate. A
-        semisimple g is simple iff its centroid, a product of fields, one per
-        simple ideal, is a field."""
+        """The flags from g's own invariants. If g = z(g) + [g,g], then for x, y in [g,g] ad_x
+        ad_y kills z(g) and maps into [g,g]; so g is reductive iff g's Killing form
+        restricted to [g,g], B kappa B^T, is nondegenerate; as ad kills z(g), its
+        rank is that of kappa. A semisimple g is simple iff its centroid, a product
+        of fields, one per simple ideal, is a field."""
         comm = self.commutator_algebra()
         center = self.center()
         abelian = comm.is_zero()
@@ -388,9 +386,7 @@ class LieAlgebra(_StructureTable):
         if semisimple or abelian:
             reductive = True
         elif center.dim + comm.dim == self.dim and center.sum(comm).is_full():
-            basis = comm.basis_matrix()
-            _, r, _ = row_reduce(basis @ self.killing_form() @ basis.transpose())
-            reductive = r == comm.dim
+            reductive = self._killing_rank() == comm.dim
         simple = False
         if semisimple and not abelian:
             from .decompose import _centroid_split

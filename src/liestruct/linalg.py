@@ -2,16 +2,16 @@
 
 Everything in this package reduces to rank/kernel/solve computations over Q.
 Scalars are ``fractions.Fraction``; matrices are immutable dense row-major
-grids, and a subspace keeps only the nonzero entries of its canonical basis.
-The elimination core takes rows either dense or as sparse ``{col: value}``
-maps, clears denominators and reduces sparse ``{col: int}`` rows (plain
-Python ints are much faster than Fraction arithmetic, and constraint systems
-are mostly zeros); rows that are already ``{col: int}`` maps, as the
+grids. The elimination core takes rows either dense or as sparse ``{col:
+value}`` maps, clears denominators and reduces sparse ``{col: int}`` rows
+(plain Python ints are much faster than Fraction arithmetic, and constraint
+systems are mostly zeros); rows that are already ``{col: int}`` maps, as the
 constraint generators in ``endo`` yield, enter as they are. The echelon
 keeps every pivot row reduced, so a redundant row is cleared by each pivot
 once, with no fill-in; a row's pivot is its smallest column for a span, its
 largest for a kernel, whose canonical basis is then read off in natural
-column order. Fractions are built only for the nonzero entries of results.
+column order. A subspace keeps the echelon's int rows, which the core reads
+as they stand; Fractions are built only for its public views.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Iterable, Optional, Sequence
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _INT, _FRACTION, _EXACT = frozenset((int,)), frozenset((Fraction,)), frozenset((int, Fraction))
 
 
@@ -296,12 +295,10 @@ def _echelon(rows: Iterable, pivots: dict[int, dict[int, int]], lead=min, width:
 
 
 def _span(rows: Iterable, ambient_dim: int) -> "Subspace":
-    """The span of ``rows``, already valid for :func:`_echelon`: its pivot rows
-    scaled to 1 at their pivots, as Fractions for their nonzero entries only."""
+    """The span of ``rows``, already valid for :func:`_echelon`, on its own pivot rows."""
     pivots: dict[int, dict[int, int]] = {}
     _echelon(rows, pivots)
-    return Subspace._make(ambient_dim, {c: {j: Fraction(v, row[c]) for j, v in row.items()}
-                                        for c, row in pivots.items()})
+    return Subspace._make(ambient_dim, pivots)
 
 
 def _checked(v, n: int):
@@ -349,22 +346,28 @@ def kernel_of_rows(rows: Iterable, ncols: int) -> "Subspace":
 
     A row's pivot is its largest column, so each pivot row of the reduced
     echelon reads a_cc x_c + sum a_cj x_j = 0 over free columns j < c. The
-    vector of free column j has its 1 at j and -a_cj / a_cc at pivot columns
-    c > j only, where the other kernel vectors are zero: the canonical RREF
-    basis, read off directly as sparse rows, one Fraction per entry.
+    RREF vector of free column j has its 1 at j and -a_cj / a_cc at pivot
+    columns c > j only, where the other kernel vectors are zero. Its primitive
+    int multiple, positive at j (a_cc may be negative), scales it by s_j, the
+    lcm of the reduced denominators a_cc / gcd(a_cc, a_cj) of the rows with j.
     """
     pivots: dict[int, dict[int, int]] = {}
     _echelon(rows, pivots, max, ncols)
-    basis = {j: {j: _ONE} for j in range(ncols) if j not in pivots}
+    scale = {j: 1 for j in range(ncols) if j not in pivots}
     try:
         for c, row in pivots.items():
-            a = row.pop(c)
             if c not in range(ncols):
                 raise KeyError(c)
             for j, v in row.items():  # free columns only: the row is reduced
-                basis[j][c] = Fraction(-v, a)
+                if j != c:
+                    scale[j] = lcm(scale[j], row[c] // gcd(row[c], v))
     except KeyError as e:
         raise ValueError("row column %r outside 0..%d" % (e.args[0], ncols - 1)) from None
+    basis = {j: {j: s} for j, s in scale.items()}
+    for c, row in pivots.items():
+        for j, v in row.items():
+            if j != c:
+                basis[j][c] = -v * scale[j] // row[c]
     return Subspace._make(ncols, basis)
 
 
@@ -383,13 +386,14 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
 
 
 class Subspace:
-    """A subspace of Q^n held in canonical (RREF) form.
+    """A subspace of Q^n held in canonical form.
 
-    The canonical basis is stored sparse: row i is the sorted tuple of its
-    nonzero (col, value) pairs, led by (pivots[i], 1). ``rows`` is the dense
-    view, rebuilt on every read. Two subspaces are equal iff they have the
-    same canonical rows, so equality of the canonical form is equality of
-    subspaces, and equal subspaces hash equal.
+    Row i is the primitive int multiple of the i-th RREF row, positive at its
+    pivot: the echelon's own pivot row, kept as ``{col: int}`` in column order
+    and keyed by its pivot. That multiple is unique, so equal subspaces have
+    equal int rows and hash equal. The views ``rows``, ``sparse_rows``,
+    ``combine``, ``reduce`` and ``coordinates`` build Fractions for the RREF
+    rows, 1 at each pivot; membership reduces one int row.
     """
 
     __slots__ = ("ambient_dim", "pivots", "_rows")
@@ -398,12 +402,12 @@ class Subspace:
         raise TypeError("use Subspace.span / Subspace.zero / Subspace.full")
 
     @classmethod
-    def _make(cls, ambient: int, rows: dict[int, dict[int, Fraction]]) -> "Subspace":
-        """From canonical rows, pivot -> {col: value} with 1 at the pivot."""
+    def _make(cls, ambient: int, rows: dict[int, dict[int, int]]) -> "Subspace":
+        """From canonical int rows, pivot -> {col: int}, primitive and positive at the pivot."""
         self = object.__new__(cls)
         self.ambient_dim = ambient
         self.pivots = tuple(sorted(rows))
-        self._rows = tuple(tuple(sorted(rows[c].items())) for c in self.pivots)
+        self._rows = {c: dict(sorted(rows[c].items())) for c in self.pivots}
         return self
 
     @classmethod
@@ -418,7 +422,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls._make(ambient_dim, {i: {i: _ONE} for i in range(ambient_dim)})
+        return cls._make(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
@@ -426,22 +430,23 @@ class Subspace:
 
     @property
     def rows(self) -> tuple[Vector, ...]:
-        """The canonical basis as dense vectors, rebuilt on every read."""
-        return tuple(tuple(_dense(row, self.ambient_dim)) for row in self._rows)
+        """The canonical RREF basis as dense vectors, rebuilt on every read."""
+        return tuple(tuple(_dense(row.items(), self.ambient_dim)) for row in self.sparse_rows())
 
     def sparse_rows(self) -> list[dict[int, Fraction]]:
-        """The canonical basis as ``{col: value}`` maps of the nonzero entries."""
-        return [dict(row) for row in self._rows]
+        """The canonical RREF basis as ``{col: value}`` maps of the nonzero entries."""
+        return [{j: Fraction(x, row[c]) for j, x in row.items()} for c, row in self._rows.items()]
 
     def combine(self, coeffs: Sequence[Fraction]) -> Vector:
-        """The vector sum c_i b_i with coordinates ``coeffs`` in the canonical basis."""
+        """The vector sum c_i b_i with coordinates ``coeffs`` in the canonical RREF basis."""
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count %d != dimension %d" % (len(coeffs), self.dim))
         out = [_ZERO] * self.ambient_dim
-        for c, row in zip(coeffs, self._rows):
-            if c:
-                for j, x in row:
-                    out[j] += c * x
+        for x, (c, row) in zip(coeffs, self._rows.items()):
+            if x:
+                x = Fraction(x, row[c])
+                for j, v in row.items():
+                    out[j] += x * v
         return tuple(out)
 
     def basis_matrix(self) -> Matrix:
@@ -453,51 +458,47 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self._rows) == self.ambient_dim
 
-    def _eliminate(self, v) -> tuple[list, list]:
-        """(residue, coefficients) of v, dense or ``{col: value}``, after
-        elimination against the canonical basis. The rows are zero at each
-        other's pivots, so the coefficients are v's entries at the pivots."""
+    def _residue(self, v) -> tuple[dict, int, dict[int, int]]:
+        """(w, m, r) for v, dense or ``{col: value}``: w maps v's nonzero entries, and r / m
+        is its residue against the canonical basis, an int map that each pivot row whose
+        column v holds clears once (the rows are zero at each other's pivots)."""
         v = _checked(v, self.ambient_dim)
-        items = v.items() if isinstance(v, dict) else enumerate(v)
-        v = _dense(((j, frac(x)) for j, x in items), self.ambient_dim)
-        coeffs = [v[c] for c in self.pivots]
-        for coeff, row in zip(coeffs, self._rows):
-            if coeff:
-                for j, x in row:
-                    v[j] -= coeff * x
-        return v, coeffs
+        w = {j: x for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+        m, rows = lcm(*(x.denominator for x in w.values())), self._rows
+        r = {j: x.numerator * (m // x.denominator) for j, x in w.items()}
+        for c in [c for c in r if c in rows]:
+            m *= rows[c][c] // gcd(rows[c][c], r[c])
+            r = _reduce(r, rows[c], c)
+        return w, m, r
 
     def reduce(self, v: Sequence[Fraction]) -> Vector:
         """Residue of v after elimination against the canonical basis."""
-        return tuple(self._eliminate(v)[0])
+        _, m, r = self._residue(v)
+        return tuple(_dense(((j, Fraction(x, m)) for j, x in r.items()), self.ambient_dim))
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return not any(self._eliminate(v)[0])
+        return not self._residue(v)[2]
 
     def coordinates(self, v: Sequence[Fraction]) -> Optional[Vector]:
-        """Coefficients of v in the canonical basis, or None if outside."""
-        residue, coeffs = self._eliminate(v)
-        return None if any(residue) else tuple(coeffs)
+        """Coefficients of v in the canonical RREF basis (its pivot entries), or None."""
+        w, _, r = self._residue(v)
+        return None if r else tuple(frac(w.get(c, 0)) for c in self.pivots)
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.sparse_rows())
+        return all(self.contains(row) for row in other._rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return _span([dict(row) for row in self._rows + other._rows], self.ambient_dim)
+        return _span([dict(row) for row in (*self._rows.values(), *other._rows.values())],
+                     self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked coefficient system."""
+        """The annihilator of the sum of the two annihilators."""
         self._check_ambient(other)
-        # [A^T | B^T] (u; v) = 0 says sum u_i a_i = -sum v_j b_j, a vector in
-        # both spans; map the u-part of each kernel vector through A.
-        na = len(self._rows)
-        stacked: dict[int, dict[int, Fraction]] = {}  # coordinate -> {i: entry of row i}
-        for i, row in enumerate(self._rows + other._rows):
-            for j, x in row:
-                stacked.setdefault(j, {})[i] = x
-        ker = kernel_of_rows(stacked.values(), na + len(other._rows))
-        return _span([self.combine(u[:na]) for u in ker.rows], self.ambient_dim)
+        n = self.ambient_dim
+        # each annihilator is built here and read once: its rows may be reduced in place
+        anns = [kernel_of_rows(map(dict, s._rows.values()), n) for s in (self, other)]
+        return kernel_of_rows([row for ann in anns for row in ann._rows.values()], n)
 
     def __eq__(self, other):
         return (
@@ -507,7 +508,7 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self._rows))
+        return hash((self.ambient_dim, tuple(tuple(row.items()) for row in self._rows.values())))
 
     def __repr__(self):
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)

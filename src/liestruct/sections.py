@@ -175,7 +175,7 @@ def _tensor_check(check: str, lhs: Subspace, sub: Subspace, a: CommutativeAlgebr
     na = a.dim
     # x (x) e_p has coordinate x_i at i * na + p
     rhs = Subspace.span([{i * na + p: x for i, x in row.items()}
-                         for row in sub.sparse_rows() for p in range(na)], sub.ambient_dim * na)
+                         for row in sub._rows.values() for p in range(na)], sub.ambient_dim * na)
     return {"check": check, "lhs_dim": lhs.dim, "rhs_dim": rhs.dim, "ok": lhs == rhs}
 
 
@@ -248,7 +248,7 @@ def x_derivations(k: LieAlgebra, m: int) -> tuple[tuple[XDerivation, ...], int]:
     der, cent = derivations(k), centroid(k)
     # entry p = r * n + i of a piece goes to column i * na + u of row r
     vecs = [{p // n * big + p % n * na + u: x for p, x in row.items()}
-            for u, piece in enumerate([der] + [cent] * m) for row in piece.space.sparse_rows()]
+            for u, piece in enumerate([der] + [cent] * m) for row in piece.space._rows.values()]
     expected = Subspace.span(vecs, n * big)
     if space != expected:
         raise LiestructError(
@@ -313,8 +313,8 @@ def current_der_decomposition(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     g = current_algebra(k, a)
     full = derivations(g)
     n = g.dim
-    der_k, cent_k = derivations(k).space.sparse_rows(), centroid(k).space.sparse_rows()
-    der_a = commutative_derivations(a).space.sparse_rows()
+    der_k, cent_k = derivations(k).space._rows.values(), centroid(k).space._rows.values()
+    der_a = commutative_derivations(a).space._rows.values()
     tensor_part = Subspace.span(_tensor_rows(der_k, k.dim, a._flat_left(), a.dim), n * n)
     connection_part = Subspace.span(_tensor_rows(cent_k, k.dim, der_a, a.dim), n * n)
     together = tensor_part.sum(connection_part)
@@ -336,7 +336,7 @@ def centroid_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     g = current_algebra(k, a)
     full = centroid(g)
     n = g.dim
-    cent_k = centroid(k).space.sparse_rows()
+    cent_k = centroid(k).space._rows.values()
     expected = Subspace.span(_tensor_rows(cent_k, k.dim, a._flat_left(), a.dim), n * n)
     return {
         "check": "centroid",
@@ -440,18 +440,17 @@ def multinomial_sum(alpha: Sequence[int]) -> Fraction:
     """The alternating multi-index sum; 1 at alpha = 0 and 0 elsewhere.
 
     Computes sum over gamma <= alpha of (-1)^|alpha - gamma| / (gamma! *
-    (alpha - gamma)!) term by term; the binomial theorem collapses it to
-    the Kronecker delta at zero.
+    (alpha - gamma)!) term by term, in ints over one alpha!; the binomial
+    theorem collapses it to the Kronecker delta at zero.
     """
     alpha = tuple(int(x) for x in alpha)
     if any(x < 0 for x in alpha):
         raise ValueError("multi-index components must be non-negative")
-    total = Fraction(0)
+    total = 0  # 1 / (gamma! (alpha - gamma)!) = C(alpha, gamma) / alpha!
     for gamma in sub_indices(alpha):
-        rest = tuple(x - y for x, y in zip(alpha, gamma))
-        sign = -1 if sum(rest) % 2 else 1
-        total += Fraction(sign, multi_factorial(gamma) * multi_factorial(rest))
-    return total
+        sign = -1 if (sum(alpha) - sum(gamma)) % 2 else 1
+        total += sign * multi_binomial(alpha, gamma)
+    return Fraction(total, multi_factorial(alpha))
 
 
 def _apply_partial_power(jet: JetAlgebra, gamma: Sequence[int], coeff: Vector) -> Vector:

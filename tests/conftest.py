@@ -55,6 +55,46 @@ def jordan_chevalley_reference(m):
         a = a - fa @ poly_eval_matrix(fp, a).inverse()
     raise AssertionError("reference Newton iteration did not converge")
 
+
+def eliminate_reference(space, v):
+    """(residue, coefficients) of v, dense or ``{col: value}``, by dense Fraction
+    elimination against the canonical RREF rows ``space.rows``: those rows are 1 at
+    their own pivot and 0 at the others, so the coefficients are v's entries at the
+    pivots, and the residue is v minus their combination, one list of the ambient
+    length. The oracle of the membership tests, which reduce one int row instead."""
+    n = space.ambient_dim
+    out = [F(0)] * n
+    for j, x in (v.items() if isinstance(v, dict) else enumerate(v)):
+        out[j] = F(x)
+    coeffs = [out[c] for c in space.pivots]
+    for coeff, row in zip(coeffs, space.rows):
+        if coeff:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] -= coeff * x
+    return out, coeffs
+
+
+def assert_membership_matches_elimination(space, vecs):
+    """reduce, contains and coordinates of each v in ``vecs``, dense, as a map of its
+    nonzero entries and, when integral, as a map of ints, against the dense Fraction
+    elimination of :func:`eliminate_reference`; returns how many were inside."""
+    inside = 0
+    for v in vecs:
+        residue, coeffs = eliminate_reference(space, v)
+        member = not any(residue)
+        inside += member
+        sparse = {j: x for j, x in enumerate(v) if x}
+        forms = [v, sparse]
+        if all(x.denominator == 1 for x in sparse.values()):
+            forms.append({j: int(x) for j, x in sparse.items()})
+        for form in forms:
+            assert space.reduce(form) == tuple(residue)
+            assert space.contains(form) == member
+            assert space.coordinates(form) == (tuple(coeffs) if member else None)
+    return inside
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------

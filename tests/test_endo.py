@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -14,6 +15,8 @@ from liestruct import (build, classical, current_algebra, direct_sum, endo, exam
 from liestruct.errors import JacobiError, LiestructError, PreconditionError
 from liestruct.lie import _integral
 from liestruct.linalg import Matrix, Subspace, kernel_of_rows, unit_vector, vector
+
+from conftest import assert_membership_matches_elimination, eliminate_reference
 
 
 def M(rows):
@@ -859,3 +862,45 @@ def test_a_wrong_parent_operator_is_refused_by_the_certificates(monkeypatch, spi
     assert spun
     monkeypatch.undo()
     assert _fresh(endo.centroid, g).space == _full_kernels(g)[1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_endo_membership_matches_dense_elimination(rebase, oscillator6, seed):
+    """Der, ad g and Cent of a seeded dense rebasing (n^2 = 36 ambient columns, entries past
+    2^64 on the last seed) against dense Fraction elimination, on maps inside and outside."""
+    g = rebase(oscillator6, 60 + seed, big=seed == 2)
+    n, rng = g.dim, random.Random(8500 + seed)
+    der, inner, cent = endo.derivations(g), endo.inner_derivations(g), endo.centroid(g)
+    ads = [g.ad_basis(i).flatten() for i in range(n)]
+    one = Matrix.identity(n).flatten()
+    dense = [tuple(F(rng.randint(-2**64, 2**64)) if rng.random() < 0.4 else F(0)
+                   for _ in range(n * n)) for _ in range(2)]
+    mixed = tuple(sum(rng.randint(-9, 9) * m[j] for m in ads) for j in range(n * n))
+    vecs = ads + [one, mixed] + dense + [tuple(x + y for x, y in zip(mixed, dense[0]))]
+    for space in (der, inner, cent):
+        assert 0 < assert_membership_matches_elimination(space.space, vecs) < len(vecs)
+    for big, small in ((der, inner), (der, cent), (cent, inner), (inner, der)):
+        expected = all(not any(eliminate_reference(big.space, r)[0]) for r in small.space.rows)
+        assert big.space.contains_space(small.space) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_centroid_seeds_in_bracket_count_order(seed):
+    """On a permuted current algebra the index order takes 2 to 4 seeds, m n unknowns,
+    and the bracket-count order one; Cent is the kernel of the n^2-unknown oracle rows."""
+    g0 = parse_algebra("cur:sl:2,jet:2,3")
+    perm = list(range(g0.dim))
+    random.Random(seed).shuffle(perm)
+    g = g0.permuted(perm)
+    n, nz, gens = g.dim, g._int_constants()[1], endo._generators(g)
+    ops = [nz[s] for s in sorted(gens)]
+    seeds = []
+    for order in (range(n), endo._by_brackets(nz)):
+        spin = endo._Spinner(n, ops)
+        for i in order:
+            spin.push({i: 1})
+        seeds.append(spin.parents.count(None))
+    assert seeds[1] == 1 < seeds[0]
+    cent = endo.centroid(g)
+    assert cent.dim == 6
+    assert cent.space == kernel_of_rows(endo.commutant_system(g._nonzero, n), n * n)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from liestruct.linalg import (
     vector,
 )
 
-from conftest import kron
+from conftest import assert_membership_matches_elimination, eliminate_reference, kron
 
 
 def M(rows):
@@ -644,6 +645,91 @@ def test_subspace_operations_match_sympy(sympy, seed):
             sol, params = rref.T.gauss_jordan_solve(sv)
             assert not params
             assert coords == _fractions(sol)
+
+
+def _combination(rng, vecs, n, bits):
+    """A seeded integer combination of ``vecs`` with coefficients of up to ``bits`` bits."""
+    out = [F(0)] * n
+    for v in vecs:
+        c = rng.randint(-2**bits, 2**bits)
+        for j, x in enumerate(v):
+            out[j] += c * x
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_membership_matches_dense_elimination(seed):
+    rng = random.Random(8300 + seed)
+    n = rng.randint(1, 12)
+    avecs = _random_vectors(rng, rng.randint(1, n), n)
+    a = Subspace.span(avecs, n)
+    vecs = [_combination(rng, avecs, n, rng.choice((3, 64))) for _ in range(4)]
+    vecs += _random_vectors(rng, 4, n) + [tuple(F(rng.randint(-2**64, 2**64)) for _ in range(n))]
+    vecs.append(tuple(x + y for x, y in zip(vecs[0], vecs[-1])))  # inside plus outside
+    inside = assert_membership_matches_elimination(a, vecs)
+    assert inside >= 4 and (a.is_full() or inside < len(vecs))
+    # contains_space on spans of inside vectors, then with an outside one added
+    for extra in ([], vecs[4:]):
+        b = Subspace.span(vecs[:4] + extra, n)
+        assert a.contains_space(b) == all(not any(eliminate_reference(a, r)[0]) for r in b.rows)
+    assert a.contains_space(Subspace.span(vecs[:4], n))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_intersection_with_a_common_part(seed):
+    """a and b share a seeded common part, so their meet is a proper nonzero subspace on
+    most seeds, with RREF rows far from integral: it lies in both, by dense elimination,
+    and has the dimension dim a + dim b - dim (a + b)."""
+    rng = random.Random(8600 + seed)
+    n = rng.randint(3, 10)
+    common = _random_vectors(rng, rng.randint(1, n // 2), n)
+    a = Subspace.span(common + _random_vectors(rng, rng.randint(1, n // 2), n), n)
+    b = Subspace.span(_random_vectors(rng, rng.randint(1, n // 2), n) + common, n)
+    meet = a.intersect(b)
+    assert meet == b.intersect(a)
+    assert meet.dim == a.dim + b.dim - a.sum(b).dim >= Subspace.span(common, n).dim
+    for space in (a, b):
+        assert all(not any(eliminate_reference(space, r)[0]) for r in meet.rows)
+
+
+def _negative_pivot_system(rng, ncols):
+    """Int rows positive at their smallest column and negative at their largest, so
+    that most pivot rows of the max-lead echelon have a negative pivot entry."""
+    rows = []
+    for _ in range(rng.randint(1, ncols - 1)):
+        cols = sorted(rng.sample(range(ncols), rng.randint(2, min(4, ncols))))
+        row = {j: rng.choice((-1, 1)) * rng.randint(1, 2**rng.choice((3, 64))) for j in cols}
+        row[cols[0]], row[cols[-1]] = abs(row[cols[0]]), -abs(row[cols[-1]]) * rng.randint(2, 6)
+        rows.append(row)
+    return rows
+
+
+def _negative_pivot_seed(seed):
+    """(rows, ncols, whether a pivot entry of the max-lead echelon is negative)."""
+    rng = random.Random(8400 + seed)
+    ncols = rng.randint(3, 10)
+    rows = _negative_pivot_system(rng, ncols)
+    pivots = {}
+    _echelon([dict(r) for r in rows], pivots, max, ncols)
+    return rows, ncols, any(row[c] < 0 for c, row in pivots.items())
+
+
+def test_negative_pivot_systems_have_negative_pivot_entries():
+    """The case under test below is hit on nearly every seed, so it is not vacuous."""
+    assert sum(_negative_pivot_seed(seed)[2] for seed in range(24)) >= 20
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_kernel_rows_with_negative_pivot_entries_are_the_span_form(seed):
+    rows, ncols, _ = _negative_pivot_seed(seed)
+    ker = kernel_of_rows([dict(r) for r in rows], ncols)
+    expected = _gauss_jordan_kernel([_dense(r, ncols) for r in rows], ncols)
+    span = Subspace.span(expected, ncols)
+    assert ker == span and hash(ker) == hash(span)
+    assert ker.rows == expected and ker.sparse_rows() == span.sparse_rows()
+    # each basis row of the kernel is one primitive int row, positive at its free column
+    assert ker._rows == span._rows
+    assert all(row[c] > 0 and gcd(*row.values()) == 1 for c, row in ker._rows.items())
 
 
 # ---------------------------------------------------------------------------
