@@ -434,9 +434,9 @@ def _casimir(k: LieAlgebra, g: LieAlgebra, left, right) -> Matrix:
     as (index, value) pairs, per basis vector of k. The sums run in ints: w
     is q d^-1 times ints read off one integer echelon of [q kappa | I], q kappa
     the trace form's int rows (pivot row c is p_c (e_c | row c of (q
-    kappa)^-1), d the lcm of the p_c), and g's constants and the vectors are
-    scaled to one denominator den by :func:`_integral`, so each entry is q
-    times one Fraction over den^4 d."""
+    kappa)^-1), d the lcm of the p_c), g's memoized int constants are over den,
+    and each leg is scaled over its own dl or dr by :func:`_integral`, so each
+    entry is q times one Fraction over den^2 dl dr d."""
     n, (q, kappa) = k.dim, k._trace_form()
     pivots = {}
     _echelon(({**row, n + i: 1} for i, row in enumerate(kappa)), pivots)
@@ -444,7 +444,8 @@ def _casimir(k: LieAlgebra, g: LieAlgebra, left, right) -> Matrix:
         raise LiestructError("Killing form is degenerate; no dual basis exists")
     d = lcm(*(r[c] for c, r in pivots.items()))
     w = {(c, j - n): v * (d // r[c]) for c, r in pivots.items() for j, v in r.items() if j != c}
-    den, nz, (ls,), (rs,) = _integral(g._nonzero, (left,), (right,))
+    den, nz = g._int_constants()
+    (dl, (ls,)), (dr, (rs,)) = _integral((left,)), _integral((right,))
     acc = [[0] * g.dim for _ in range(g.dim)]
     for i, u in enumerate(ls):
         a = _ad_columns(nz, u)
@@ -453,7 +454,8 @@ def _casimir(k: LieAlgebra, g: LieAlgebra, left, right) -> Matrix:
             for t, b in col.items():
                 for r, x in a.get(t, {}).items():
                     acc[r][s] += x * b
-    return Matrix._trusted(tuple(Fraction(x * q, den ** 4 * d) for x in row) for row in acc)
+    d *= den * den * dl * dr
+    return Matrix._trusted(tuple(Fraction(x * q, d) for x in row) for row in acc)
 
 
 def casimir_adjoint(k: LieAlgebra) -> Matrix:

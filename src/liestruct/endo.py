@@ -39,26 +39,32 @@ Q^n, each spun vector an exact word image b = A b'. A commuting f has f(b) =
 A f(b'), so it is fixed by w = (f(v_1), ..., f(v_m)), m n unknowns instead
 of n^2, and f -> w is injective on the commutant. Conversely a w extends to
 a commuting f exactly when f(A b) = A f(b) holds for every spun b and
-operator A: commutation checked on a basis. Only the pairs whose image is
-already in the span add rows, one block each, so the kernel of those rows is
-the commutant with nothing left out. The spinner's echelon carries no tags;
-one tagged echelon of [B | I] gives both the relations and the map back to
-f. Each f returned is still checked to commute with every operator, and the
-identity to be among them. :func:`commutant_system` keeps the n^2 unknowns;
-it is the tests' independent oracle.
+operator A: commutation checked on a basis. The pairs whose image is already
+in the span add one block of rows each, read with the map back to f off one
+tagged echelon of [B | I]. They stream into one ``kernel_of_rows``, in rounds
+across the seeds' orbits, reading the echelon they feed: at a block that adds
+no pivot, once each seed's n columns hold one, the kernel K' so far is mapped
+back and checked to commute with every operator. K' holds the kernel K of all
+the blocks, and the map back gives f(b_k) = F_k w, so a w in K' whose f
+commutes satisfies every relation: if all pass, K' = K and the stream ends.
+A failed check waits for the rows fed to double; a stream that runs out is
+checked, and raises on a failure, as it does unless the identity is in the
+kernel. :func:`commutant_system` keeps the n^2 unknowns; it is the tests'
+independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice, takewhile, zip_longest
 from math import lcm
 from typing import Optional, Sequence
 
 from .errors import LiestructError, PreconditionError
 from .lie import (LieAlgebra, _integral, _jacobi_known, _memoized, _polynomials_in, _scaled,
                   _StructureTable)
-from .linalg import (Matrix, Subspace, Vector, _echelon, _primitive, _reduce, _span,
-                     kernel_of_rows)
+from .linalg import (_SOLVES, Matrix, Subspace, Vector, _echelon, _kernel, _primitive, _reduce,
+                     _span, kernel_of_rows)
 from .poly import _semisimple_polynomial
 
 __all__ = [
@@ -256,12 +262,12 @@ def _public(den: int, op) -> Matrix:
     return Matrix.unflatten({p: Fraction(x, den) for p, x in _flat(op).items()}, n, n)
 
 
-def _apply_block(op, block: dict) -> dict:
-    """A F for an int operator A (columns) and a block F as rows ``{row: {col: int}}``."""
+def _apply_block(op, block: dict, c: int = 1) -> dict:
+    """c A F for an int operator A (columns) and a block F as rows ``{row: {col: int}}``."""
     out = {}
     for s, row in block.items():
         for r, a in op[s]:
-            acc = out.setdefault(r, {})
+            acc, a = out.setdefault(r, {}), a * c
             for j, x in row.items():
                 acc[j] = acc.get(j, 0) + a * x
     return {r: {j: x for j, x in acc.items() if x} for r, acc in out.items()}
@@ -369,32 +375,28 @@ def _generators(g: LieAlgebra) -> Optional[frozenset]:
 
 
 def _spin_relations(spin: _Spinner, images, tagged):
-    """The rows {col: int} of alpha A F_k + sum_j tau_j F_j = 0, one block of
-    up to n rows for each vector b_k and operator A with A b_k in the span
-    (every pair that made no vector), where alpha A b_k + sum_j tau_j b_j = 0
-    is read off the tags of A b_k, with its own tag in column 2n, reduced
-    against the tagged echelon ``tagged`` of [B | I], B the spinner's basis."""
-    ops, n, made = spin.ops, spin.n, set(spin.parents)
-    for k, (b, image) in enumerate(zip(spin.basis, images)):
+    """Blocks of rows {col: int} of alpha A F_k + sum_j tau_j F_j = 0, one of up to n rows
+    for each vector b_k and operator A with A b_k in the span (every pair that made no
+    vector), alpha A b_k + sum_j tau_j b_j = 0 read off the tags of A b_k (its own tag in
+    column 2n) reduced against the tagged echelon ``tagged`` of [B | I], B the spinner's
+    basis; b_k in rounds across the seeds' orbits: each seed's first spun vector, then..."""
+    ops, n, made, orbit = spin.ops, spin.n, set(spin.parents), []
+    for k, parent in enumerate(spin.parents):  # orbit[k]: b_k's orbit, one list its vectors share
+        orbit.append(orbit[parent[0]] if parent else [])
+        orbit[k].append(k)
+    rounds = zip_longest(*(orbit[k] for k, parent in enumerate(spin.parents) if not parent))
+    for k in (k for rnd in rounds for k in rnd if k is not None):
         for a, op in enumerate(ops):
             if (k, a) in made:
                 continue
-            tags = _residue(tagged, {**_apply(op, b.items()), 2 * n: 1})
-            alpha = tags.pop(2 * n)
-            block = _apply_block(op, image)
-            if alpha != 1:
-                for row in block.values():
-                    for j in row:
-                        row[j] *= alpha
+            tags = _residue(tagged, {**_apply(op, spin.basis[k].items()), 2 * n: 1})
+            block = _apply_block(op, images[k], tags.pop(2 * n))  # times alpha
             for t, tau in tags.items():
                 for r, row in images[t - n].items():
                     acc = block.setdefault(r, {})
                     for j, x in row.items():
                         acc[j] = acc.get(j, 0) + tau * x
-            for row in block.values():
-                row = {j: x for j, x in row.items() if x}
-                if row:
-                    yield row
+            yield [r for row in block.values() if (r := {j: x for j, x in row.items() if x})]
 
 
 def _commutant(ops, n: int, kind: str, order) -> EndoSpace:
@@ -403,10 +405,10 @@ def _commutant(ops, n: int, kind: str, order) -> EndoSpace:
     The e_i are pushed in the index ``order`` into a :class:`_Spinner` of ``ops``
     (module docs); f(b_k) = F_k w for w = (f(e_i)) over its seeds, where F_k
     is the identity on the seed's block of w, and A F_j for b_k = A b_j. The
-    kernel of the rows of :func:`_spin_relations` is mapped back by f(e_c) =
-    sum_k lambda_ck f(b_k) / p_c, with p_c e_c = sum_k lambda_ck b_k read off
-    the tagged echelon of [B | I] that gave the relations. ``kind`` names the
-    space, in the result and in the error when a check fails.
+    kernel of the blocks of :func:`_spin_relations`, or of a certified prefix
+    (module docs), maps back by f(e_c) = sum_k lambda_ck f(b_k) / p_c, p_c e_c =
+    sum_k lambda_ck b_k read off the tagged echelon of [B | I] that gave the
+    relations. ``kind`` names the space, in the result and in any error.
     """
     spin = _Spinner(n, ops)
     for i in order:
@@ -420,28 +422,47 @@ def _commutant(ops, n: int, kind: str, order) -> EndoSpace:
             images.append(_apply_block(ops[parent[1]], images[parent[0]]))
     tagged = {}
     _echelon(({**b, n + k: 1} for k, b in enumerate(spin.basis)), tagged)
-    ker = kernel_of_rows(_spin_relations(spin, images, tagged), len(seeds) * n)
-    if not ker.contains({t * n + i: 1 for t, i in enumerate(seeds)}):
-        raise LiestructError("%s: the identity fails the spun relations" % kind)
     den = lcm(*(row[c] for c, row in tagged.items()))
     back = [[(k - n, x * (den // row[c])) for k, x in row.items() if k >= n]
             for c, row in sorted(tagged.items())]
-    found = []
-    for w in ker._rows.values():
-        # f(b_k): the seeds' part of w, or A f(b_j) for b_k = A b_j
-        fb, t = [], 0
+    m, cert = len(seeds), []  # cert: a certified prefix kernel and its maps
+
+    def commuting(w):  # den f as int columns for the kernel vector w, or None unless f A = A f
+        fb, t = [], 0  # f(b_k): the seeds' part of w, or A f(b_j) for b_k = A b_j
         for parent in spin.parents:
             if parent is None:
                 fb.append(tuple((r, w[t * n + r]) for r in range(n) if t * n + r in w))
                 t += 1
             else:
                 fb.append(tuple(_apply(ops[parent[1]], fb[parent[0]]).items()))
-        # column c of f: f(e_c) times den
-        f = [tuple(_apply(fb, lam).items()) for lam in back]
-        if not all(_compose(f, op) == _compose(op, f) for op in ops):
-            raise LiestructError("%s: a spun element fails f A = A f" % kind)
-        found.append(_flat(f))
-    return EndoSpace(kind, n, _span(found, n * n))
+        f = [tuple(_apply(fb, lam).items()) for lam in back]  # f(e_c) times den
+        return f if all(_compose(f, op) == _compose(op, f) for op in ops) else None
+
+    def relations():  # the blocks, until a prefix is certified (module docs)
+        live, fed, due, seen, bare = _SOLVES[-1] if _SOLVES else {}, 0, 0, 0, set(range(m))
+        for block in _spin_relations(spin, images, tagged):
+            rank = len(live)
+            yield block  # resumed once its last row is in the echelon
+            fed += len(block)
+            if block and len(live) == rank and fed >= due:
+                # the seeds with no pivot in their n columns; new pivots come last
+                bare.difference_update(c // n for c in islice(live, seen, None))
+                seen = rank
+                if not bare:  # the kernel so far, highest free column (likeliest to fail) first
+                    prefix = _kernel(live, m * n)
+                    fs = list(takewhile(bool, map(commuting, reversed(prefix._rows.values()))))
+                    if len(fs) == prefix.dim:
+                        cert[:] = prefix, fs
+                        return
+                    due = 2 * fed
+
+    ker = kernel_of_rows(chain.from_iterable(relations()), m * n)
+    if not ker.contains({t * n + i: 1 for t, i in enumerate(seeds)}):
+        raise LiestructError("%s: the identity fails the spun relations" % kind)
+    found = cert[1] if cert and cert[0] == ker else [*map(commuting, ker._rows.values())]
+    if not all(found):
+        raise LiestructError("%s: a spun element fails f A = A f" % kind)
+    return EndoSpace(kind, n, _span(map(_flat, found), n * n))
 
 
 @_memoized

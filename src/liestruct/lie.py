@@ -492,12 +492,20 @@ def build(
             raise ValueError(
                 "bracket key (%r, %r) must satisfy 0 <= left < right < dim" % (i, j)
             )
-        value = products[(i, j)] = {int(k): frac(c) for k, c in value.items()}
+        value = products[(i, j)] = {int(k): _coefficient(c) for k, c in value.items()}
         products[(j, i)] = {k: -c for k, c in value.items()}
     algebra = LieAlgebra(names, products)
     if validate:
         _check_jacobi(algebra)
     return algebra
+
+
+def _coefficient(c) -> Fraction:
+    """frac(c); int() reads an integer string faster (not with "_": Fraction < 3.11 refuses it)."""
+    try:
+        return Fraction(int(c)) if type(c) is str and "_" not in c else frac(c)
+    except ValueError:
+        return frac(c)
 
 
 def _compose(nz, a: int, b: int, c: int, acc: dict, negate: bool = False) -> dict:

@@ -24,6 +24,7 @@ Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _INT, _FRACTION, _EXACT = frozenset((int,)), frozenset((Fraction,)), frozenset((int, Fraction))
+_SOLVES: list = []  # the echelon of each kernel_of_rows call in progress, innermost last
 
 
 def frac(x) -> Fraction:
@@ -342,17 +343,25 @@ def kernel_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     is). Rows are streamed through the sparse integer echelon, so callers
     can assemble large constraint systems lazily and never materialize their
     zeros. A map of nonzero ints may be reduced in place (not to be read
-    again); other rows are left as they are.
-
-    A row's pivot is its largest column, so each pivot row of the reduced
-    echelon reads a_cc x_c + sum a_cj x_j = 0 over free columns j < c. The
-    RREF vector of free column j has its 1 at j and -a_cj / a_cc at pivot
-    columns c > j only, where the other kernel vectors are zero. Its primitive
-    int multiple, positive at j (a_cc may be negative), scales it by s_j, the
-    lcm of the reduced denominators a_cc / gcd(a_cc, a_cj) of the rows with j.
+    again); other rows are left as they are. While they stream in, the call's
+    echelon is ``_SOLVES[-1]``, for a stream to read (:func:`_kernel`) and stop.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    _echelon(rows, pivots, max, ncols)
+    _SOLVES.append({})
+    try:
+        _echelon(rows, _SOLVES[-1], max, ncols)
+        return _kernel(_SOLVES[-1], ncols)
+    finally:
+        _SOLVES.pop()
+
+
+def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> "Subspace":
+    """The kernel of the reduced echelon ``pivots`` of :func:`kernel_of_rows`. A
+    row's pivot is its largest column, so each pivot row reads a_cc x_c + sum
+    a_cj x_j = 0 over free columns j < c. The RREF vector of free column j has
+    its 1 at j and -a_cj / a_cc at pivot columns c > j only, where the other
+    kernel vectors are zero. Its primitive int multiple, positive at j (a_cc may
+    be negative), scales it by s_j, the lcm of the reduced denominators a_cc /
+    gcd(a_cc, a_cj) of the rows with j."""
     scale = {j: 1 for j in range(ncols) if j not in pivots}
     try:
         for c, row in pivots.items():

@@ -11,7 +11,8 @@ from fractions import Fraction as F
 import pytest
 
 from liestruct import (build, classical, current_algebra, direct_sum, endo, example_algebra,
-                       from_dict, lie, parse_algebra, to_dict, truncated_poly)
+                       from_dict, lie, parse_algebra, quadratic_extension, to_dict,
+                       truncated_poly)
 from liestruct.errors import JacobiError, LiestructError, PreconditionError
 from liestruct.lie import _integral
 from liestruct.linalg import Matrix, Subspace, kernel_of_rows, unit_vector, vector
@@ -518,6 +519,7 @@ def test_der_and_cent_equal_the_full_row_kernels_on_rebasings(rebase, spec, seed
     der, cent = _full_kernels(g)
     assert _fresh(endo.derivations, g).space == der
     assert _fresh(endo.centroid, g).space == cent
+    assert endo.module_commutant([g.ad_basis(i) for i in range(g.dim)]).space == cent
 
 
 def test_semisimple_derivations_stream_no_rows(monkeypatch):
@@ -688,6 +690,76 @@ def test_spun_centroids_with_several_seeds_equal_the_full_row_kernels():
         assert _fresh(endo.centroid, g).space == _full_kernels(g)[1]
 
 
+SPLIT_SPECS = tuple("cur:sl:2,points:%d" % k for k in range(2, 7)) + ("sum:sl:2+sl:3",
+                                                                      "sum:fld:i+fld:r2")
+# rebased only up to n = 12: past it the dense n^2-unknown oracle takes seconds (13 s at n = 18)
+SPLIT_FORMS = [(spec, form) for spec in SPLIT_SPECS for form in ("basis", "permuted", "rebased")
+               if form != "rebased" or spec not in ("cur:sl:2,points:5", "cur:sl:2,points:6")]
+
+
+@pytest.mark.parametrize("spec, form", SPLIT_FORMS)
+def test_spun_commutants_of_split_algebras_equal_the_full_row_kernel(rebase, spec, form):
+    # several simple ideals, so the adjoint module needs a seed for each on the basis
+    if spec == "sum:fld:i+fld:r2":  # sl:2 over Q(i) and over Q(sqrt 2)
+        g = direct_sum([current_algebra(classical("sl", 2), quadratic_extension(d))
+                        for d in (-1, 2)])
+    else:
+        g = parse_algebra(spec)
+    n = g.dim
+    if form == "permuted":
+        g = g.permuted(tuple(random.Random(n).sample(range(n), n)))
+    elif form == "rebased":
+        g = rebase(g, n)
+    ads = [g.ad_basis(i) for i in range(n)]
+    assert form == "rebased" or _seeds(ads) > 1
+    full = kernel_of_rows(endo.commutant_system(g._nonzero, n), n * n)
+    assert _fresh(endo.centroid, g).space == full
+    assert endo.module_commutant(ads).space == full
+
+
+def _solve_log(monkeypatch):
+    """(tries, solved, fed): the prefix kernel of each certificate the commutant tries,
+    the kernel each of its solves returns, and the rows each solve is fed."""
+    real_kernel, real_solve, tries, solved, fed = endo._kernel, endo.kernel_of_rows, [], [], []
+
+    def kernel(pivots, ncols):
+        tries.append(real_kernel(pivots, ncols))
+        return tries[-1]
+
+    def solve(rows, ncols):
+        fed.append(0)
+
+        def counted():  # passed through, so the stream still reads the echelon it feeds
+            for row in rows:
+                fed[-1] += 1
+                yield row
+
+        solved.append(real_solve(counted(), ncols))
+        return solved[-1]
+
+    monkeypatch.setattr(endo, "_kernel", kernel)
+    monkeypatch.setattr(endo, "kernel_of_rows", solve)
+    return tries, solved, fed
+
+
+def test_a_failed_certificate_streams_on_to_the_commutant(monkeypatch):
+    # on sl:3 the first prefix that stalls with a pivot for its seed has a kernel larger
+    # than the commutant's: its certificate fails, and a later prefix is certified
+    g = classical("sl", 3)
+    n = g.dim
+    tries, solved, fed = _solve_log(monkeypatch)
+    cent = _fresh(endo.centroid, g)
+    assert len(solved) == 1 and len(tries) >= 2
+    assert tries[0].dim > solved[0].dim == 1 and tries[-1] == solved[0]
+    # the same stream with no echelon to read runs to its end, with no certificate
+    monkeypatch.setattr(endo, "_SOLVES", [])
+    certified = len(tries)
+    assert _fresh(endo.centroid, g).space == cent.space
+    assert len(tries) == certified and fed[0] < fed[1]
+    monkeypatch.undo()
+    assert cent.space == kernel_of_rows(endo.commutant_system(g._nonzero, n), n * n)
+
+
 @pytest.mark.parametrize("mutation", ["alpha off by one", "every coefficient zero"])
 def test_a_wrong_relation_coefficient_is_refused_by_the_certificate(monkeypatch, mutation):
     # sl:3 relabeled, so no memoized centroid of an equal algebra is served
@@ -847,15 +919,17 @@ def test_a_wrong_parent_operator_is_refused_by_the_certificates(monkeypatch, spi
         monkeypatch.setattr(endo._Spinner, "_close", close)
         message = "the identity fails the spun relations"
     else:
-        # read wrongly only where f(b_k) is rebuilt from w: f A = A f fails
-        real_kernel = endo.kernel_of_rows
+        # read wrongly only where f(b_k) is rebuilt from w, from the first relation
+        # block on, so every certificate of a prefix and the final check see it
+        real_relations = endo._spin_relations
 
-        def kernel(rows, ncols):
-            out = real_kernel(rows, ncols)
-            mutate(spinners[-1])
-            return out
+        def relations(spin, *args):
+            for block in real_relations(spin, *args):
+                if not spun:
+                    mutate(spin)
+                yield block
 
-        monkeypatch.setattr(endo, "kernel_of_rows", kernel)
+        monkeypatch.setattr(endo, "_spin_relations", relations)
         message = "a spun element fails f A = A f"
     with pytest.raises(LiestructError, match="centroid: " + message):
         _fresh(endo.centroid, g)

@@ -599,6 +599,24 @@ def test_json_roundtrip(sl2, two_dim, heisenberg3):
         assert to_dict(back) == data
 
 
+@pytest.mark.parametrize("text", ["-8", "+5", "007", " 2", "1_000", "\u0663", "3/4", "2.0", "1e3",
+                                  "--5", "-", "", pytest.param("7" * 5000, id="5000 digits")])
+def test_coefficient_strings_read_as_fraction_reads_them(text):
+    # integer strings take int(); the accepted strings and their values stay Fraction's
+    from liestruct.lie import from_dict
+
+    data = {"dim": 2, "brackets": [{"left": 0, "right": 1, "value": {"0": text}}]}
+    try:
+        expected = F(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            from_dict(data)
+        return
+    got = from_dict(data)._nonzero[0][1]
+    assert got == (((0, expected),) if expected else ())
+    assert all(type(c) is F for _, c in got)
+
+
 # ---------------------------------------------------------------------------
 # property: ad is a homomorphism
 # ---------------------------------------------------------------------------

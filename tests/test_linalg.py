@@ -90,6 +90,25 @@ def test_kernel_of_rows_streams_generator():
     assert ker.contains(vector([-1, -1, 1]))
 
 
+def test_a_stream_reads_the_echelon_it_feeds_and_may_end_early():
+    rows = [{0: 1, 1: 1}, {1: 1, 2: -1}, {0: 2, 2: 2}, {2: 1, 3: 1}]
+    prefixes = []
+
+    def stream():
+        live = linalg._SOLVES[-1]
+        for row in rows:
+            yield dict(row)
+            # a solve inside the stream has an echelon of its own
+            assert kernel_of_rows([{0: 1}], 2).dim == 1 and linalg._SOLVES[-1] is live
+            prefixes.append(linalg._kernel(live, 4))
+            if len(live) == 2:
+                return
+
+    ker = kernel_of_rows(stream(), 4)
+    assert [k.dim for k in prefixes] == [3, 2] and not linalg._SOLVES
+    assert ker == prefixes[-1] == kernel_of_rows([dict(r) for r in rows[:2]], 4)
+
+
 # ---------------------------------------------------------------------------
 # kernel_of_rows against sympy's nullspace
 # ---------------------------------------------------------------------------
