@@ -33,7 +33,7 @@ from .construct import (
     truncated_poly,
 )
 from .decompose import complex_structure, indecompose
-from .endo import centroid, derivations, inner_derivations, j_space, split_centroid
+from .endo import centroid, derivations, j_space, split_centroid
 from .errors import LiestructError, SpecParseError
 from .lie import LieAlgebra, _json_int, from_dict, to_dict
 from .linalg import Matrix
@@ -244,13 +244,12 @@ def _run_one(name: str, g: LieAlgebra, a: Optional[CommutativeAlgebra], m: int) 
     if name == "flags":
         return {"ok": True, "flags": g.flags()}
     if name == "der":
-        der = derivations(g)
-        inner = inner_derivations(g)
+        der, inner = derivations(g), g.dim - g.center().dim  # rank-nullity for x -> ad x
         return {
             "ok": True,
             "dim": der.dim,
-            "inner_dim": inner.dim,
-            "outer_dim": der.dim - inner.dim,
+            "inner_dim": inner,
+            "outer_dim": der.dim - inner,
         }
     if name == "cent":
         return {"ok": True, "dim": centroid(g).dim}

@@ -436,11 +436,13 @@ def _casimir(k: LieAlgebra, g: LieAlgebra, left, right) -> Matrix:
     the trace form's int rows (pivot row c is p_c (e_c | row c of (q
     kappa)^-1), d the lcm of the p_c), g's memoized int constants are over den,
     and each leg is scaled over its own dl or dr by :func:`_integral`, so each
-    entry is q times one Fraction over den^2 dl dr d."""
+    entry is q times one Fraction over den^2 dl dr d. A k with a Jacobi verdict
+    and a Killing rank (memoized) below dim k is refused with no echelon."""
     n, (q, kappa) = k.dim, k._trace_form()
     pivots = {}
-    _echelon(({**row, n + i: 1} for i, row in enumerate(kappa)), pivots)
-    if any(c >= n for c in pivots):
+    if not _jacobi_known(k) or k._killing_rank() == n:  # [kappa | I] has n pivots
+        _echelon(({**row, n + i: 1} for i, row in enumerate(kappa)), pivots)
+    if len(pivots) < n or any(c >= n for c in pivots):
         raise LiestructError("Killing form is degenerate; no dual basis exists")
     d = lcm(*(r[c] for c, r in pivots.items()))
     w = {(c, j - n): v * (d // r[c]) for c, r in pivots.items() for j, v in r.items() if j != c}

@@ -17,9 +17,13 @@ split are built and checked on it, and a ``Matrix`` only for a public value.
 Where Der and Cent come from. When g is known to satisfy the Jacobi identity
 (see ``lie._jacobi_known``), two exact facts cut the work:
 
-- If the Killing form is nondegenerate, g is semisimple (Cartan's
-  criterion) and every derivation is inner, so Der(g) is read off the span
-  of the ad e_i with no Leibniz rows at all.
+- If g is reductive (``lie._reductive``: the Killing form is nondegenerate,
+  or g = z(g) + [g,g] and its rank is dim [g,g]), then [g,g] is semisimple
+  (Cartan's criterion) and Der(g) = ad(g) + J(g), read off the span of the
+  ad e_i and the closed form of J with no Leibniz rows at all; J(g) = 0
+  when g is semisimple (:func:`derivations`). Cent of a semisimple g is a
+  product of fields, so the radical of its table is 0, recorded as such
+  when the Killing rank is already known (:func:`_centroid_table`).
 - Otherwise {x : D[x,y] = [Dx,y] + [x,Dy] for all y} and {x : f ad_x =
   ad_x f} are subalgebras, so for a set S of basis vectors that generates g
   the Leibniz rows of the pairs that meet S give Der, and the commutant of
@@ -61,8 +65,8 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import LiestructError, PreconditionError
-from .lie import (LieAlgebra, _integral, _jacobi_known, _memoized, _polynomials_in, _scaled,
-                  _StructureTable)
+from .lie import (LieAlgebra, _integral, _jacobi_known, _memoized, _peek, _polynomials_in,
+                  _record, _reductive, _scaled, _StructureTable)
 from .linalg import (_SOLVES, Matrix, Subspace, Vector, _echelon, _kernel, _primitive, _reduce,
                      _span, kernel_of_rows)
 from .poly import _semisimple_polynomial
@@ -469,13 +473,17 @@ def _commutant(ops, n: int, kind: str, order) -> EndoSpace:
 def derivations(g: LieAlgebra) -> EndoSpace:
     """Der(g) = {D : D[x,y] = [Dx,y] + [x,Dy]}.
 
-    Read off the inner derivations when g satisfies the Jacobi identity and
-    its Killing form is nondegenerate; otherwise the kernel of the Leibniz
-    rows, for the pairs that meet the generating set of :func:`_generators`.
+    Der(g) = ad(g) + J(g) when g satisfies the Jacobi identity and is
+    reductive (``lie._reductive``), so that [g,g] is semisimple: D maps z(g)
+    into z(g), as [Dz, x] = D[z, x] - [z, Dx] = 0, and [g,g] into [g,g], so D
+    on [g,g] is a derivation of a semisimple algebra, ad x for some x in
+    [g,g]. D - ad x then maps g = z(g) + [g,g] into z(g) and kills [g,g]: it
+    is in J(g). Otherwise the kernel of the Leibniz rows, for the pairs that
+    meet the generating set of :func:`_generators`.
     """
     n = g.dim
-    if _jacobi_known(g) and g._killing_rank() == n:
-        return EndoSpace("derivations", n, inner_derivations(g).space)
+    if _jacobi_known(g) and _reductive(g):
+        return EndoSpace("derivations", n, inner_derivations(g).space.sum(j_space(g).space))
     rows = _leibniz_rows(g, None, None, _generators(g))
     return EndoSpace("derivations", n, kernel_of_rows(rows, n * n))
 
@@ -548,7 +556,12 @@ def _algebra_table(space: EndoSpace) -> _StructureTable:
 
 @_memoized
 def _centroid_table(g: LieAlgebra) -> _StructureTable:
-    return _algebra_table(centroid(g))
+    """Cent(g)'s table, with its radical recorded as 0 when g has a Jacobi verdict and a Killing
+    rank dim g in the memo (never computed here): Cent of a semisimple g is a product of fields."""
+    table = _algebra_table(centroid(g))
+    if _jacobi_known(g) and _peek(g, LieAlgebra._killing_rank) == g.dim:
+        _record(table, _StructureTable._radical, Subspace.zero(table.dim))
+    return table
 
 
 def _one(space: EndoSpace) -> Vector:

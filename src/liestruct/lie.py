@@ -358,8 +358,14 @@ class LieAlgebra(_StructureTable):
     @_memoized
     def _killing_rank(self) -> int:
         """Rank of the Killing form, on the trace form's int rows; it is dim g exactly
-        when g is semisimple (Cartan's criterion), provided g satisfies the Jacobi identity."""
-        return _span(map(dict, self._trace_form()[1]), self.dim).dim
+        when g is semisimple (Cartan's criterion), provided g satisfies the Jacobi identity.
+        With a Jacobi verdict, rank dim g puts z(g) = 0 and [g,g] = g in the memo, for
+        :meth:`center` and :meth:`commutator_algebra`, which never compute the form."""
+        rank = _span(map(dict, self._trace_form()[1]), self.dim).dim
+        if rank == self.dim and _jacobi_known(self):
+            _record(self, LieAlgebra.center, Subspace.zero(self.dim))
+            _record(self, LieAlgebra.commutator_algebra, Subspace.full(self.dim))
+        return rank
 
     # -- structural flags ----------------------------------------------------
 
@@ -369,24 +375,21 @@ class LieAlgebra(_StructureTable):
 
     @_memoized
     def _flags(self) -> dict:
-        """The flags from g's own invariants. If g = z(g) + [g,g], then for x, y in [g,g] ad_x
-        ad_y kills z(g) and maps into [g,g]; so g is reductive iff g's Killing form
-        restricted to [g,g], B kappa B^T, is nondegenerate; as ad kills z(g), its
-        rank is that of kappa. A semisimple g is simple iff its centroid, a product
-        of fields, one per simple ideal, is a field."""
+        """The flags from g's own invariants, the Killing rank first, so that a semisimple g
+        with a Jacobi verdict reads z(g) and [g,g] off the memo. With a verdict, [g,g] of a
+        reductive g (:func:`_reductive`) is semisimple, hence perfect, so both series stop
+        at [g,g]: solvable = nilpotent = abelian, with no series spanned. A semisimple g is
+        simple iff its centroid, a product of fields, one per simple ideal, is a field."""
+        semisimple = self._killing_rank() == self.dim
         comm = self.commutator_algebra()
         center = self.center()
         abelian = comm.is_zero()
-        solvable = self.derived_series()[-1].is_zero()
-        nilpotent = self.lower_central_series()[-1].is_zero()
-        perfect = comm.is_full()
-        centerfree = center.is_zero()
-        semisimple = self._killing_rank() == self.dim
-        reductive = False
-        if semisimple or abelian:
-            reductive = True
-        elif center.dim + comm.dim == self.dim and center.sum(comm).is_full():
-            reductive = self._killing_rank() == comm.dim
+        reductive = _reductive(self)
+        if reductive and _jacobi_known(self):
+            solvable = nilpotent = abelian
+        else:
+            solvable = self.derived_series()[-1].is_zero()
+            nilpotent = self.lower_central_series()[-1].is_zero()
         simple = False
         if semisimple and not abelian:
             from .decompose import _centroid_split
@@ -396,8 +399,8 @@ class LieAlgebra(_StructureTable):
             "abelian": abelian,
             "nilpotent": nilpotent,
             "solvable": solvable,
-            "perfect": perfect,
-            "centerfree": centerfree,
+            "perfect": comm.is_full(),
+            "centerfree": center.is_zero(),
             "semisimple": semisimple,
             "reductive": reductive,
             "simple": simple,
@@ -553,6 +556,26 @@ def _jacobi_known(g: LieAlgebra) -> bool:
     equal table that has one is alive."""
     entries = _memo.get(g)
     return entries is not None and (_check_jacobi, ()) in entries
+
+
+def _reductive(g: LieAlgebra) -> bool:
+    """Whether g is semisimple (Killing rank dim g) or g = z(g) + [g,g] with Killing rank
+    dim [g,g]. When g = z(g) + [g,g], ad_x ad_y for x, y in [g,g] kills z(g) and maps into
+    [g,g], so kappa has the rank of B kappa B^T, the Killing form of [g,g]: with the Jacobi
+    identity, [g,g] is then semisimple (Cartan's criterion). An abelian g has rank 0."""
+    rank, comm = g._killing_rank(), g.commutator_algebra()
+    return rank == g.dim or (rank == comm.dim and g.center().dim + rank == g.dim
+                             and g.center().sum(comm).is_full())
+
+
+def _peek(g, fn):
+    """The memoized fn(g) when the memo holds it, else None; computes nothing."""
+    return (_memo.get(g) or {}).get((fn.__wrapped__, ()))
+
+
+def _record(g, fn, value):
+    """Put value in the memo as the memoized fn(g), unless it holds that already."""
+    _memo.setdefault(g, {}).setdefault((fn.__wrapped__, ()), value)
 
 
 def _inherit_jacobi(g: LieAlgebra, *sources: LieAlgebra) -> LieAlgebra:

@@ -399,6 +399,8 @@ def _semisimple_polynomial(m: Poly) -> Poly:
     P(x) is nilpotent, as f divides t - P."""
     f = squarefree_part(m)
     fp, a = derivative(f), [Fraction(0), Fraction(1)]
+    if degree(f) == degree(m):  # m squarefree: f(t) = 0 mod m, so the first round returns t
+        return poly_mod(a, m)
 
     def at(p):  # p(a) mod m, by Horner's rule
         return reduce(lambda acc, c: poly_mod(_sub(poly_mul(acc, a), [-c]), m), reversed(p), [])

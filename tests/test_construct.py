@@ -742,6 +742,22 @@ def test_casimirs_refuse_a_degenerate_killing_form(name, heisenberg3, two_dim):
         assert type(info.value) is LiestructError
 
 
+def test_a_degenerate_killing_form_is_refused_from_the_rank_before_the_echelon(monkeypatch):
+    message = "^Killing form is degenerate; no dual basis exists$"
+    data = to_dict(classical("gl", 3))
+    # under names of their own, so that no memo entry of an equal algebra is shared
+    k = from_dict({**data, "basis": ["k%d" % i for i in range(9)]})  # with the Jacobi verdict
+    raw = from_dict({**data, "basis": ["d%d" % i for i in range(9)]}, validate=False)
+    echelon = construct._echelon
+    calls = []
+    monkeypatch.setattr(construct, "_echelon", lambda *a: calls.append(1) or echelon(*a))
+    for g, echelons in ((k, 0), (raw, 1)):
+        calls.clear()
+        with pytest.raises(LiestructError, match=message) as info:
+            casimir_adjoint(g)
+        assert type(info.value) is LiestructError and len(calls) == echelons
+
+
 def test_killing_form_and_casimirs_build_no_ad_matrix_and_no_matrix_sum(monkeypatch, rebase):
     # freshly rebased, so no memo entry of an equal algebra holds a Killing form
     g, k = rebase(classical("so", 5), 101), rebase(classical("sl", 2), 102)

@@ -616,6 +616,161 @@ def test_restricted_rows_are_those_of_the_pairs_meeting_the_generators(monkeypat
 
 
 # ---------------------------------------------------------------------------
+# Cartan's criterion first: Der = ad(g) + J(g) of a reductive g, and z(g), [g,g]
+# and Cent's radical of a semisimple g read off the Killing rank, against the
+# Leibniz kernel and a renamed copy with no Jacobi verdict
+# ---------------------------------------------------------------------------
+
+SEMISIMPLE_SPECS = ("sl:2", "sl:3", "so:5", "sp:4", "su:3", "sum:sl:2+sl:3", "cur:sl:2,points:3")
+REDUCTIVE_SPECS = ("gl:2", "gl:3", "gl:4", "u:2", "u:3", "sum:gl:2+sl:2", "sum:u:2+gl:2")
+# not reductive: z(g) + [g,g] is not g, or [g,g] is not semisimple
+CONTROL_SPECS = ("sum:sl:2+ex:2dim", "cur:gl:2,jet:1,2", "ex:2dim", "cur:sl:2,jet:1,3",
+                 "cur:u:3,jet:1,2")
+
+
+def _algebra(spec, tag):
+    """The algebra of a spec, or an abelian one of dim 3, under basis names of its own
+    (:func:`_renamed`)."""
+    return _renamed(build(3, {}) if spec == "abelian" else parse_algebra(spec), tag + spec)
+
+
+def _unverified_copy(g):
+    """g's table under new basis names and with no Jacobi verdict: no memo entry is shared."""
+    data = to_dict(g)
+    data["basis"] = ["u%d" % i for i in range(g.dim)]
+    return from_dict(data, validate=False)
+
+
+def _renamed(g, tag):
+    """g under basis names of its own, with its Jacobi verdict: no other live algebra
+    shares its memo, whose entries are kept under the first of equal algebras and die
+    with it."""
+    return g.restrict_to(g.full_space(), ["%s.%d" % (tag, i) for i in range(g.dim)])
+
+
+def _refuse(*_):
+    raise AssertionError("a computation the structure theorems make unnecessary ran")
+
+
+@pytest.mark.parametrize("spec", REDUCTIVE_SPECS + ("abelian",))
+def test_reductive_derivations_are_ad_plus_j_with_no_leibniz_rows(monkeypatch, spec):
+    g = _algebra(spec, "ad+J ")
+    n = g.dim
+    oracle = kernel_of_rows(endo.leibniz_system(g), n * n)
+    assert lie._reductive(g) and g._killing_rank() < n
+    monkeypatch.setattr(endo, "_leibniz_rows", _refuse)
+    der = _fresh(endo.derivations, g)
+    assert der.space == oracle
+    assert der.dim == endo.inner_derivations(g).dim + endo.j_space(g).dim
+    z = g.center().dim  # J(g) = Hom(g/[g,g], z(g)), and g/[g,g] is z(g) again
+    assert der.dim == n - z + z * z
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("spec", ("gl:3", "u:2", "sum:gl:2+sl:2", "sum:u:2+gl:2"))
+def test_reductive_derivations_equal_the_leibniz_kernel_on_rebasings(rebase, spec, seed):
+    g = rebase(parse_algebra(spec), seed)
+    assert lie._jacobi_known(g) and lie._reductive(g)
+    assert _fresh(endo.derivations, g).space == _full_kernels(g)[0]
+
+
+@pytest.mark.parametrize("spec", CONTROL_SPECS)
+def test_non_reductive_derivations_take_the_leibniz_rows(monkeypatch, spec):
+    g = _algebra(spec, "control ")
+    n = g.dim
+    oracle = kernel_of_rows(endo.leibniz_system(g), n * n)
+    assert lie._jacobi_known(g) and not lie._reductive(g)
+    cols = []
+    _row_counter(monkeypatch, cols)
+    assert _fresh(endo.derivations, g).space == oracle
+    assert cols == [n * n]
+
+
+@pytest.mark.parametrize("spec", SEMISIMPLE_SPECS + REDUCTIVE_SPECS + CONTROL_SPECS + ("abelian",))
+def test_structure_read_off_the_killing_rank_equals_a_copy_with_no_verdict(spec):
+    g = _algebra(spec, "read off ")
+    copy = _unverified_copy(g)
+    assert lie._jacobi_known(g) and not lie._jacobi_known(copy)
+
+    def answers(h):
+        h._killing_rank()  # first, as the flags take it
+        return (h.flags(), h.center(), h.commutator_algebra(), h.derived_series(),
+                h.lower_central_series(), endo.derivations(h).space, endo.j_space(h).space,
+                endo._centroid_table(h)._radical())
+
+    assert answers(g) == answers(copy)
+
+
+@pytest.mark.parametrize("spec", SEMISIMPLE_SPECS)
+def test_semisimple_answers_are_memo_hits_once_the_killing_rank_is_known(monkeypatch, spec):
+    g = _algebra(spec, "memo hits ")
+    assert lie._jacobi_known(g) and lie._peek(g, lie.LieAlgebra.center) is None
+    assert g._killing_rank() == g.dim
+    monkeypatch.setattr(lie, "kernel_of_rows", _refuse)
+    monkeypatch.setattr(lie.LieAlgebra, "bracket_span", _refuse)
+    monkeypatch.setattr(lie, "_span", _refuse)
+    assert g.center().is_zero() and g.commutator_algebra().is_full()
+    assert g.derived_series() == g.lower_central_series() == [g.full_space()]
+    assert endo.j_space(g).dim == 0 and endo._centroid_table(g)._radical().is_zero()
+    flags = g.flags()
+    assert flags["semisimple"] and flags["reductive"] and flags["perfect"]
+    assert flags["centerfree"] and not flags["solvable"] and not flags["nilpotent"]
+    assert endo.derivations(g).dim == g.dim
+
+
+@pytest.mark.parametrize("spec", REDUCTIVE_SPECS + ("abelian",))
+def test_reductive_flags_span_no_series(monkeypatch, spec):
+    g = _algebra(spec, "no series ")
+    monkeypatch.setattr(lie.LieAlgebra, "derived_series", _refuse)
+    monkeypatch.setattr(lie.LieAlgebra, "lower_central_series", _refuse)
+    flags = g.flags()
+    abelian = spec == "abelian"
+    assert flags["reductive"] and not flags["semisimple"] and flags["abelian"] == abelian
+    assert flags["solvable"] == flags["nilpotent"] == abelian
+
+
+def test_cent_radical_is_recorded_only_from_a_known_killing_rank():
+    # Cent's table built before the Killing rank is known: its radical is computed
+    g = _algebra("cur:sl:2,points:3", "radical ")
+    table = endo._centroid_table(g)
+    assert lie._peek(g, lie.LieAlgebra._killing_rank) is None
+    assert lie._peek(table, lie._StructureTable._radical) is None
+    radical = table._radical()
+    assert radical.is_zero()
+    # built again once the rank is known, the table carries its radical from the start
+    assert g._killing_rank() == g.dim
+    table = _fresh(endo._centroid_table, g)
+    assert lie._peek(table, lie._StructureTable._radical) == radical
+
+
+@pytest.mark.parametrize("which", ["five_dim", "raw sl:2"])
+def test_a_table_with_no_jacobi_verdict_never_takes_the_theorem_path(monkeypatch, which):
+    # the relation table that violates the Jacobi identity on basis triple (0, 1, 2),
+    # and the table of sl:2, semisimple by its Killing rank, under names no other carries
+    with pytest.raises(JacobiError):
+        example_algebra("five_dim")
+    g = (build(5, {(0, 1): {0: 1}, (0, 2): {1: 1}, (0, 3): {2: 1}, (1, 2): {3: 1},
+                   (1, 3): {4: 1}}, names=["f%d" % i for i in range(5)], validate=False)
+         if which == "five_dim"
+         else lie.LieAlgebra(["t0", "t1", "t2"], classical("sl", 2).table))
+    n = g.dim
+    oracle = kernel_of_rows(endo.leibniz_system(g), n * n)
+    series = []
+    monkeypatch.setattr(lie, "_record", _refuse)
+    monkeypatch.setattr(endo, "_record", _refuse)
+    derived = lie.LieAlgebra.derived_series
+    monkeypatch.setattr(lie.LieAlgebra, "derived_series",
+                        lambda h: series.append(h) or derived(h))
+    assert not lie._jacobi_known(g)
+    assert g._killing_rank() == (3 if which == "five_dim" else n)
+    assert lie._peek(g, lie.LieAlgebra.center) is None
+    g.flags()
+    assert series == [g]
+    assert _fresh(endo.derivations, g).space == oracle
+    endo._centroid_table(g)._radical()  # computed: a record would hit _refuse
+
+
+# ---------------------------------------------------------------------------
 # the spun commutant against the kernel of every commutant row, and sympy
 # ---------------------------------------------------------------------------
 

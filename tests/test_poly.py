@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -552,6 +553,43 @@ NEWTON_BLOCKS = (
     (_jordan_block(3, -1), _companion(4, 0, -4, 0)),
     (_companion(4, 0, 0, -4, 0, 0), _companion(1, 1)),
 )
+
+
+def _newton_reference(m):
+    """Newton's iteration a <- a - f(a) f'(a)^-1 mod m from a = t, f the squarefree part
+    of m, run until f(a) = 0 mod m, with no shortcut for a squarefree m."""
+    from liestruct.poly import _inverse_mod
+
+    f = squarefree_part(m)
+    a = P(0, 1)
+
+    def at(p):
+        acc = []
+        for c in reversed(p):
+            acc = poly_mod(normalize([x - y for x, y in itertools.zip_longest(
+                poly_mul(acc, a), [-c], fillvalue=0)]), m)
+        return acc
+
+    while fa := at(f):
+        a = normalize([x - y for x, y in itertools.zip_longest(
+            a, poly_mod(poly_mul(fa, _inverse_mod(at(derivative(f)), m)), m), fillvalue=0)])
+    return poly_mod(a, m)
+
+
+SQUAREFREE = (P(5), P(-3, 1), P(1, 0, 1), P(-2, 0, 0, 1), poly_mul(P(1, 1), P(-2, 0, 1)),
+              poly_mul(P(1, 0, 1), P(-1, -1, 0, 1)), P(F(1, 2), 3), poly_mul(P(0, 1), P(-7, 2)))
+REPEATED = (P(0, 0, 1), poly_mul(P(1, 0, 1), P(1, 0, 1)), poly_mul(P(-2, 0, 1), P(3, 1)),
+            poly_mul(poly_mul(P(-1, 1), P(-1, 1)), P(1, 1, 1)))
+
+
+@pytest.mark.parametrize("m", SQUAREFREE + REPEATED)
+def test_semisimple_polynomial_equals_the_full_newton_iteration(m):
+    from liestruct.poly import _semisimple_polynomial, degree
+
+    got = _semisimple_polynomial(m)
+    assert got == _newton_reference(m)
+    if m in SQUAREFREE:  # returned at once: t mod m
+        assert degree(squarefree_part(m)) == degree(m) and got == poly_mod(P(0, 1), m)
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from liestruct import cli, classical, current_algebra, quadratic_extension, to_dict
+from liestruct import (cli, classical, current_algebra, derivations, inner_derivations,
+                       quadratic_extension, to_dict)
 
 ALL = ["flags", "der", "cent", "jspace", "split", "decompose", "complex", "casimir"]
 SECTIONS = ["sections:" + c for c in (
@@ -109,13 +110,20 @@ DIGESTS = {
 }
 
 
-def _digests(case_id, tmp_path) -> dict:
-    spec, analyses, coeff = CASES[case_id]
+def _spec(case_id, tmp_path) -> str:
+    """The case's algebra spec, a field constant written to an @file first."""
+    spec = CASES[case_id][0]
     if not isinstance(spec, str):
         path = tmp_path / "field.json"
         g = current_algebra(classical("sl", 2), quadratic_extension(spec))
         path.write_text(json.dumps(to_dict(g)))
         spec = "@" + str(path)
+    return spec
+
+
+def _digests(case_id, tmp_path) -> dict:
+    _, analyses, coeff = CASES[case_id]
+    spec = _spec(case_id, tmp_path)
     report = cli.run(spec, analyses, coeff)
     del report["timing_seconds"]
     if spec.startswith("@"):
@@ -127,6 +135,15 @@ def _digests(case_id, tmp_path) -> dict:
 @pytest.mark.parametrize("case_id", CASES)
 def test_report_is_byte_identical(case_id, tmp_path):
     assert _digests(case_id, tmp_path) == DIGESTS[case_id]
+
+
+@pytest.mark.parametrize("case_id", [c for c, case in CASES.items() if "der" in case[1]])
+def test_der_report_reads_the_inner_dimension_off_the_center(case_id, tmp_path):
+    spec = _spec(case_id, tmp_path)
+    der = cli.run(spec, ["der"])["analyses"][0]
+    g = cli.parse_algebra(spec)
+    assert der["inner_dim"] == inner_derivations(g).dim == g.dim - g.center().dim
+    assert der["outer_dim"] == derivations(g).dim - inner_derivations(g).dim
 
 
 DEMO_DIGESTS = {
