@@ -317,11 +317,7 @@ def _run_section_check(
             }
         return sections.symbol_check(k, m)
     if check == "jetauto":
-        if a is None or a.monomials is None:
-            raise SpecParseError(
-                "jetauto needs --A jet:1,N with N >= 1", 0
-            )
-        jet = sections.jet_algebra(1, _jet_order(a))
+        jet = sections.jet_algebra(1, _jet_line(a).dim)
         # reparametrize along t^2 when representable, else the identity
         n_elem = [0] * jet.A.dim
         if jet.A.dim > 2:
@@ -341,8 +337,12 @@ def _run_section_check(
     return runner(k, a)
 
 
-def _jet_order(a: CommutativeAlgebra) -> int:
-    return 1 + max(sum(mono) for mono in a.monomials)
+def _jet_line(a: Optional[CommutativeAlgebra]) -> CommutativeAlgebra:
+    """a when it is jet:1,N, the jets of one variable that jetauto reparametrizes;
+    SpecParseError (a usage error) otherwise."""
+    if a is None or a.monomials is None or len(a.monomials[0]) != 1:
+        raise SpecParseError("jetauto needs --A jet:1,N with N >= 1", 0)
+    return a
 
 
 def _section_model_dim(check: str, k: LieAlgebra, a: Optional[CommutativeAlgebra],
@@ -352,10 +352,10 @@ def _section_model_dim(check: str, k: LieAlgebra, a: Optional[CommutativeAlgebra
         if m < 0:
             raise SpecParseError("--m must be >= 0, got %d" % m, 0)
         return k.dim * (m + 1)  # k (x) Q[x_1..x_m]/(deg >= 2)
+    if check == "jetauto":
+        return k.dim * _jet_line(a).dim
     if a is None or check == "multinom":
         return 0
-    if check == "jetauto":
-        return k.dim * _jet_order(a) if a.monomials is not None else 0
     return k.dim * a.dim
 
 

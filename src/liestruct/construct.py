@@ -20,11 +20,11 @@ from .lie import (
     LieAlgebra,
     _StructureTable,
     _check_jacobi,
-    _compose,
     _inherit_jacobi,
     _integral,
     _jacobi_known,
     _memoized,
+    _triple,
     build,
 )
 from .linalg import (
@@ -69,11 +69,10 @@ class CommutativeAlgebra(_StructureTable):
     the jet machinery). Equal algebras hash equal; the hash is computed once.
     """
 
-    __slots__ = ("unit", "monomials")
+    __slots__ = ("monomials",)
 
     def __init__(self, names, unit, table, monomials=None):
-        super().__init__(names, table)
-        self.unit = vector(unit)
+        super().__init__(names, table, unit)
         self.monomials = None if monomials is None else tuple(
             tuple(int(x) for x in mono) for mono in monomials
         )
@@ -93,8 +92,8 @@ class CommutativeAlgebra(_StructureTable):
         # over integer constants, since only a zero defect matters
         _, nz = self._int_constants()
         for i, j, k in itertools.product(range(n), repeat=3):
-            defect = _compose(nz, i, j, k, {})
-            if any(_compose(nz, j, k, i, defect, negate=True).values()):
+            defect = _triple(nz, i, j, k, {})
+            if any(_triple(nz, j, k, i, defect, negate=True).values()):
                 raise ValueError(
                     "product is not associative on basis triple (%d, %d, %d)"
                     % (i, j, k)
@@ -390,10 +389,8 @@ def current_algebra(k: LieAlgebra, a: CommutativeAlgebra) -> LieAlgebra:
                     products[(i * na + p, j * na + q)] = {
                         l * na + r: cl * pr for l, cl in cij for r, pr in prod
                     }
-    g = LieAlgebra(names, products)
-    if _jacobi_known(k):
-        return _inherit_jacobi(g, k)
-    _check_jacobi(g)
+    g = _inherit_jacobi(LieAlgebra(names, products), k)
+    _check_jacobi(g)  # a memo hit once the verdict is inherited
     return g
 
 

@@ -31,8 +31,8 @@ z(g) inside [g, g], a commutator fh - hf of centroid elements kills [g, g]
 elements that do both form an ideal whose products vanish (z(g) lies in
 [g, g]), so it lies in N, and so do the commutators.
 
-The search runs on a unital structure table and the coordinates of its 1:
-Cent's table, read off once per algebra, or a coefficient algebra's own.
+The search runs on a unital structure table, which carries its 1: Cent's
+table, read off once per algebra, or a coefficient algebra's own.
 The kernel of the table's trace form tr(L_a L_b) is the radical N (in
 characteristic zero, a nil ideal holding every nilpotent ideal). As x 1 = x,
 f's minimal polynomial is the first dependency among its Krylov vectors
@@ -56,9 +56,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import LiestructError, PreconditionError, SeparatingElementError
-from .endo import (EndoSpace, _algebra_table, _apply, _centroid_table, _compose,
-                   _int_endos, _one, _public, _subtract, centroid, check_abelian,
-                   split_centroid)
+from .endo import (EndoSpace, _algebra_table, _apply, _centroid_table, _compose, _flat,
+                   _int_endos, _public, _subtract, centroid, check_abelian, split_centroid)
 from .lie import LieAlgebra, _memoized, _polynomials_in, _times
 from .linalg import Matrix, Subspace, _int_row, _span
 from .poly import (_crt_idempotent, _rational_square_root, degree, factor, poly_mod, poly_mul,
@@ -145,21 +144,22 @@ def centroid_radical(cent: EndoSpace) -> Subspace:
 # ---------------------------------------------------------------------------
 
 @_memoized
-def _split(table, one, rad: Subspace):
+def _split(table):
     """Primitive idempotents of a unital associative table with a commutative residue
-    algebra, from the coordinates ``one`` of its 1 and its radical ``rad`` (module docs).
+    algebra, from its 1 (``table.unit``) and its memoized radical (module docs).
 
-    Returns (each idempotent's coordinates, which sum to ``one``, status), memoized per table.
+    Returns (each idempotent's coordinates, which sum to the unit, status), memoized per table.
     """
+    rad = table._radical()
     off = [b for b in range(table.dim) if b not in rad.pivots]
     r = len(off)
     if r == 1:  # residue field Q: a local algebra, the unit is primitive
-        return (tuple(one),), "split"
+        return (table.unit,), "split"
     # the candidates (module docs), as maps of coordinates on the basis modulo the radical
     bound = r * (r - 1) // 2 * (r - 1) + 1
     for f in itertools.chain(({b: 1} for b in off), [dict(zip(off, range(1, r + 1)))],
                              ({b: j ** k for k, b in enumerate(off)} for j in range(1, bound + 1))):
-        m, at = _polynomials_in(table, f, one)
+        m, at = _polynomials_in(table, f)
         if degree(m) >= r and degree(p := squarefree_part(m)) == r:
             break
     else:
@@ -186,11 +186,11 @@ def primitive_idempotents(cent: EndoSpace) -> tuple[IdempotentSet, str]:
     """
     table = _algebra_table(cent)
     check_abelian(cent, table)
-    return _primitive_idempotents_any(cent, table, table._radical())[:2]
+    return _primitive_idempotents_any(cent, table)[:2]
 
 
-def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace):
-    """Search without the commutativity gate, given cent's table and radical (module docs).
+def _primitive_idempotents_any(cent: EndoSpace, table):
+    """Search without the commutativity gate, given cent's table (module docs).
 
     Returns (idempotents, status, coordinates, columns): each idempotent's
     coordinates in cent's basis, and den times it as the int columns of its checks.
@@ -200,12 +200,12 @@ def _primitive_idempotents_any(cent: EndoSpace, table, rad: Subspace):
     n = cent.n
     if not cent.space.contains({c * (n + 1): 1 for c in range(n)}):
         raise PreconditionError("centroid does not contain the identity")
-    coords, status = _split(table, _one(cent), rad)
+    coords, status = _split(table)
     # exactness checks on the int columns of the den p: p^2 = p, p q = 0, den (1 - sum p) = 0
     den, cols = _int_endos(cent, (dict(enumerate(c)) for c in coords))
     rest = {c * (n + 1): den for c in range(n)}
     for i, a in enumerate(cols):
-        flat = {c * n + r: x for c, col in enumerate(a) for r, x in col}  # as _compose keys
+        flat = _flat(a)
         if _compose(a, a) != {k: den * x for k, x in flat.items()}:
             raise LiestructError("projection %d is not idempotent" % i)
         if any(_compose(a, b) for b in cols[i + 1:]):
@@ -221,7 +221,7 @@ def _coefficient_idempotents(a) -> tuple:
     """The primitive idempotents of a commutative coefficient algebra A, as
     coordinates, from the search on A's own table and unit, checked there: e^2 = e,
     e e' = 0 and sum e = 1. Memoized per A, which compares by value."""
-    idems, _ = _split(a, a.unit, a._radical())
+    idems, _ = _split(a)
     for i, e in enumerate(idems):
         if any(a._product(e, f) != (f if f is e else (0,) * a.dim) for f in idems[i:]):
             raise LiestructError("coefficient idempotent %d is not idempotent, or not "
@@ -234,8 +234,7 @@ def _coefficient_idempotents(a) -> tuple:
 def _centroid_split(g: LieAlgebra):
     """The memoized :func:`_split` of Cent(g)'s table, as `indecompose` reuses it; Cent of
     a semisimple g is a product of fields, one per simple ideal."""
-    table = _centroid_table(g)
-    return _split(table, _one(centroid(g)), table._radical())
+    return _split(_centroid_table(g))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +267,7 @@ def indecompose(g: LieAlgebra) -> DecompositionReport:
             )
     cent = centroid(g)
     table = _centroid_table(g)
-    idems, status, coords, cols = _primitive_idempotents_any(cent, table, table._radical())
+    idems, status, coords, cols = _primitive_idempotents_any(cent, table)
     n, d = g.dim, cent.dim
     ideals = [Subspace.span([dict(col) for col in a], n) for a in cols]
     if sum(s.dim for s in ideals) != n:
@@ -327,12 +326,13 @@ def complex_structure(g: LieAlgebra) -> Optional[ComplexStructure]:
         raise LiestructError("inconsistency: semisimple part of the centroid has dimension %d "
                              "> 2 on an indecomposable algebra" % sspace.dim)
     # S in Cent's coordinates
-    one = _one(cent)
+    table = _centroid_table(g)
+    one = table.unit
     f = next((x for x in map(cent.space.coordinates, sspace.space.sparse_rows())
               if Subspace.span([one, x], cent.dim).dim == 2), None)
     if f is None:
         raise LiestructError("semisimple part of dim 2 collapsed to scalars")
-    p = squarefree_part(_polynomials_in(_centroid_table(g), dict(enumerate(f)), one)[0])
+    p = squarefree_part(_polynomials_in(table, dict(enumerate(f)))[0])
     if degree(p) != 2:
         raise LiestructError("expected a quadratic minimal polynomial on S, got degree %d"
                              % degree(p))

@@ -67,7 +67,7 @@ from typing import Optional, Sequence
 from .errors import LiestructError, PreconditionError
 from .lie import (LieAlgebra, _integral, _jacobi_known, _memoized, _peek, _polynomials_in,
                   _record, _reductive, _scaled, _StructureTable)
-from .linalg import (_SOLVES, Matrix, Subspace, Vector, _echelon, _kernel, _primitive, _reduce,
+from .linalg import (_SOLVES, Matrix, Subspace, _echelon, _kernel, _primitive, _reduce,
                      _span, kernel_of_rows)
 from .poly import _semisimple_polynomial
 
@@ -227,12 +227,12 @@ def _apply(op, v) -> dict:
 
 def _compose(a, b) -> dict:
     """The product a b of two operators given by their int columns, as
-    ``{index: int}`` of its nonzero entries, column-major."""
+    ``{index: int}`` of its nonzero entries, row-major as :func:`_flat`."""
     out, n = {}, len(b)
     for c, col in enumerate(b):
         for s, y in col:
             for r, x in a[s]:
-                out[c * n + r] = out.get(c * n + r, 0) + x * y
+                out[r * n + c] = out.get(r * n + c, 0) + x * y
     return {k: v for k, v in out.items() if v}
 
 
@@ -542,16 +542,16 @@ def module_commutant(rep: Sequence[Matrix]) -> EndoSpace:
 
 
 def _algebra_table(space: EndoSpace) -> _StructureTable:
-    """Multiplication table of a matrix algebra: ``[i][j]`` holds the coordinates of
-    b_i b_j, its entries at the pivots of the echelon basis, read off the composed int
-    columns of den b_i and den b_j over den^2 (:func:`_int_endos`)."""
-    n, d = space.n, space.dim
+    """Multiplication table of a matrix algebra holding the identity: ``[i][j]`` holds the
+    coordinates of b_i b_j, its entries at the pivots of the echelon basis, read off the
+    composed int columns of den b_i and den b_j over den^2 (:func:`_int_endos`); its unit
+    is the identity's coordinates, 1 at the diagonal pivots."""
+    n, d, pivots = space.n, space.dim, space.space.pivots
     den, ops = _int_endos(space, ({k: 1} for k in range(d)))
-    # pivot r n + c (row-major) is entry c n + r of a composition (column-major)
-    spots = [(k, p % n * n + p // n) for k, p in enumerate(space.space.pivots)]
     return _StructureTable(["b%d" % i for i in range(d)], {
-        (i, j): {k: Fraction(ab[s], den * den) for k, s in spots if s in ab}
-        for i, a in enumerate(ops) for j, b in enumerate(ops) for ab in (_compose(a, b),)})
+        (i, j): {k: Fraction(ab[p], den * den) for k, p in enumerate(pivots) if p in ab}
+        for i, a in enumerate(ops) for j, b in enumerate(ops) for ab in (_compose(a, b),)},
+        [int(p % (n + 1) == 0) for p in pivots])
 
 
 @_memoized
@@ -562,11 +562,6 @@ def _centroid_table(g: LieAlgebra) -> _StructureTable:
     if _jacobi_known(g) and _peek(g, LieAlgebra._killing_rank) == g.dim:
         _record(table, _StructureTable._radical, Subspace.zero(table.dim))
     return table
-
-
-def _one(space: EndoSpace) -> Vector:
-    """The coordinates of the identity in ``space``'s basis: 1 at the diagonal pivots."""
-    return tuple(Fraction(p % (space.n + 1) == 0) for p in space.space.pivots)
 
 
 def check_abelian(space: EndoSpace, table: _StructureTable):
@@ -593,9 +588,9 @@ def split_centroid(g: LieAlgebra) -> tuple[EndoSpace, EndoSpace]:
     cent = centroid(g)
     table = _centroid_table(g)
     check_abelian(cent, table)
-    n, rad, one = g.dim, table._radical(), _one(cent)
+    n, rad = g.dim, table._radical()
     semi = [dict(enumerate(at(_semisimple_polynomial(m))))
-            for m, at in (_polynomials_in(table, {b: 1}, one)
+            for m, at in (_polynomials_in(table, {b: 1})
                           for b in range(cent.dim) if rad.dim and b not in rad.pivots)]
     _, ops = _int_endos(cent, [*rad._rows.values(), *semi])
     flats = [_flat(op) for op in ops]

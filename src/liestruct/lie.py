@@ -4,8 +4,8 @@ An algebra is a validated, immutable table c[i][j] of bracket coordinate
 vectors. Construction goes through :func:`build`, which checks antisymmetry
 by construction and the Jacobi identity on every basis triple, so downstream
 code can assume it is working with an actual Lie algebra. A passed check is
-kept as the table's Jacobi verdict in the memo, and the constructions that
-keep the identity pass it on; ``endo`` reads it before it trusts the
+the table's Jacobi verdict, a memo entry like any other, and the constructions
+that keep the identity pass it on; ``endo`` reads it before it trusts the
 identity to cut a constraint system. The structure
 constants, held only as nonzero lists, the product, the left
 multiplication and the one trace form live in one private structure-constant
@@ -33,6 +33,7 @@ from .linalg import (
     frac,
     kernel_of_rows,
     unit_vector,
+    vector,
 )
 from .poly import _krylov
 
@@ -40,27 +41,36 @@ __all__ = ["LieAlgebra", "build", "from_dict", "to_dict"]
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")
 
-# algebra -> {(function, remaining args): result}; an entry dies with its algebra
+# table -> its memo entries {(function, remaining args): result}, read once per table
 _memo = weakref.WeakKeyDictionary()
 
 
-def _memoized(fn):
-    """Memoize ``fn(g, *args)`` per algebra ``g``, for as long as g lives: a Lie
-    algebra, a commutative coefficient algebra or a bare structure table.
+def _entries(g) -> dict:
+    """g's memo entries, held on g itself from its first memo access on: the entries of an
+    equal table alive at that moment (``_memo``), else a fresh dict registered for g."""
+    entries = g._memo_entries
+    if entries is None:
+        entries = g._memo_entries = _memo.setdefault(g, {})
+    return entries
 
-    The memo is keyed by g's value (a bare table's identity), so an equal
-    algebra built separately while g lives gets the stored result; other
-    arguments must be hashable. Results are shared and must not be mutated.
-    ``cache_info()`` reports the hits and misses of ``fn``.
+
+def _memoized(fn):
+    """Memoize ``fn(g, *args)`` on g: a Lie algebra, a commutative coefficient algebra
+    or a bare structure table.
+
+    The entries live on g (:func:`_entries`), so they die with g and outlive any equal
+    table they were first shared with. At g's first memo access the registry ``_memo``,
+    keyed by value (a bare table's identity), hands g the entries of an equal table
+    alive then; an equal table that first asks after every registered one has died
+    starts with fresh entries and recomputes its results. Other arguments must be
+    hashable. Results are shared and must not be mutated; a call that raises stores
+    nothing. ``cache_info()`` reports the hits and misses of ``fn``.
     """
     counts = [0, 0]
 
     @functools.wraps(fn)
     def memoized(g, *args):
-        entries = _memo.get(g)
-        if entries is None:
-            entries = _memo[g] = {}
-        key = (fn, args)
+        entries, key = _entries(g), (fn, args)
         if key in entries:
             counts[0] += 1
         else:
@@ -98,13 +108,14 @@ class _StructureTable:
     dense table, ``table[i][j]`` the coordinate vector of e_i e_j, is
     converted once on the way in. The product, the left multiplication
     matrix and the hash read the nonzero lists; the triple checks read them
-    scaled to integers by :func:`_integral`.
+    scaled to integers by :func:`_integral`. ``unit`` holds the coordinates of
+    a unital table's 1, None on a Lie table; the memo entries live in the table.
     """
 
-    __slots__ = ("dim", "names", "_nonzero", "_hash", "__weakref__")
+    __slots__ = ("dim", "names", "unit", "_nonzero", "_hash", "_memo_entries", "__weakref__")
     _product_word = "product"  # in error messages
 
-    def __init__(self, names: Sequence[str], products):
+    def __init__(self, names: Sequence[str], products, unit=None):
         self.names = tuple(names)
         self.dim = n = len(self.names)
         if not isinstance(products, Mapping):  # a dense table, from the public constructors
@@ -127,7 +138,8 @@ class _StructureTable:
                     entries.append((k, c))
             nonzero[i][j] = tuple(sorted(entries))
         self._nonzero = tuple(map(tuple, nonzero))
-        self._hash = None
+        self.unit = None if unit is None else vector(unit)
+        self._hash = self._memo_entries = None
 
     @property
     def table(self):
@@ -238,14 +250,14 @@ def _times(nz, x: dict, y: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _polynomials_in(table: _StructureTable, x: dict, one: Sequence[Fraction]):
-    """(m, at) for x, as ``{index: value}``, in a unital associative ``table`` whose 1
-    has the coordinates ``one``: m is x's minimal polynomial (and L_x's, as x 1 = x),
-    the first dependency among the Krylov vectors step^k x^k 1 (``poly._krylov``, over
-    the table's int constants), and at(p) the coordinates of p(x) 1 for deg p < deg m,
+def _polynomials_in(table: _StructureTable, x: dict):
+    """(m, at) for x, as ``{index: value}``, in a unital associative ``table`` (its 1 at
+    ``table.unit``): m is x's minimal polynomial (and L_x's, as x 1 = x), the first
+    dependency among the Krylov vectors step^k x^k 1 (``poly._krylov``, over the
+    table's int constants), and at(p) the coordinates of p(x) 1 for deg p < deg m,
     those vectors combined over one denominator: no d x d matrix, no Horner step."""
     (den, nz), (xs, xi) = table._int_constants(), _scaled(x)
-    s, unit, step = *_scaled(dict(enumerate(one))), den * xs
+    s, unit, step = *_scaled(dict(enumerate(table.unit))), den * xs
     m, powers = _krylov(lambda v: _times(nz, xi, v), unit, table.dim, step)
 
     def at(p) -> tuple:  # p(x) 1 = sum_k p_k powers[k] / (s step^k), with p = e / over
@@ -268,10 +280,9 @@ class LieAlgebra(_StructureTable):
     commutative coefficient algebras. Instances are
     hashable and compare by structure table and basis names. The hash is
     computed once, on first use. Expensive invariants (here and in ``endo``,
-    ``construct`` and ``decompose``) are memoized per algebra in one
-    weak-keyed memo: the results are freed with the algebra they were
-    computed for, and an equal algebra built while that one lives is served
-    the same results.
+    ``construct`` and ``decompose``) are memoized on the algebra itself
+    (:func:`_memoized`): the results are freed with it, and an equal algebra
+    built while it lives is served the same results.
     """
 
     __slots__ = ()
@@ -511,7 +522,7 @@ def _coefficient(c) -> Fraction:
         return frac(c)
 
 
-def _compose(nz, a: int, b: int, c: int, acc: dict, negate: bool = False) -> dict:
+def _triple(nz, a: int, b: int, c: int, acc: dict, negate: bool = False) -> dict:
     """Add (or subtract) the coordinates of (e_a e_b) e_c into acc, {m: value}.
 
     Coordinate m is the sum of c_ab^l c_lc^m over the nonzero constants
@@ -525,37 +536,34 @@ def _compose(nz, a: int, b: int, c: int, acc: dict, negate: bool = False) -> dic
     return acc
 
 
-def _check_jacobi(g: LieAlgebra):
+@_memoized
+def _check_jacobi(g: LieAlgebra) -> bool:
     """Raise JacobiError on the first basis triple i < j < k with a nonzero
     [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]; the three cyclic
     terms are summed into one dict over the constants scaled to integers,
-    and the defect carried is divided back by den^2. A pass is recorded as
-    g's Jacobi verdict, and a table that already has one is not checked again.
+    and the defect carried is divided back by den^2. True otherwise: the memo
+    entry of a pass is g's Jacobi verdict (:func:`_jacobi_known`).
     """
-    if _jacobi_known(g):
-        return
     n = g.dim
     den, nz = g._int_constants()
     for i, j, k in itertools.combinations(range(n), 3):
         defect = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            _compose(nz, a, b, c, defect)
+            _triple(nz, a, b, c, defect)
         if any(defect.values()):
             raise JacobiError(
                 (i, j, k), tuple(Fraction(defect.get(m, 0), den * den) for m in range(n))
             )
-    _inherit_jacobi(g)
+    return True
 
 
 def _jacobi_known(g: LieAlgebra) -> bool:
     """Whether g's table is known to satisfy the Jacobi identity: it passed
-    :func:`_check_jacobi`, or it was built by a construction that keeps the
-    identity from inputs known to satisfy it. The verdict is an entry of the
-    memo, so it is shared by equal tables and dies with them. A table from
-    ``LieAlgebra(...)`` or ``build(validate=False)`` has none, unless an
-    equal table that has one is alive."""
-    entries = _memo.get(g)
-    return entries is not None and (_check_jacobi, ()) in entries
+    :func:`_check_jacobi`, or a construction that keeps the identity built it from
+    inputs known to satisfy it. The verdict is g's memo entry of the check, read
+    without checking. A table from ``LieAlgebra(...)`` or ``build(validate=False)``
+    has none, unless an equal table that had one was alive at its first memo access."""
+    return _peek(g, _check_jacobi) is True
 
 
 def _reductive(g: LieAlgebra) -> bool:
@@ -570,12 +578,12 @@ def _reductive(g: LieAlgebra) -> bool:
 
 def _peek(g, fn):
     """The memoized fn(g) when the memo holds it, else None; computes nothing."""
-    return (_memo.get(g) or {}).get((fn.__wrapped__, ()))
+    return _entries(g).get((fn.__wrapped__, ()))
 
 
 def _record(g, fn, value):
     """Put value in the memo as the memoized fn(g), unless it holds that already."""
-    _memo.setdefault(g, {}).setdefault((fn.__wrapped__, ()), value)
+    _entries(g).setdefault((fn.__wrapped__, ()), value)
 
 
 def _inherit_jacobi(g: LieAlgebra, *sources: LieAlgebra) -> LieAlgebra:
@@ -583,7 +591,7 @@ def _inherit_jacobi(g: LieAlgebra, *sources: LieAlgebra) -> LieAlgebra:
     (at once when there are none), and return g. For constructions whose
     result satisfies the identity whenever their inputs do."""
     if all(map(_jacobi_known, sources)):
-        _memo.setdefault(g, {})[_check_jacobi, ()] = True
+        _record(g, _check_jacobi, True)
     return g
 
 

@@ -458,9 +458,6 @@ class Subspace:
                     out[j] += x * v
         return tuple(out)
 
-    def basis_matrix(self) -> Matrix:
-        return Matrix._trusted(self.rows)
-
     def is_zero(self) -> bool:
         return not self._rows
 

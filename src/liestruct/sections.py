@@ -399,7 +399,7 @@ def s_part_of_sections_check(k: LieAlgebra, a: CommutativeAlgebra) -> dict:
     # of A, P and e_p's Krylov vectors on A's table
     s_parts = []
     for p in range(a.dim):
-        m, at = _polynomials_in(a, {p: 1}, a.unit)
+        m, at = _polynomials_in(a, {p: 1})
         s = at(_semisimple_polynomial(m))
         s_parts.append({r * a.dim + j: c for j in range(a.dim)
                         for r, c in enumerate(a._product(s, unit_vector(a.dim, j))) if c})

@@ -295,6 +295,13 @@ def test_main_oversize_exits_2_quickly(capsys):
          "sections:centroid would have dimension 72, above the limit 64"),
         (["sections", "--check", "jetauto", "--k", "sl:3", "--A", "jet:1,9"],
          "sections:jetauto would have dimension 72, above the limit 64"),
+        # jetauto reparametrizes the jets of one variable; jet:2,3 once ran as jet:1,3
+        (["sections", "--check", "jetauto", "--k", "sl:2", "--A", "jet:2,3"],
+         "jetauto needs --A jet:1,N with N >= 1"),
+        (["--algebra", "sl:2", "--analyze", "sections:jetauto", "--A", "jet:2,3"],
+         "jetauto needs --A jet:1,N with N >= 1"),
+        (["--algebra", "sl:2", "--analyze", "sections:jetauto", "--A", "points:3"],
+         "jetauto needs --A jet:1,N with N >= 1"),
     ],
 )
 def test_oversize_section_model_exits_2_before_it_is_built(capsys, argv, message):

@@ -859,13 +859,27 @@ def test_a_table_of_no_algebra_has_no_separating_element():
 
     table = _StructureTable(["1", "x", "y"], {
         (0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1}, (2, 0): {2: 1},
-        (1, 1): {0: 1}, (2, 2): {0: 1}})
-    rad = table._radical()
-    assert rad.is_zero()
+        (1, 1): {0: 1}, (2, 2): {0: 1}}, [1, 0, 0])
+    assert table._radical().is_zero()
     with pytest.raises(SeparatingElementError, match="dimension 3"):
-        decompose._split(table, vector([1, 0, 0]), rad)
+        decompose._split(table)
     with pytest.raises(SeparatingElementError, match="dimension 3"):
         _split_local(Matrix([[1], [0], [0]]), _regular_of(table))
+
+
+def test_a_bare_tables_unit_feeds_the_search():
+    # Q x Q on the idempotents e, f, its 1 = e + f given with the table: the search
+    # starts from the table's own unit
+    from liestruct import decompose
+    from liestruct.lie import _StructureTable
+
+    table = _StructureTable(["e", "f"], {(0, 0): {0: 1}, (1, 1): {1: 1}}, ["1", 1])
+    assert table.unit == vector([1, 1])
+    idems, status = decompose._split(table)
+    assert sorted(idems) == [vector([0, 1]), vector([1, 0])] and status == "split"
+    local = _StructureTable(["1", "t"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                            [1, 0])
+    assert decompose._split(local) == ((vector([1, 0]),), "split")
 
 
 @pytest.mark.parametrize("name", ["h3 + h3", "two_dim + h3", "two_dim + h3 + sl3"])
@@ -966,8 +980,7 @@ def test_table_search_matches_the_dense_oracle(oracle_cases, name):
     cent = endo.centroid(g)
 
     def table_search():
-        idems, status, _, _ = decompose._primitive_idempotents_any(
-            cent, endo._centroid_table(g), endo._centroid_table(g)._radical())
+        idems, status, _, _ = decompose._primitive_idempotents_any(cent, endo._centroid_table(g))
         return idems.projections, status
 
     def oracle():
@@ -1000,7 +1013,7 @@ def test_a_centroid_table_with_one_wrong_constant_is_refused(monkeypatch):
         products = {(a, b): dict(v) for a, row in enumerate(table._nonzero)
                     for b, v in enumerate(row)}
         products[i, j][k] = products[i, j].get(k, 0) + 1
-        wrong = _StructureTable(table.names, products)
+        wrong = _StructureTable(table.names, products, table.unit)
         monkeypatch.setattr(decompose, "_centroid_table", lambda g: wrong)
         try:
             report = indecompose.__wrapped__(g)

@@ -6,6 +6,7 @@ import gc
 import itertools
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -643,8 +644,7 @@ def _unverified_copy(g):
 
 def _renamed(g, tag):
     """g under basis names of its own, with its Jacobi verdict: no other live algebra
-    shares its memo, whose entries are kept under the first of equal algebras and die
-    with it."""
+    shares its memo entries."""
     return g.restrict_to(g.full_space(), ["%s.%d" % (tag, i) for i in range(g.dim)])
 
 
@@ -727,6 +727,39 @@ def test_reductive_flags_span_no_series(monkeypatch, spec):
     abelian = spec == "abelian"
     assert flags["reductive"] and not flags["semisimple"] and flags["abelian"] == abelian
     assert flags["solvable"] == flags["nilpotent"] == abelian
+
+
+def test_an_equal_algebra_keeps_its_verdict_when_the_first_dies(monkeypatch):
+    # b shares a's memo entries; once a is freed, b still holds them, the Jacobi
+    # verdict and the generating set included, and its Der takes the reductive path
+    a, b = _algebra("gl:4", "survivor "), _algebra("gl:4", "survivor ")
+    assert a is not b and a == b and lie._jacobi_known(b)
+    a = weakref.ref(a)
+    gc.collect()
+    assert a() is None and lie._jacobi_known(b)
+    assert endo._generators(b) == frozenset({0, 1, 2, 3, 4, 8, 12})
+    monkeypatch.setattr(endo, "_leibniz_rows", _refuse)
+    der = endo.derivations(b)
+    assert der.dim == 16 and der.space == endo.inner_derivations(b).space.sum(
+        endo.j_space(b).space)
+
+
+def test_an_equal_algebra_first_used_after_the_first_died_recomputes():
+    # b is built while a lives but asks the memo only once a is freed: it starts
+    # with fresh entries, no verdict among them, and gets every answer right
+    a = _algebra("gl:3", "late ")
+    a.flags(), endo.derivations(a), endo.centroid(a)
+    b = lie.LieAlgebra(a.names, a.table)
+    a = weakref.ref(a)
+    gc.collect()
+    assert a() is None and not lie._jacobi_known(b) and lie._peek(b, lie.LieAlgebra.center) is None
+    copy = _algebra("gl:3", "renamed ")
+
+    def answers(h):
+        return (h.flags(), h.center(), h.commutator_algebra(), endo.derivations(h).space,
+                endo.centroid(h).space, endo.j_space(h).space)
+
+    assert answers(b) == answers(copy)
 
 
 def test_cent_radical_is_recorded_only_from_a_known_killing_rank():

@@ -55,6 +55,16 @@ def test_build_rejects_jacobi_violation():
     assert exc.value.defect == vector([0, 1, 0])
 
 
+def test_a_jacobi_failure_is_not_memoized():
+    g = build(3, {(0, 1): {0: F(1)}, (0, 2): {1: F(1)}}, names=["j0", "j1", "j2"],
+              validate=False)
+    for _ in range(2):
+        with pytest.raises(JacobiError):
+            lie._check_jacobi(g)
+        assert not lie._jacobi_known(g)
+        assert lie._peek(g, lie._check_jacobi) is None
+
+
 def test_build_rejects_bad_keys():
     with pytest.raises(Exception):
         build(2, {(1, 0): {0: F(1)}})  # keys must satisfy i < j
@@ -467,7 +477,7 @@ def test_memo_entries_die_with_their_algebra():
     # the check read, none of the old results
     fresh = _memo_probe()
     scaled = lie._StructureTable._int_constants.__wrapped__
-    assert set(lie._memo[fresh]) == {(lie._check_jacobi, ()), (scaled, ())}
+    assert set(lie._memo[fresh]) == {(lie._check_jacobi.__wrapped__, ()), (scaled, ())}
 
 
 def test_current_algebra_is_memoized_on_equal_arguments():
