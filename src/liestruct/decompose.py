@@ -12,8 +12,9 @@ A off the pivots of N's echelon basis, b_1..b_r, map to a basis of it. A
 candidate f whose squarefree minimal polynomial p has degree r generates
 A/N = Q[t]/(p). For each irreducible factor q of p (one complete
 factorization over Q), with m the minimal polynomial of f, m_q its
-q-primary part and u = m / m_q, e_q = u (u^-1 mod m_q) mod m is 1 mod m_q
-and 0 mod u (Chinese remainders): the e_q(f) are orthogonal idempotents
+q-primary part (q itself when m is squarefree, as on a semisimple Cent) and
+u = m / m_q, e_q = u (u^-1 mod m_q) mod m is 1 mod m_q and 0 mod u
+(Chinese remainders): the e_q(f) are orthogonal idempotents
 summing to 1, each primitive as its image is the unit of the field
 Q[t]/(q). The status is "split" if all q are linear, "nonsplit_real" if the
 others are imaginary quadratic (final over R too), else "nonsplit_unknown".
@@ -167,8 +168,8 @@ def _split(table):
                                      "the residue algebra of dimension %d" % r)
     idems, worst = [], 0
     for q in factor(p):
-        primary = q  # the q-primary part of m, so that e(f) is idempotent on the nose
-        while not poly_mod(m, poly_mul(primary, q)):
+        primary = q  # the q-primary part of m (q when deg m = r), so that e(f) is idempotent
+        while degree(m) > r and not poly_mod(m, poly_mul(primary, q)):
             primary = poly_mul(primary, q)
         idems.append(at(_crt_idempotent(m, primary)))
         real = degree(q) == 2 and q[1] * q[1] - 4 * q[0] < 0

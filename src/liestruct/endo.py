@@ -85,9 +85,10 @@ __all__ = [
 
 
 class EndoSpace:
-    """A linear space of n x n matrices, stored as a subspace of Q^(n^2)."""
+    """A linear space of n x n matrices, stored as a subspace of Q^(n^2). A matrix
+    algebra keeps its multiplication table once it is read (:func:`_algebra_table`)."""
 
-    __slots__ = ("kind", "n", "space")
+    __slots__ = ("kind", "n", "space", "_table")
 
     def __init__(self, kind: str, n: int, space: Subspace):
         if space.ambient_dim != n * n:
@@ -95,6 +96,7 @@ class EndoSpace:
         self.kind = kind
         self.n = n
         self.space = space
+        self._table = None
 
     @property
     def dim(self) -> int:
@@ -545,13 +547,16 @@ def _algebra_table(space: EndoSpace) -> _StructureTable:
     """Multiplication table of a matrix algebra holding the identity: ``[i][j]`` holds the
     coordinates of b_i b_j, its entries at the pivots of the echelon basis, read off the
     composed int columns of den b_i and den b_j over den^2 (:func:`_int_endos`); its unit
-    is the identity's coordinates, 1 at the diagonal pivots."""
-    n, d, pivots = space.n, space.dim, space.space.pivots
-    den, ops = _int_endos(space, ({k: 1} for k in range(d)))
-    return _StructureTable(["b%d" % i for i in range(d)], {
-        (i, j): {k: Fraction(ab[p], den * den) for k, p in enumerate(pivots) if p in ab}
-        for i, a in enumerate(ops) for j, b in enumerate(ops) for ab in (_compose(a, b),)},
-        [int(p % (n + 1) == 0) for p in pivots])
+    is the identity's coordinates, 1 at the diagonal pivots. Built once per space, which
+    keeps it, so its memo (radical, idempotent search) serves every later call."""
+    if space._table is None:
+        n, d, pivots = space.n, space.dim, space.space.pivots
+        den, ops = _int_endos(space, ({k: 1} for k in range(d)))
+        space._table = _StructureTable(["b%d" % i for i in range(d)], {
+            (i, j): {k: Fraction(ab[p], den * den) for k, p in enumerate(pivots) if p in ab}
+            for i, a in enumerate(ops) for j, b in enumerate(ops) for ab in (_compose(a, b),)},
+            [int(p % (n + 1) == 0) for p in pivots])
+    return space._table
 
 
 @_memoized

@@ -41,16 +41,38 @@ __all__ = ["LieAlgebra", "build", "from_dict", "to_dict"]
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")
 
-# table -> its memo entries {(function, remaining args): result}, read once per table
-_memo = weakref.WeakKeyDictionary()
+# a table's value -> the memo entries of the tables equal to it, held weakly: they live on
+# the tables that hold them, and stay findable while any of those lives
+_memo = weakref.WeakValueDictionary()
+
+
+class _Entries(dict):
+    """A table's memo entries {(function, remaining args): result}."""
+
+    __slots__ = ("__weakref__",)
+
+
+class _Key(tuple):
+    """A table's value (hash, type, names, constants, unit) as a ``_memo`` key: it hashes to
+    the table's cached hash, compares as a tuple and holds no table."""
+
+    __slots__ = ()
+
+    def __new__(cls, g):
+        return super().__new__(cls, (hash(g), type(g), g.names, g._nonzero, g.unit))
+
+    def __hash__(self):
+        return self[0]
 
 
 def _entries(g) -> dict:
-    """g's memo entries, held on g itself from its first memo access on: the entries of an
-    equal table alive at that moment (``_memo``), else a fresh dict registered for g."""
+    """g's memo entries, held on g itself from its first memo access on: those of equal
+    tables, when one that holds them lives, else fresh ones registered under g's value.
+    A bare table compares by identity, so its entries are its own."""
     entries = g._memo_entries
     if entries is None:
-        entries = g._memo_entries = _memo.setdefault(g, {})
+        entries = {} if type(g).__eq__ is object.__eq__ else _memo.setdefault(_Key(g), _Entries())
+        g._memo_entries = entries
     return entries
 
 
@@ -58,13 +80,12 @@ def _memoized(fn):
     """Memoize ``fn(g, *args)`` on g: a Lie algebra, a commutative coefficient algebra
     or a bare structure table.
 
-    The entries live on g (:func:`_entries`), so they die with g and outlive any equal
-    table they were first shared with. At g's first memo access the registry ``_memo``,
-    keyed by value (a bare table's identity), hands g the entries of an equal table
-    alive then; an equal table that first asks after every registered one has died
-    starts with fresh entries and recomputes its results. Other arguments must be
-    hashable. Results are shared and must not be mutated; a call that raises stores
-    nothing. ``cache_info()`` reports the hits and misses of ``fn``.
+    The entries live on g (:func:`_entries`), so they die with the last table that holds
+    them. At g's first memo access the registry ``_memo``, keyed by value, hands g the
+    entries that equal tables alive then hold; an equal table that first asks after every
+    holder of them has died starts with fresh entries and recomputes its results. Other
+    arguments must be hashable. Results are shared and must not be mutated; a call that
+    raises stores nothing. ``cache_info()`` reports the hits and misses of ``fn``.
     """
     counts = [0, 0]
 

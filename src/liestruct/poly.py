@@ -4,11 +4,12 @@ Polynomials are lists of Fractions in ascending order of degree, so
 ``[a0, a1, a2]`` is ``a0 + a1 t + a2 t^2``. The zero polynomial is ``[]``.
 Includes characteristic/minimal polynomials of rational matrices, minimal
 polynomials from integer Krylov vectors (``_krylov``), complete factorization
-of squarefree polynomials over Q (Zassenhaus), and the additive
+of squarefree polynomials over Q (the rational roots by Newton lifting mod a
+prime, Zassenhaus only on what they leave), and the additive
 Jordan-Chevalley decomposition as a polynomial in the element: Newton's method
 in Q[t]/(m), m the minimal polynomial (``_semisimple_polynomial``), with one
 extended gcd per step (``_inverse_mod``, shared with the Chinese-remainder
-idempotents).
+idempotents of nonlinear factors; a linear one needs only an evaluation).
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _krylov(times, one: dict, size: int, step: int = 1) -> tuple[Poly, list]:
 
 
 # ---------------------------------------------------------------------------
-# Factoring over Q: Zassenhaus, Hensel lifting a factorization mod a prime
+# Factoring over Q: rational roots by Newton lifting, then Zassenhaus
 # ---------------------------------------------------------------------------
 
 def _rational_square_root(x: Fraction) -> Optional[Fraction]:
@@ -329,20 +330,108 @@ def _inverse_mod(a: Poly, m: Poly) -> Poly:
 
 def _crt_idempotent(p: Poly, q: Poly) -> Poly:
     """The e of degree < deg p with e = 1 mod q and e = 0 mod u = p / q, for a factor
-    q of p prime to p / q: u (u^-1 mod q)."""
-    u = poly_div_exact(p, q)
-    return poly_mul(u, _inverse_mod(u, q))
+    q of p prime to p / q: u (u^-1 mod q). For q = t - l, u comes by synthetic division
+    and u^-1 mod q is 1 / u(l), with no extended Euclid."""
+    if degree(q) != 1:
+        u = poly_div_exact(p, q)
+        return poly_mul(u, _inverse_mod(u, q))
+    lam, u = -q[0] / q[1], [p[-1]]
+    for c in reversed(p[1:-1]):
+        u.append(c + lam * u[-1])
+    if p[0] + lam * u[-1]:
+        raise ValueError("inexact polynomial division")
+    inv = 1 / reduce(lambda acc, c: acc * lam + c, u, Fraction(0))
+    return [c * inv for c in reversed(u)]
+
+
+def _lift_root(f: list, a: int, p: int, bound: int) -> tuple[int, int]:
+    """(a, q): a simple root a mod p of the int polynomial f, Newton-lifted to a root mod
+    q, the first p^(2^k) above ``bound``: a <- a - f(a) f'(a)^-1 mod q^2, as f'(a) is a
+    unit mod p."""
+    q = p
+    while q <= bound:
+        q *= q
+        fa = dfa = 0
+        for c in reversed(f):  # f(a) and f'(a) by one Horner pass
+            fa, dfa = (fa * a + c) % q, (dfa * a + fa) % q
+        a = (a - fa * pow(dfa, -1, q)) % q
+    return a, q
+
+
+def _divide_root(f: list, u: int, v: int) -> Optional[list]:
+    """f / (v t - u) for an int polynomial f by synthetic division, or None when the
+    quotient is not integral or leaves a remainder."""
+    g = [0]
+    for c in reversed(f[1:]):  # g_k = (f_(k+1) + u g_(k+1)) / v, from the top
+        x, r = divmod(c + u * g[-1], v)
+        if r:
+            return None
+        g.append(x)
+    return None if f[0] + u * g[-1] else g[:0:-1]
+
+
+def _rational_roots(f: list, local: list, p: int) -> tuple[list, list]:
+    """(roots, rest): the monic t - r for the rational roots r of the primitive int
+    polynomial f, and rest = f over their product; ``local``, f's monic factors mod p, is
+    left holding those of rest. The root a of each linear t - a in ``local`` is lifted by
+    :func:`_lift_root` past 2 (lc + max |c_i|), which bounds lc r (Cauchy); the candidate r
+    is the symmetric residue of lc a, over lc, kept when v t - u (r = u / v) divides rest
+    exactly, and then its factor r mod p leaves ``local``."""
+    roots = []
+    for g in [g for g in local if len(g) == 2]:
+        if g not in local:
+            continue
+        a, q = _lift_root(f, -g[0] % p, p, 2 * (f[-1] + max(map(abs, f))))
+        b = f[-1] * a % q
+        r = Fraction(b - q if 2 * b > q else b, f[-1])
+        if (quo := _divide_root(f, r.numerator, r.denominator)) is not None:
+            f = quo
+            local.remove([-r.numerator * pow(r.denominator, -1, p) % p, 1])
+            roots.append([-r, Fraction(1)])
+    return roots, f
+
+
+def _zassenhaus(f: list, local: list, p: int) -> list[Poly]:
+    """The irreducible factors of the primitive int polynomial f, given its monic factors
+    mod p, ``local``: Hensel-lift them one at a time past 2 lc 2^n |f|_2, which bounds lc
+    times any factor of f (Mignotte), and keep the products of subsets, smallest first,
+    whose primitive parts divide f exactly."""
+    n, den = len(f) - 1, f[-1]
+    bound, modulus = 2 * den * 2 ** n * (isqrt(sum(c * c for c in f)) + 1), p
+    while modulus <= bound:
+        modulus *= p
+    lifted, rest = [], _mod_mul(f, [pow(den, -1, modulus)], modulus)
+    for g in local[:-1]:
+        g, rest = _hensel(rest, g, p, modulus)
+        lifted.append(g)
+    lifted.append(rest)
+    found, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = reduce(lambda a, i: _mod_mul(a, lifted[i], modulus), subset, [f[-1]])
+            g = [c - modulus if 2 * c > modulus else c for c in g]
+            g = poly([c // gcd(*g) for c in g])
+            quo, rem = poly_divmod(poly(f), g)
+            if not rem:
+                found.append(g)
+                f = [int(c) for c in quo]
+                lifted = [h for i, h in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [poly(f)]
 
 
 def factor(p: Poly) -> list[Poly]:
     """The monic irreducible factors over Q of a squarefree p, by degree, t - a by ascending a.
 
-    Zassenhaus on f = den p in Z[t], lc = den: factor f mod the first odd prime
-    dividing neither lc nor the discriminant (distinct-degree, then
-    Cantor-Zassenhaus with a generator seeded 0), Hensel-lift the factors one
-    at a time past 2 lc 2^n |f|_2, which bounds lc times any factor of f
-    (Mignotte), and keep the products of subsets, smallest first, whose
-    primitive parts divide f exactly.
+    f = den p in Z[t], lc = den, is factored mod the first odd prime dividing
+    neither lc nor the discriminant (distinct-degree, then Cantor-Zassenhaus
+    with a generator seeded 0). The rational roots come first, each linear
+    factor mod p Newton-lifted and checked by exact division
+    (:func:`_rational_roots`); Zassenhaus (:func:`_zassenhaus`) runs only on
+    what they leave: the other factors mod p, and any linear one whose lift
+    did not divide.
     """
     p, n = monic(p), degree(p)
     if n <= 1:
@@ -360,29 +449,9 @@ def factor(p: Poly) -> list[Poly]:
     rng = random.Random(0)
     local = [g for part, d in _distinct_degree(_mod_mul(f, [pow(den, -1, prime)], prime), prime)
              for g in _equal_degree(part, d, prime, rng)]
-    bound, modulus = 2 * den * 2 ** n * norm, prime
-    while modulus <= bound:
-        modulus *= prime
-    lifted, rest = [], _mod_mul(f, [pow(den, -1, modulus)], modulus)
-    for g in local[:-1]:
-        g, rest = _hensel(rest, g, prime, modulus)
-        lifted.append(g)
-    lifted.append(rest)
-    found, size = [], 1
-    while 2 * size <= len(lifted):
-        for subset in combinations(range(len(lifted)), size):
-            g = reduce(lambda a, i: _mod_mul(a, lifted[i], modulus), subset, [f[-1]])
-            g = [c - modulus if 2 * c > modulus else c for c in g]
-            g = poly([c // gcd(*g) for c in g])
-            quo, rem = poly_divmod(poly(f), g)
-            if not rem:
-                found.append(g)
-                f = [int(c) for c in quo]
-                lifted = [h for i, h in enumerate(lifted) if i not in subset]
-                break
-        else:
-            size += 1
-    found.append(poly(f))
+    found, f = _rational_roots(f, local, prime)
+    if local:
+        found += _zassenhaus(f, local, prime)
     return sorted(map(monic, found), key=lambda q: (len(q), [-c for c in q]))
 
 

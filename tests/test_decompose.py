@@ -666,6 +666,18 @@ def test_centroid_table_dies_with_its_algebra():
     assert ref() is None
 
 
+def test_a_centroid_keeps_its_table_so_a_second_search_is_a_memo_hit():
+    from liestruct import decompose
+
+    g = current_algebra(classical("sl", 2), point_functions(5))
+    cent = endo.centroid(g)
+    first, radical = primitive_idempotents(cent), centroid_radical(cent)
+    info = decompose._split.cache_info()
+    assert primitive_idempotents(cent) == first and centroid_radical(cent) is radical
+    assert decompose._split.cache_info() == (info.hits + 1, info.misses)
+    assert endo._algebra_table(cent) is endo._centroid_table(g)
+
+
 # ---------------------------------------------------------------------------
 # the idempotent search stops at the first primitive element
 # ---------------------------------------------------------------------------

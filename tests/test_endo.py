@@ -762,6 +762,26 @@ def test_an_equal_algebra_first_used_after_the_first_died_recomputes():
     assert answers(b) == answers(copy)
 
 
+def test_shared_entries_stay_findable_while_any_holder_lives():
+    # b takes a's entries while a lives; once a is freed, a table built later finds them
+    # through b: the Jacobi verdict and Cent are memo hits, not computed again
+    a = _algebra("cur:sl:2,points:4", "handover ")
+    b = lie.LieAlgebra(a.names, a.table)
+    cent = endo.centroid(a)
+    assert b.center() is a.center()
+    a = weakref.ref(a)
+    gc.collect()
+    assert a() is None and lie._Key(b) in lie._memo
+    c = lie.LieAlgebra(b.names, b.table)
+    hits = endo.centroid.cache_info().hits
+    assert lie._jacobi_known(c) and endo.centroid(c) is cent
+    assert endo.centroid.cache_info().hits == hits + 1
+    # and again once b is freed too, through c
+    del b
+    gc.collect()
+    assert lie._jacobi_known(lie.LieAlgebra(c.names, c.table))
+
+
 def test_cent_radical_is_recorded_only_from_a_known_killing_rank():
     # Cent's table built before the Killing rank is known: its radical is computed
     g = _algebra("cur:sl:2,points:3", "radical ")

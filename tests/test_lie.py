@@ -468,7 +468,7 @@ def test_memo_entries_die_with_their_algebra():
     g = _memo_probe()
     centroid(g)
     g.flags()
-    assert g in lie._memo
+    assert lie._Key(g) in lie._memo
     ref = weakref.ref(g)
     del g
     gc.collect()
@@ -477,7 +477,7 @@ def test_memo_entries_die_with_their_algebra():
     # the check read, none of the old results
     fresh = _memo_probe()
     scaled = lie._StructureTable._int_constants.__wrapped__
-    assert set(lie._memo[fresh]) == {(lie._check_jacobi.__wrapped__, ()), (scaled, ())}
+    assert set(lie._memo[lie._Key(fresh)]) == {(lie._check_jacobi.__wrapped__, ()), (scaled, ())}
 
 
 def test_current_algebra_is_memoized_on_equal_arguments():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liestruct.poly as polynomials
 from liestruct.linalg import Matrix, solve, vector
 from liestruct.poly import (
     char_poly,
@@ -507,6 +508,142 @@ def test_squarefree_part_matches_sympy_sqf_part(sympy, idx):
     expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(pq2))
     expected = _fractions(sympy.Poly(sympy.sqf_part(expr), t).monic().all_coeffs())[::-1]
     assert squarefree_part(pq2) == expected
+
+
+# ---------------------------------------------------------------------------
+# rational roots by Newton lifting, and CRT idempotents by evaluation
+# ---------------------------------------------------------------------------
+
+
+def _product(factors):
+    p = P(1)
+    for q in factors:
+        p = poly_mul(p, q)
+    return p
+
+
+# irreducible, with roots mod 7: t^2 - 2 (+-3) and t^3 - t - 1 (5); the linear factors
+# make the leading coefficient 15, so 7 is the prime factor chooses
+ROOTS_MOD_SEVEN = [P(-2, 0, 1), P(-1, -1, 0, 1), P(1, 3), P(-2, 5)]
+
+
+def _rational_root_products():
+    """Seeded products of 2 to 8 distinct linear factors s t - r (denominators, so the
+    leading coefficient is > 1), some times t^2 - 2 or t^3 - t - 1, and prod (t - k)."""
+    rng, out = random.Random(35), [_product(ROOTS_MOD_SEVEN)]
+    for _ in range(12):
+        roots = {F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(rng.randint(2, 8))}
+        extra = rng.sample([P(-2, 0, 1), P(-1, -1, 0, 1)], rng.randint(0, 2))
+        out.append(_product([P(-r, 1) for r in roots] + extra))
+    out.append(_product(P(-k, 1) for k in range(1, 61)))
+    return out
+
+
+RATIONAL_ROOT_PRODUCTS = _rational_root_products()
+
+
+@pytest.mark.parametrize("idx", range(len(RATIONAL_ROOT_PRODUCTS)))
+def test_factor_with_rational_roots_matches_sympy_factor_list(sympy, idx):
+    p = RATIONAL_ROOT_PRODUCTS[idx]
+    assert factor(p) == _factor_oracle(sympy, p)
+
+
+def _spy(monkeypatch, name):
+    """(arguments, result) of every call of liestruct.poly's ``name`` from now on."""
+    calls, fn = [], getattr(polynomials, name)
+
+    def spied(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(polynomials, name, spied)
+    return calls
+
+
+def test_roots_mod_p_of_irreducible_factors_fall_back_to_zassenhaus(monkeypatch):
+    # the lifts of t^2 - 2's and t^3 - t - 1's roots mod 7 do not divide; their linear
+    # factors mod 7 go to Zassenhaus with the two nonlinear ones, -1/3 and 2/5 do not
+    calls = _spy(monkeypatch, "_zassenhaus")
+    assert factor(_product(ROOTS_MOD_SEVEN)) == [P(F(1, 3), 1), P(F(-2, 5), 1), P(-2, 0, 1),
+                                                 P(-1, -1, 0, 1)]
+    (((rest, local, prime), _),) = calls
+    assert prime == 7 and sorted(len(g) - 1 for g in local) == [1, 1, 1, 2]
+    assert P(*rest) == poly_mul(P(-2, 0, 1), P(-1, -1, 0, 1))
+
+
+def test_factor_of_a_product_of_linear_factors_skips_zassenhaus(monkeypatch):
+    calls = _spy(monkeypatch, "_zassenhaus")
+    assert factor(RATIONAL_ROOT_PRODUCTS[-1]) == [P(-k, 1) for k in range(1, 61)]
+    assert calls == []
+
+
+def _sign_flipped(f, a, p, bound):
+    """Newton's step with its sign flipped, a <- a + f(a) f'(a)^-1 mod q^2."""
+    q = p
+    while q <= bound:
+        q *= q
+        fa = sum(c * a ** i for i, c in enumerate(f)) % q
+        a = (a + fa * pow(sum(i * c * a ** (i - 1) for i, c in enumerate(f) if i), -1, q)) % q
+    return a, q
+
+
+def _neighbour(f, a, p, bound):
+    """The lift of the first other root mod p: a true root, but the wrong one for a."""
+    others = [x for x in range(p) if x != a and sum(c * x ** i for i, c in enumerate(f)) % p == 0]
+    return LIFT(f, others[0] if others else a, p, bound)
+
+
+def _off_by_p(f, a, p, bound):
+    """The lift plus p: a root mod p, and mod q of nothing that is a root over Q (the lift
+    of a root mod p is unique mod q)."""
+    b, q = LIFT(f, a, p, bound)
+    return (b + p) % q, q
+
+
+LIFT = polynomials._lift_root
+MUTANTS = {"off by p": _off_by_p, "sign flipped": _sign_flipped, "neighbour root": _neighbour}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@pytest.mark.parametrize("idx", [0, 1, 2, 3])
+def test_a_corrupted_newton_lift_is_refused_by_exact_division(monkeypatch, mutant, idx):
+    # each candidate is a true root or refused; what is refused goes to Zassenhaus
+    p = RATIONAL_ROOT_PRODUCTS[idx]
+    expected = factor(p)
+    monkeypatch.setattr(polynomials, "_lift_root", MUTANTS[mutant])
+    divisions = _spy(monkeypatch, "_divide_root")
+    assert factor(p) == expected
+    roots = {-q[0] for q in expected if len(q) == 2}
+    assert all(quo is None or F(u, v) in roots for (_, u, v), quo in divisions)
+    if mutant == "off by p":
+        assert divisions and all(quo is None for _, quo in divisions)
+
+
+def _squarefree_with_linear_factors():
+    """(p, q): seeded squarefree p and each linear factor q of it, monic or not."""
+    rng, out = random.Random(36), []
+    for _ in range(10):
+        roots = list({F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))})
+        p = _product([P(-r, 1) for r in roots] + rng.sample([P(1, 0, 1), P(-3, 0, 1),
+                                                              P(-2, 0, 0, 1)], rng.randint(0, 2)))
+        scale = F(rng.randint(1, 9), rng.randint(1, 9))
+        p = [c * scale for c in p]
+        out += [(p, P(-r * s, s)) for r in roots for s in (1, rng.randint(2, 7))]
+    return out
+
+
+@pytest.mark.parametrize("case", _squarefree_with_linear_factors())
+def test_crt_idempotent_of_a_linear_factor_equals_extended_euclid(case):
+    p, q = case
+    u = polynomials.poly_div_exact(p, q)
+    expected = poly_mul(u, polynomials._inverse_mod(u, q))
+    assert polynomials._crt_idempotent(p, q) == expected
+    assert poly_mod(expected, q) == [F(1)] and poly_mod(expected, u) == []
+
+
+def test_crt_idempotent_refuses_a_linear_non_factor():
+    with pytest.raises(ValueError, match="inexact"):
+        polynomials._crt_idempotent(P(-1, 0, 1), P(-2, 1))
 
 
 # ---------------------------------------------------------------------------
