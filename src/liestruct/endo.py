@@ -67,7 +67,7 @@ from typing import Optional, Sequence
 from .errors import LiestructError, PreconditionError
 from .lie import (LieAlgebra, _integral, _jacobi_known, _memoized, _peek, _polynomials_in,
                   _record, _reductive, _scaled, _StructureTable)
-from .linalg import (_SOLVES, Matrix, Subspace, _echelon, _kernel, _primitive, _reduce,
+from .linalg import (Matrix, Subspace, _echelon, _kernel, _primitive, _reduce, _solves,
                      _span, kernel_of_rows)
 from .poly import _semisimple_polynomial
 
@@ -344,38 +344,28 @@ def _by_brackets(nz) -> list[int]:
     return sorted(range(len(nz)), key=lambda i: (-sum(1 for v in nz[i] if v), i))
 
 
-def _greedy_generators(nz) -> list[int]:
-    """Basis indices that generate the algebra of the structure constants ``nz``,
-    in one pass over the basis, taken in :func:`_by_brackets` order: an index joins
-    when it is not in what the earlier ones generate, the span of the joined ones
-    closed under their ad."""
+def _greedy_generators(nz) -> tuple[list[int], _Spinner]:
+    """(gens, spin): basis indices that generate the algebra of the structure constants
+    ``nz``, in one pass over the basis, taken in :func:`_by_brackets` order: an index
+    joins when it is not in ``spin``, the span of the joined ones closed under their ad."""
     spin, gens = _Spinner(len(nz)), []
     for i in _by_brackets(nz):
         if spin.push({i: 1}):
             gens.append(i)
             spin.add(nz[i])
-    return gens
-
-
-def _generates(nz, gens) -> bool:
-    """The certificate: the iterated brackets of the basis vectors ``gens`` span
-    everything, as the span of ``gens`` closed under their ad."""
-    spin = _Spinner(len(nz), [nz[s] for s in gens])
-    for s in gens:
-        spin.push({s: 1})
-    return len(spin.basis) == len(nz)
+    return gens, spin
 
 
 @_memoized
 def _generators(g: LieAlgebra) -> Optional[frozenset]:
-    """A set S of basis indices that generates g, checked by :func:`_generates`,
-    when g is known to satisfy the Jacobi identity and S is smaller than the
-    basis; None otherwise, and then every basis index contributes rows."""
+    """A set S of basis indices that generates g, when g is known to satisfy the Jacobi
+    identity and S is smaller than the basis, certified by the greedy spinner: S closed
+    under its ad spans Q^n. None otherwise, and then every basis index contributes rows."""
     if not _jacobi_known(g):
         return None
     _, nz = g._int_constants()
-    gens = _greedy_generators(nz)
-    if len(gens) == g.dim or not _generates(nz, gens):
+    gens, spin = _greedy_generators(nz)
+    if len(gens) == g.dim or len(spin.basis) < g.dim:
         return None
     return frozenset(gens)
 
@@ -445,7 +435,7 @@ def _commutant(ops, n: int, kind: str, order) -> EndoSpace:
         return f if all(_compose(f, op) == _compose(op, f) for op in ops) else None
 
     def relations():  # the blocks, until a prefix is certified (module docs)
-        live, fed, due, seen, bare = _SOLVES[-1] if _SOLVES else {}, 0, 0, 0, set(range(m))
+        live, fed, due, seen, bare = (_solves() or [{}])[-1], 0, 0, 0, set(range(m))
         for block in _spin_relations(spin, images, tagged):
             rank = len(live)
             yield block  # resumed once its last row is in the echelon

@@ -16,6 +16,7 @@ as they stand; Fractions are built only for its public views.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -24,7 +25,12 @@ Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _INT, _FRACTION, _EXACT = frozenset((int,)), frozenset((Fraction,)), frozenset((int, Fraction))
-_SOLVES: list = []  # the echelon of each kernel_of_rows call in progress, innermost last
+_SOLVES = threading.local()  # one "stack" per thread (:func:`_solves`)
+
+
+def _solves() -> list:
+    """The echelon of each kernel_of_rows call in progress on this thread, innermost last."""
+    return vars(_SOLVES).setdefault("stack", [])
 
 
 def frac(x) -> Fraction:
@@ -344,14 +350,15 @@ def kernel_of_rows(rows: Iterable, ncols: int) -> "Subspace":
     can assemble large constraint systems lazily and never materialize their
     zeros. A map of nonzero ints may be reduced in place (not to be read
     again); other rows are left as they are. While they stream in, the call's
-    echelon is ``_SOLVES[-1]``, for a stream to read (:func:`_kernel`) and stop.
+    echelon is the top of :func:`_solves`, for a stream to read (:func:`_kernel`) and stop.
     """
-    _SOLVES.append({})
+    pivots, stack = {}, _solves()
+    stack.append(pivots)
     try:
-        _echelon(rows, _SOLVES[-1], max, ncols)
-        return _kernel(_SOLVES[-1], ncols)
+        _echelon(rows, pivots, max, ncols)
+        return _kernel(pivots, ncols)
     finally:
-        _SOLVES.pop()
+        stack.pop()
 
 
 def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> "Subspace":

@@ -4,12 +4,12 @@ Polynomials are lists of Fractions in ascending order of degree, so
 ``[a0, a1, a2]`` is ``a0 + a1 t + a2 t^2``. The zero polynomial is ``[]``.
 Includes characteristic/minimal polynomials of rational matrices, minimal
 polynomials from integer Krylov vectors (``_krylov``), complete factorization
-of squarefree polynomials over Q (the rational roots by Newton lifting mod a
-prime, Zassenhaus only on what they leave), and the additive
-Jordan-Chevalley decomposition as a polynomial in the element: Newton's method
-in Q[t]/(m), m the minimal polynomial (``_semisimple_polynomial``), with one
-extended gcd per step (``_inverse_mod``, shared with the Chinese-remainder
-idempotents of nonlinear factors; a linear one needs only an evaluation).
+of squarefree polynomials over Q in ints (Newton lifting mod a prime and one
+exact division over Z), and the additive Jordan-Chevalley decomposition as a
+polynomial in the element: Newton's method in Q[t]/(m), m the minimal
+polynomial (``_semisimple_polynomial``), with one extended gcd per step
+(``_inverse_mod``, shared with the Chinese-remainder idempotents of nonlinear
+factors; a linear one needs only an evaluation).
 """
 
 from __future__ import annotations
@@ -115,17 +115,33 @@ def _primitive_part(p: Sequence) -> list:
     return [c // g for c in f]
 
 
+def _divide_exact(f: list, g: list) -> Optional[list]:
+    """f / g for int polynomials f and g != 0, or None unless the quotient is integral and
+    leaves no remainder: g_0 must divide f_0, and long division from the top stops at the
+    first quotient coefficient that lc(g) does not divide."""
+    if f and (f[0] % g[0] if g[0] else f[0]):
+        return None
+    r, m = list(f), len(g) - 1
+    q = [0] * max(len(r) - m, 0)
+    for k in reversed(range(len(q))):
+        q[k], rem = divmod(r[k + m], g[-1])
+        if rem:
+            return None
+        r[k:k + m] = [x - q[k] * y for x, y in zip(r[k:k + m], g)]
+    return None if any(r[:m]) else q
+
+
 def derivative(p: Poly) -> Poly:
     return normalize([i * c for i, c in enumerate(p)][1:])
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of p."""
+    """Monic product of the distinct irreducible factors of p: f / gcd(f, f') over Z."""
     p = normalize(p)
     if degree(p) <= 0:
         return monic(p)
-    g = poly_gcd(p, derivative(p))
-    return monic(poly_div_exact(p, g))
+    g = _primitive_part(poly_gcd(p, derivative(p)))
+    return monic([Fraction(c) for c in _divide_exact(_primitive_part(p), g)])
 
 
 def poly_eval_matrix(p: Poly, m: Matrix, unit: Optional[Matrix] = None) -> Matrix:
@@ -303,22 +319,6 @@ def _equal_degree(f: list, d: int, p: int, rng: random.Random) -> list[list]:
                     + _equal_degree(_mod_divmod(f, g, p)[0], d, p, rng))
 
 
-def _hensel(f: list, g: list, p: int, modulus: int) -> tuple[list, list]:
-    """Monic (g, h), f = g h mod ``modulus`` (a power of p), lifted linearly from g | f mod p
-    for g irreducible mod p, so that h^-1 = h^(p^deg g - 2) in the field F_p[t]/(g)."""
-    h = _mod_divmod(f, g, p)[0]
-    t, q = _mod_pow(h, p ** (len(g) - 1) - 2, g, p), p
-    while q < modulus:
-        # f = (g + q s)(h + q u) mod q p for s h + u g = (f - g h) / q mod p
-        e = [c // q for c in _mod_sub(f, _mod_mul(g, h, q * p), q * p)]
-        s = _mod_divmod(_mod_mul(e, t, p), g, p)[1]
-        u = _mod_divmod(_mod_sub(e, _mod_mul(s, h, p), p), g, p)[0]
-        g = _mod_sub(g, [-q * c for c in s], q * p)
-        h = _mod_sub(h, [-q * c for c in u], q * p)
-        q *= p
-    return g, h
-
-
 def _inverse_mod(a: Poly, m: Poly) -> Poly:
     """The b of degree < deg m with a b = 1 mod m, for a prime to m (extended Euclid)."""
     r0, r1, t0, t1 = m, poly_mod(a, m), [], [Fraction(1)]
@@ -358,16 +358,22 @@ def _lift_root(f: list, a: int, p: int, bound: int) -> tuple[int, int]:
     return a, q
 
 
-def _divide_root(f: list, u: int, v: int) -> Optional[list]:
-    """f / (v t - u) for an int polynomial f by synthetic division, or None when the
-    quotient is not integral or leaves a remainder."""
-    g = [0]
-    for c in reversed(f[1:]):  # g_k = (f_(k+1) + u g_(k+1)) / v, from the top
-        x, r = divmod(c + u * g[-1], v)
-        if r:
-            return None
-        g.append(x)
-    return None if f[0] + u * g[-1] else g[:0:-1]
+def _lift(f: list, g: list, p: int, bound: int) -> tuple[list, int]:
+    """(G, q): a monic irreducible factor g mod p of f, squarefree mod p, Newton-lifted to
+    the monic G = g mod p dividing f mod q, the first p^(2^k), k > 0, above ``bound``: with
+    e = (f mod g) / q and u = f'^-1 mod (g, q), g <- g + q e g' u mod g at q^2, as f' = g'
+    (f / g) mod g; then u <- u (2 - u f'). u = f'^(p^deg g - 2) in F_p[t]/(g) at first."""
+    df, q = [i * c for i, c in enumerate(f)][1:], p
+    u = _mod_pow(df, p ** (len(g) - 1) - 2, g, p)
+    while True:
+        e = [c // q for c in _mod_divmod(f, g, q * q)[1]]
+        s = _mod_mul(_mod_mul(e, [i * c for i, c in enumerate(g)][1:], q), u, q)
+        s = _mod_divmod(s, g, q)[1]
+        g, q = _mod_sub(g, [-q * c for c in s], q * q), q * q
+        if q > bound:
+            return g, q
+        fd = _mod_divmod(df, g, q)[1]
+        u = _mod_divmod(_mod_mul(u, _mod_sub([2], _mod_mul(u, fd, q), q), q), g, q)[1]
 
 
 def _rational_roots(f: list, local: list, p: int) -> tuple[list, list]:
@@ -384,7 +390,7 @@ def _rational_roots(f: list, local: list, p: int) -> tuple[list, list]:
         a, q = _lift_root(f, -g[0] % p, p, 2 * (f[-1] + max(map(abs, f))))
         b = f[-1] * a % q
         r = Fraction(b - q if 2 * b > q else b, f[-1])
-        if (quo := _divide_root(f, r.numerator, r.denominator)) is not None:
+        if (quo := _divide_exact(f, [-r.numerator, r.denominator])) is not None:
             f = quo
             local.remove([-r.numerator * pow(r.denominator, -1, p) % p, 1])
             roots.append([-r, Fraction(1)])
@@ -393,33 +399,27 @@ def _rational_roots(f: list, local: list, p: int) -> tuple[list, list]:
 
 def _zassenhaus(f: list, local: list, p: int) -> list[Poly]:
     """The irreducible factors of the primitive int polynomial f, given its monic factors
-    mod p, ``local``: Hensel-lift them one at a time past 2 lc 2^n |f|_2, which bounds lc
-    times any factor of f (Mignotte), and keep the products of subsets, smallest first,
-    whose primitive parts divide f exactly."""
-    n, den = len(f) - 1, f[-1]
-    bound, modulus = 2 * den * 2 ** n * (isqrt(sum(c * c for c in f)) + 1), p
-    while modulus <= bound:
-        modulus *= p
-    lifted, rest = [], _mod_mul(f, [pow(den, -1, modulus)], modulus)
-    for g in local[:-1]:
-        g, rest = _hensel(rest, g, p, modulus)
-        lifted.append(g)
-    lifted.append(rest)
+    mod p, ``local``: f itself, unlifted, for one; else Newton-lift each against f past 2
+    lc 2^n |f|_2, which bounds lc times any factor of f (Mignotte), and keep the products
+    of subsets, smallest first, whose primitive parts divide f exactly over Z."""
+    if len(local) == 1:
+        return [poly(f)]
+    bound = 2 * f[-1] * 2 ** (len(f) - 1) * (isqrt(sum(c * c for c in f)) + 1)
+    lifts = [_lift(f, g, p, bound) for g in local]
+    lifted, q = [g for g, _ in lifts], lifts[0][1]
     found, size = [], 1
     while 2 * size <= len(lifted):
         for subset in combinations(range(len(lifted)), size):
-            g = reduce(lambda a, i: _mod_mul(a, lifted[i], modulus), subset, [f[-1]])
-            g = [c - modulus if 2 * c > modulus else c for c in g]
-            g = poly([c // gcd(*g) for c in g])
-            quo, rem = poly_divmod(poly(f), g)
-            if not rem:
+            g = reduce(lambda a, i: _mod_mul(a, lifted[i], q), subset, [f[-1]])
+            g = _primitive_part([c - q if 2 * c > q else c for c in g])
+            if (quo := _divide_exact(f, g)) is not None:
                 found.append(g)
-                f = [int(c) for c in quo]
+                f = quo
                 lifted = [h for i, h in enumerate(lifted) if i not in subset]
                 break
         else:
             size += 1
-    return found + [poly(f)]
+    return [poly(g) for g in found + [f]]
 
 
 def factor(p: Poly) -> list[Poly]:
@@ -428,7 +428,7 @@ def factor(p: Poly) -> list[Poly]:
     f = den p in Z[t], lc = den, is factored mod the first odd prime dividing
     neither lc nor the discriminant (distinct-degree, then Cantor-Zassenhaus
     with a generator seeded 0). The rational roots come first, each linear
-    factor mod p Newton-lifted and checked by exact division
+    factor mod p Newton-lifted and checked by exact division over Z
     (:func:`_rational_roots`); Zassenhaus (:func:`_zassenhaus`) runs only on
     what they leave: the other factors mod p, and any linear one whose lift
     did not divide.

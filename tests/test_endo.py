@@ -5,15 +5,17 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import sys
+import threading
 import tracemalloc
 import weakref
 from fractions import Fraction as F
 
 import pytest
 
-from liestruct import (build, classical, current_algebra, direct_sum, endo, example_algebra,
-                       from_dict, lie, parse_algebra, quadratic_extension, to_dict,
-                       truncated_poly)
+from liestruct import (EndoSpace, build, classical, current_algebra, direct_sum, endo,
+                       example_algebra, from_dict, lie, parse_algebra, quadratic_extension,
+                       to_dict, truncated_poly)
 from liestruct.errors import JacobiError, LiestructError, PreconditionError
 from liestruct.lie import _integral
 from liestruct.linalg import Matrix, Subspace, kernel_of_rows, unit_vector, vector
@@ -561,15 +563,28 @@ def test_a_table_with_no_jacobi_verdict_streams_every_row(monkeypatch):
         monkeypatch.undo()
 
 
+def _closure(nz, gens):
+    """A new spinner of the span of the basis vectors ``gens`` closed under their ad."""
+    spin = endo._Spinner(len(nz), [nz[s] for s in gens])
+    for s in gens:
+        spin.push({s: 1})
+    return spin
+
+
+def _generates(nz, gens) -> bool:
+    """The oracle of the generating sets: the iterated brackets of ``gens`` span everything."""
+    return len(_closure(nz, gens).basis) == len(nz)
+
+
 def test_a_non_generating_set_is_refused_by_the_closure_check(monkeypatch):
     # a relabeled copy, so no memoized result of an equal algebra is served
     g = parse_algebra("cur:sl:2,jet:1,3").permuted((4, 0, 7, 2, 8, 1, 5, 3, 6))
     _, nz = _integral(g._nonzero)
-    gens = endo._greedy_generators(nz)
-    assert endo._generates(nz, gens) and len(gens) < g.dim
+    gens, _ = endo._greedy_generators(nz)
+    assert _generates(nz, gens) and len(gens) < g.dim
     forced = gens[:-1]
-    assert not endo._generates(nz, forced)
-    monkeypatch.setattr(endo, "_greedy_generators", lambda nz: forced)
+    assert not _generates(nz, forced)
+    monkeypatch.setattr(endo, "_greedy_generators", lambda nz: (forced, _closure(nz, forced)))
     assert _fresh(endo._generators, g) is None
     der, cent = _full_kernels(g)
     cols = []
@@ -960,12 +975,45 @@ def test_a_failed_certificate_streams_on_to_the_commutant(monkeypatch):
     assert len(solved) == 1 and len(tries) >= 2
     assert tries[0].dim > solved[0].dim == 1 and tries[-1] == solved[0]
     # the same stream with no echelon to read runs to its end, with no certificate
-    monkeypatch.setattr(endo, "_SOLVES", [])
+    monkeypatch.setattr(endo, "_solves", list)
     certified = len(tries)
     assert _fresh(endo.centroid, g).space == cent.space
     assert len(tries) == certified and fed[0] < fed[1]
     monkeypatch.undo()
     assert cent.space == kernel_of_rows(endo.commutant_system(g._nonzero, n), n * n)
+
+
+def test_der_and_cent_are_right_while_threads_solve_at_once():
+    # each thread's solves feed echelons of its own: with one stack shared by all
+    # threads, a solve fed the echelon another thread had pushed last
+    algebras = [parse_algebra(s) for s in ("cur:sl:2,jet:1,3", "cur:sl:2,jet:2,2",
+                                           "cur:sl:2,points:2", "gl:2")]
+    expected = [(_fresh(endo.derivations, g).space, _fresh(endo.centroid, g).space)
+                for g in algebras]
+    got, errors = [], []
+
+    def work(k):
+        for i in range(25):
+            j = (i + k) % len(algebras)
+            try:
+                got.append((j, _fresh(endo.derivations, algebras[j]).space,
+                            _fresh(endo.centroid, algebras[j]).space))
+            except Exception as exc:  # a solve on another thread's echelon may raise
+                errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(got) == 100
+    assert all((der, cent) == expected[j] for j, der, cent in got)
 
 
 @pytest.mark.parametrize("mutation", ["alpha off by one", "every coefficient zero"])
@@ -1055,14 +1103,14 @@ def _spun_span(spin) -> Subspace:
 
 def _check_closures(g, spinners):
     n, nz = g.dim, _integral(g._nonzero)[1]
-    gens = endo._greedy_generators(nz)
-    assert gens == _greedy_reference(g)
-    assert _spun_span(spinners[-1]) == _generated(g, gens) == Subspace.full(n)
+    gens, spin = endo._greedy_generators(nz)
+    assert gens == _greedy_reference(g) and spin is spinners[-1]
+    assert _spun_span(spin) == _generated(g, gens) == Subspace.full(n)
     # every prefix and every set with one generator left out
     for sub in [gens[:k] for k in range(len(gens))] + [gens[:k] + gens[k + 1:]
                                                        for k in range(len(gens))]:
         expected = _generated(g, sub)
-        assert endo._generates(nz, sub) == expected.is_full()
+        assert _generates(nz, sub) == expected.is_full()
         assert _spun_span(spinners[-1]) == expected
 
 
@@ -1075,6 +1123,29 @@ def test_spun_closures_equal_the_bracket_closure_on_fixtures(request, spinners, 
 @pytest.mark.parametrize("spec", REBASE_SPECS)
 def test_spun_closures_equal_the_bracket_closure_on_rebasings(rebase, spinners, spec, seed):
     _check_closures(rebase(parse_algebra(spec), seed), spinners)
+
+
+def _check_generators(g, spinners):
+    # the certificate is read off the greedy spinner: no second spin of the same closure
+    gens = _fresh(endo._generators, g)
+    assert len(spinners) == 1
+    nz = _integral(g._nonzero)[1]
+    if gens is None:
+        assert len(endo._greedy_generators(nz)[0]) == g.dim
+    else:
+        assert len(gens) < g.dim and _generates(nz, sorted(gens))
+        assert _generated(g, sorted(gens)) == Subspace.full(g.dim)
+
+
+@pytest.mark.parametrize("name", FIXTURE_ALGEBRAS)
+def test_generators_spin_once_and_generate_on_fixtures(request, spinners, name):
+    _check_generators(request.getfixturevalue(name), spinners)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("spec", REBASE_SPECS)
+def test_generators_spin_once_and_generate_on_rebasings(rebase, spinners, spec, seed):
+    _check_generators(rebase(parse_algebra(spec), seed), spinners)
 
 
 def test_the_commutant_spins_untagged_and_builds_one_tagged_echelon(monkeypatch, spinners):
@@ -1186,3 +1257,37 @@ def test_centroid_seeds_in_bracket_count_order(seed):
     cent = endo.centroid(g)
     assert cent.dim == 6
     assert cent.space == kernel_of_rows(endo.commutant_system(g._nonzero, n), n * n)
+
+
+# ---------------------------------------------------------------------------
+# EndoSpace value semantics
+# ---------------------------------------------------------------------------
+
+
+def test_endo_spaces_of_equal_algebras_compare_and_hash_equal():
+    a, b = parse_algebra("cur:sl:2,jet:1,3"), parse_algebra("cur:sl:2,jet:1,3")
+    for fn in (endo.derivations, endo.centroid):
+        x, y = _fresh(fn, a), _fresh(fn, b)
+        assert x is not y and x.space is not y.space
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    der, cent = endo.derivations(a), endo.centroid(a)
+    assert repr(der) == "EndoSpace(derivations, dim 11 on Q^9)" and der != cent
+
+
+def test_endo_spaces_of_another_kind_or_size_compare_unequal():
+    cent = endo.centroid(classical("sl", 2))
+    assert EndoSpace("scalars", 3, cent.space) != cent != cent.space
+    zero1, zero2 = EndoSpace("zero", 1, Subspace.zero(1)), EndoSpace("zero", 2, Subspace.zero(4))
+    assert zero1 != zero2 and zero1 == EndoSpace("zero", 1, Subspace.zero(1))
+
+
+def test_endo_space_to_dict_holds_the_canonical_rows_as_strings():
+    assert endo.centroid(classical("sl", 2)).to_dict() == {
+        "kind": "centroid", "dim": 1, "basis": [["1", "0", "0", "0", "1", "0", "0", "0", "1"]]}
+    half = EndoSpace("half", 2, Subspace.span([vector([2, 1, 0, 4])], 4))
+    assert half.to_dict() == {"kind": "half", "dim": 1, "basis": [["1", "1/2", "0", "2"]]}
+
+
+def test_an_endo_space_refuses_a_space_of_another_ambient_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        EndoSpace("x", 3, Subspace.zero(8))

@@ -95,17 +95,17 @@ def test_a_stream_reads_the_echelon_it_feeds_and_may_end_early():
     prefixes = []
 
     def stream():
-        live = linalg._SOLVES[-1]
+        live = linalg._solves()[-1]
         for row in rows:
             yield dict(row)
             # a solve inside the stream has an echelon of its own
-            assert kernel_of_rows([{0: 1}], 2).dim == 1 and linalg._SOLVES[-1] is live
+            assert kernel_of_rows([{0: 1}], 2).dim == 1 and linalg._solves()[-1] is live
             prefixes.append(linalg._kernel(live, 4))
             if len(live) == 2:
                 return
 
     ker = kernel_of_rows(stream(), 4)
-    assert [k.dim for k in prefixes] == [3, 2] and not linalg._SOLVES
+    assert [k.dim for k in prefixes] == [3, 2] and not linalg._solves()
     assert ker == prefixes[-1] == kernel_of_rows([dict(r) for r in rows[:2]], 4)
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ import liestruct.poly as polynomials
 from liestruct.linalg import Matrix, solve, vector
 from liestruct.poly import (
     char_poly,
+    degree,
     derivative,
     factor,
     jordan_chevalley,
@@ -548,13 +551,16 @@ def test_factor_with_rational_roots_matches_sympy_factor_list(sympy, idx):
     assert factor(p) == _factor_oracle(sympy, p)
 
 
-def _spy(monkeypatch, name):
-    """(arguments, result) of every call of liestruct.poly's ``name`` from now on."""
+def _spy(monkeypatch, name, within=None):
+    """(arguments, result) of every call of liestruct.poly's ``name`` from now on, or of
+    those made directly by the function named ``within``."""
     calls, fn = [], getattr(polynomials, name)
 
     def spied(*args):
-        calls.append((args, fn(*args)))
-        return calls[-1][1]
+        result = fn(*args)
+        if within is None or sys._getframe(1).f_code.co_name == within:
+            calls.append((args, result))
+        return result
 
     monkeypatch.setattr(polynomials, name, spied)
     return calls
@@ -611,12 +617,123 @@ def test_a_corrupted_newton_lift_is_refused_by_exact_division(monkeypatch, mutan
     p = RATIONAL_ROOT_PRODUCTS[idx]
     expected = factor(p)
     monkeypatch.setattr(polynomials, "_lift_root", MUTANTS[mutant])
-    divisions = _spy(monkeypatch, "_divide_root")
+    divisions = _spy(monkeypatch, "_divide_exact", within="_rational_roots")
     assert factor(p) == expected
     roots = {-q[0] for q in expected if len(q) == 2}
-    assert all(quo is None or F(u, v) in roots for (_, u, v), quo in divisions)
+    assert all(quo is None or F(-g[0], g[1]) in roots for (_, g), quo in divisions)
     if mutant == "off by p":
         assert divisions and all(quo is None for _, quo in divisions)
+
+
+# ---------------------------------------------------------------------------
+# exact division over Z, and Newton-lifted local factors
+# ---------------------------------------------------------------------------
+
+
+def _int_product(*factors):
+    return [int(c) for c in _product(P(*f) for f in factors)]
+
+
+def _division_pairs():
+    """Seeded int pairs (f, g): f = g q exactly, f = g q + r with r != 0 of lower degree,
+    f = h q for g = +-2 h with lc(q) odd (a quotient q / +-2 over Q, not over Z), and f of
+    lower degree than g; lc(g) of either sign."""
+    rng, out = random.Random(37), [([], [3, -2])]
+    for _ in range(30):
+        h = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.choice([-3, -1, 1, 2])]
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [rng.randint(1, 9)]
+        q[-1] += q[-1] % 2 == 0  # q's content is odd, so 2 h does not divide h q over Z
+        c = rng.choice([-2, 2])
+        f = _int_product(h, q)
+        r = [rng.randint(-9, 9) for _ in range(len(h) - 1)] + [0]
+        out += [(f, h), (_int_product(h, q, [c]), [c * x for x in h]), (f, [c * x for x in h])]
+        if any(r):
+            out.append(([x + y for x, y in itertools.zip_longest(f, r, fillvalue=0)], h))
+        out.append((q, _int_product(q, [1, 1])))
+    return out
+
+
+DIVISION_PAIRS = _division_pairs()
+
+
+def _exact_quotient(f, g):
+    """f / g by division over Q, when it is an int polynomial; None otherwise."""
+    quo, rem = polynomials.poly_divmod(P(*f), P(*g))
+    return None if rem or any(c.denominator != 1 for c in quo) else [int(c) for c in quo]
+
+
+def test_division_pairs_cover_every_case():
+    quotients = [_exact_quotient(f, g) for f, g in DIVISION_PAIRS]
+    overq = [not polynomials.poly_divmod(P(*f), P(*g))[1] for f, g in DIVISION_PAIRS]
+    assert sum(q is not None for q in quotients) >= 30 and [] in quotients
+    assert sum(q is None and ok for q, ok in zip(quotients, overq)) >= 25
+    assert sum(not ok for ok in overq) >= 50
+    assert any(g[-1] < 0 for _, g in DIVISION_PAIRS)
+    assert any(len(f) < len(g) for f, g in DIVISION_PAIRS)
+
+
+@pytest.mark.parametrize("idx", range(len(DIVISION_PAIRS)))
+def test_divide_exact_matches_division_over_q(idx):
+    f, g = DIVISION_PAIRS[idx]
+    assert polynomials._divide_exact(f, g) == _exact_quotient(f, g)
+
+
+def _swinnerton_dyer(primes):
+    """The monic product of t - (+-sqrt p_1 +- ... +- sqrt p_k), irreducible over Q, of
+    degree 2^k: P <- A^2 - p B^2 for P(t + sqrt p) = A + sqrt p B, from P = t."""
+    f = P(0, 1)
+    for p in primes:
+        a, b = [], []
+        for c in reversed(f):  # (a + sqrt p b)(t + sqrt p) + c
+            a, b = _poly_add([F(0)] + a, [p * x for x in b]), _poly_add([F(0)] + b, a)
+            a = _poly_add(a, [c])
+        f = _poly_add(poly_mul(a, a), [-p * x for x in poly_mul(b, b)])
+    return f
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (2, 3, 5, 7)])
+def test_factor_of_swinnerton_dyer_polynomials_matches_sympy(sympy, primes):
+    # irreducible over Q, and split into linear and quadratic factors mod every prime
+    p = _swinnerton_dyer(primes)
+    assert degree(p) == 2 ** len(primes)
+    assert factor(p) == _factor_oracle(sympy, p) == [p]
+
+
+def _local_factors(monkeypatch, p):
+    """(f, local, prime) as :func:`factor` hands them to ``_rational_roots``: the
+    primitive int multiple of p and its monic factors mod the prime."""
+    seen, real = [], polynomials._rational_roots
+
+    def spied(f, local, prime):
+        seen.append((list(f), [list(g) for g in local], prime))
+        return real(f, local, prime)
+
+    monkeypatch.setattr(polynomials, "_rational_roots", spied)
+    factor(p)
+    monkeypatch.undo()
+    return seen[0]
+
+
+LIFT_CASES = [_product(ROOTS_MOD_SEVEN), _swinnerton_dyer((2, 3, 5, 7))] + [
+    p for p in SEEDED_POLYS[-16:] if degree(p) > 1]
+
+
+@pytest.mark.parametrize("idx", range(len(LIFT_CASES)))
+def test_each_local_factor_lifts_to_a_factor_mod_q(monkeypatch, idx):
+    f, local, p = _local_factors(monkeypatch, LIFT_CASES[idx])
+    mignotte = 2 * f[-1] * 2 ** (len(f) - 1) * (isqrt(sum(c * c for c in f)) + 1)
+    for g in local:
+        for bound in (1, p, p ** 3, mignotte):
+            big, q = polynomials._lift(f, g, p, bound)
+            assert q > bound and q == next(p ** 2 ** k for k in itertools.count(1)
+                                           if p ** 2 ** k > bound)
+            assert len(big) == len(g) and big[-1] == 1 and [c % p for c in big] == g
+            assert polynomials._mod_divmod(f, big, q)[1] == []
+
+
+def test_lift_cases_have_local_factors_of_degree_one_to_three(monkeypatch):
+    degrees = {len(g) - 1 for p in LIFT_CASES for g in _local_factors(monkeypatch, p)[1]}
+    assert {1, 2, 3} <= degrees
 
 
 def _squarefree_with_linear_factors():
